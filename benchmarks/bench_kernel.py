@@ -12,7 +12,8 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from bordx._kernel_py import mul_capped as pure_kernel  # noqa: E402
 
@@ -87,11 +88,14 @@ print(f"{exactalg.KERNEL_BACKEND}\t{time.perf_counter() - t0:.3f}s  (checksum {t
 def macro():
     print("== macro: family s-number sweep + Chern vectors, per backend ==")
     for env_extra in ({}, {"BORDX_PURE": "1"}):
-        env = dict(os.environ, **env_extra)
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, **env_extra)
         proc = subprocess.run(
             [sys.executable, "-c", SWEEP], env=env, capture_output=True, text=True
         )
         sys.stdout.write(proc.stdout or proc.stderr)
+        if proc.returncode:
+            sys.exit(proc.returncode)
 
 
 if __name__ == "__main__":

@@ -6,13 +6,16 @@ d (boundary), d_k, Delta, chi, Psi_(k1,k2), the twisted product on the
 Conner-Floyd group W, and the projections rho and pi are all computed as
 exact transforms of Chern-number vectors.
 
-The transforms expand c(M)/(1+c_1)^k, c(M)/(1-c_1^2) etc. as integer series
-in formal Chern classes and pair top-degree monomials against the vector.
+Every transform is one call of `characteristic_numbers`: a total Chern class
+in formal classes (c(M)c(N) for products, c(M)/nu for the submanifold dual to
+the Euler class of a bundle nu, the projectivised tangent bundle for Psi), a
+start class, and the evaluation of a top-degree product against the vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .exactalg import (
@@ -33,7 +36,7 @@ class ChernVector:
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         object.__setattr__(self, "dim", int(dim))
-        table = {omega: 0 for omega in partitions(dim)}
+        table = dict.fromkeys(partitions(dim), 0)
         if numbers:
             for omega, value in numbers.items():
                 omega = canonical_partition(omega)
@@ -152,8 +155,40 @@ def _formal_c1(n: int, extra: int = 0) -> GradedPoly:
     return GradedPoly.generator(_formal_ring(n, extra), extra)
 
 
-def _strip_extra(exp, extra: int):
-    return exp[extra:]
+def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
+                           reduce=None) -> ChernVector:
+    """The class of dimension n with c_omega = evaluate(start * prod_{i in omega} total_{2i}).
+
+    total_{2i} is the graded part of degree 2i of `total`; `start` defaults to
+    1.  Partitions are walked depth-first in the order of `partitions(n)`, so
+    partitions sharing a prefix share its product, a zero prefix leaves its
+    whole subtree at 0, and only the products on the current path are held.
+    Each product is homogeneous of degree deg(start) + 2|prefix|, so no
+    degree cap is needed.  `reduce`, if given, is applied after every
+    multiplication (a relation the formal ring does not encode).
+    """
+    if start is None:
+        start = GradedPoly.constant(total.degrees, 1)
+    pieces = [None] + [total.graded_part(2 * i) for i in range(1, n + 1)]
+    numbers = {}
+    prefix: list[int] = []
+
+    def walk(poly: GradedPoly, remaining: int, largest: int) -> None:
+        if remaining == 0:
+            numbers[tuple(prefix)] = evaluate(poly)
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            child = poly.mul(pieces[part])
+            if reduce is not None:
+                child = reduce(child)
+            if child.is_zero():
+                continue
+            prefix.append(part)
+            walk(child, remaining - part, part)
+            prefix.pop()
+
+    walk(start, n, n)
+    return ChernVector(n, numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +199,9 @@ def cp(n: int) -> ChernVector:
     """The class of CP^n: c_omega = prod binomial(n+1, i_j)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    import math
-
-    numbers = {}
-    for omega in partitions(n):
-        v = 1
-        for i in omega:
-            v *= math.comb(n + 1, i)
-        numbers[omega] = v
-    return ChernVector(n, numbers)
+    return ChernVector(
+        n, {w: math.prod(math.comb(n + 1, i) for i in w) for w in partitions(n)}
+    )
 
 
 def v4() -> ChernVector:
@@ -188,50 +217,26 @@ def k_class() -> ChernVector:
 def product(a: ChernVector, b: ChernVector) -> ChernVector:
     """Chern numbers of the product manifold via c(MxN) = c(M)c(N)."""
     na, nb = a.dim, b.dim
-    n = na + nb
     if na == 0:
         return b.scale(a.numbers[()])
     if nb == 0:
         return a.scale(b.numbers[()])
     # formal ring: c_1..c_na for the first factor, d_1..d_nb for the second
-    degrees = tuple(2 * i for i in range(1, na + 1)) + tuple(
-        2 * j for j in range(1, nb + 1)
-    )
+    degrees = _formal_ring(na) + _formal_ring(nb)
+    one = GradedPoly.constant(degrees, 1)
+    c_a = one + sum(GradedPoly.generator(degrees, i) for i in range(na))
+    c_b = one + sum(GradedPoly.generator(degrees, na + j) for j in range(nb))
 
-    def gen(idx):
-        return GradedPoly.generator(degrees, idx)
-
-    cap = 2 * n
-    # graded pieces of c(MxN)
-    pieces = {}
-    for k in range(1, n + 1):
-        p = GradedPoly.zero(degrees)
-        for i in range(0, k + 1):
-            j = k - i
-            if i > na or j > nb:
-                continue
-            if i == 0:
-                p = p + gen(na + j - 1)
-            elif j == 0:
-                p = p + gen(i - 1)
-            else:
-                p = p + gen(i - 1) * gen(na + j - 1)
-        pieces[k] = p
-    numbers = {}
-    for omega in partitions(n):
-        prod_poly = GradedPoly.constant(degrees, 1)
-        for i in omega:
-            prod_poly = prod_poly.mul(pieces[i], cap)
-            if prod_poly.is_zero():
-                break
+    def pair_product(poly: GradedPoly) -> int:
+        # <c_tau d_sigma, [M x N]> = c_tau[M] c_sigma[N]
         total = 0
-        for exp, coeff in prod_poly.terms.items():
-            ea, eb = exp[:na], exp[na:]
-            wa, wb = _exp_to_partition(ea), _exp_to_partition(eb)
+        for exp, coeff in poly.terms.items():
+            wa, wb = _exp_to_partition(exp[:na]), _exp_to_partition(exp[na:])
             if sum(wa) == na and sum(wb) == nb:
                 total += coeff * a.numbers[wa] * b.numbers[wb]
-        numbers[omega] = total
-    return ChernVector(n, numbers)
+        return total
+
+    return characteristic_numbers(na + nb, c_a.mul(c_b), pair_product)
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +298,27 @@ def todd(a: ChernVector) -> Fraction:
 # the operations d_k, Delta, Psi, chi, pi
 # ---------------------------------------------------------------------------
 
-def boundary_k(a: ChernVector, k: int) -> ChernVector:
-    """d_k: the class of the submanifold dual to (det TM)^k.
+def _dual_class(a: ChernVector, nu: GradedPoly) -> ChernVector:
+    """The submanifold N of M dual to the Euler class of a bundle nu.
 
-    c_omega[d_k a] = <c_1^k q_omega, a> with q = c(M)/(1+c_1)^k.
+    nu is the total Chern class of the bundle in the formal classes of M;
+    its top graded part is the Euler class e(nu), its rank is half its
+    degree, and c_omega[N] = <e(nu) c_omega(TM - nu), [M]>.
     """
-    n = a.dim
+    rank = nu.degree() // 2
+    cap = 2 * (a.dim - rank)
+    normal = _formal_total_chern(a.dim).mul(inverse_one_plus(nu - 1, cap), cap)
+    return characteristic_numbers(a.dim - rank, normal, a.pair,
+                                  start=nu.graded_part(2 * rank))
+
+
+def boundary_k(a: ChernVector, k: int) -> ChernVector:
+    """d_k: the class of the submanifold dual to (det TM)^k, nu = (1+c_1)^k."""
     if k < 1:
         raise ValueError("k must be positive")
-    if n < k:
-        raise ValueError(f"need dim >= {k}, got {n}")
-    cap = 2 * n
-    degrees = _formal_ring(n)
-    c1 = _formal_c1(n)
-    q = _formal_total_chern(n).mul(inverse_one_plus(c1, cap).pow(k, cap), cap)
-    q_parts = {i: q.graded_part(2 * i) for i in range(1, n - k + 1)}
-    c1k = c1.pow(k, cap)
-    numbers = {}
-    for omega in partitions(n - k):
-        poly = c1k
-        for i in omega:
-            poly = poly.mul(q_parts[i], cap)
-            if poly.is_zero():
-                break
-        numbers[omega] = a.pair(poly)
-    return ChernVector(n - k, numbers)
+    if a.dim < k:
+        raise ValueError(f"need dim >= {k}, got {a.dim}")
+    return _dual_class(a, (1 + _formal_c1(a.dim)).pow(k))
 
 
 def boundary(a: ChernVector) -> ChernVector:
@@ -326,29 +327,11 @@ def boundary(a: ChernVector) -> ChernVector:
 
 
 def delta(a: ChernVector) -> ChernVector:
-    """Delta: the class dual to -c_1^2, via r = c(M)/(1-c_1^2)."""
-    n = a.dim
-    if n < 2:
-        raise ValueError(f"Delta needs dim >= 2, got {n}")
-    cap = 2 * n
-    degrees = _formal_ring(n)
-    c1 = _formal_c1(n)
-    c1sq = c1 * c1
-    r = _formal_total_chern(n).mul(
-        # (1 - c_1^2)^(-1) = sum c_1^(2k)
-        inverse_one_plus(-c1sq, cap),
-        cap,
-    )
-    r_parts = {i: r.graded_part(2 * i) for i in range(1, n - 1)}
-    numbers = {}
-    for omega in partitions(n - 2):
-        poly = -c1sq
-        for i in omega:
-            poly = poly.mul(r_parts[i], cap)
-            if poly.is_zero():
-                break
-        numbers[omega] = a.pair(poly)
-    return ChernVector(n - 2, numbers)
+    """Delta: the class dual to -c_1^2, nu = 1 - c_1^2."""
+    if a.dim < 2:
+        raise ValueError(f"Delta needs dim >= 2, got {a.dim}")
+    c1 = _formal_c1(a.dim)
+    return _dual_class(a, 1 - c1 * c1)
 
 
 def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
@@ -373,7 +356,6 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     total = total.mul(one + v - c1, cap)
     total = total.mul((one + v).pow(k1, cap), cap)
     total = total.mul((one - v).pow(k2, cap), cap)
-    parts = {i: total.graded_part(2 * i) for i in range(1, m + 1)}
     sign = -1 if k2 % 2 else 1
     c1_small = _formal_c1(n)  # c_1 in the v-free ring
 
@@ -390,15 +372,7 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
             acc = acc + mono
         return a.pair(acc)
 
-    numbers = {}
-    for omega in partitions(m):
-        poly = GradedPoly.constant(degrees, 1)
-        for i in omega:
-            poly = poly.mul(parts[i], cap)
-            if poly.is_zero():
-                break
-        numbers[omega] = sign * reduce_and_pair(poly)
-    return ChernVector(m, numbers)
+    return characteristic_numbers(m, total, lambda poly: sign * reduce_and_pair(poly))
 
 
 def chi(a: ChernVector) -> ChernVector:
@@ -427,8 +401,6 @@ def stong_pi(a: ChernVector) -> ChernVector:
     ambient = _formal_total_chern(n, extra=1).mul(drop_t2((one + t).pow(2, cap)), cap)
     inv = inverse_one_plus(t + c1, cap)
     p = drop_t2(ambient.mul(inv, cap))
-    parts = {i: drop_t2(p.graded_part(2 * i)) for i in range(1, n + 1)}
-    divisor = t + c1
 
     def pair_with_product(poly: GradedPoly) -> int:
         # <t * c_tau, [CP^1 x M]> = c_tau[a]; t-free terms pair to zero
@@ -438,15 +410,8 @@ def stong_pi(a: ChernVector) -> ChernVector:
                 acc = acc + GradedPoly.monomial(degrees[1:], exp[1:], coeff)
         return a.pair(acc)
 
-    numbers = {}
-    for omega in partitions(n):
-        poly = divisor
-        for i in omega:
-            poly = drop_t2(poly.mul(parts[i], cap))
-            if poly.is_zero():
-                break
-        numbers[omega] = pair_with_product(poly)
-    return ChernVector(n, numbers)
+    return characteristic_numbers(n, p, pair_with_product, start=t + c1,
+                                  reduce=drop_t2)
 
 
 def rho(a: ChernVector) -> ChernVector:

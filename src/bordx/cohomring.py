@@ -365,16 +365,12 @@ def parse_poly(src: str, names, degrees) -> GradedPoly:
     return ev(node)
 
 
-def poly_to_string(p: GradedPoly, names) -> str:
-    return p.pretty(names)
-
-
 def ring_to_json(ring: PresentedRing) -> dict:
     return {
         "generators": [
             {"name": n, "degree": d} for n, d in zip(ring.names, ring.degrees)
         ],
-        "relations": [poly_to_string(r, ring.names) for r in ring.relations],
+        "relations": [r.pretty(ring.names) for r in ring.relations],
         "top_degree": ring.top_degree,
         "fundamental_monomial": list(ring.fundamental_monomial),
         "backend": ring.backend,

@@ -328,11 +328,6 @@ class GradedPoly:
         return f"GradedPoly(degrees={self.degrees}, terms={self.terms})"
 
 
-def graded_mul(a: GradedPoly, b: GradedPoly, degree_cap: int | None = None) -> GradedPoly:
-    """Product of two graded polynomials, discarding terms above degree_cap."""
-    return a.mul(b, degree_cap)
-
-
 def geometric_series(x: GradedPoly, cap: int) -> GradedPoly:
     """1 + x + x^2 + ... truncated at degree cap; x must have zero constant term."""
     if x.constant_term():

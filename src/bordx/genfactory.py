@@ -7,7 +7,6 @@ and the low-dimensional special classes with their Hodge-number criteria.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import bordclass, numbers, tower
@@ -51,6 +50,18 @@ def _su_checks(a: ChernVector) -> dict:
         "in_w": bordclass.in_W(a),
         "in_ker_boundary": bordclass.in_ker_boundary(a),
     }
+
+
+def _gcd_certificate(dimension, labels, classes, target) -> GeneratorCertificate:
+    """Certify the combination of the classes whose s-number is their gcd."""
+    _, coeffs = ext_gcd_combo([bordclass.s_num(c) for c in classes])
+    cls = ChernVector(dimension // 2)
+    combination = []
+    for coeff, label, c in zip(coeffs, labels, classes):
+        if coeff:
+            cls = cls + c.scale(coeff)
+            combination.append((coeff, label))
+    return _certify(dimension, combination, cls, target)
 
 
 def _certify(dimension, combination, cls, target) -> GeneratorCertificate:
@@ -106,25 +117,21 @@ def cy_generator_combo(n: int) -> GeneratorCertificate:
     if n < 3:
         raise ValueError("n must be >= 3")
     omegas = numbers.phat(n)
-    classes = [cy_hypersurface(w) for w in omegas]
-    s_values = [bordclass.s_num(c) for c in classes]
-    gcd, coeffs = ext_gcd_combo(s_values)
-    cls = ChernVector(n - 1)
-    combination = []
-    for coeff, omega, c in zip(coeffs, omegas, classes):
-        if coeff:
-            cls = cls + c.scale(coeff)
-            combination.append((coeff, _omega_label(omega)))
-    return _certify(2 * (n - 1), combination, cls, numbers.g(n))
+    return _gcd_certificate(2 * (n - 1), [_omega_label(w) for w in omegas],
+                            [cy_hypersurface(w) for w in omegas], numbers.g(n))
 
 
 # ---------------------------------------------------------------------------
 # quasitoric generators
 # ---------------------------------------------------------------------------
 
-def _tower_export(name: str, n1: int, n2: int) -> ChernVector:
-    spec = tower.build_family(name, n1, n2, convention="bordism")
-    return tower.chern_numbers(spec)
+def _tower_certificate(name: str, instances, target) -> GeneratorCertificate:
+    """Certify a gcd combination of the family's bordism-convention exports."""
+    specs = [tower.build_family(name, n1, n2, convention="bordism")
+             for n1, n2 in instances]
+    return _gcd_certificate(2 * specs[0].dim,
+                            [f"{name}({n1},{n2})" for n1, n2 in instances],
+                            [tower.chern_numbers(spec) for spec in specs], target)
 
 
 def quasitoric_generator_odd(k: int) -> GeneratorCertificate:
@@ -134,17 +141,8 @@ def quasitoric_generator_odd(k: int) -> GeneratorCertificate:
             "quasitoric SU-manifolds of dimension < 10 are null-bordant; need k > 1"
         )
     i = 2 * k + 1
-    instances = [(n1, i - n1) for n1 in range(2, i, 2)]
-    classes = [_tower_export("Ltilde", n1, n2) for n1, n2 in instances]
-    s_values = [bordclass.s_num(c) for c in classes]
-    gcd, coeffs = ext_gcd_combo(s_values)
-    cls = ChernVector(i)
-    combination = []
-    for coeff, (n1, n2), c in zip(coeffs, instances, classes):
-        if coeff:
-            cls = cls + c.scale(coeff)
-            combination.append((coeff, f"Ltilde({n1},{n2})"))
-    return _certify(2 * i, combination, cls, numbers.m(i) * numbers.m(i - 1))
+    return _tower_certificate("Ltilde", [(n1, i - n1) for n1 in range(2, i, 2)],
+                              numbers.m(i) * numbers.m(i - 1))
 
 
 def quasitoric_generator_even(k: int) -> GeneratorCertificate:
@@ -154,17 +152,8 @@ def quasitoric_generator_even(k: int) -> GeneratorCertificate:
             "quasitoric SU-manifolds of dimension < 10 are null-bordant; need k > 2"
         )
     i = 2 * k
-    instances = [(n1, i - 1 - n1) for n1 in range(2, i - 1, 2)]
-    classes = [_tower_export("Ntilde", n1, n2) for n1, n2 in instances]
-    s_values = [bordclass.s_num(c) for c in classes]
-    gcd, coeffs = ext_gcd_combo(s_values)
-    cls = ChernVector(i)
-    combination = []
-    for coeff, (n1, n2), c in zip(coeffs, instances, classes):
-        if coeff:
-            cls = cls + c.scale(coeff)
-            combination.append((coeff, f"Ntilde({n1},{n2})"))
-    return _certify(2 * i, combination, cls, 2 * numbers.m(i) * numbers.m(i - 1))
+    return _tower_certificate("Ntilde", [(n1, i - 1 - n1) for n1 in range(2, i - 1, 2)],
+                              2 * numbers.m(i) * numbers.m(i - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +316,6 @@ def cy3_criterion(h11: int, h21: int) -> dict:
     return {"chi": chi, "s3": s3, "tag": tag}
 
 
-class HodgeInconsistencyError(ValueError):
-    """Hodge input cannot come from a Calabi-Yau fourfold with Todd genus 2."""
-
-
 def cy4_invariants(h11: int, h21: int, h31: int) -> dict:
     """Chern numbers of a Batyrev Calabi-Yau 4-fold via Hirzebruch-Riemann-Roch.
 
@@ -341,15 +326,7 @@ def cy4_invariants(h11: int, h21: int, h31: int) -> dict:
         raise ValueError("Hodge numbers must be nonnegative")
     chi1_neg = h11 - h21 + h31
     c4 = 48 + 6 * chi1_neg
-    if (1440 + c4) % 3:
-        raise HodgeInconsistencyError(
-            f"c_4 = {c4} is incompatible with a Calabi-Yau fourfold (chi_0 = 2)"
-        )
-    c2sq = (1440 + c4) // 3
+    c2sq = (1440 + c4) // 3  # exact: 1440 + c_4 = 3 (496 - 2 chi_1)
     s4 = 2 * c2sq - 4 * c4
     tag = "y4" if s4 == 20 else "minus_y4" if s4 == -20 else "other"
     return {"chi1_neg": chi1_neg, "c4": c4, "c2sq": c2sq, "s4": s4, "tag": tag}
-
-
-def certificate_to_json(cert: GeneratorCertificate) -> str:
-    return json.dumps(cert.to_json(), indent=2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .bordclass import ChernVector
+from .bordclass import ChernVector, characteristic_numbers
 from .cohomring import PresentedRing, evaluate_top
 from .exactalg import (
     GradedPoly,
@@ -25,7 +25,6 @@ from .exactalg import (
     canonical_partition,
     hermite_normal_form,
     in_row_span,
-    partitions,
 )
 
 _GEN_NAMES = "uvwxyzabcdefgh"
@@ -183,19 +182,9 @@ def _sign(spec: TowerSpec) -> int:
 def chern_numbers(spec: TowerSpec) -> ChernVector:
     """All Chern numbers of the tower under its orientation convention."""
     ring = presented_ring(spec)
-    n = spec.dim
-    c = total_chern(spec)
-    parts = {i: c.graded_part(2 * i) for i in range(1, n + 1)}
     sign = _sign(spec)
-    numbers = {}
-    for omega in partitions(n):
-        prod = GradedPoly.constant(ring.degrees, 1)
-        for i in omega:
-            prod = prod.mul(parts[i], 2 * n)
-            if prod.is_zero():
-                break
-        numbers[omega] = sign * evaluate_top(ring, prod)
-    return ChernVector(n, numbers)
+    return characteristic_numbers(spec.dim, total_chern(spec),
+                                  lambda x: sign * evaluate_top(ring, x))
 
 
 def s_number(spec: TowerSpec) -> int:
@@ -247,32 +236,30 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
     if name == "Ltilde":
         n1, n2 = params
         _check_parities("Ltilde", n1, n2)
-        k1, k2 = n1 // 2, (n2 - 1) // 2
         stage = Stage(((-1,),) + ((0,),) * n2)
         # base summands 0..n1 (class u), stage summands n1+1..n1+n2+1
-        conj = set(range(1, n1, 2))  # k1 of the u-summands
+        conj = set(range(1, n1, 2))  # n1/2 of the u-summands
         fiber0 = n1 + 2  # first of the n2 bare-gamma summands
-        conj.update(fiber0 + j for j in range(1, n2 - 1, 2))  # k2 of them
+        conj.update(fiber0 + j for j in range(1, n2 - 1, 2))  # (n2-1)/2 of them
         conj.add(fiber0 + n2 - 1)  # and the final one
         return TowerSpec((n1,), (stage,), frozenset(conj), convention)
 
     if name == "Ntilde":
         n1, n2 = params
         _check_parities("Ntilde", n1, n2)
-        k1, k2 = n1 // 2, (n2 - 1) // 2
         if n2 == 1:
             # CP(eta^2 + L_v) over CP^1 x CP^n1; relation (w - 2u)(w + v) = 0
             stage = Stage(((-2, 0), (0, 1)))
-            conj = set(range(3, n1 + 2, 2))  # k1 of the v-summands
+            conj = set(range(3, n1 + 2, 2))  # n1/2 of the v-summands
             conj.add(2 + n1 + 1 + 1)  # the (w + v) summand
             return TowerSpec((1, n1), (stage,), frozenset(conj), convention)
         stage = Stage(((-1, 0), (-1, 0), (0, 1)) + ((0, 0),) * (n2 - 2))
         conj = {1}  # one u-summand: (1+u)(1-u) = 1 since u^2 = 0
-        conj.update(range(3, n1 + 2, 2))  # k1 of the n1+1 v-summands
+        conj.update(range(3, n1 + 2, 2))  # n1/2 of the n1+1 v-summands
         fiber0 = 2 + n1 + 1  # roster index of the first stage summand
         conj.add(fiber0 + 1)  # one of the two (w - u) summands
         conj.add(fiber0 + 2)  # the (w + v) summand
-        conj.update(fiber0 + 3 + j for j in range(1, n2 - 2, 2))  # k2-1 w-summands
+        conj.update(fiber0 + 3 + j for j in range(1, n2 - 2, 2))  # (n2-3)/2 w-summands
         return TowerSpec((1, n1), (stage,), frozenset(conj), convention)
 
     raise ValueError(f"unknown family {name!r}")

@@ -109,26 +109,10 @@ class TestVerify:
             main(["verify", "--lemma", "bogus"])
         assert exc.value.code == 2
 
-    def test_threads_flag(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--lemma", "snn", "--threads", "4"], capsys
-        )
+    def test_snn_row_count(self, capsys):
+        code, out, _ = run_cli(["verify", "--lemma", "snn"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 25
-
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BORDX_THREADS", "3")
-        from bordx.cli import build_parser
-
-        args = build_parser().parse_args(["verify", "--lemma", "gcddif"])
-        assert args.threads == 3
-
-    def test_parallel_output_deterministic(self, capsys):
-        _, serial, _ = run_cli(["verify", "--lemma", "alphagcd", "--nmax", "10"],
-                               capsys)
-        _, parallel, _ = run_cli(["verify", "--lemma", "alphagcd", "--nmax", "10",
-                                  "--threads", "4"], capsys)
-        assert serial == parallel
 
 
 class TestGens:

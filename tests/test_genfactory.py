@@ -6,7 +6,6 @@ from bordx import bordclass as bc
 from bordx import numbers, tower
 from bordx.genfactory import (
     GeneratorCertificate,
-    HodgeInconsistencyError,
     construct_b,
     cy3_criterion,
     cy4_invariants,

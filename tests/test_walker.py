@@ -1,0 +1,235 @@
+"""Differential tests of the shared Chern-number walker.
+
+Every operation that reaches characteristic numbers through
+`bordclass.characteristic_numbers` is compared with a brute-force reference
+kept here: one partition at a time, the full product rebuilt from 1 for
+each, no prefix sharing and no early exit on zero.  Exact equality only.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from bordx import bordclass, tower
+from bordx.bordclass import ChernVector
+from bordx.cli import sample_classes
+from bordx.cohomring import evaluate_top
+from bordx.exactalg import GradedPoly, inverse_one_plus, partitions
+
+SAMPLES = sample_classes()
+PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+TOWERS = [
+    ("Ltilde", 2, 1), ("Ltilde", 2, 3), ("Ltilde", 4, 1),
+    ("Ntilde", 2, 1), ("Ntilde", 2, 3), ("L", 2, 3),
+]
+
+
+# ---------------------------------------------------------------------------
+# the brute-force reference
+# ---------------------------------------------------------------------------
+
+def _brute(n, total, evaluate, start=None, reduce=lambda p: p):
+    if start is None:
+        start = GradedPoly.constant(total.degrees, 1)
+    numbers = {}
+    for omega in partitions(n):
+        poly = start
+        for i in omega:
+            poly = reduce(poly.mul(total.graded_part(2 * i)))
+        numbers[omega] = evaluate(poly)
+    return ChernVector(n, numbers)
+
+
+def _to_partition(exp):
+    return tuple(sorted((i + 1 for i, e in enumerate(exp) for _ in range(e)),
+                        reverse=True))
+
+
+def _chern_ring(n, extra=0):
+    """Degree-2 generators first, then c_1..c_n; returns (degrees, c(M), c_1)."""
+    degrees = (2,) * extra + tuple(2 * i for i in range(1, n + 1))
+    total = GradedPoly.constant(degrees, 1)
+    for i in range(n):
+        total = total + GradedPoly.generator(degrees, extra + i)
+    c1 = GradedPoly.generator(degrees, extra) if n else GradedPoly.zero(degrees)
+    return degrees, total, c1
+
+
+def ref_product(a, b):
+    na, nb = a.dim, b.dim
+    degrees = tuple(2 * i for i in range(1, na + 1)) + tuple(
+        2 * j for j in range(1, nb + 1))
+    one = GradedPoly.constant(degrees, 1)
+    c_a, c_b = one, one
+    for i in range(na):
+        c_a = c_a + GradedPoly.generator(degrees, i)
+    for j in range(nb):
+        c_b = c_b + GradedPoly.generator(degrees, na + j)
+
+    def evaluate(poly):
+        total = 0
+        for exp, coeff in poly.terms.items():
+            wa, wb = _to_partition(exp[:na]), _to_partition(exp[na:])
+            if sum(wa) == na and sum(wb) == nb:
+                total += coeff * a.numbers[wa] * b.numbers[wb]
+        return total
+
+    return _brute(na + nb, c_a * c_b, evaluate)
+
+
+def ref_boundary_k(a, k):
+    n = a.dim
+    _, total, c1 = _chern_ring(n)
+    q = total.mul(inverse_one_plus(c1, 2 * n).pow(k, 2 * n), 2 * n)
+    return _brute(n - k, q, a.pair, start=c1.pow(k))
+
+
+def ref_delta(a):
+    n = a.dim
+    _, total, c1 = _chern_ring(n)
+    c1sq = c1 * c1
+    r = total.mul(inverse_one_plus(-c1sq, 2 * n), 2 * n)
+    return _brute(n - 2, r, a.pair, start=-c1sq)
+
+
+def ref_psi_k1k2(a, k1, k2):
+    n, k = a.dim, k1 + k2
+    cap = 2 * (n + k)
+    degrees, total, c1 = _chern_ring(n, extra=1)
+    one, v = GradedPoly.constant(degrees, 1), GradedPoly.generator(degrees, 0)
+    total = total.mul(one + v - c1, cap)
+    total = total.mul((one + v).pow(k1, cap), cap)
+    total = total.mul((one - v).pow(k2, cap), cap)
+    _, _, c1_base = _chern_ring(n)
+
+    def evaluate(poly):
+        # v^(k+j) = c_1^j v^k; the v^k layer pairs with a
+        acc = GradedPoly.zero(degrees[1:])
+        for exp, coeff in poly.terms.items():
+            if exp[0] >= k:
+                mono = GradedPoly.monomial(degrees[1:], exp[1:], coeff)
+                acc = acc + mono.mul(c1_base.pow(exp[0] - k))
+        return (-1) ** k2 * a.pair(acc)
+
+    return _brute(n + k, total, evaluate)
+
+
+def ref_stong_pi(a):
+    n = a.dim
+    cap = 2 * (n + 1)
+    degrees, total, c1 = _chern_ring(n, extra=1)
+    t = GradedPoly.generator(degrees, 0)
+
+    def drop_t2(p):
+        return GradedPoly(degrees, {e: c for e, c in p.terms.items() if e[0] < 2})
+
+    ambient = total.mul(drop_t2((1 + t).pow(2)), cap)
+    p = drop_t2(ambient.mul(inverse_one_plus(t + c1, cap), cap))
+
+    def evaluate(poly):
+        acc = GradedPoly.zero(degrees[1:])
+        for exp, coeff in poly.terms.items():
+            if exp[0] == 1:
+                acc = acc + GradedPoly.monomial(degrees[1:], exp[1:], coeff)
+        return a.pair(acc)
+
+    return _brute(n, p, evaluate, start=t + c1, reduce=drop_t2)
+
+
+def ref_tower_chern_numbers(spec):
+    ring = tower.presented_ring(spec)
+    sign = -1 if spec.convention == "bordism" and len(spec.conjugations) % 2 else 1
+    return _brute(spec.dim, tower.total_chern(spec),
+                  lambda x: sign * evaluate_top(ring, x))
+
+
+def ref_cp_product(omega):
+    cls = bordclass.cp(omega[0])
+    for i in omega[1:]:
+        cls = ref_product(cls, bordclass.cp(i))
+    return cls
+
+
+def check_all_operations(a):
+    n = a.dim
+    for k in range(1, min(n, 3) + 1):
+        assert bordclass.boundary_k(a, k) == ref_boundary_k(a, k)
+    if n >= 2:
+        assert bordclass.delta(a) == ref_delta(a)
+    for k1, k2 in PSI_PARAMS:
+        assert bordclass.psi_k1k2(a, k1, k2) == ref_psi_k1k2(a, k1, k2)
+    assert bordclass.stong_pi(a) == ref_stong_pi(a)
+
+
+# ---------------------------------------------------------------------------
+# the sample classes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,a", SAMPLES, ids=[lab for lab, _ in SAMPLES])
+def test_operations_match_reference(label, a):
+    check_all_operations(a)
+
+
+@pytest.mark.parametrize("label,a", SAMPLES, ids=[lab for lab, _ in SAMPLES])
+def test_product_matches_reference(label, a):
+    for _, b in SAMPLES:
+        if 1 <= a.dim and 1 <= b.dim and a.dim + b.dim <= 8:
+            assert bordclass.product(a, b) == ref_product(a, b)
+
+
+@pytest.mark.parametrize("name,n1,n2", TOWERS)
+@pytest.mark.parametrize("convention", ["toric", "bordism"])
+def test_tower_chern_numbers_match_reference(name, n1, n2, convention):
+    spec = tower.build_family(name, n1, n2, convention=convention)
+    assert tower.chern_numbers(spec) == ref_tower_chern_numbers(spec)
+
+
+def test_zero_subtrees_are_zero():
+    # c_1 of an SU tower is formally 0, so the walker skips every subtree
+    # below a part 1; those numbers must still read 0
+    spec = tower.build_family("Ntilde", 2, 3, convention="bordism")
+    assert tower.total_chern(spec).graded_part(2).is_zero()
+    got = tower.chern_numbers(spec)
+    assert got == ref_tower_chern_numbers(spec)
+    assert all(v == 0 for w, v in got.numbers.items() if 1 in w)
+    assert not got.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-drawn combinations of CP-products
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cp_combinations(draw, max_dim=6):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    omegas = draw(st.lists(st.sampled_from(partitions(n)), min_size=1, max_size=4))
+    a = ChernVector(n)
+    for omega in omegas:
+        coeff = draw(st.integers(min_value=-5, max_value=5))
+        a = a + ref_cp_product(omega).scale(coeff)
+    return a
+
+
+_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_SETTINGS
+@given(cp_combinations())
+def test_operations_match_reference_on_combinations(a):
+    check_all_operations(a)
+
+
+@_SETTINGS
+@given(cp_combinations(max_dim=4), cp_combinations(max_dim=4))
+def test_product_matches_reference_on_combinations(a, b):
+    assert bordclass.product(a, b) == ref_product(a, b)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
+       .filter(lambda parts: sum(parts) <= 6))
+def test_tower_chern_numbers_match_reference_on_cp_products(parts):
+    spec = tower.build_family("CPprod", parts, convention="bordism")
+    assert tower.chern_numbers(spec) == ref_tower_chern_numbers(spec)
+    assert tower.chern_numbers(spec) == ref_cp_product(sorted(parts, reverse=True))
