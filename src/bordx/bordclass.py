@@ -243,30 +243,30 @@ def product(a: ChernVector, b: ChernVector) -> ChernVector:
 # genera
 # ---------------------------------------------------------------------------
 
-def s_polynomial(n: int, degrees=None, offset: int = 0) -> GradedPoly:
-    """Power sum p_n in the Chern classes via the Newton identity."""
-    if degrees is None:
-        degrees = _formal_ring(n)
-    if n == 0:
-        return GradedPoly.constant(degrees, 0)
+def s_polynomial(n: int, chern_classes) -> GradedPoly:
+    """Power sum s_n of the Chern roots in the Chern classes c_1, c_2, ...
 
-    def e(i):
-        return GradedPoly.generator(degrees, offset + i - 1)
-
-    p = {0: GradedPoly.constant(degrees, 0)}
+    Newton identity s_k = sum_{i<k} (-1)^(i-1) c_i s_(k-i) + (-1)^(k-1) k c_k;
+    classes past the end of `chern_classes` are zero.
+    """
+    zero = chern_classes[0].scale(0)
+    c = list(chern_classes[:n]) + [zero] * (n - len(chern_classes))
+    s = [zero]
     for k in range(1, n + 1):
-        acc = e(k).scale((-1) ** (k - 1) * k)
+        acc = c[k - 1].scale((-1) ** (k - 1) * k)
         for i in range(1, k):
-            acc = acc + (e(i) * p[k - i]).scale((-1) ** (i - 1))
-        p[k] = acc
-    return p[n]
+            acc = acc + (c[i - 1] * s[k - i]).scale((-1) ** (i - 1))
+        s.append(acc)
+    return s[n]
 
 
 def s_num(a: ChernVector) -> int:
     """Milnor s-number; additive, vanishing on decomposable classes."""
     if a.dim == 0:
         return 0
-    return a.pair(s_polynomial(a.dim))
+    degrees = _formal_ring(a.dim)
+    return a.pair(s_polynomial(
+        a.dim, [GradedPoly.generator(degrees, i) for i in range(a.dim)]))
 
 
 _TODD = {

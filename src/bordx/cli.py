@@ -191,17 +191,17 @@ def _suite_nmodp(kmax: int) -> list[dict]:
     return rows
 
 
-# lemma -> (suite, size parameter it reads, default size); None: no size
+# lemma -> (suite, None or (size parameter it reads, default size, least size))
 _LEMMA_SUITES = {
-    "algrel": (_suite_algrel, None, None),
-    "deltaab": (_suite_deltaab, None, None),
-    "gcddif": (_suite_gcddif, "kmax", 50),
-    "nmod2": (_suite_nmod2, "kmax", 30),
-    "nmodp": (_suite_nmodp, "kmax", 30),
-    "alphagcd": (_suite_alphagcd, "nmax", 16),
-    "snl": (lambda: _suite_family("Ltilde", snl_closed_form), None, None),
-    "snn": (lambda: _suite_family("Ntilde", snn_closed_form), None, None),
-    "wring": (_suite_wring, None, None),
+    "algrel": (_suite_algrel, None),
+    "deltaab": (_suite_deltaab, None),
+    "gcddif": (_suite_gcddif, ("kmax", 50, 2)),
+    "nmod2": (_suite_nmod2, ("kmax", 30, 3)),
+    "nmodp": (_suite_nmodp, ("kmax", 30, 3)),
+    "alphagcd": (_suite_alphagcd, ("nmax", 16, 3)),
+    "snl": (lambda: _suite_family("Ltilde", snl_closed_form), None),
+    "snn": (lambda: _suite_family("Ntilde", snn_closed_form), None),
+    "wring": (_suite_wring, None),
 }
 
 LEMMAS = tuple(_LEMMA_SUITES)
@@ -211,11 +211,17 @@ def run_lemma(lemma: str, kmax: int | None = None,
               nmax: int | None = None) -> list[dict]:
     if lemma not in _LEMMA_SUITES:
         raise ValueError(f"unknown lemma {lemma!r}")
-    suite, size_name, default = _LEMMA_SUITES[lemma]
-    if size_name is None:
+    suite, size_rule = _LEMMA_SUITES[lemma]
+    if size_rule is None:
         return suite()
+    size_name, default, least = size_rule
     size = {"kmax": kmax, "nmax": nmax}[size_name]
-    return suite(size or default)
+    if size is None:
+        size = default
+    if size < least:
+        raise ValueError(f"--{size_name} must be at least {least} for lemma "
+                         f"{lemma!r}, got {size}")
+    return suite(size)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # writing --output failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

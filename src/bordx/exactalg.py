@@ -8,22 +8,10 @@ module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-if os.environ.get("BORDX_PURE") == "1":
-    from ._kernel_py import mul_capped as _mul_capped
-
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from ._speedups import mul_capped as _mul_capped
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:  # pragma: no cover - depends on build environment
-        from ._kernel_py import mul_capped as _mul_capped
-
-        KERNEL_BACKEND = "python"
+# GradedPoly.mul is the one polynomial kernel; reports name it by this constant.
+KERNEL_BACKEND = "python"
 
 Partition = tuple[int, ...]
 
@@ -210,12 +198,6 @@ class GradedPoly:
             {e: c for e, c in self.terms.items() if self.term_degree(e) == degree},
         )
 
-    def truncate(self, cap: int) -> "GradedPoly":
-        return GradedPoly(
-            self.degrees,
-            {e: c for e, c in self.terms.items() if self.term_degree(e) <= cap},
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other: "GradedPoly") -> None:
@@ -256,10 +238,40 @@ class GradedPoly:
         return GradedPoly(self.degrees, {e: k * c for e, k in self.terms.items()})
 
     def mul(self, other: "GradedPoly", cap: int | None = None) -> "GradedPoly":
+        """Product, without the terms of degree above `cap` when a cap is given.
+
+        This is the hot loop of the whole workbench.  Exponents, degrees and
+        the cap are arbitrary-precision ints; a negative cap means no cap.
+        """
         self._check_compatible(other)
-        raw = _mul_capped(self.terms, other.terms, self.degrees, -1 if cap is None else cap)
-        result = GradedPoly(self.degrees)
-        object.__setattr__(result, "terms", raw)
+        degrees = self.degrees
+        if cap is None:
+            cap = -1
+        a_terms, b_terms = self.terms, other.terms
+        if len(b_terms) > len(a_terms):
+            a_terms, b_terms = b_terms, a_terms
+        bitems = []
+        for eb, cb in b_terms.items():
+            db = 0
+            for i, e in enumerate(eb):
+                db += e * degrees[i]
+            bitems.append((db, eb, cb))
+        out = {}
+        for ea, ca in a_terms.items():
+            da = 0
+            for i, e in enumerate(ea):
+                da += e * degrees[i]
+            for db, eb, cb in bitems:
+                if cap >= 0 and da + db > cap:
+                    continue
+                key = tuple(x + y for x, y in zip(ea, eb))
+                c = out.get(key, 0) + ca * cb
+                if c:
+                    out[key] = c
+                elif key in out:
+                    del out[key]
+        result = GradedPoly(degrees)
+        object.__setattr__(result, "terms", out)
         return result
 
     def __mul__(self, other):
@@ -369,15 +381,6 @@ class IntMatrix:
         else:
             ncols = 0 if cols is None else cols
         return cls(len(rows), ncols, tuple(rows))
-
-    def row_list(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
 
 def _normalize_row(row: list[int]) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bordclass, numbers, tower
-from .bordclass import ChernVector
+from .bordclass import ChernVector, s_polynomial
 from .cohomring import PresentedRing, evaluate_top
 from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo
 
@@ -272,36 +272,16 @@ def grassmann_ring() -> PresentedRing:
     return PresentedRing(names, degrees, relations, 8, (2, 1))
 
 
-def _newton_s(n: int, chern_classes: list[GradedPoly], one: GradedPoly) -> GradedPoly:
-    """Power sum s_n of a bundle with the given Chern classes (index 1..)."""
-    zero = one - one
-
-    def e(i):
-        if 1 <= i < len(chern_classes):
-            return chern_classes[i]
-        return zero
-
-    p = {0: zero}
-    for j in range(1, n + 1):
-        acc = e(j).scale((-1) ** (j - 1) * j)
-        for i in range(1, j):
-            acc = acc + (e(i) * p[j - i]).scale((-1) ** (i - 1))
-        p[j] = acc
-    return p[n]
-
-
 def grassmann_s4() -> int:
     """s_4 of the Grassmannian Gr_2(C^4) with the SU-amended structure 2 conj(g) + 2 g - conj(g) g."""
     ring = grassmann_ring()
-    degrees = ring.degrees
-    one = GradedPoly.constant(degrees, 1)
     c1 = ring.gen("c1")
     c2 = ring.gen("c2")
     # rank-2 tautological bundle and its conjugate
-    s4_gamma = _newton_s(4, [None, c1, c2], one)
-    s4_gamma_bar = _newton_s(4, [None, -c1, c2], one)
+    s4_gamma = s_polynomial(4, [c1, c2])
+    s4_gamma_bar = s_polynomial(4, [-c1, c2])
     # conj(gamma) tensor gamma: c = 1 - c1^2 + 4 c2
-    s4_gg = _newton_s(4, [None, 0 * one, (c2.scale(4) - c1 * c1), 0 * one, 0 * one], one)
+    s4_gg = s_polynomial(4, [c1.scale(0), c2.scale(4) - c1 * c1])
     total = s4_gamma_bar.scale(2) + s4_gamma.scale(2) - s4_gg
     return evaluate_top(ring, total.graded_part(8))
 

@@ -103,48 +103,46 @@ class TowerSpec:
 # derived data
 # ---------------------------------------------------------------------------
 
-def presented_ring(spec: TowerSpec) -> PresentedRing:
-    """Cohomology presentation of the tower (triangular by construction)."""
-    k = spec.generator_count
-    degrees = (2,) * k
-    names = spec.generator_names
-    relations = []
-    fundamental = []
-    for i, n_i in enumerate(spec.base):
-        relations.append(GradedPoly.generator(degrees, i, n_i + 1))
-        fundamental.append(n_i)
+def _stage_lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
+    """First Chern classes v + sum_j w_j g_j of each stage's line bundles."""
+    gens = [GradedPoly.generator(degrees, j) for j in range(spec.generator_count)]
+    out = []
     for s, stage in enumerate(spec.stages):
-        gen_index = len(spec.base) + s
-        v = GradedPoly.generator(degrees, gen_index)
-        rel = GradedPoly.constant(degrees, 1)
+        v = gens[len(spec.base) + s]
+        lines = []
         for w in stage.lines:
             line = v
             for j, wj in enumerate(w):
                 if wj:
-                    line = line + GradedPoly.generator(degrees, j).scale(wj)
+                    line = line + gens[j].scale(wj)
+            lines.append(line)
+        out.append(lines)
+    return out
+
+
+def presented_ring(spec: TowerSpec) -> PresentedRing:
+    """Cohomology presentation of the tower (triangular by construction)."""
+    degrees = (2,) * spec.generator_count
+    relations = [GradedPoly.generator(degrees, i, n_i + 1)
+                 for i, n_i in enumerate(spec.base)]
+    for lines in _stage_lines(spec, degrees):
+        rel = GradedPoly.constant(degrees, 1)
+        for line in lines:
             rel = rel * line
         relations.append(rel)
-        fundamental.append(stage.fiber_dim)
-    return PresentedRing(names, degrees, relations, 2 * spec.dim, fundamental)
+    fundamental = list(spec.base) + [stage.fiber_dim for stage in spec.stages]
+    return PresentedRing(spec.generator_names, degrees, relations, 2 * spec.dim,
+                         fundamental)
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:
     """First Chern classes of the stable-tangent line summands, unconjugated."""
-    k = spec.generator_count
-    degrees = (2,) * k
+    degrees = (2,) * spec.generator_count
     out = []
     for i, n_i in enumerate(spec.base):
-        g = GradedPoly.generator(degrees, i)
-        out.extend([g] * (n_i + 1))
-    for s, stage in enumerate(spec.stages):
-        gen_index = len(spec.base) + s
-        v = GradedPoly.generator(degrees, gen_index)
-        for w in stage.lines:
-            line = v
-            for j, wj in enumerate(w):
-                if wj:
-                    line = line + GradedPoly.generator(degrees, j).scale(wj)
-            out.append(line)
+        out.extend([GradedPoly.generator(degrees, i)] * (n_i + 1))
+    for lines in _stage_lines(spec, degrees):
+        out.extend(lines)
     return out
 
 
@@ -448,6 +446,8 @@ def tower_to_json(spec: TowerSpec) -> dict:
 def tower_from_json(data) -> TowerSpec:
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"a tower spec is a JSON object, got {type(data).__name__}")
     stages = tuple(Stage(tuple(tuple(w) for w in s["lines"])) for s in data.get("stages", []))
     conj = set(data.get("conjugate", []))
     for s in data.get("stages", []):

@@ -62,6 +62,22 @@ class TestChern:
         data = json.loads(out)
         assert data["numbers"] == {"2": 4, "1,1": 8}
 
+    def test_spec_not_an_object(self, tmp_path, capsys):
+        spec = tmp_path / "list.json"
+        spec.write_text("[1, 2]")
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.tsv"
+        code, out, err = run_cli(
+            ["chern", "--family", "L", "--n1", "1", "--n2", "1",
+             "--output", str(path)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and not path.exists()
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "out.tsv"
         code, out, _ = run_cli(
@@ -103,6 +119,30 @@ class TestVerify:
         rows = json.loads(out)
         assert len(rows) == 25
         assert all(r["status"] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["--lemma", "gcddif", "--kmax", "0"],
+        ["--lemma", "gcddif", "--kmax", "1"],
+        ["--lemma", "nmod2", "--kmax", "2"],
+        ["--lemma", "nmodp", "--kmax", "-3"],
+        ["--lemma", "alphagcd", "--nmax", "2"],
+    ])
+    def test_size_below_minimum_exits_2(self, argv, capsys):
+        code, out, err = run_cli(["verify"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--lemma", "gcddif", "--kmax", "2"], 1),
+        (["--lemma", "nmod2", "--kmax", "3"], 1),
+        (["--lemma", "nmodp", "--kmax", "3"], 3),
+        (["--lemma", "alphagcd", "--nmax", "3"], 1),
+        (["--lemma", "gcddif"], 49),
+    ])
+    def test_least_and_default_sizes(self, argv, rows, capsys):
+        code, out, _ = run_cli(["verify"] + argv, capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + rows
 
     def test_unknown_lemma_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -173,15 +173,15 @@ class TestLowDimensional:
 
     def test_grassmann_pieces(self):
         from bordx.cohomring import evaluate_top
-        from bordx.genfactory import _newton_s, grassmann_ring
+        from bordx.bordclass import s_polynomial
+        from bordx.genfactory import grassmann_ring
 
         ring = grassmann_ring()
-        one = ring.one()
+        zero = ring.one().scale(0)
         c1, c2 = ring.gen("c1"), ring.gen("c2")
-        s4_gamma = _newton_s(4, [None, c1, c2], one)
+        s4_gamma = s_polynomial(4, [c1, c2])
         assert evaluate_top(ring, s4_gamma.graded_part(8)) == 0
-        s4_gg = _newton_s(4, [None, one.scale(0), c2.scale(4) - c1 * c1,
-                              one.scale(0), one.scale(0)], one)
+        s4_gg = s_polynomial(4, [zero, c2.scale(4) - c1 * c1, zero, zero])
         assert evaluate_top(ring, s4_gg.graded_part(8)) == 20
 
 
