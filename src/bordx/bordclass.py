@@ -6,16 +6,21 @@ d (boundary), d_k, Delta, chi, Psi_(k1,k2), the twisted product on the
 Conner-Floyd group W, and the projections rho and pi are all computed as
 exact transforms of Chern-number vectors.
 
-Every transform is one call of `characteristic_numbers`: a total Chern class
-in formal classes (c(M)c(N) for products, c(M)/nu for the submanifold dual to
-the Euler class of a bundle nu, the projectivised tangent bundle for Psi), a
-start class, and the evaluation of a top-degree product against the vector.
+The product and the s-number are integer tables applied to the vectors (the
+Whitney split table, the Girard-Waring row), each built once per dimension.
+Every other transform is one call of `characteristic_numbers`: a total Chern
+class in formal classes (c(M)/nu for the submanifold dual to the Euler class
+of a bundle nu, the projectivised tangent bundle for Psi), a start class, and
+the evaluation of a top-degree product against the vector.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from .exactalg import (
@@ -23,12 +28,17 @@ from .exactalg import (
     Partition,
     canonical_partition,
     inverse_one_plus,
+    multinomial,
     partitions,
 )
 
 
 class ChernVector:
-    """A bordism class of dimension 2n as the map {partitions of n} -> Z."""
+    """A bordism class of dimension 2n as the map {partitions of n} -> Z.
+
+    `numbers` is keyed in `partitions(dim)` order, so its values are the
+    class's coordinates in that order.
+    """
 
     __slots__ = ("dim", "numbers")
 
@@ -214,59 +224,108 @@ def k_class() -> ChernVector:
     return cp(1) * cp(1) * 9 - cp(2) * 8
 
 
+_SPLIT_TABLES: dict[tuple[int, int], tuple] = {}
+
+
+def _split_table(na: int, nb: int):
+    """The Whitney split table of products of dimensions na and nb, built once.
+
+    By c_k(MxN) = sum_{i+j=k} c_i(M) c_j(N), c_omega[MxN] = sum T^omega_{tau
+    sigma} c_tau[M] c_sigma[N], where T^omega_{tau sigma} counts the ways to
+    split every part k of omega as i + (k - i) so that the nonzero i form tau
+    (|tau| = na) and the nonzero k - i form sigma.  Equal parts of omega are
+    split together: a multiset of m splits of the part k arises in
+    m! / prod(multiplicities)! ways.  The table holds one row per omega, in
+    `partitions(na + nb)` order, of triples (count, index of tau in
+    `partitions(na)`, index of sigma in `partitions(nb)`).
+    """
+    table = _SPLIT_TABLES.get((na, nb))
+    if table is not None:
+        return table
+    tau_index = {tau: i for i, tau in enumerate(partitions(na))}
+    sigma_index = {sigma: j for j, sigma in enumerate(partitions(nb))}
+    group_splits = {}  # (k, m) -> [(tau parts, sigma parts, ways)]
+    table = []
+    for omega in partitions(na + nb):
+        # (tau, sigma) -> number of ways, over the parts of omega split so far
+        splits = {((), ()): 1}
+        for k, m in Counter(omega).items():
+            if (k, m) not in group_splits:
+                group_splits[(k, m)] = [
+                    (tuple(i for i in chosen if i), tuple(k - i for i in chosen if i < k),
+                     multinomial(m, Counter(chosen).values()))
+                    for chosen in itertools.combinations_with_replacement(range(k + 1), m)
+                ]
+            grown = defaultdict(int)
+            for tau_parts, sigma_parts, ways in group_splits[(k, m)]:
+                for (tau, sigma), count in splits.items():
+                    tau_new, sigma_new = tau + tau_parts, sigma + sigma_parts
+                    if sum(tau_new) <= na and sum(sigma_new) <= nb:
+                        key = (tuple(sorted(tau_new, reverse=True)),
+                               tuple(sorted(sigma_new, reverse=True)))
+                        grown[key] += count * ways
+            splits = grown
+        table.append(tuple((count, tau_index[tau], sigma_index[sigma])
+                           for (tau, sigma), count in splits.items()))
+    table = _SPLIT_TABLES[(na, nb)] = tuple(table)
+    return table
+
+
 def product(a: ChernVector, b: ChernVector) -> ChernVector:
-    """Chern numbers of the product manifold via c(MxN) = c(M)c(N)."""
-    na, nb = a.dim, b.dim
-    if na == 0:
-        return b.scale(a.numbers[()])
-    if nb == 0:
-        return a.scale(b.numbers[()])
-    # formal ring: c_1..c_na for the first factor, d_1..d_nb for the second
-    degrees = _formal_ring(na) + _formal_ring(nb)
-    one = GradedPoly.constant(degrees, 1)
-    c_a = one + sum(GradedPoly.generator(degrees, i) for i in range(na))
-    c_b = one + sum(GradedPoly.generator(degrees, na + j) for j in range(nb))
-
-    def pair_product(poly: GradedPoly) -> int:
-        # <c_tau d_sigma, [M x N]> = c_tau[M] c_sigma[N]
-        total = 0
-        for exp, coeff in poly.terms.items():
-            wa, wb = _exp_to_partition(exp[:na]), _exp_to_partition(exp[na:])
-            if sum(wa) == na and sum(wb) == nb:
-                total += coeff * a.numbers[wa] * b.numbers[wb]
-        return total
-
-    return characteristic_numbers(na + nb, c_a.mul(c_b), pair_product)
+    """Chern numbers of the product manifold: the split table applied to a and b."""
+    av, bv = list(a.numbers.values()), list(b.numbers.values())
+    n = a.dim + b.dim
+    return ChernVector(n, {
+        omega: sum(count * av[i] * bv[j] for count, i, j in row)
+        for omega, row in zip(partitions(n), _split_table(a.dim, b.dim))
+    })
 
 
 # ---------------------------------------------------------------------------
 # genera
 # ---------------------------------------------------------------------------
 
+_GIRARD_WARING_ROWS: dict[int, tuple[int, ...]] = {}
+
+
+def _girard_waring_row(n: int) -> tuple[int, ...]:
+    """s_n in the Chern basis, one coefficient per partition of n, built once.
+
+    Girard-Waring: s_n = sum_{lambda |- n} (-1)^(n - l) n (l - 1)! /
+    prod_i m_i(lambda)! c_lambda, with l the length of lambda and m_i its
+    multiplicities; in `partitions(n)` order.
+    """
+    if n == 0:
+        return (0,)  # s_0 is taken as 0
+    row = _GIRARD_WARING_ROWS.get(n)
+    if row is None:
+        row = _GIRARD_WARING_ROWS[n] = tuple(
+            (-1) ** (n - len(lam)) * n * math.factorial(len(lam) - 1)
+            // math.prod(map(math.factorial, Counter(lam).values()))
+            for lam in partitions(n)
+        )
+    return row
+
+
 def s_polynomial(n: int, chern_classes) -> GradedPoly:
     """Power sum s_n of the Chern roots in the Chern classes c_1, c_2, ...
 
-    Newton identity s_k = sum_{i<k} (-1)^(i-1) c_i s_(k-i) + (-1)^(k-1) k c_k;
+    The Girard-Waring row of `s_num` with c_lambda = prod_{i in lambda} c_i;
     classes past the end of `chern_classes` are zero.
     """
-    zero = chern_classes[0].scale(0)
-    c = list(chern_classes[:n]) + [zero] * (n - len(chern_classes))
-    s = [zero]
-    for k in range(1, n + 1):
-        acc = c[k - 1].scale((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            acc = acc + (c[i - 1] * s[k - i]).scale((-1) ** (i - 1))
-        s.append(acc)
-    return s[n]
+    total = chern_classes[0].scale(0)
+    for lam, coeff in zip(partitions(n), _girard_waring_row(n)):
+        if coeff and lam[0] <= len(chern_classes):
+            term = chern_classes[lam[0] - 1].scale(coeff)
+            for i in lam[1:]:
+                term = term * chern_classes[i - 1]
+            total = total + term
+    return total
 
 
 def s_num(a: ChernVector) -> int:
     """Milnor s-number; additive, vanishing on decomposable classes."""
-    if a.dim == 0:
-        return 0
-    degrees = _formal_ring(a.dim)
-    return a.pair(s_polynomial(
-        a.dim, [GradedPoly.generator(degrees, i) for i in range(a.dim)]))
+    return sum(map(operator.mul, _girard_waring_row(a.dim), a.numbers.values()))
 
 
 _TODD = {
@@ -425,6 +484,10 @@ def rho(a: ChernVector) -> ChernVector:
 # the group W and its twisted product
 # ---------------------------------------------------------------------------
 
+class InconsistencyError(Exception):
+    """Two routes to the same exact result disagree: a mathematical inconsistency."""
+
+
 def in_W(a: ChernVector) -> bool:
     """Membership in W = Ker Delta.
 
@@ -437,7 +500,7 @@ def in_W(a: ChernVector) -> bool:
     if a.dim >= 2:
         by_delta = delta(a).is_zero()
         if by_delta != by_numbers:
-            raise AssertionError(
+            raise InconsistencyError(
                 "c_1^2-number criterion and Delta disagree; invalid Chern vector"
             )
     return by_numbers

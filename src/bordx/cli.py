@@ -450,6 +450,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # writing --output failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except bordclass.InconsistencyError as exc:
+        print(f"error: mathematical inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bordclass, numbers, tower
-from .bordclass import ChernVector, s_polynomial
+from .bordclass import ChernVector, InconsistencyError, s_polynomial
 from .cohomring import PresentedRing, evaluate_top
 from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo
 
@@ -67,7 +67,7 @@ def _gcd_certificate(dimension, labels, classes, target) -> GeneratorCertificate
 def _certify(dimension, combination, cls, target) -> GeneratorCertificate:
     s_value = bordclass.s_num(cls)
     if abs(s_value) != abs(target):
-        raise AssertionError(
+        raise InconsistencyError(
             f"certificate s-number {s_value} does not match target {target}"
         )
     if s_value != target:  # flip the representative so the s-number hits target
@@ -76,7 +76,7 @@ def _certify(dimension, combination, cls, target) -> GeneratorCertificate:
         combination = [(-c, src) for c, src in combination]
     checks = _su_checks(cls)
     if not all(checks.values()):
-        raise AssertionError(f"certificate failed SU checks: {checks}")
+        raise InconsistencyError(f"certificate failed SU checks: {checks}")
     return GeneratorCertificate(
         dimension=dimension,
         combination=tuple(combination),

@@ -30,6 +30,13 @@ from .exactalg import (
 _GEN_NAMES = "uvwxyzabcdefgh"
 
 
+def _strict_int(x, what: str) -> int:
+    """x itself if it is an int; bool, float, str and the rest are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Stage:
     """One projectivisation stage: a list of line-bundle weight vectors."""
@@ -37,7 +44,8 @@ class Stage:
     lines: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(tuple(int(x) for x in w) for w in self.lines))
+        object.__setattr__(self, "lines", tuple(
+            tuple(_strict_int(x, "a line weight") for x in w) for w in self.lines))
         if not self.lines:
             raise ValueError("a stage needs at least one line bundle")
 
@@ -54,9 +62,11 @@ class TowerSpec:
     convention: str = "toric"
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(int(x) for x in self.base))
+        object.__setattr__(self, "base", tuple(
+            _strict_int(x, "a base factor") for x in self.base))
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "conjugations", frozenset(int(i) for i in self.conjugations))
+        object.__setattr__(self, "conjugations", frozenset(
+            _strict_int(i, "a conjugation index") for i in self.conjugations))
         if any(x < 1 for x in self.base):
             raise ValueError("base factors must be positive")
         if self.convention not in ("toric", "bordism"):
@@ -449,13 +459,14 @@ def tower_from_json(data) -> TowerSpec:
     if not isinstance(data, dict):
         raise ValueError(f"a tower spec is a JSON object, got {type(data).__name__}")
     stages = tuple(Stage(tuple(tuple(w) for w in s["lines"])) for s in data.get("stages", []))
-    conj = set(data.get("conjugate", []))
+    # a list, not a set, so TowerSpec sees every index before true merges with 1
+    conj = list(data.get("conjugate", []))
     for s in data.get("stages", []):
-        conj.update(s.get("conjugate", []))
+        conj.extend(s.get("conjugate", []))
     return TowerSpec(
         tuple(data["base"]),
         stages,
-        frozenset(conj),
+        conj,
         data.get("convention", "toric"),
     )
 

@@ -1,11 +1,15 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bordx
+from bordx import bordclass, genfactory, numbers
 from bordx.cli import main
 
 
@@ -65,6 +69,23 @@ class TestChern:
     def test_spec_not_an_object(self, tmp_path, capsys):
         spec = tmp_path / "list.json"
         spec.write_text("[1, 2]")
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("data", [
+        {"base": [1.7]},
+        {"base": [2.9, 1]},
+        {"base": ["2"]},
+        {"base": [True]},
+        {"base": [1, 1], "conjugate": [True]},
+        {"base": [1, 1], "conjugate": [1, True]},
+        {"base": [1], "stages": [{"lines": [[-1.0], [0]]}]},
+        {"base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2.0]}]},
+    ])
+    def test_spec_entries_not_integers(self, data, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
         code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:")
@@ -191,6 +212,20 @@ class TestGens:
         code, _, err = run_cli(["gens", "--dim", "7", "--source", "cy"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("target,name,broken", [
+        # the s-number misses its target
+        (numbers, "g", lambda n: 7),
+        # an SU check fails
+        (genfactory, "_su_checks", lambda a: {"in_w": False}),
+        # in_W's two criteria disagree
+        (bordclass, "delta", lambda a: bordclass.cp(a.dim - 2)),
+    ], ids=["s_number", "su_check", "in_w"])
+    def test_inconsistency_exits_3(self, target, name, broken, monkeypatch, capsys):
+        monkeypatch.setattr(target, name, broken)
+        code, out, err = run_cli(["gens", "--dim", "6", "--source", "cy"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestRanksAndCy:
     def test_ranks_row(self, capsys):
@@ -232,10 +267,14 @@ class TestRanksAndCy:
 
 class TestEntryPoint:
     def test_subprocess_smoke(self):
+        # the child imports the same bordx as this process, installed or not
+        src = str(Path(bordx.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bordx.cli", "chern", "--family", "L",
              "--n1", "1", "--n2", "1"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines()[-1].startswith("s\t")

@@ -1,10 +1,15 @@
-"""Differential tests of the shared Chern-number walker.
+"""Differential tests of the Chern-number routes of `bordclass`.
 
 Every operation that reaches characteristic numbers through
 `bordclass.characteristic_numbers` is compared with a brute-force reference
 kept here: one partition at a time, the full product rebuilt from 1 for
-each, no prefix sharing and no early exit on zero.  Exact equality only.
+each, no prefix sharing and no early exit on zero.  `product` (the split
+table) is compared with the same reference over the formal ring of both
+factors, and `s_num` (the Girard-Waring row) with the Newton recurrence.
+Exact equality only.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +80,29 @@ def ref_product(a, b):
         return total
 
     return _brute(na + nb, c_a * c_b, evaluate)
+
+
+def ref_s_polynomial(n):
+    """s_n in the formal classes c_1..c_n by the Newton recurrence
+    s_k = sum_{i<k} (-1)^(i-1) c_i s_(k-i) + (-1)^(k-1) k c_k."""
+    degrees = tuple(2 * i for i in range(1, n + 1))
+    c = [GradedPoly.generator(degrees, i) for i in range(n)]
+    s = [GradedPoly.zero(degrees)]
+    for k in range(1, n + 1):
+        acc = c[k - 1].scale((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = acc + (c[i - 1] * s[k - i]).scale((-1) ** (i - 1))
+        s.append(acc)
+    return s[n]
+
+
+def ref_s_num(a):
+    return a.pair(ref_s_polynomial(a.dim))
+
+
+def random_class(rng, n):
+    """Every Chern number of dimension n drawn at random, not only CP combinations."""
+    return ChernVector(n, {w: rng.randint(-1000, 1000) for w in partitions(n)})
 
 
 def ref_boundary_k(a, k):
@@ -193,6 +221,39 @@ def test_zero_subtrees_are_zero():
     assert got == ref_tower_chern_numbers(spec)
     assert all(v == 0 for w, v in got.numbers.items() if 1 in w)
     assert not got.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the split table and the Girard-Waring row on random integer vectors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(11))
+def test_product_matches_reference_on_random_vectors(n):
+    rng = random.Random(n)
+    for na in range(n + 1):
+        for _ in range(2):
+            a, b = random_class(rng, na), random_class(rng, n - na)
+            assert bordclass.product(a, b) == ref_product(a, b)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_s_num_matches_newton_on_random_vectors(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        a = random_class(rng, n)
+        assert bordclass.s_num(a) == ref_s_num(a)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_s_polynomial_matches_newton(n):
+    degrees = tuple(2 * i for i in range(1, n + 1))
+    chern = [GradedPoly.generator(degrees, i) for i in range(n)]
+    assert bordclass.s_polynomial(n, chern) == ref_s_polynomial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_s_num_of_cp(n):
+    assert bordclass.s_num(bordclass.cp(n)) == n + 1
 
 
 # ---------------------------------------------------------------------------
