@@ -8,10 +8,12 @@ exact transforms of Chern-number vectors.
 
 The product and the s-number are integer tables applied to the vectors (the
 Whitney split table, the Girard-Waring row), each built once per dimension.
-Every other transform is one call of `characteristic_numbers`: a total Chern
-class in formal classes (c(M)/nu for the submanifold dual to the Euler class
-of a bundle nu, the projectivised tangent bundle for Psi), a start class, and
-the evaluation of a top-degree product against the vector.
+The geometric operations d_k, Delta, Psi_(k1,k2) and pi are one routine,
+`_projective_dual`: the characteristic numbers of the submanifold dual to a
+bundle nu inside a projective bundle P over M (P = M for d_k and Delta,
+CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi), read
+off in H*(M)[x]/(x^k (x - eps c_1)) through one call of
+`characteristic_numbers`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .exactalg import (
     inverse_one_plus,
     multinomial,
     partitions,
+    strict_int,
 )
 
 
@@ -43,16 +46,16 @@ class ChernVector:
     __slots__ = ("dim", "numbers")
 
     def __init__(self, dim: int, numbers=None):
-        if dim < 0:
+        if strict_int(dim, "a dimension") < 0:
             raise ValueError("dimension must be nonnegative")
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
         table = dict.fromkeys(partitions(dim), 0)
         if numbers:
             for omega, value in numbers.items():
                 omega = canonical_partition(omega)
                 if sum(omega) != dim:
                     raise ValueError(f"partition {omega} does not have weight {dim}")
-                table[omega] = int(value)
+                table[omega] = strict_int(value, "a Chern number")
         object.__setattr__(self, "numbers", table)
 
     def __setattr__(self, name, value):
@@ -141,28 +144,6 @@ def _exp_to_partition(exp) -> Partition:
         parts.extend([i + 1] * e)
     parts.sort(reverse=True)
     return tuple(parts)
-
-
-def _formal_ring(n: int, extra: int = 0):
-    """Degrees for formal classes c_1..c_n plus `extra` degree-2 generators.
-
-    Extra generators come first so the c_i sit at indices extra..extra+n-1.
-    """
-    return (2,) * extra + tuple(2 * i for i in range(1, n + 1))
-
-
-def _formal_total_chern(n: int, extra: int = 0) -> GradedPoly:
-    degrees = _formal_ring(n, extra)
-    c = GradedPoly.constant(degrees, 1)
-    for i in range(n):
-        c = c + GradedPoly.generator(degrees, extra + i)
-    return c
-
-
-def _formal_c1(n: int, extra: int = 0) -> GradedPoly:
-    if n == 0:
-        return GradedPoly.zero(_formal_ring(n, extra))
-    return GradedPoly.generator(_formal_ring(n, extra), extra)
 
 
 def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
@@ -357,18 +338,52 @@ def todd(a: ChernVector) -> Fraction:
 # the operations d_k, Delta, Psi, chi, pi
 # ---------------------------------------------------------------------------
 
-def _dual_class(a: ChernVector, nu: GradedPoly) -> ChernVector:
-    """The submanifold N of M dual to the Euler class of a bundle nu.
+def _projective_dual(a: ChernVector, k: int = 0, fibre=lambda x, c1: 1,
+                     nu=lambda x, c1: 1, eps: int = 0, sign: int = 1) -> ChernVector:
+    """The submanifold N dual to a bundle nu in a projective bundle P over M.
 
-    nu is the total Chern class of the bundle in the formal classes of M;
-    its top graded part is the Euler class e(nu), its rank is half its
-    degree, and c_omega[N] = <e(nu) c_omega(TM - nu), [M]>.
+    H*(P) = H*(M)[x]/(x^k (x - eps c_1)), c(TP) = c(M) * fibre and
+    <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` map the
+    formal classes x and c_1 to total Chern classes; e(nu) is the top graded
+    part of nu, its rank is half its degree, and
+    c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.  Every product is
+    reduced by x^(k+j) = (eps c_1)^j x^k, so the x^k layer pairs with a and
+    the lower powers of x pair to zero.
     """
+    n = a.dim
+    degrees = (2,) + tuple(2 * i for i in range(1, n + 1))  # generator 0 is x
+    zero = GradedPoly.zero(degrees)
+    x = GradedPoly.generator(degrees, 0)
+    c1 = GradedPoly.generator(degrees, 1) if n else zero
+    chern = 1 + GradedPoly(degrees, {  # c(M) = 1 + c_1 + ... + c_n
+        (0,) * i + (1,) + (0,) * (n - i): 1 for i in range(1, n + 1)})
+    lift = eps if n else 0  # eps c_1 is 0 when M is a point
+
+    def reduce(poly: GradedPoly) -> GradedPoly:
+        out = {}
+        for exp, coeff in poly.terms.items():
+            j = exp[0] - k
+            if j > 0:
+                coeff *= lift ** j
+                if not coeff:
+                    continue
+                exp = (k, exp[1] + j) + exp[2:]
+            out[exp] = out.get(exp, 0) + coeff
+        return GradedPoly(degrees, out)
+
+    def evaluate(poly: GradedPoly) -> int:
+        return sign * sum(coeff * a.numbers[_exp_to_partition(exp[1:])]
+                          for exp, coeff in poly.terms.items() if exp[0] == k)
+
+    nu = zero + nu(x, c1)  # `zero +` lifts a constant into the ring
     rank = nu.degree() // 2
-    cap = 2 * (a.dim - rank)
-    normal = _formal_total_chern(a.dim).mul(inverse_one_plus(nu - 1, cap), cap)
-    return characteristic_numbers(a.dim - rank, normal, a.pair,
-                                  start=nu.graded_part(2 * rank))
+    cap = 2 * (n + k - rank)
+    total = chern.mul(zero + fibre(x, c1), cap).mul(inverse_one_plus(nu - 1, cap), cap)
+    if k:
+        total = reduce(total)
+    return characteristic_numbers(n + k - rank, total, evaluate,
+                                  start=nu.graded_part(2 * rank),
+                                  reduce=reduce if k else None)
 
 
 def boundary_k(a: ChernVector, k: int) -> ChernVector:
@@ -377,7 +392,7 @@ def boundary_k(a: ChernVector, k: int) -> ChernVector:
         raise ValueError("k must be positive")
     if a.dim < k:
         raise ValueError(f"need dim >= {k}, got {a.dim}")
-    return _dual_class(a, (1 + _formal_c1(a.dim)).pow(k))
+    return _projective_dual(a, nu=lambda x, c1: (1 + c1).pow(k))
 
 
 def boundary(a: ChernVector) -> ChernVector:
@@ -389,49 +404,22 @@ def delta(a: ChernVector) -> ChernVector:
     """Delta: the class dual to -c_1^2, nu = 1 - c_1^2."""
     if a.dim < 2:
         raise ValueError(f"Delta needs dim >= 2, got {a.dim}")
-    c1 = _formal_c1(a.dim)
-    return _dual_class(a, 1 - c1 * c1)
+    return _projective_dual(a, nu=lambda x, c1: 1 - c1 * c1)
 
 
 def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     """Psi_(k1,k2): the projectivisation CP(conj det TM + C^(k1+k2)).
 
-    Raises dimension by k1+k2; computed in H*(M)[v]/(v^(k+1) = c_1 v^k)
-    with total Chern class c(M)(1+v-c_1)(1+v)^k1 (1-v)^k2, fiber pairing
-    <v^k c_tau> = c_tau[a], and overall sign (-1)^k2 (the conjugated fiber
-    summands flip the orientation; calibrated so that Delta Psi = id).
+    Raises dimension by k = k1+k2; H*(P) = H*(M)[x]/(x^(k+1) = c_1 x^k) with
+    fibre share (1+x-c_1)(1+x)^k1 (1-x)^k2 and overall sign (-1)^k2 (the
+    conjugated fibre summands flip the orientation; calibrated so that
+    Delta Psi = id).
     """
     if k1 < 0 or k2 < 0 or k1 + k2 < 1:
         raise ValueError("need k1, k2 >= 0 with k1 + k2 >= 1")
-    n = a.dim
-    k = k1 + k2
-    m = n + k
-    cap = 2 * m
-    degrees = _formal_ring(n, extra=1)  # generator 0 is v
-    v = GradedPoly.generator(degrees, 0)
-    one = GradedPoly.constant(degrees, 1)
-    c1 = _formal_c1(n, extra=1)
-    total = _formal_total_chern(n, extra=1)
-    total = total.mul(one + v - c1, cap)
-    total = total.mul((one + v).pow(k1, cap), cap)
-    total = total.mul((one - v).pow(k2, cap), cap)
-    sign = -1 if k2 % 2 else 1
-    c1_small = _formal_c1(n)  # c_1 in the v-free ring
-
-    def reduce_and_pair(poly: GradedPoly) -> int:
-        # v^(k+j) = c_1^j v^k, then keep the v^k layer and pair with a
-        acc = GradedPoly.zero(degrees[1:])
-        for exp, coeff in poly.terms.items():
-            e_v, rest = exp[0], exp[1:]
-            if e_v < k:
-                continue  # c-part has degree > 2n, pairs to zero
-            mono = GradedPoly.monomial(degrees[1:], rest, coeff)
-            if e_v > k:
-                mono = mono.mul(c1_small.pow(e_v - k), 2 * n)
-            acc = acc + mono
-        return a.pair(acc)
-
-    return characteristic_numbers(m, total, lambda poly: sign * reduce_and_pair(poly))
+    return _projective_dual(
+        a, k1 + k2, fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
+        eps=1, sign=-1 if k2 % 2 else 1)
 
 
 def chi(a: ChernVector) -> ChernVector:
@@ -446,31 +434,9 @@ def psi(a: ChernVector) -> ChernVector:
 
 def stong_pi(a: ChernVector) -> ChernVector:
     """Stong's projection onto W: the submanifold of CP^1 x M dual to
-    (hyperplane bundle) tensor det TM."""
-    n = a.dim
-    cap = 2 * (n + 1)
-    degrees = _formal_ring(n, extra=1)  # generator 0 is t with t^2 = 0
-    t = GradedPoly.generator(degrees, 0)
-    c1 = _formal_c1(n, extra=1)
-
-    def drop_t2(p: GradedPoly) -> GradedPoly:
-        return GradedPoly(degrees, {e: c for e, c in p.terms.items() if e[0] < 2})
-
-    one = GradedPoly.constant(degrees, 1)
-    ambient = _formal_total_chern(n, extra=1).mul(drop_t2((one + t).pow(2, cap)), cap)
-    inv = inverse_one_plus(t + c1, cap)
-    p = drop_t2(ambient.mul(inv, cap))
-
-    def pair_with_product(poly: GradedPoly) -> int:
-        # <t * c_tau, [CP^1 x M]> = c_tau[a]; t-free terms pair to zero
-        acc = GradedPoly.zero(degrees[1:])
-        for exp, coeff in poly.terms.items():
-            if exp[0] == 1:
-                acc = acc + GradedPoly.monomial(degrees[1:], exp[1:], coeff)
-        return a.pair(acc)
-
-    return characteristic_numbers(n, p, pair_with_product, start=t + c1,
-                                  reduce=drop_t2)
+    (hyperplane bundle) tensor det TM, nu = 1 + x + c_1 with x^2 = 0."""
+    return _projective_dual(a, 1, fibre=lambda x, c1: (1 + x).pow(2),
+                            nu=lambda x, c1: 1 + x + c1)
 
 
 def rho(a: ChernVector) -> ChernVector:

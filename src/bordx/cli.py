@@ -257,11 +257,11 @@ def _partition_key(omega) -> str:
 
 def cmd_chern(args) -> int:
     if args.spec:
+        with open(args.spec, encoding="utf-8") as fh:
+            data = json.load(fh)
         try:
-            with open(args.spec, encoding="utf-8") as fh:
-                data = json.load(fh)
             spec = tower.tower_from_json(data)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             print(f"error: cannot read tower spec: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.convention:
@@ -270,23 +270,19 @@ def cmd_chern(args) -> int:
         if not args.family:
             print("error: need --family or --spec", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            if args.family == "CPprod":
-                if not args.omega:
-                    print("error: CPprod needs --omega", file=sys.stderr)
-                    return EXIT_USAGE
-                omega = tuple(int(x) for x in args.omega.split(","))
-                spec = tower.build_family("CPprod", omega,
-                                          convention=args.convention or "toric")
-            else:
-                if args.n1 is None or args.n2 is None:
-                    print("error: family needs --n1 and --n2", file=sys.stderr)
-                    return EXIT_USAGE
-                spec = tower.build_family(args.family, args.n1, args.n2,
-                                          convention=args.convention or "toric")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        if args.family == "CPprod":
+            if not args.omega:
+                print("error: CPprod needs --omega", file=sys.stderr)
+                return EXIT_USAGE
+            omega = tuple(int(x) for x in args.omega.split(","))
+            spec = tower.build_family("CPprod", omega,
+                                      convention=args.convention or "toric")
+        else:
+            if args.n1 is None or args.n2 is None:
+                print("error: family needs --n1 and --n2", file=sys.stderr)
+                return EXIT_USAGE
+            spec = tower.build_family(args.family, args.n1, args.n2,
+                                      convention=args.convention or "toric")
     vec = tower.chern_numbers(spec)
     s = tower.s_number(spec)
     if args.format == "json":
@@ -303,11 +299,7 @@ def cmd_chern(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        rows = run_lemma(args.lemma, kmax=args.kmax, nmax=args.nmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = run_lemma(args.lemma, kmax=args.kmax, nmax=args.nmax)
     _render_rows(rows, ["lemma", "instance", "status", "detail"],
                  args.format, args.output)
     return EXIT_OK if all(r["status"] == "pass" for r in rows) else EXIT_VERIFY_FAILED
@@ -318,30 +310,26 @@ def cmd_gens(args) -> int:
     if dim % 2:
         print("error: --dim must be even", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.source == "cy":
-            if dim < 6:
-                print(
-                    "error: the Calabi-Yau certification route is exposed for "
-                    "dimension >= 6",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            cert = genfactory.cy_generator_combo(dim // 2 + 1)
-        else:
-            if dim < 10:
-                print(
-                    "error: every quasitoric SU-manifold of dimension < 10 is "
-                    "null-bordant, so no quasitoric generator exists there",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            i = dim // 2
-            cert = (genfactory.quasitoric_generator_odd(i // 2) if i % 2
-                    else genfactory.quasitoric_generator_even(i // 2))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.source == "cy":
+        if dim < 6:
+            print(
+                "error: the Calabi-Yau certification route is exposed for "
+                "dimension >= 6",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        cert = genfactory.cy_generator_combo(dim // 2 + 1)
+    else:
+        if dim < 10:
+            print(
+                "error: every quasitoric SU-manifold of dimension < 10 is "
+                "null-bordant, so no quasitoric generator exists there",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        i = dim // 2
+        cert = (genfactory.quasitoric_generator_odd(i // 2) if i % 2
+                else genfactory.quasitoric_generator_even(i // 2))
     if args.format == "json":
         _emit(json.dumps(cert.to_json(), indent=2) + "\n", args.output)
     else:
@@ -367,21 +355,13 @@ def cmd_ranks(args) -> int:
 
 
 def cmd_cy3(args) -> int:
-    try:
-        result = genfactory.cy3_criterion(args.h11, args.h21)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = genfactory.cy3_criterion(args.h11, args.h21)
     _render_rows([result], ["chi", "s3", "tag"], args.format, args.output)
     return EXIT_OK
 
 
 def cmd_cy4(args) -> int:
-    try:
-        result = genfactory.cy4_invariants(args.h11, args.h21, args.h31)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = genfactory.cy4_invariants(args.h11, args.h21, args.h31)
     _render_rows([result], ["chi1_neg", "c4", "c2sq", "s4", "tag"],
                  args.format, args.output)
     return EXIT_OK
@@ -447,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # writing --output failed
+    except (OSError, ValueError) as exc:  # a file, an argument or an input is bad
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except bordclass.InconsistencyError as exc:

@@ -16,29 +16,56 @@ KERNEL_BACKEND = "python"
 Partition = tuple[int, ...]
 
 
+def strict_int(x, what: str) -> int:
+    """x itself if it is an int; bool, float, str and the rest are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # partitions and multinomials
 # ---------------------------------------------------------------------------
 
 def partitions(n: int, max_part: int | None = None) -> list[Partition]:
-    """All partitions of n (parts <= max_part if given), largest-first lex order."""
+    """All partitions of n (parts <= max_part if given), largest-first lex order.
+
+    The iterative ZS1 generator (Zoghbi-Stojmenovic 1998): x[:m] is the
+    current partition, its first h parts exceed 1 and every later entry of x
+    is 1.  Each step lowers the last part above 1 by one and packs the units
+    behind it into parts of that new size.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    out: list[Partition] = []
-
-    def rec(remaining: int, largest: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
     if n == 0:
         return [()]
-    rec(n, cap, [])
+    cap = n if max_part is None else min(max_part, n)
+    if cap < 1:
+        return []
+    q, rest = divmod(n, cap)  # the first partition: q parts cap, then rest
+    x = [cap] * q + [rest] * (rest > 0)
+    m = len(x)
+    h = q + (rest > 1) if cap > 1 else 0
+    x += [1] * (n - m)
+    out: list[Partition] = [tuple(x[:m])]
+    while h:
+        if x[h - 1] == 2:
+            x[h - 1] = 1
+            h -= 1
+            m += 1
+        else:
+            part = x[h - 1] - 1
+            units = m - h + 1
+            x[h - 1] = part
+            while units >= part:
+                x[h] = part
+                h += 1
+                units -= part
+            m = h + (units > 0)
+            if units > 1:
+                x[h] = units
+                h += 1
+        out.append(tuple(x[:m]))
     return out
 
 
@@ -373,7 +400,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(strict_int(x, "a matrix entry") for x in r) for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):

@@ -25,16 +25,10 @@ from .exactalg import (
     canonical_partition,
     hermite_normal_form,
     in_row_span,
+    strict_int,
 )
 
 _GEN_NAMES = "uvwxyzabcdefgh"
-
-
-def _strict_int(x, what: str) -> int:
-    """x itself if it is an int; bool, float, str and the rest are refused."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ class Stage:
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(
-            tuple(_strict_int(x, "a line weight") for x in w) for w in self.lines))
+            tuple(strict_int(x, "a line weight") for x in w) for w in self.lines))
         if not self.lines:
             raise ValueError("a stage needs at least one line bundle")
 
@@ -63,10 +57,10 @@ class TowerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(
-            _strict_int(x, "a base factor") for x in self.base))
+            strict_int(x, "a base factor") for x in self.base))
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "conjugations", frozenset(
-            _strict_int(i, "a conjugation index") for i in self.conjugations))
+            strict_int(i, "a conjugation index") for i in self.conjugations))
         if any(x < 1 for x in self.base):
             raise ValueError("base factors must be positive")
         if self.convention not in ("toric", "bordism"):
@@ -285,7 +279,8 @@ class CharMatrix:
     polytope: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "polytope", tuple(int(d) for d in self.polytope))
+        object.__setattr__(self, "polytope", tuple(
+            strict_int(d, "a simplex dimension") for d in self.polytope))
         n = sum(self.polytope)
         m = n + len(self.polytope)
         if self.matrix.rows != n or self.matrix.cols != m:

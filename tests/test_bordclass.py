@@ -320,3 +320,16 @@ class TestJson:
         a = cp(3)
         data = chern_vector_to_json(a)
         assert set(data["numbers"]) == {"3", "2,1", "1,1,1"}
+
+    @pytest.mark.parametrize("data", [
+        {"dim": 1, "numbers": {"1": 2.7}},
+        {"dim": 1, "numbers": {"1": 2.0}},
+        {"dim": 1, "numbers": {"1": True}},
+        {"dim": 1, "numbers": {"1": "2"}},
+        {"dim": 1.0, "numbers": {"1": 2}},
+        {"dim": True, "numbers": {"1": 2}},
+        {"dim": "1", "numbers": {"1": 2}},
+    ])
+    def test_from_json_refuses_non_integers(self, data):
+        with pytest.raises(ValueError):
+            chern_vector_from_json(data)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bordx
-from bordx import bordclass, genfactory, numbers
+from bordx import bordclass, genfactory, numbers, tower
 from bordx.cli import main
 
 
@@ -225,6 +225,22 @@ class TestGens:
         code, out, err = run_cli(["gens", "--dim", "6", "--source", "cy"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("target,name,argv", [
+        (numbers, "rank_table", ["ranks", "--max-dim", "4"]),
+        (tower, "chern_numbers", ["chern", "--family", "L", "--n1", "2", "--n2", "3"]),
+    ], ids=["ranks", "chern"])
+    def test_value_error_exits_2(self, target, name, argv, monkeypatch, capsys):
+        # main maps a ValueError from inside any command to exit 2
+        def refuse(*args):
+            raise ValueError("refused input")
+
+        monkeypatch.setattr(target, name, refuse)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: refused input\n"
 
 
 class TestRanksAndCy:

@@ -65,6 +65,19 @@ class TestPartitions:
         with pytest.raises(ValueError):
             partitions(-1)
 
+    def test_matches_recursive_enumeration(self):
+        # independent route: the plain recursion, largest part first
+        def recursive(n, cap):
+            if n == 0:
+                return [()]
+            return [(part,) + rest for part in range(min(cap, n), 0, -1)
+                    for rest in recursive(n - part, part)]
+
+        for n in range(21):
+            assert partitions(n) == recursive(n, n)
+            for cap in range(-1, n + 2):
+                assert partitions(n, max_part=cap) == recursive(n, cap)
+
 
 class TestMultinomial:
     def test_examples(self):
@@ -177,6 +190,11 @@ class TestGradedPoly:
 
 
 class TestLatticeAlgebra:
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, "1", None])
+    def test_from_rows_refuses_non_integers(self, entry):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 0], [0, entry]])
+
     def test_identity(self):
         M = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         rank, kernel = lattice_rank_kernel(M)

@@ -262,3 +262,16 @@ class TestJson:
         M = tower.char_matrix("Ltilde", 2, 3)
         back = tower.char_matrix_from_json(tower.char_matrix_to_json(M))
         assert back == M
+
+    @pytest.mark.parametrize("data", [
+        {"simplex_dims": [1.0], "lambda": [[1, -1.5]]},
+        {"simplex_dims": [1.0], "lambda": [[1, -1]]},
+        {"simplex_dims": [True], "lambda": [[1, -1]]},
+        {"simplex_dims": ["1"], "lambda": [[1, -1]]},
+        {"simplex_dims": [1], "lambda": [[1, -1.0]]},
+        {"simplex_dims": [1], "lambda": [[True, -1]]},
+        {"simplex_dims": [1], "lambda": [["1", -1]]},
+    ])
+    def test_char_matrix_refuses_non_integers(self, data):
+        with pytest.raises(ValueError):
+            tower.char_matrix_from_json(data)

@@ -22,7 +22,7 @@ from bordx.cohomring import evaluate_top
 from bordx.exactalg import GradedPoly, inverse_one_plus, partitions
 
 SAMPLES = sample_classes()
-PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
 TOWERS = [
     ("Ltilde", 2, 1), ("Ltilde", 2, 3), ("Ltilde", 4, 1),
     ("Ntilde", 2, 1), ("Ntilde", 2, 3), ("L", 2, 3),
@@ -226,6 +226,11 @@ def test_zero_subtrees_are_zero():
 # ---------------------------------------------------------------------------
 # the split table and the Girard-Waring row on random integer vectors
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(7))
+def test_operations_match_reference_on_random_vectors(n):
+    check_all_operations(random_class(random.Random(200 + n), n))
+
 
 @pytest.mark.parametrize("n", range(11))
 def test_product_matches_reference_on_random_vectors(n):
