@@ -191,18 +191,21 @@ def _suite_nmodp(kmax: int) -> list[dict]:
     return rows
 
 
-# lemma -> (suite, None or (size parameter it reads, default size, least size))
+# lemma -> (suite, None or (size parameter it reads, default, least, largest))
 _LEMMA_SUITES = {
     "algrel": (_suite_algrel, None),
     "deltaab": (_suite_deltaab, None),
-    "gcddif": (_suite_gcddif, ("kmax", 50, 2)),
-    "nmod2": (_suite_nmod2, ("kmax", 30, 3)),
-    "nmodp": (_suite_nmodp, ("kmax", 30, 3)),
-    "alphagcd": (_suite_alphagcd, ("nmax", 16, 3)),
+    "gcddif": (_suite_gcddif, ("kmax", 50, 2, 1000)),
+    "nmod2": (_suite_nmod2, ("kmax", 30, 3, 1000)),
+    "nmodp": (_suite_nmodp, ("kmax", 30, 3, 300)),
+    "alphagcd": (_suite_alphagcd, ("nmax", 16, 3, 40)),
     "snl": (lambda: _suite_family("Ltilde", snl_closed_form), None),
     "snn": (lambda: _suite_family("Ntilde", snn_closed_form), None),
     "wring": (_suite_wring, None),
 }
+
+# largest `ranks --max-dim`
+RANKS_MAX_DIM = 4000
 
 LEMMAS = tuple(_LEMMA_SUITES)
 
@@ -214,13 +217,13 @@ def run_lemma(lemma: str, kmax: int | None = None,
     suite, size_rule = _LEMMA_SUITES[lemma]
     if size_rule is None:
         return suite()
-    size_name, default, least = size_rule
+    size_name, default, least, largest = size_rule
     size = {"kmax": kmax, "nmax": nmax}[size_name]
     if size is None:
         size = default
-    if size < least:
-        raise ValueError(f"--{size_name} must be at least {least} for lemma "
-                         f"{lemma!r}, got {size}")
+    if not least <= size <= largest:
+        raise ValueError(f"--{size_name} must be between {least} and {largest} "
+                         f"for lemma {lemma!r}, got {size}")
     return suite(size)
 
 
@@ -344,8 +347,9 @@ def cmd_gens(args) -> int:
 
 
 def cmd_ranks(args) -> int:
-    if args.max_dim < 0:
-        print("error: --max-dim must be nonnegative", file=sys.stderr)
+    if not 0 <= args.max_dim <= RANKS_MAX_DIM:
+        print(f"error: --max-dim must be between 0 and {RANKS_MAX_DIM}, "
+              f"got {args.max_dim}", file=sys.stderr)
         return EXIT_USAGE
     table = numbers.rank_table(args.max_dim)
     rows = table.to_json()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import json
-import threading
 
 from .exactalg import (
     GradedPoly,
@@ -72,7 +71,6 @@ class PresentedRing:
             raise PresentationError(
                 f"fundamental monomial has degree {mu_degree}, expected {self.top_degree}"
             )
-        self._lock = threading.Lock()
         self._rules = None
         self._rules_error = None
         self._lattice_cache: dict[int, tuple] = {}
@@ -145,15 +143,14 @@ class PresentedRing:
         return reduced
 
     def _get_rules(self):
-        with self._lock:
-            if self._rules is None and self._rules_error is None:
-                try:
-                    self._rules = self._build_rules()
-                except NonTriangularError as exc:
-                    self._rules_error = exc
-            if self._rules_error is not None:
-                raise self._rules_error
-            return self._rules
+        if self._rules is None and self._rules_error is None:
+            try:
+                self._rules = self._build_rules()
+            except NonTriangularError as exc:
+                self._rules_error = exc
+        if self._rules_error is not None:
+            raise self._rules_error
+        return self._rules
 
     def _reduce(self, x: GradedPoly, rules) -> GradedPoly:
         degrees = self.degrees
@@ -199,8 +196,7 @@ class PresentedRing:
 
     def _lattice_model(self, degree: int):
         """(monomial index, relation-row HNF, primitive functional) for a degree."""
-        with self._lock:
-            cached = self._lattice_cache.get(degree)
+        cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
         monos = self.monomials_of_degree(degree)
@@ -219,15 +215,13 @@ class PresentedRing:
                 rows.append(row)
         matrix = IntMatrix.from_rows(rows, cols=len(monos))
         model = (monos, index, matrix)
-        with self._lock:
-            self._lattice_cache[degree] = model
+        self._lattice_cache[degree] = model
         return model
 
     def _lattice_evaluator(self):
         """Primitive functional phi on top-degree monomials with phi(mu) = 1."""
         key = -1
-        with self._lock:
-            cached = self._lattice_cache.get(key)
+        cached = self._lattice_cache.get(key)
         if cached is not None:
             return cached
         monos, index, matrix = self._lattice_model(self.top_degree)
@@ -257,8 +251,7 @@ class PresentedRing:
         if val < 0:
             phi = [-x for x in phi]
         result = (index, phi)
-        with self._lock:
-            self._lattice_cache[key] = result
+        self._lattice_cache[key] = result
         return result
 
 

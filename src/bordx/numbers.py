@@ -62,33 +62,59 @@ def phat(n: int) -> list[Partition]:
 
 
 def verify_alpha_gcd(n: int) -> tuple[int, bool]:
-    """gcd of alpha over phat(n), compared against |g(n)|."""
+    """gcd of alpha over phat(n), compared against |g(n)|.
+
+    alpha(omega) = n! prod (i+1)^i / prod i!, from tables of (i+1)^i and i!;
+    every partial quotient n! / (i_1! ... i_j!) is an integer.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
+    powers = [(i + 1) ** i for i in range(n - 1)]
+    factorials = [1] * (n - 1)
+    for i in range(1, n - 1):
+        factorials[i] = factorials[i - 1] * i
+    n_factorial = math.factorial(n)
     acc = 0
     for omega in phat(n):
-        acc = math.gcd(acc, alpha(omega))
+        value = n_factorial
+        for i in omega:
+            value = value // factorials[i] * powers[i]
+        acc = math.gcd(acc, value)
     return acc, acc == abs(g(n))
 
 
 def verify_gcddif(k: int) -> tuple[int, bool]:
-    """gcd{ C(2k+1, 2i) - C(2k+1, 2i-1) : 0 < i <= k } against m_{2k+1} m_{2k}."""
+    """gcd{ C(2k+1, 2i) - C(2k+1, 2i-1) : 0 < i <= k } against m_{2k+1} m_{2k}.
+
+    The binomials are stepped: C(n, j+1) = C(n, j) (n - j) / (j + 1).
+    """
     if k <= 1:
         raise ValueError("k must be > 1")
     n = 2 * k + 1
     acc = 0
-    for i in range(1, k + 1):
-        acc = math.gcd(acc, abs(math.comb(n, 2 * i) - math.comb(n, 2 * i - 1)))
+    odd = n  # C(n, 2i - 1)
+    for j in range(1, n - 1, 2):
+        even = odd * (n - j) // (j + 1)
+        acc = math.gcd(acc, even - odd)
+        odd = even * (n - j - 1) // (j + 2)
     return acc, acc == m(2 * k + 1) * m(2 * k)
 
 
-def _n_family_a(k: int, i: int) -> int:
-    """a_i = -C(2k,1) + C(2k,2) - ... + C(2k,2i) - 2i."""
-    n = 2 * k
-    acc = 0
-    for j in range(1, 2 * i + 1):
-        acc += (-1) ** j * math.comb(n, j)
-    return acc - 2 * i
+@lru_cache(maxsize=4)
+def _n_family(k: int) -> tuple[int, ...]:
+    """a_i = -C(2k,1) + C(2k,2) - ... + C(2k,2i) - 2i for 0 < i < k.
+
+    The alternating sum telescopes (Graham-Knuth-Patashnik, Concrete
+    Mathematics, (5.16)), so a_i = C(2k-1, 2i) - 1 - 2i; the binomials are
+    stepped two places at a time.
+    """
+    n = 2 * k - 1
+    values = []
+    c = 1  # C(n, 2i)
+    for i in range(1, k):
+        c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // ((2 * i - 1) * (2 * i))
+        values.append(c - 1 - 2 * i)
+    return tuple(values)
 
 
 def largest_common_prime_power(values, p: int) -> int:
@@ -117,8 +143,7 @@ def verify_nmod(k: int, p: int) -> tuple[int, bool]:
         raise ValueError("k must be > 2")
     if prime_power_base(p) != p:
         raise ValueError(f"{p} is not prime")
-    values = [_n_family_a(k, i) for i in range(1, k)]
-    power = largest_common_prime_power(values, p)
+    power = largest_common_prime_power(_n_family(k), p)
     if p == 2:
         expected = 2 if prime_power_base(2 * k) == 2 else 1
     else:
@@ -130,47 +155,14 @@ def verify_nmod(k: int, p: int) -> tuple[int, bool]:
 # rank tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def partition_count(n: int, min_part: int = 1) -> int:
-    """Number of partitions of n with all parts >= min_part."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-
-    @lru_cache(maxsize=None)
-    def count(remaining: int, largest: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for part in range(min(largest, remaining), min_part - 1, -1):
-            total += count(remaining - part, part)
-        return total
-
-    return count(n, n)
-
-
-def _hw_rank(dim: int) -> int:
-    """Monomial count in Z_2[w_2, w_4k (k>=2)] with deg w_2 = 4, deg w_4k = 8k."""
-    if dim < 0:
-        return 0
-    allowed = [4] + [8 * k for k in range(2, dim // 8 + 1)]
-
-    @lru_cache(maxsize=None)
-    def count(remaining: int, index: int) -> int:
-        if remaining == 0:
-            return 1
-        if index < 0:
-            return 0
-        total = 0
-        part = allowed[index]
-        times = 0
-        while times * part <= remaining:
-            total += count(remaining - times * part, index - 1)
-            times += 1
-        return total
-
-    return count(dim, len(allowed) - 1)
+def _count_table(top: int, parts) -> list[int]:
+    """table[t] = number of ways to write t <= top as a sum of the given parts,
+    one part size at a time (the part-by-part recurrence)."""
+    table = [1] + [0] * top
+    for part in parts:
+        for t in range(part, top + 1):
+            table[t] += table[t - part]
+    return table
 
 
 @dataclass(frozen=True)
@@ -211,26 +203,28 @@ def rank_table(max_dim: int) -> RankTable:
     """Ranks per even dimension 2n <= max_dim.
 
     rank Omega^U_{2n} = p(n); rank W_{2n} = p(n) - p(n-2); rank of the free
-    part of Omega^SU_{2n} counts partitions with parts >= 2; the Z_2-torsion
-    rank is p(k) in dimensions 8k+2 (and 8k+1, outside this even table);
-    hw_rank is the rank of H(W, d) in that dimension.
+    part of Omega^SU_{2n} = p(n) - p(n-1), the partitions with no part 1; the
+    Z_2-torsion rank is p(k) in dimensions 8k+2 (and 8k+1, outside this even
+    table); hw_rank is the rank of H(W, d) in that dimension.  All columns
+    come from two count tables built once per call.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
+    top = max_dim // 2
+    p = _count_table(top, range(1, top + 1))
+    # H(W, d): monomials in w_2 (degree 4) and w_4k, k >= 2 (degree 8k)
+    hw = _count_table(max_dim, [4] + list(range(16, max_dim + 1, 8)))
     rows = []
     for dim in range(0, max_dim + 1, 2):
         n = dim // 2
-        p_n = partition_count(n)
-        p_n2 = partition_count(n - 2) if n >= 2 else 0
-        tors = partition_count((dim - 2) // 8) if dim % 8 == 2 else 0
         rows.append(
             RankRow(
                 dimension=dim,
-                rank_omega_u=p_n,
-                rank_w=p_n - p_n2,
-                rank_omega_su=partition_count(n, min_part=2),
-                tors_rank=tors,
-                hw_rank=_hw_rank(dim),
+                rank_omega_u=p[n],
+                rank_w=p[n] - (p[n - 2] if n >= 2 else 0),
+                rank_omega_su=p[n] - (p[n - 1] if n >= 1 else 0),
+                tors_rank=p[(dim - 2) // 8] if dim % 8 == 2 else 0,
+                hw_rank=hw[dim],
             )
         )
     return RankTable(tuple(rows))

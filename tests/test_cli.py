@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bordx
-from bordx import bordclass, genfactory, numbers, tower
+from bordx import bordclass, cli, genfactory, numbers, tower
 from bordx.cli import main
 
 
@@ -17,6 +17,11 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def no_work(*args):
+    """Stands in for a lemma or rank function that a refused size must not reach."""
+    raise AssertionError("a refused size started work")
 
 
 class TestChern:
@@ -165,6 +170,18 @@ class TestVerify:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + rows
 
+    @pytest.mark.parametrize("lemma", ["gcddif", "nmod2", "nmodp", "alphagcd"])
+    def test_size_above_largest_exits_2(self, lemma, monkeypatch, capsys):
+        # the size check comes before any work: no lemma function may run
+        for name in ("verify_gcddif", "verify_nmod", "verify_alpha_gcd"):
+            monkeypatch.setattr(numbers, name, no_work)
+        size_name, _, _, largest = cli._LEMMA_SUITES[lemma][1]
+        code, out, err = run_cli(
+            ["verify", "--lemma", lemma, f"--{size_name}", str(largest + 1)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(largest) in err and "Traceback" not in err
+
     def test_unknown_lemma_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--lemma", "bogus"])
@@ -258,6 +275,18 @@ class TestRanksAndCy:
         header = out.splitlines()[0].split("\t")
         assert header == ["dimension", "rank_omega_u", "rank_w", "rank_omega_su",
                           "tors_rank", "hw_rank"]
+
+    def test_max_dim_above_largest_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(numbers, "rank_table", no_work)
+        code, out, err = run_cli(
+            ["ranks", "--max-dim", str(cli.RANKS_MAX_DIM + 1)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(cli.RANKS_MAX_DIM) in err
+
+    def test_max_dim_negative_exits_2(self, capsys):
+        code, out, err = run_cli(["ranks", "--max-dim", "-2"], capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_cy3(self, capsys):
         code, out, _ = run_cli(

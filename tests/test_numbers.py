@@ -1,9 +1,12 @@
 """Tests for the number-theoretic lemmas and rank tables."""
 
+import itertools
 import math
 
 import pytest
 
+from bordx import numbers
+from bordx.exactalg import partitions
 from bordx.numbers import (
     alpha,
     g,
@@ -15,6 +18,8 @@ from bordx.numbers import (
     verify_gcddif,
     verify_nmod,
 )
+
+from test_exactalg import partition_count_recurrence
 
 
 class TestM:
@@ -176,3 +181,82 @@ class TestRankTable:
             if n >= 2:
                 prev = table.row(row.dimension - 4).rank_omega_u
                 assert row.rank_w == row.rank_omega_u - prev
+
+
+# ---------------------------------------------------------------------------
+# the closed forms and count tables against their direct definitions
+# ---------------------------------------------------------------------------
+
+def a_family_by_definition(k, i):
+    """a_i = -C(2k,1) + C(2k,2) - ... + C(2k,2i) - 2i, summed term by term."""
+    return sum((-1) ** j * math.comb(2 * k, j) for j in range(1, 2 * i + 1)) - 2 * i
+
+
+def p_adic_power(values, p):
+    """Largest power of p dividing every nonzero value."""
+    power = None
+    for v in values:
+        if v:
+            q = 1
+            while v % (q * p) == 0:
+                q *= p
+            power = q if power is None else min(power, q)
+    return power
+
+
+class TestClosedFormsAgainstDefinitions:
+    def test_a_family(self):
+        for k in range(3, 60):
+            want = tuple(a_family_by_definition(k, i) for i in range(1, k))
+            assert numbers._n_family(k) == want, k
+
+    def test_nmod_power(self):
+        for k in range(3, 60):
+            values = [a_family_by_definition(k, i) for i in range(1, k)]
+            for p in range(2, 2 * k + 2):
+                if prime_power_base(p) == p:
+                    assert verify_nmod(k, p)[0] == p_adic_power(values, p), (k, p)
+
+    def test_gcddif(self):
+        for k in range(2, 121):
+            n = 2 * k + 1
+            want = 0
+            for i in range(1, k + 1):
+                want = math.gcd(want, math.comb(n, 2 * i) - math.comb(n, 2 * i - 1))
+            assert verify_gcddif(k)[0] == want, k
+
+    def test_alpha_gcd(self):
+        for n in range(3, 21):
+            want = 0
+            for omega in phat(n):
+                want = math.gcd(want, alpha(omega))
+            assert verify_alpha_gcd(n)[0] == want, n
+
+    def test_rank_table_against_pentagonal_recurrence(self):
+        table = rank_table(400)
+        assert [r.dimension for r in table.rows] == list(range(0, 401, 2))
+        p = [partition_count_recurrence(n) for n in range(201)]
+        for row in table.rows:
+            dim, n = row.dimension, row.dimension // 2
+            assert row.rank_omega_u == p[n], dim
+            assert row.rank_w == p[n] - (p[n - 2] if n >= 2 else 0), dim
+            assert row.rank_omega_su == p[n] - (p[n - 1] if n >= 1 else 0), dim
+            assert row.tors_rank == (p[(dim - 2) // 8] if dim % 8 == 2 else 0), dim
+
+    def test_omega_su_counts_partitions_without_part_one(self):
+        table = rank_table(50)
+        for n in range(26):
+            want = sum(1 for omega in partitions(n) if 1 not in omega)
+            assert table.row(2 * n).rank_omega_su == want, n
+
+    def test_hw_rank_counts_monomials(self):
+        # monomials w_2^e0 w_8^e1 w_12^e2 ... of degree dim, with deg w_2 = 4
+        # and deg w_4k = 8k for k >= 2
+        table = rank_table(64)
+        for dim in range(0, 65, 2):
+            degrees = [4] + list(range(16, dim + 1, 8))
+            want = sum(
+                1 for exps in itertools.product(*[range(dim // d + 1) for d in degrees])
+                if sum(e * d for e, d in zip(exps, degrees)) == dim
+            )
+            assert table.row(dim).hw_rank == want, dim
