@@ -368,8 +368,12 @@ def _projective_dual(a: ChernVector, k: int = 0, fibre=lambda x, c1: 1,
                 if not coeff:
                     continue
                 exp = (k, exp[1] + j) + exp[2:]
-            out[exp] = out.get(exp, 0) + coeff
-        return GradedPoly(degrees, out)
+            coeff += out.get(exp, 0)
+            if coeff:
+                out[exp] = coeff
+            else:
+                del out[exp]
+        return GradedPoly._trusted(degrees, out)
 
     def evaluate(poly: GradedPoly) -> int:
         return sign * sum(coeff * a.numbers[_exp_to_partition(exp[1:])]

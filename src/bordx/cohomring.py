@@ -6,6 +6,10 @@ compute the pairing: a triangular rewriting backend (fast path, needs every
 relation to be monic in a pure generator power) and a lattice backend that
 quotients the free abelian group on top-degree monomials by all relation
 multiples (ground truth).
+
+The triangular backend memoises the normal form of every monomial it
+rewrites, once per ring, so evaluating many products in one ring rewrites
+each monomial only once.
 """
 
 from __future__ import annotations
@@ -19,9 +23,17 @@ from .exactalg import (
     hermite_normal_form,
     lattice_rank_kernel,
     saturation_kernel_basis,
+    strict_int,
 )
 
 _REWRITE_STEP_LIMIT = 2_000_000
+
+# parse_poly refuses longer sources, larger exponents, and powers or products
+# of higher degree or larger coefficients, before it forms them
+PARSE_MAX_CHARS = 10_000
+PARSE_MAX_EXPONENT = 256
+PARSE_MAX_DEGREE = 512
+PARSE_MAX_COEFF_BITS = 4096
 
 
 class PresentationError(ValueError):
@@ -45,15 +57,15 @@ class PresentedRing:
         backend: str = "triangular",
     ):
         self.names = tuple(names)
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = GradedPoly.zero(degrees).degrees  # strict, positive, even
         if len(self.names) != len(self.degrees):
             raise PresentationError("names and degrees must have equal length")
         if backend not in ("triangular", "lattice"):
             raise PresentationError(f"unknown backend {backend!r}")
         self.backend = backend
-        if top_degree < 0 or top_degree % 2:
+        if strict_int(top_degree, "top_degree") < 0 or top_degree % 2:
             raise PresentationError("top_degree must be a nonnegative even integer")
-        self.top_degree = int(top_degree)
+        self.top_degree = top_degree
         rels = []
         for r in relations:
             if r.degrees != self.degrees:
@@ -63,9 +75,12 @@ class PresentedRing:
             if not r.is_zero():
                 rels.append(r)
         self.relations = tuple(rels)
-        self.fundamental_monomial = tuple(int(e) for e in fundamental_monomial)
+        self.fundamental_monomial = tuple(
+            strict_int(e, "a fundamental-monomial exponent") for e in fundamental_monomial)
         if len(self.fundamental_monomial) != len(self.names):
             raise PresentationError("fundamental monomial length mismatch")
+        if any(e < 0 for e in self.fundamental_monomial):
+            raise PresentationError("negative exponent in the fundamental monomial")
         mu_degree = sum(e * d for e, d in zip(self.fundamental_monomial, self.degrees))
         if mu_degree != self.top_degree:
             raise PresentationError(
@@ -73,6 +88,7 @@ class PresentedRing:
             )
         self._rules = None
         self._rules_error = None
+        self._nf_memo: dict[tuple[int, ...], dict] = {}  # under the final rules
         self._lattice_cache: dict[int, tuple] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -136,11 +152,10 @@ class PresentedRing:
             rest = rel - GradedPoly.monomial(self.degrees, exp, c)
             rhs = rest.scale(-c)  # c in {1,-1}: x_j^d = -c^(-1) * rest = -c * rest
             rules[j] = (d, rhs)
-        # pre-reduce each rhs by the full rule set
-        reduced = {}
-        for j, (d, rhs) in rules.items():
-            reduced[j] = (d, self._reduce(rhs, rules))
-        return reduced
+        # pre-reduce each rhs by the preliminary rules; the normal forms
+        # memoised on the way belong to those rules and are dropped here
+        memo: dict = {}
+        return {j: (d, self._reduce(rhs, rules, memo)) for j, (d, rhs) in rules.items()}
 
     def _get_rules(self):
         if self._rules is None and self._rules_error is None:
@@ -152,45 +167,75 @@ class PresentedRing:
             raise self._rules_error
         return self._rules
 
-    def _reduce(self, x: GradedPoly, rules) -> GradedPoly:
-        degrees = self.degrees
-        top = self.top_degree
-        work = {e: c for e, c in x.terms.items() if x.term_degree(e) <= top}
-        result: dict[tuple[int, ...], int] = {}
-        steps = 0
-        while work:
-            # deterministic: largest exponent vector in reversed-tuple order
-            exp = max(work, key=lambda e: tuple(reversed(e)))
-            coeff = work.pop(exp)
-            hit = None
-            for j in range(len(degrees) - 1, -1, -1):
-                rule = rules.get(j)
-                if rule and exp[j] >= rule[0]:
-                    hit = (j, rule)
-                    break
-            if hit is None:
-                c = result.get(exp, 0) + coeff
-                if c:
-                    result[exp] = c
-                elif exp in result:
-                    del result[exp]
-                continue
-            j, (d, rhs) = hit
-            steps += 1
-            if steps > _REWRITE_STEP_LIMIT:
-                raise NonTriangularError(
-                    "rewriting did not terminate; use the lattice backend"
-                )
-            rem = list(exp)
-            rem[j] -= d
-            mono = GradedPoly.monomial(degrees, rem, coeff)
-            for e, c in mono.mul(rhs, top).terms.items():
-                nc = work.get(e, 0) + c
-                if nc:
-                    work[e] = nc
-                elif e in work:
-                    del work[e]
-        return GradedPoly(degrees, result)
+    def reduce(self, x: GradedPoly) -> GradedPoly:
+        """Triangular normal form of x, any degrees, terms above the top dropped."""
+        if self.backend != "triangular":
+            raise NonTriangularError("ring is marked for the lattice backend")
+        return self._reduce(x, self._get_rules(), self._nf_memo)
+
+    def _reduce(self, x: GradedPoly, rules, memo) -> GradedPoly:
+        """sum c * NF(m) over the terms c*m of x, NF memoised in `memo`."""
+        out: dict[tuple[int, ...], int] = {}
+        for exp, c in x.terms.items():
+            if x.term_degree(exp) <= self.top_degree:
+                nf = memo.get(exp)
+                if nf is None:
+                    nf = self._monomial_nf(exp, rules, memo)
+                _accumulate(out, nf, c)
+        return GradedPoly._trusted(self.degrees, out)
+
+    def _monomial_nf(self, root, rules, memo) -> dict:
+        """Normal form of the monomial `root`, and of each monomial below it.
+
+        Depth first: a monomial's rewrite (under the rule of its highest
+        generator with a rule that applies) lists its children, and its
+        normal form is stored in `memo` once every child has one.  Rules are
+        homogeneous, so children keep the degree of their parent.  A child
+        already on the current path is a rewrite cycle; one merely waiting
+        in an ancestor's list is not.
+        """
+        path: set = set()
+        stack: list[tuple] = []  # (monomial, children, iterator over children)
+        mono, steps = root, 0
+        while True:
+            if mono is not None:
+                children = self._rewrite(mono, rules)
+                if children is None:
+                    memo[mono] = {mono: 1}
+                else:
+                    steps += 1
+                    if steps > _REWRITE_STEP_LIMIT:
+                        raise NonTriangularError(
+                            "rewriting did not terminate; use the lattice backend"
+                        )
+                    path.add(mono)
+                    stack.append((mono, children, iter(children)))
+            if not stack:
+                return memo[root]
+            parent, children, waiting = stack[-1]
+            mono = next((child for child, _ in waiting if child not in memo), None)
+            if mono is None:
+                nf: dict[tuple[int, ...], int] = {}
+                for child, c in children:
+                    _accumulate(nf, memo[child], c)
+                memo[parent] = nf
+                path.discard(parent)
+                stack.pop()
+            elif mono in path:
+                raise NonTriangularError("rewriting cycles; use the lattice backend")
+
+    @staticmethod
+    def _rewrite(mono, rules):
+        """(child, coefficient) pairs of one rewrite of mono, or None if none applies."""
+        for j in range(len(mono) - 1, -1, -1):
+            rule = rules.get(j)
+            if rule and mono[j] >= rule[0]:
+                d, rhs = rule
+                rem = list(mono)
+                rem[j] -= d
+                return [(tuple(a + b for a, b in zip(rem, e)), c)
+                        for e, c in rhs.terms.items()]
+        return None
 
     # -- lattice backend -----------------------------------------------------
 
@@ -213,7 +258,7 @@ class PresentedRing:
                     key = tuple(a + b for a, b in zip(e, m))
                     row[index[key]] = c
                 rows.append(row)
-        matrix = IntMatrix.from_rows(rows, cols=len(monos))
+        matrix = _matrix(rows, len(monos))
         model = (monos, index, matrix)
         self._lattice_cache[degree] = model
         return model
@@ -235,7 +280,7 @@ class PresentedRing:
         phi = kernel[0]
         # saturation check: quotient must be Z, not Z + torsion
         h_rel = hermite_normal_form(matrix)
-        h_sat = hermite_normal_form(IntMatrix.from_rows(saturation_kernel_basis(phi), cols=m))
+        h_sat = hermite_normal_form(_matrix(saturation_kernel_basis(phi), m))
         if h_rel != h_sat:
             raise PresentationError(
                 "top-degree quotient has torsion (bad presentation)"
@@ -255,6 +300,21 @@ class PresentedRing:
         return result
 
 
+def _accumulate(acc: dict, terms: dict, c: int) -> None:
+    """acc += c * terms, keeping no zero coefficient."""
+    for e, k in terms.items():
+        v = acc.get(e, 0) + c * k
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+
+
+def _matrix(rows, cols: int) -> IntMatrix:
+    """An IntMatrix on integer rows built here, without a check per entry."""
+    return IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -265,7 +325,7 @@ def normal_form(ring: PresentedRing, x: GradedPoly) -> GradedPoly:
         raise NonTriangularError("ring is marked for the lattice backend")
     if not x.is_homogeneous():
         raise ValueError("normal_form expects a homogeneous (or zero) element")
-    return ring._reduce(x, ring._get_rules())
+    return ring.reduce(x)
 
 
 def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
@@ -278,14 +338,22 @@ def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
         )
     if ring.backend == "lattice":
         return lattice_evaluate(ring, x)
-    reduced = ring._reduce(x, ring._get_rules())
-    terms = dict(reduced.terms)
-    coeff = terms.pop(ring.fundamental_monomial, 0)
-    if terms:
+    return fundamental_coefficient(ring, ring.reduce(x))
+
+
+def fundamental_coefficient(ring: PresentedRing, reduced: GradedPoly) -> int:
+    """Coefficient of the fundamental monomial in a reduced top-degree element.
+
+    Any other monomial left over means the rules do not reduce the top degree
+    to the fundamental class.
+    """
+    terms = reduced.terms
+    mu = ring.fundamental_monomial
+    if len(terms) > (mu in terms):
         raise PresentationError(
             "reduction left top-degree monomials other than the fundamental one"
         )
-    return coeff
+    return terms.get(mu, 0)
 
 
 def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
@@ -321,10 +389,24 @@ def graded_rank(ring: PresentedRing, degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_poly(src: str, names, degrees) -> GradedPoly:
-    """Parse a polynomial expression in named generators (+, -, *, ^ or **)."""
+    """Parse a polynomial expression in named generators (+, -, *, ^ or **).
+
+    Bounded work: a source longer than PARSE_MAX_CHARS, an exponent above
+    PARSE_MAX_EXPONENT, a power or product of degree above PARSE_MAX_DEGREE,
+    or a power whose coefficients could pass PARSE_MAX_COEFF_BITS bits is
+    refused before it is formed.  Every malformed input, including one
+    nested too deeply to parse, raises ValueError.
+    """
+    if not isinstance(src, str):
+        raise ValueError(f"a polynomial is a string, got {type(src).__name__}")
+    if len(src) > PARSE_MAX_CHARS:
+        raise ValueError(f"polynomial source longer than {PARSE_MAX_CHARS} characters")
     names = tuple(names)
     degrees = tuple(degrees)
-    node = ast.parse(src.replace("^", "**"), mode="eval").body
+
+    def bounded(degree: int) -> None:
+        if degree > PARSE_MAX_DEGREE:
+            raise ValueError(f"{src!r} reaches degree {degree} > {PARSE_MAX_DEGREE}")
 
     def ev(n) -> GradedPoly:
         if isinstance(n, ast.BinOp):
@@ -333,11 +415,22 @@ def parse_poly(src: str, names, degrees) -> GradedPoly:
             if isinstance(n.op, ast.Sub):
                 return ev(n.left) - ev(n.right)
             if isinstance(n.op, ast.Mult):
-                return ev(n.left) * ev(n.right)
+                left, right = ev(n.left), ev(n.right)
+                bounded((left.degree() or 0) + (right.degree() or 0))
+                return left * right
             if isinstance(n.op, ast.Pow):
-                if not (isinstance(n.right, ast.Constant) and isinstance(n.right.value, int)):
+                k = n.right.value if isinstance(n.right, ast.Constant) else None
+                if isinstance(k, bool) or not isinstance(k, int):
                     raise ValueError("exponents must be integer literals")
-                return ev(n.left).pow(n.right.value)
+                if k > PARSE_MAX_EXPONENT:
+                    raise ValueError(f"exponent {k} > {PARSE_MAX_EXPONENT}")
+                base = ev(n.left)
+                bounded((base.degree() or 0) * k)
+                norm = sum(abs(c) for c in base.terms.values())  # |coeffs| <= norm^k
+                if k * norm.bit_length() > PARSE_MAX_COEFF_BITS:
+                    raise ValueError(
+                        f"{src!r} may reach coefficients above {PARSE_MAX_COEFF_BITS} bits")
+                return base.pow(k)
             raise ValueError(f"unsupported operator in {src!r}")
         if isinstance(n, ast.UnaryOp):
             if isinstance(n.op, ast.USub):
@@ -346,7 +439,7 @@ def parse_poly(src: str, names, degrees) -> GradedPoly:
                 return ev(n.operand)
             raise ValueError(f"unsupported operator in {src!r}")
         if isinstance(n, ast.Constant):
-            if not isinstance(n.value, int):
+            if isinstance(n.value, bool) or not isinstance(n.value, int):
                 raise ValueError("coefficients must be integers")
             return GradedPoly.constant(degrees, n.value)
         if isinstance(n, ast.Name):
@@ -355,7 +448,12 @@ def parse_poly(src: str, names, degrees) -> GradedPoly:
             return GradedPoly.generator(degrees, names.index(n.id))
         raise ValueError(f"cannot parse {src!r}")
 
-    return ev(node)
+    try:
+        return ev(ast.parse(src.replace("^", "**"), mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {src!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("polynomial source nested too deeply") from None
 
 
 def ring_to_json(ring: PresentedRing) -> dict:
@@ -373,6 +471,8 @@ def ring_to_json(ring: PresentedRing) -> dict:
 def ring_from_json(data) -> PresentedRing:
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"a ring is a JSON object, got {type(data).__name__}")
     names = [g["name"] for g in data["generators"]]
     degrees = [g["degree"] for g in data["generators"]]
     relations = [parse_poly(src, names, degrees) for src in data["relations"]]

@@ -150,7 +150,7 @@ class GradedPoly:
     __slots__ = ("degrees", "terms")
 
     def __init__(self, degrees, terms=None):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(strict_int(d, "a generator degree") for d in degrees)
         for d in degrees:
             if d <= 0 or d % 2:
                 raise ValueError(f"generator degrees must be positive even, got {d}")
@@ -158,19 +158,34 @@ class GradedPoly:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exp, c in terms.items():
-                if not c:
+                if not strict_int(c, "a coefficient"):
                     continue
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(strict_int(e, "an exponent") for e in exp)
                 if len(exp) != len(degrees):
                     raise ValueError(
                         f"exponent vector {exp} does not match {len(degrees)} generators"
                     )
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                clean[exp] = clean.get(exp, 0) + int(c)
-                if not clean[exp]:
+                c += clean.get(exp, 0)
+                if c:
+                    clean[exp] = c
+                else:
                     del clean[exp]
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, degrees, terms) -> "GradedPoly":
+        """A polynomial on terms built inside bordx, taken as they are.
+
+        The caller guarantees what `__init__` checks: `degrees` is a checked
+        tuple, and `terms` maps exponent tuples of the right length to
+        nonzero ints and is not shared with anything that mutates it.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "degrees", degrees)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoly is immutable")
@@ -220,7 +235,7 @@ class GradedPoly:
         return self.terms.get((0,) * len(self.degrees), 0)
 
     def graded_part(self, degree: int) -> "GradedPoly":
-        return GradedPoly(
+        return GradedPoly._trusted(
             self.degrees,
             {e: c for e, c in self.terms.items() if self.term_degree(e) == degree},
         )
@@ -244,12 +259,12 @@ class GradedPoly:
                 terms[e] = nc
             elif e in terms:
                 del terms[e]
-        return GradedPoly(self.degrees, terms)
+        return GradedPoly._trusted(self.degrees, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.degrees, {e: -c for e, c in self.terms.items()})
+        return GradedPoly._trusted(self.degrees, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -260,9 +275,9 @@ class GradedPoly:
         return (-self) + other
 
     def scale(self, c: int) -> "GradedPoly":
-        if not c:
-            return GradedPoly(self.degrees)
-        return GradedPoly(self.degrees, {e: k * c for e, k in self.terms.items()})
+        if not strict_int(c, "a scale factor"):
+            return GradedPoly._trusted(self.degrees, {})
+        return GradedPoly._trusted(self.degrees, {e: k * c for e, k in self.terms.items()})
 
     def mul(self, other: "GradedPoly", cap: int | None = None) -> "GradedPoly":
         """Product, without the terms of degree above `cap` when a cap is given.
@@ -297,9 +312,7 @@ class GradedPoly:
                     out[key] = c
                 elif key in out:
                     del out[key]
-        result = GradedPoly(degrees)
-        object.__setattr__(result, "terms", out)
-        return result
+        return GradedPoly._trusted(degrees, out)
 
     def __mul__(self, other):
         if isinstance(other, int):

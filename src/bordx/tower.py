@@ -15,10 +15,11 @@ that exported Chern vectors obey the bordism-operation identities.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .bordclass import ChernVector, characteristic_numbers
-from .cohomring import PresentedRing, evaluate_top
+from .cohomring import PresentedRing, fundamental_coefficient
 from .exactalg import (
     GradedPoly,
     IntMatrix,
@@ -182,22 +183,32 @@ def _sign(spec: TowerSpec) -> int:
 
 
 def chern_numbers(spec: TowerSpec) -> ChernVector:
-    """All Chern numbers of the tower under its orientation convention."""
+    """All Chern numbers of the tower under its orientation convention.
+
+    The walk reduces every prefix product to its normal form in the ring, so
+    a leaf is already reduced and reads the fundamental coefficient.
+    """
     ring = presented_ring(spec)
     sign = _sign(spec)
-    return characteristic_numbers(spec.dim, total_chern(spec),
-                                  lambda x: sign * evaluate_top(ring, x))
+    return characteristic_numbers(
+        spec.dim, ring.reduce(total_chern(spec)),
+        lambda x: sign * fundamental_coefficient(ring, x), reduce=ring.reduce)
 
 
 def s_number(spec: TowerSpec) -> int:
-    """Milnor s-number; the toric convention matches the closed family formulas."""
+    """Milnor s-number; the toric convention matches the closed family formulas.
+
+    Each distinct roster class is raised to the n-th power once, reducing
+    after every multiply, and counted with its multiplicity.
+    """
     ring = presented_ring(spec)
-    n = spec.dim
-    cap = 2 * n
     total = GradedPoly.zero(ring.degrees)
-    for cls in signed_roster(spec):
-        total = total + cls.pow(n, cap)
-    return _sign(spec) * evaluate_top(ring, total)
+    for cls, count in Counter(signed_roster(spec)).items():
+        power = GradedPoly.constant(ring.degrees, count)
+        for _ in range(spec.dim):
+            power = ring.reduce(power.mul(cls))
+        total = total + power
+    return _sign(spec) * fundamental_coefficient(ring, total)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bordx import tower
+from bordx import cohomring, tower
 from bordx.cohomring import (
     NonTriangularError,
     PresentedRing,
@@ -97,6 +97,17 @@ class TestNormalForm:
         with pytest.raises(NonTriangularError):
             normal_form(ring, GradedPoly(deg, {(2, 2): 1}))
 
+    def test_rewrite_cycle_found_before_the_step_limit(self, monkeypatch):
+        # the same cycle as above is seen on the rewrite path itself, long
+        # before the step limit would stop it
+        monkeypatch.setattr(cohomring, "_REWRITE_STEP_LIMIT", 500)
+        deg = (2, 2)
+        rel1 = GradedPoly(deg, {(2, 0): 1, (1, 1): -1})
+        rel2 = GradedPoly(deg, {(0, 2): 1, (1, 1): -1})
+        ring = PresentedRing(("x", "y"), deg, [rel1, rel2], 8, (2, 2))
+        with pytest.raises(NonTriangularError, match="cycles"):
+            normal_form(ring, GradedPoly(deg, {(2, 2): 1}))
+
     def test_lattice_hint_rejected(self):
         ring = cp_ring(2)
         ring2 = PresentedRing(
@@ -114,6 +125,72 @@ class TestNormalForm:
                              4, (1, 1))
         with pytest.raises(NonTriangularError):
             normal_form(ring, ring.gen("u"))
+
+    def test_shared_child_is_not_a_cycle(self):
+        # rules z^2 -> yz + xz and y^2 -> xy: y z^2 has the children y^2 z
+        # and xyz, and y^2 z rewrites to xyz while xyz still waits as its
+        # parent's second child
+        deg = (2, 2, 2)
+        ring = PresentedRing(("x", "y", "z"), deg, [
+            GradedPoly(deg, {(2, 0, 0): 1}),
+            GradedPoly(deg, {(0, 2, 0): 1, (1, 1, 0): -1}),
+            GradedPoly(deg, {(0, 0, 2): 1, (0, 1, 1): -1, (1, 0, 1): -1}),
+        ], 6, (1, 1, 1))
+        got = normal_form(ring, GradedPoly(deg, {(0, 1, 2): 1}))
+        assert got == GradedPoly(deg, {(1, 1, 1): 2})
+        assert evaluate_top(ring, GradedPoly(deg, {(0, 1, 2): 3})) == 6
+
+    def test_pre_reduced_rules_match_a_fresh_reduction(self):
+        # the Ntilde stage relation (w-u)^2 (w+v) w^(n2-2) has u^2 terms, so
+        # its right-hand side needs the rule u^2 -> 0 before it is final
+        spec = tower.build_family("Ntilde", 2, 3)
+        ring = tower.presented_ring(spec)
+        rules = _preliminary_rules(ring)
+        assert any(_reference_reduce(ring, rhs, rules) != rhs
+                   for _, rhs in rules.values())
+        for degree in range(0, ring.top_degree + 1, 2):
+            for exp in ring.monomials_of_degree(degree):
+                x = GradedPoly.monomial(ring.degrees, exp, 3)
+                expected = _reference_reduce(ring, x, rules)
+                assert normal_form(ring, x) == expected, exp
+                # a ring that has reduced nothing before
+                assert normal_form(tower.presented_ring(spec), x) == expected, exp
+
+
+def _preliminary_rules(ring):
+    """x_j^d -> rhs from each relation as it stands, with no pre-reduction."""
+    rules = {}
+    for rel in ring.relations:
+        lead = max((e for e, c in rel.terms.items()
+                    if abs(c) == 1 and sum(1 for k in e if k) == 1),
+                   key=lambda e: next(j for j, k in enumerate(e) if k))
+        j = next(i for i, k in enumerate(lead) if k)
+        c = rel.terms[lead]
+        rules[j] = (lead[j], (rel - GradedPoly.monomial(ring.degrees, lead, c)).scale(-c))
+    return rules
+
+
+def _reference_reduce(ring, x, rules):
+    """The plain rewrite loop: rewrite the largest monomial until none applies."""
+    top = ring.top_degree
+    work = {e: c for e, c in x.terms.items() if x.term_degree(e) <= top}
+    result = {}
+    while work:
+        exp = max(work, key=lambda e: tuple(reversed(e)))
+        coeff = work.pop(exp)
+        j = next((j for j in reversed(range(len(exp)))
+                  if j in rules and exp[j] >= rules[j][0]), None)
+        if j is None:
+            result[exp] = result.get(exp, 0) + coeff
+            continue
+        rem = list(exp)
+        rem[j] -= rules[j][0]
+        child = GradedPoly.monomial(ring.degrees, rem, coeff).mul(rules[j][1], top)
+        for e, c in child.terms.items():
+            work[e] = work.get(e, 0) + c
+            if not work[e]:
+                del work[e]
+    return GradedPoly(ring.degrees, result)
 
 
 class TestEvaluateTop:
@@ -140,6 +217,14 @@ class TestEvaluateTop:
         ring = cp_ring(3)
         u3 = ring.gen("u", 3)
         assert evaluate_top(ring, u3.scale(16)) == 16
+
+    def test_leftover_top_monomial_refused(self):
+        # u^2 = 0 alone leaves both u and v irreducible in degree 2
+        deg = (2, 2)
+        ring = PresentedRing(("u", "v"), deg, [GradedPoly(deg, {(2, 0): 1})], 2, (0, 1))
+        assert evaluate_top(ring, ring.gen("v").scale(5)) == 5
+        with pytest.raises(PresentationError):
+            evaluate_top(ring, ring.gen("u"))
 
 
 class TestLatticeEvaluate:
@@ -265,3 +350,88 @@ class TestJson:
         p = parse_poly("v**3 - u", ("u", "v"), (2, 2))
         assert p.coefficient((0, 3)) == 1
         assert p.coefficient((1, 0)) == -1
+
+    def test_round_trip_of_generated_rings(self):
+        for spec in [tower.build_family("Ntilde", 2, 3), tower.build_family("L", 2, 2)]:
+            ring = tower.presented_ring(spec)
+            back = ring_from_json(ring_to_json(ring))
+            assert back.relations == ring.relations
+            assert back.fundamental_monomial == ring.fundamental_monomial
+
+
+_GOOD_RING = {"generators": [{"name": "u", "degree": 2}], "relations": ["u^3"],
+              "top_degree": 4, "fundamental_monomial": [2]}
+
+
+class TestStrictRingInput:
+    def test_good_payload(self):
+        ring = ring_from_json(_GOOD_RING)
+        assert evaluate_top(ring, ring.gen("u", 2)) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"generators": [{"name": "u", "degree": 2.0}], "top_degree": 4.0,
+         "fundamental_monomial": [2.0]},
+        {"generators": [{"name": "u", "degree": 2.0}]},
+        {"generators": [{"name": "u", "degree": True}]},
+        {"generators": [{"name": "u", "degree": "2"}]},
+        {"generators": [{"name": "u", "degree": 3}]},
+        {"top_degree": 4.0},
+        {"top_degree": "4"},
+        {"top_degree": True},
+        {"fundamental_monomial": [2.0]},
+        {"fundamental_monomial": [True]},
+        {"fundamental_monomial": ["2"]},
+        {"relations": [3]},
+        {"relations": ["u^"]},
+        {"relations": ["u^2.5"]},
+    ])
+    def test_payload_refused(self, change):
+        with pytest.raises(ValueError):
+            ring_from_json({**_GOOD_RING, **change})
+
+    def test_non_object_refused(self):
+        with pytest.raises(ValueError):
+            ring_from_json("[1, 2]")
+
+    @pytest.mark.parametrize("degrees,top,mu", [
+        ((2.0,), 4, (2,)), ((2,), 4.0, (2,)), ((2,), 4, (2.0,)), ((2,), 4, (-1,)),
+    ])
+    def test_constructor_refuses(self, degrees, top, mu):
+        with pytest.raises(ValueError):
+            PresentedRing(("u",), degrees, [], top, mu)
+
+
+class TestParseLimits:
+    @pytest.mark.parametrize("src", [
+        "u+",
+        "-" * 3000 + "u",
+        "+".join(["u"] * 5000),
+        "u^" + str(cohomring.PARSE_MAX_EXPONENT + 1),
+        "(1+u)^100000",
+        "u^-1",
+        "u^True",
+        "u^(2^3)",
+        " " * cohomring.PARSE_MAX_CHARS + "u",
+        3,
+    ])
+    def test_refused_before_any_power(self, src, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pow ran before the limit check")
+
+        monkeypatch.setattr(GradedPoly, "pow", refuse)
+        with pytest.raises(ValueError):
+            parse_poly(src, ("u",), (2,))
+
+    @pytest.mark.parametrize("src", [
+        "u^256 * u^256 * u",  # a product above PARSE_MAX_DEGREE
+        "u^200 * u^200",
+        "((9^256)^256)^256",  # coefficients above PARSE_MAX_COEFF_BITS
+    ])
+    def test_refused_before_the_large_result(self, src):
+        with pytest.raises(ValueError):
+            parse_poly(src, ("u",), (2,))
+
+    def test_at_the_limits(self):
+        p = parse_poly("u^256" + " " * (cohomring.PARSE_MAX_CHARS - 5), ("u",), (2,))
+        assert p.degree() == cohomring.PARSE_MAX_DEGREE
+        assert parse_poly("(1+u)^256", ("u",), (2,)).coefficient((128,)) > 2 ** 250

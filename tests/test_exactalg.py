@@ -189,6 +189,45 @@ class TestGradedPoly:
         assert c.mul(c, 2**70).terms == {(2**69,): 2, (2,): 4, (1,): 4, (0,): 1}
 
 
+    @pytest.mark.parametrize("degrees,terms", [
+        ((2,), {(1.7,): 2}),
+        ((2,), {(1,): 2.9}),
+        ((2,), {(1.7,): 2.9}),
+        ((2.0,), {(1,): 1}),
+        ((2,), {(1.0,): 1}),
+        ((2,), {(1,): 1.0}),
+        ((2,), {(True,): 1}),
+        ((2,), {(1,): True}),
+        ((True,), {}),
+        (("2",), {}),
+        ((2,), {("1",): 1}),
+        ((2,), {(1,): "1"}),
+        ((2, 2), {"ab": 1}),
+        ((2,), {(1,): 0.0}),
+    ])
+    def test_public_constructor_refuses_non_integers(self, degrees, terms):
+        with pytest.raises(ValueError):
+            GradedPoly(degrees, terms)
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, True, "2"])
+    def test_scale_refuses_non_integers(self, factor):
+        with pytest.raises(ValueError):
+            GradedPoly.generator((2,), 0).scale(factor)
+
+    def test_internal_results_are_clean(self):
+        # the trusted constructor behind arithmetic stores no zero terms and
+        # the same exponent tuples the checked constructor would
+        rng = random.Random(5)
+        deg = (2, 4)
+        for _ in range(30):
+            a, b = _random_poly(rng, deg), _random_poly(rng, deg)
+            for x in (a + b, a - b, -a, a.scale(3), a.scale(0), a * b,
+                      (a * b).graded_part(8)):
+                assert x == GradedPoly(deg, x.terms)
+                assert all(x.terms.values())
+                assert all(type(e) is tuple and len(e) == 2 for e in x.terms)
+
+
 class TestLatticeAlgebra:
     @pytest.mark.parametrize("entry", [1.5, 2.0, True, "1", None])
     def test_from_rows_refuses_non_integers(self, entry):

@@ -3,11 +3,15 @@ characteristic matrices and the SU criterion."""
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from bordx import bordclass, cohomring, tower
 from bordx.cli import snl_closed_form, snn_closed_form
 from bordx.exactalg import GradedPoly
+
+from test_charmatrix_consistency import CASES as CHARMATRIX_CASES
 
 
 def gens(ring):
@@ -275,3 +279,110 @@ class TestJson:
     def test_char_matrix_refuses_non_integers(self, data):
         with pytest.raises(ValueError):
             tower.char_matrix_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# the reduced walk against the unreduced route
+# ---------------------------------------------------------------------------
+
+def ref_chern_numbers(spec, evaluate=cohomring.evaluate_top, ring=None):
+    """The walker with no reduce hook and a full evaluation at every leaf."""
+    ring = ring or tower.presented_ring(spec)
+    sign = _ref_sign(spec)
+    return bordclass.characteristic_numbers(
+        spec.dim, tower.total_chern(spec), lambda x: sign * evaluate(ring, x))
+
+
+def ref_s_number(spec, evaluate=cohomring.evaluate_top, ring=None):
+    """sum of the n-th powers of the roster classes, evaluated once."""
+    ring = ring or tower.presented_ring(spec)
+    n = spec.dim
+    total = GradedPoly.zero(ring.degrees)
+    for cls in tower.signed_roster(spec):
+        total = total + cls.pow(n, 2 * n)
+    return _ref_sign(spec) * evaluate(ring, total)
+
+
+def _ref_sign(spec):
+    return -1 if spec.convention == "bordism" and len(spec.conjugations) % 2 else 1
+
+
+def _qt_gens_instances(max_real_dim):
+    """The Ltilde/Ntilde exports that the quasitoric generators combine."""
+    out = []
+    for dim in range(10, max_real_dim + 1, 2):
+        i = dim // 2
+        if i % 2:
+            out += [("Ltilde", n1, i - n1) for n1 in range(2, i, 2)]
+        else:
+            out += [("Ntilde", n1, i - 1 - n1) for n1 in range(2, i - 1, 2)]
+    return out
+
+
+REFERENCE_FAMILIES = (
+    CHARMATRIX_CASES + [("L", 2, 3)]
+    + [("CPprod", omega, None) for omega in [(2,), (3,), (2, 1), (1, 1, 1)]]
+)
+
+
+def _family(name, n1, n2, convention):
+    if name == "CPprod":
+        return tower.build_family(name, n1, convention=convention)
+    return tower.build_family(name, n1, n2, convention=convention)
+
+
+@pytest.mark.parametrize("convention", ["toric", "bordism"])
+@pytest.mark.parametrize("name,n1,n2", REFERENCE_FAMILIES)
+def test_reduced_walk_matches_unreduced_route(name, n1, n2, convention):
+    spec = _family(name, n1, n2, convention)
+    assert tower.chern_numbers(spec) == ref_chern_numbers(spec)
+    assert tower.s_number(spec) == ref_s_number(spec)
+
+
+@pytest.mark.parametrize("name,n1,n2", _qt_gens_instances(20))
+def test_reduced_walk_matches_unreduced_route_at_qt_gens(name, n1, n2):
+    spec = tower.build_family(name, n1, n2, convention="bordism")
+    assert tower.chern_numbers(spec) == ref_chern_numbers(spec)
+    assert tower.s_number(spec) == ref_s_number(spec)
+
+
+def test_leaf_refuses_leftover_monomials(monkeypatch):
+    # the fundamental monomial moved from u^2 v^3 to v^5, which the rules
+    # rewrite: a nonzero top-degree element keeps u^2 v^3 and must be
+    # refused, not read as 0
+    spec = tower.build_family("Ltilde", 2, 3)
+    ring = tower.presented_ring(spec)
+    assert ring.fundamental_monomial == (2, 3)
+    bad = cohomring.PresentedRing(ring.names, ring.degrees, ring.relations,
+                                  ring.top_degree, (0, 5))
+    monkeypatch.setattr(tower, "presented_ring", lambda _: bad)
+    with pytest.raises(cohomring.PresentationError):
+        tower.chern_numbers(spec)
+    with pytest.raises(cohomring.PresentationError):
+        tower.s_number(spec)
+
+
+@st.composite
+def tower_specs(draw):
+    """Small valid towers: 1-2 base factors, 0-2 stages, any conjugations."""
+    base = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    stages = []
+    gens = len(base)
+    for _ in range(draw(st.integers(0, 2))):
+        lines = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * gens),
+                              min_size=1, max_size=3))
+        stages.append(tower.Stage(tuple(lines)))
+        gens += 1
+    spec = tower.TowerSpec(base, tuple(stages), frozenset(),
+                           draw(st.sampled_from(["toric", "bordism"])))
+    conj = draw(st.sets(st.integers(0, spec.roster_size() - 1)))
+    return tower.TowerSpec(base, tuple(stages), frozenset(conj), spec.convention)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tower_specs().filter(lambda spec: spec.dim <= 6))
+def test_triangular_equals_lattice_on_drawn_towers(spec):
+    _, lattice = tower.ring_backend_pair(spec)
+    assert tower.chern_numbers(spec) == ref_chern_numbers(
+        spec, cohomring.lattice_evaluate, lattice)
+    assert tower.s_number(spec) == ref_s_number(spec, cohomring.lattice_evaluate, lattice)
