@@ -6,14 +6,15 @@ d (boundary), d_k, Delta, chi, Psi_(k1,k2), the twisted product on the
 Conner-Floyd group W, and the projections rho and pi are all computed as
 exact transforms of Chern-number vectors.
 
-The product and the s-number are integer tables applied to the vectors (the
-Whitney split table, the Girard-Waring row), each built once per dimension.
-The geometric operations d_k, Delta, Psi_(k1,k2) and pi are one routine,
-`_projective_dual`: the characteristic numbers of the submanifold dual to a
-bundle nu inside a projective bundle P over M (P = M for d_k and Delta,
-CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi), read
-off in H*(M)[x]/(x^k (x - eps c_1)) through one call of
-`characteristic_numbers`.
+Every operation is an integer table applied to the vectors, built once and
+cached: the product the Whitney split table, the s-number the Girard-Waring
+row, and d_k, Delta, Psi_(k1,k2) and pi a sparse matrix each, built by one
+routine, `_projective_dual`.  It reads the characteristic numbers of the
+submanifold dual to a bundle nu inside a projective bundle P over M (P = M
+for d_k and Delta, CP^1 x M for pi, the projectivisation CP(conj det TM +
+C^k) for Psi) off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition
+walker `_walk`, with one matrix row per leaf.  A call is then one sparse
+product with the vector.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ class ChernVector:
                     raise ValueError(f"partition {omega} does not have weight {dim}")
                 table[omega] = strict_int(value, "a Chern number")
         object.__setattr__(self, "numbers", table)
+
+    @classmethod
+    def _of_values(cls, dim: int, values) -> "ChernVector":
+        """The class with the given Chern numbers in `partitions(dim)` order,
+        computed inside bordx and taken as they are."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "dim", dim)
+        object.__setattr__(vec, "numbers", dict(zip(partitions(dim), values)))
+        return vec
 
     def __setattr__(self, name, value):
         raise AttributeError("ChernVector is immutable")
@@ -146,27 +156,29 @@ def _exp_to_partition(exp) -> Partition:
     return tuple(parts)
 
 
-def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
-                           reduce=None) -> ChernVector:
-    """The class of dimension n with c_omega = evaluate(start * prod_{i in omega} total_{2i}).
+def _walk(n: int, total: GradedPoly, evaluate, start=None, reduce=None) -> dict:
+    """{omega: evaluate(start * prod_{i in omega} total_{2i})} over the partitions
+    omega of n whose product is nonzero.
 
     total_{2i} is the graded part of degree 2i of `total`; `start` defaults to
     1.  Partitions are walked depth-first in the order of `partitions(n)`, so
     partitions sharing a prefix share its product, a zero prefix leaves its
-    whole subtree at 0, and only the products on the current path are held.
+    whole subtree out, and only the products on the current path are held.
     Each product is homogeneous of degree deg(start) + 2|prefix|, so no
     degree cap is needed.  `reduce`, if given, is applied after every
     multiplication (a relation the formal ring does not encode).
     """
     if start is None:
         start = GradedPoly.constant(total.degrees, 1)
-    pieces = [None] + [total.graded_part(2 * i) for i in range(1, n + 1)]
-    numbers = {}
+    parts = total.graded_parts()
+    zero = GradedPoly.zero(total.degrees)
+    pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
+    leaves = {}
     prefix: list[int] = []
 
     def walk(poly: GradedPoly, remaining: int, largest: int) -> None:
         if remaining == 0:
-            numbers[tuple(prefix)] = evaluate(poly)
+            leaves[tuple(prefix)] = evaluate(poly)
             return
         for part in range(min(largest, remaining), 0, -1):
             child = poly.mul(pieces[part])
@@ -179,7 +191,16 @@ def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
             prefix.pop()
 
     walk(start, n, n)
-    return ChernVector(n, numbers)
+    return leaves
+
+
+def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
+                           reduce=None) -> ChernVector:
+    """The class of dimension n with c_omega = evaluate(start * prod_{i in omega} total_{2i}).
+
+    One walk of `_walk`; the partitions it leaves out read 0.
+    """
+    return ChernVector(n, _walk(n, total, evaluate, start, reduce))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +277,10 @@ def product(a: ChernVector, b: ChernVector) -> ChernVector:
     """Chern numbers of the product manifold: the split table applied to a and b."""
     av, bv = list(a.numbers.values()), list(b.numbers.values())
     n = a.dim + b.dim
-    return ChernVector(n, {
-        omega: sum(count * av[i] * bv[j] for count, i, j in row)
-        for omega, row in zip(partitions(n), _split_table(a.dim, b.dim))
-    })
+    return ChernVector._of_values(n, [
+        sum(count * av[i] * bv[j] for count, i, j in row)
+        for row in _split_table(a.dim, b.dim)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +359,13 @@ def todd(a: ChernVector) -> Fraction:
 # the operations d_k, Delta, Psi, chi, pi
 # ---------------------------------------------------------------------------
 
-def _projective_dual(a: ChernVector, k: int = 0, fibre=lambda x, c1: 1,
-                     nu=lambda x, c1: 1, eps: int = 0, sign: int = 1) -> ChernVector:
-    """The submanifold N dual to a bundle nu in a projective bundle P over M.
+_OPERATION_MATRICES: dict[tuple, tuple] = {}
+
+
+def _projective_dual(op: tuple, n: int, k: int = 0, fibre=lambda x, c1: 1,
+                     nu=lambda x, c1: 1, eps: int = 0, sign: int = 1) -> tuple:
+    """The matrix of M -> N, N the submanifold dual to a bundle nu in a
+    projective bundle P over M of dimension n; built once per (op, n).
 
     H*(P) = H*(M)[x]/(x^k (x - eps c_1)), c(TP) = c(M) * fibre and
     <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` map the
@@ -348,9 +373,14 @@ def _projective_dual(a: ChernVector, k: int = 0, fibre=lambda x, c1: 1,
     part of nu, its rank is half its degree, and
     c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.  Every product is
     reduced by x^(k+j) = (eps c_1)^j x^k, so the x^k layer pairs with a and
-    the lower powers of x pair to zero.
+    the lower powers of x pair to zero.  The walk emits, for each omega, the
+    row {index of tau in `partitions(n)`: coefficient of c_tau[M]}; the
+    matrix is (dimension of N, rows in `partitions` order), each row a pair
+    (indices, coefficients).  `op` names the operation and its parameters.
     """
-    n = a.dim
+    matrix = _OPERATION_MATRICES.get((op, n))
+    if matrix is not None:
+        return matrix
     degrees = (2,) + tuple(2 * i for i in range(1, n + 1))  # generator 0 is x
     zero = GradedPoly.zero(degrees)
     x = GradedPoly.generator(degrees, 0)
@@ -358,6 +388,7 @@ def _projective_dual(a: ChernVector, k: int = 0, fibre=lambda x, c1: 1,
     chern = 1 + GradedPoly(degrees, {  # c(M) = 1 + c_1 + ... + c_n
         (0,) * i + (1,) + (0,) * (n - i): 1 for i in range(1, n + 1)})
     lift = eps if n else 0  # eps c_1 is 0 when M is a point
+    index = {tau: i for i, tau in enumerate(partitions(n))}
 
     def reduce(poly: GradedPoly) -> GradedPoly:
         out = {}
@@ -375,19 +406,51 @@ def _projective_dual(a: ChernVector, k: int = 0, fibre=lambda x, c1: 1,
                 del out[exp]
         return GradedPoly._trusted(degrees, out)
 
-    def evaluate(poly: GradedPoly) -> int:
-        return sign * sum(coeff * a.numbers[_exp_to_partition(exp[1:])]
-                          for exp, coeff in poly.terms.items() if exp[0] == k)
+    def row(poly: GradedPoly) -> tuple:
+        layer = [(index[_exp_to_partition(exp[1:])], sign * coeff)
+                 for exp, coeff in poly.terms.items() if exp[0] == k]
+        return tuple(i for i, _ in layer), tuple(c for _, c in layer)
 
     nu = zero + nu(x, c1)  # `zero +` lifts a constant into the ring
     rank = nu.degree() // 2
-    cap = 2 * (n + k - rank)
+    m = n + k - rank
+    cap = 2 * m
     total = chern.mul(zero + fibre(x, c1), cap).mul(inverse_one_plus(nu - 1, cap), cap)
     if k:
         total = reduce(total)
-    return characteristic_numbers(n + k - rank, total, evaluate,
-                                  start=nu.graded_part(2 * rank),
-                                  reduce=reduce if k else None)
+    rows = _walk(m, total, row, start=nu.graded_part(2 * rank),
+                 reduce=reduce if k else None)
+    matrix = _OPERATION_MATRICES[(op, n)] = (
+        m, tuple(rows.get(omega, ((), ())) for omega in partitions(m)))
+    return matrix
+
+
+def _apply(matrix: tuple, a: ChernVector) -> ChernVector:
+    """The class whose Chern numbers are the matrix rows applied to a's."""
+    m, rows = matrix
+    at = tuple(a.numbers.values()).__getitem__
+    return ChernVector._of_values(
+        m, [sum(map(operator.mul, coeffs, map(at, idx))) for idx, coeffs in rows])
+
+
+def _boundary_matrix(n: int, k: int) -> tuple:
+    return _projective_dual(("d", k), n, nu=lambda x, c1: (1 + c1).pow(k))
+
+
+def _delta_matrix(n: int) -> tuple:
+    return _projective_dual(("delta",), n, nu=lambda x, c1: 1 - c1 * c1)
+
+
+def _psi_matrix(n: int, k1: int, k2: int) -> tuple:
+    return _projective_dual(
+        ("psi", k1, k2), n, k1 + k2,
+        fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
+        eps=1, sign=-1 if k2 % 2 else 1)
+
+
+def _pi_matrix(n: int) -> tuple:
+    return _projective_dual(("pi",), n, 1, fibre=lambda x, c1: (1 + x).pow(2),
+                            nu=lambda x, c1: 1 + x + c1)
 
 
 def boundary_k(a: ChernVector, k: int) -> ChernVector:
@@ -396,7 +459,7 @@ def boundary_k(a: ChernVector, k: int) -> ChernVector:
         raise ValueError("k must be positive")
     if a.dim < k:
         raise ValueError(f"need dim >= {k}, got {a.dim}")
-    return _projective_dual(a, nu=lambda x, c1: (1 + c1).pow(k))
+    return _apply(_boundary_matrix(a.dim, k), a)
 
 
 def boundary(a: ChernVector) -> ChernVector:
@@ -408,7 +471,7 @@ def delta(a: ChernVector) -> ChernVector:
     """Delta: the class dual to -c_1^2, nu = 1 - c_1^2."""
     if a.dim < 2:
         raise ValueError(f"Delta needs dim >= 2, got {a.dim}")
-    return _projective_dual(a, nu=lambda x, c1: 1 - c1 * c1)
+    return _apply(_delta_matrix(a.dim), a)
 
 
 def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
@@ -421,9 +484,7 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     """
     if k1 < 0 or k2 < 0 or k1 + k2 < 1:
         raise ValueError("need k1, k2 >= 0 with k1 + k2 >= 1")
-    return _projective_dual(
-        a, k1 + k2, fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
-        eps=1, sign=-1 if k2 % 2 else 1)
+    return _apply(_psi_matrix(a.dim, k1, k2), a)
 
 
 def chi(a: ChernVector) -> ChernVector:
@@ -439,8 +500,7 @@ def psi(a: ChernVector) -> ChernVector:
 def stong_pi(a: ChernVector) -> ChernVector:
     """Stong's projection onto W: the submanifold of CP^1 x M dual to
     (hyperplane bundle) tensor det TM, nu = 1 + x + c_1 with x^2 = 0."""
-    return _projective_dual(a, 1, fibre=lambda x, c1: (1 + x).pow(2),
-                            nu=lambda x, c1: 1 + x + c1)
+    return _apply(_pi_matrix(a.dim), a)
 
 
 def rho(a: ChernVector) -> ChernVector:

@@ -206,6 +206,11 @@ _LEMMA_SUITES = {
 
 # largest `ranks --max-dim`
 RANKS_MAX_DIM = 4000
+# largest `gens --dim` (real dimension) per source
+GENS_MAX_DIM = {"cy": 30, "quasitoric": 44}
+# largest complex dimension of a `chern` manifold: its Chern numbers are
+# indexed by the p(n) partitions of n
+CHERN_MAX_DIM = 24
 
 LEMMAS = tuple(_LEMMA_SUITES)
 
@@ -258,6 +263,12 @@ def _partition_key(omega) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_chern_dim(dim: int) -> None:
+    if dim > CHERN_MAX_DIM:
+        raise ValueError(f"chern handles complex dimension at most {CHERN_MAX_DIM}, "
+                         f"got {dim}")
+
+
 def cmd_chern(args) -> int:
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
@@ -269,6 +280,7 @@ def cmd_chern(args) -> int:
             return EXIT_USAGE
         if args.convention:
             spec = spec.with_convention(args.convention)
+        _check_chern_dim(spec.dim)
     else:
         if not args.family:
             print("error: need --family or --spec", file=sys.stderr)
@@ -278,12 +290,16 @@ def cmd_chern(args) -> int:
                 print("error: CPprod needs --omega", file=sys.stderr)
                 return EXIT_USAGE
             omega = tuple(int(x) for x in args.omega.split(","))
+            _check_chern_dim(sum(omega))
             spec = tower.build_family("CPprod", omega,
                                       convention=args.convention or "toric")
         else:
             if args.n1 is None or args.n2 is None:
                 print("error: family needs --n1 and --n2", file=sys.stderr)
                 return EXIT_USAGE
+            # checked before the spec is built: L and Ltilde have dimension
+            # n1 + n2, Ntilde one more
+            _check_chern_dim(args.n1 + args.n2 + (args.family == "Ntilde"))
             spec = tower.build_family(args.family, args.n1, args.n2,
                                       convention=args.convention or "toric")
     vec = tower.chern_numbers(spec)
@@ -312,6 +328,10 @@ def cmd_gens(args) -> int:
     dim = args.dim
     if dim % 2:
         print("error: --dim must be even", file=sys.stderr)
+        return EXIT_USAGE
+    if dim > GENS_MAX_DIM[args.source]:
+        print(f"error: --dim must be at most {GENS_MAX_DIM[args.source]} for "
+              f"--source {args.source}, got {dim}", file=sys.stderr)
         return EXIT_USAGE
     if args.source == "cy":
         if dim < 6:

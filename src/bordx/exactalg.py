@@ -8,6 +8,7 @@ module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 # GradedPoly.mul is the one polynomial kernel; reports name it by this constant.
@@ -239,6 +240,14 @@ class GradedPoly:
             self.degrees,
             {e: c for e, c in self.terms.items() if self.term_degree(e) == degree},
         )
+
+    def graded_parts(self) -> dict[int, "GradedPoly"]:
+        """{degree: graded_part(degree)} over the degrees that occur, in one pass."""
+        split: dict[int, dict] = {}
+        degrees = self.degrees
+        for e, c in self.terms.items():
+            split.setdefault(sum(map(operator.mul, e, degrees)), {})[e] = c
+        return {d: GradedPoly._trusted(degrees, t) for d, t in split.items()}
 
     # -- arithmetic ----------------------------------------------------------
 

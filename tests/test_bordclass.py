@@ -1,6 +1,7 @@
 """Tests for the Chern-number operation calculus."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -26,6 +27,8 @@ from bordx.bordclass import (
     twisted_mul,
 )
 from bordx.cli import sample_classes, w_sample_classes
+from bordx.exactalg import IntMatrix, lattice_rank_kernel, partitions
+from bordx.numbers import rank_table
 
 
 class TestCp:
@@ -303,6 +306,161 @@ class TestOperatorSuite:
         rows = run_lemma("deltaab")
         failures = [r for r in rows if r["status"] != "pass"]
         assert not failures, failures
+
+
+# ---------------------------------------------------------------------------
+# the operator identities as matrix identities over all of Z^p(n)
+# ---------------------------------------------------------------------------
+
+MATRIX_DIMS = range(13)
+
+
+def dense(matrix, n):
+    """The cached sparse matrix of an operation on Z^p(n) as a list of rows."""
+    _, rows = matrix
+    out = []
+    for idx, coeffs in rows:
+        row = [0] * len(partitions(n))
+        for i, c in zip(idx, coeffs):
+            row[i] += c
+        out.append(row)
+    return out
+
+
+def matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def identity(n):
+    size = len(partitions(n))
+    return [[int(i == j) for j in range(size)] for i in range(size)]
+
+
+def zeros(rows, n):
+    return [[0] * len(partitions(n)) for _ in range(rows)]
+
+
+def psi_dense(n):
+    return dense(bc._psi_matrix(n, 1, 1), n)
+
+
+def d_dense(n):
+    return dense(bc._boundary_matrix(n, 1), n)
+
+
+def delta_dense(n):
+    return dense(bc._delta_matrix(n), n)
+
+
+class TestMatrixIdentities:
+    """Z^p(n), every integer Chern vector, strictly contains Omega^U_2n (the
+    Hattori-Stong conditions), so only identities and ranks carry over."""
+
+    @pytest.mark.parametrize("n", MATRIX_DIMS)
+    def test_delta_psi_is_identity(self, n):
+        assert matmul(delta_dense(n + 2), psi_dense(n)) == identity(n)
+
+    @pytest.mark.parametrize("n", MATRIX_DIMS)
+    def test_d_psi_is_zero(self, n):
+        assert matmul(d_dense(n + 2), psi_dense(n)) == zeros(len(partitions(n + 1)), n)
+
+    @pytest.mark.parametrize("n", [n for n in MATRIX_DIMS if n >= 2])
+    def test_d_d_is_zero(self, n):
+        assert matmul(d_dense(n - 1), d_dense(n)) == zeros(len(partitions(n - 2)), n)
+
+    @pytest.mark.parametrize("n", [n for n in MATRIX_DIMS if n >= 2])
+    def test_delta_rho_is_zero(self, n):
+        delta_n = delta_dense(n)
+        psi_delta = matmul(psi_dense(n - 2), delta_n)
+        rho_n = [[i - j for i, j in zip(r, s)] for r, s in zip(identity(n), psi_delta)]
+        assert matmul(delta_n, rho_n) == zeros(len(partitions(n - 2)), n)
+
+    @pytest.mark.parametrize("n", [n for n in MATRIX_DIMS if n >= 2])
+    def test_rank_ker_delta_is_rank_w(self, n):
+        rank, kernel = lattice_rank_kernel(IntMatrix.from_rows(delta_dense(n)))
+        assert rank == len(partitions(n - 2))
+        assert len(kernel) == rank_table(2 * n).row(2 * n).rank_w
+        # each kernel vector passes both W criteria (they must agree)
+        for vec in kernel:
+            assert in_W(ChernVector(n, dict(zip(partitions(n), vec))))
+
+    @pytest.mark.parametrize("n", [6, 9, 11, 12])
+    def test_matrices_match_the_operations_on_random_vectors(self, n):
+        rng = random.Random(n)
+        a = ChernVector(n, {w: rng.randint(-10**6, 10**6) for w in partitions(n)})
+        values = list(a.numbers.values())
+        for op, m, matrix in [(psi, n + 2, psi_dense(n)), (boundary, n - 1, d_dense(n)),
+                              (delta, n - 2, delta_dense(n))]:
+            got = [sum(x * y for x, y in zip(row, values)) for row in matrix]
+            assert list(op(a).numbers.values()) == got
+            assert op(a).dim == m
+
+
+# ---------------------------------------------------------------------------
+# the matrix cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def count_walks(monkeypatch):
+    """Count the walks run by the operations, starting from an empty cache."""
+    monkeypatch.setattr(bc, "_OPERATION_MATRICES", {})
+    walks = []
+    real = bc._walk
+
+    def counting(n, *args, **kwargs):
+        walks.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(bc, "_walk", counting)
+    return walks
+
+
+class TestMatrixCache:
+    OPS = [boundary, delta, psi, stong_pi, lambda a: psi_k1k2(a, 2, 1),
+           lambda a: boundary_k(a, 2)]
+
+    def test_one_walk_per_key(self, count_walks):
+        a = bc.cp(4) * 3 - bc.cp(2) * bc.cp(2)
+        first = [op(a) for op in self.OPS]
+        assert len(count_walks) == len(self.OPS)
+        for _ in range(3):
+            assert [op(a) for op in self.OPS] == first
+            for op in self.OPS:
+                op(bc.cp(4))
+        assert len(count_walks) == len(self.OPS)
+        # another dimension is another key
+        boundary(bc.cp(5))
+        assert len(count_walks) == len(self.OPS) + 1
+
+    def test_results_unchanged_when_cache_cleared(self, count_walks):
+        a = bc.cp(3) * bc.cp(2) - bc.cp(5) * 2
+        cached = [op(a) for op in self.OPS]
+        again = []
+        for op in self.OPS:
+            bc._OPERATION_MATRICES.clear()
+            again.append(op(a))
+        assert again == cached
+        assert len(count_walks) == 2 * len(self.OPS)
+
+    def test_rho_reuses_delta_and_psi(self, count_walks):
+        a = bc.cp(4)
+        rho(a)
+        rho(a - bc.cp(2) * bc.cp(2))
+        assert count_walks == [2, 4]  # one walk each: Delta 4 -> 2, Psi 2 -> 4
+
+    @pytest.mark.parametrize("call", [
+        lambda: boundary_k(bc.cp(2), 0),
+        lambda: boundary_k(bc.cp(2), 3),
+        lambda: delta(bc.cp(1)),
+        lambda: psi_k1k2(bc.cp(2), 0, 0),
+        lambda: psi_k1k2(bc.cp(2), -1, 2),
+    ])
+    def test_argument_errors_come_before_the_cache(self, count_walks, call):
+        with pytest.raises(ValueError):
+            call()
+        assert count_walks == []
+        assert bc._OPERATION_MATRICES == {}
 
 
 class TestJson:

@@ -114,6 +114,88 @@ class TestChern:
         assert path.read_text().strip().splitlines()[-1].startswith("s\t")
 
 
+class TestDimensionLimits:
+    """A dimension above the largest exits 2 before any work starts."""
+
+    @pytest.fixture
+    def no_chern_work(self, monkeypatch):
+        for target, name in [(bordclass, "_walk"), (tower, "chern_numbers"),
+                             (tower, "s_number"), (tower, "build_family"),
+                             (tower, "presented_ring")]:
+            monkeypatch.setattr(target, name, no_work)
+
+    def assert_refused(self, code, out, err, largest):
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(largest) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("base", [[200], [cli.CHERN_MAX_DIM + 1],
+                                      [cli.CHERN_MAX_DIM, 1]])
+    def test_spec_above_largest(self, base, no_chern_work, tmp_path, capsys):
+        # p(200) is about 4e12: only the limit check may run
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"base": base}))
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
+
+    def test_spec_stage_counts_toward_dimension(self, no_chern_work, tmp_path, capsys):
+        # a stage of f + 1 lines adds f to the dimension
+        spec = tmp_path / "stage.json"
+        lines = [[-1]] + [[0]] * cli.CHERN_MAX_DIM
+        spec.write_text(json.dumps({"base": [1], "stages": [{"lines": lines}]}))
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "CPprod", "--omega", "200"],
+        ["--family", "CPprod", "--omega", f"{cli.CHERN_MAX_DIM},1"],
+        ["--family", "L", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 1)],
+        ["--family", "Ltilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 1)],
+        ["--family", "Ntilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 2)],
+        ["--family", "L", "--n1", "10", "--n2", str(10**12)],
+    ])
+    def test_family_above_largest(self, argv, no_chern_work, capsys):
+        code, out, err = run_cli(["chern"] + argv, capsys)
+        self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
+
+    @pytest.mark.parametrize("family,n1,n2", [
+        ("L", 0, 5), ("L", 3, 0), ("L", 2, 3), ("Ltilde", 2, 3), ("Ltilde", 4, 1),
+        ("Ntilde", 2, 1), ("Ntilde", 2, 3), ("Ntilde", 4, 5),
+    ])
+    def test_family_dimension_checked_before_build(self, family, n1, n2):
+        # the check reads the dimension off n1 and n2; it must be the spec's
+        assert tower.build_family(family, n1, n2).dim == n1 + n2 + (family == "Ntilde")
+
+    def test_largest_chern_dimension_runs(self, capsys):
+        code, out, _ = run_cli(["chern", "--family", "CPprod", "--omega",
+                                str(cli.CHERN_MAX_DIM)], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1] == f"s\t{cli.CHERN_MAX_DIM + 1}"
+
+    @pytest.mark.parametrize("source", ["cy", "quasitoric"])
+    def test_gens_above_largest(self, source, monkeypatch, capsys):
+        for name in ("cy_generator_combo", "quasitoric_generator_odd",
+                     "quasitoric_generator_even"):
+            monkeypatch.setattr(genfactory, name, no_work)
+        largest = cli.GENS_MAX_DIM[source]
+        code, out, err = run_cli(
+            ["gens", "--dim", str(largest + 2), "--source", source], capsys)
+        self.assert_refused(code, out, err, largest)
+
+    @pytest.mark.parametrize("source", ["cy", "quasitoric"])
+    def test_gens_largest_is_admitted(self, source, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        for name in ("cy_generator_combo", "quasitoric_generator_odd",
+                     "quasitoric_generator_even"):
+            monkeypatch.setattr(genfactory, name, reached)
+        with pytest.raises(Reached):
+            main(["gens", "--dim", str(cli.GENS_MAX_DIM[source]), "--source", source])
+
 class TestVerify:
     def test_gcddif_count(self, capsys):
         code, out, _ = run_cli(
