@@ -6,25 +6,27 @@ d (boundary), d_k, Delta, chi, Psi_(k1,k2), the twisted product on the
 Conner-Floyd group W, and the projections rho and pi are all computed as
 exact transforms of Chern-number vectors.
 
-Every operation is an integer table applied to the vectors, built once and
-cached: the product the Whitney split table, the s-number the Girard-Waring
-row, and d_k, Delta, Psi_(k1,k2) and pi a sparse matrix each, built by one
-routine, `_projective_dual`.  It reads the characteristic numbers of the
-submanifold dual to a bundle nu inside a projective bundle P over M (P = M
-for d_k and Delta, CP^1 x M for pi, the projectivisation CP(conj det TM +
-C^k) for Psi) off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition
-walker `_walk`, with one matrix row per leaf.  A call is then one sparse
-product with the vector.
+Vectors and operations are coordinates and integer tables over one cached
+basis, `_basis(n)`: the product the Whitney split table, the s-number the
+Girard-Waring row, s_omega the e -> m transition, and d_k, Delta,
+Psi_(k1,k2) and pi a sparse matrix each, built by one routine,
+`_projective_dual`.  It reads the characteristic numbers of the submanifold
+dual to a bundle nu inside a projective bundle P over M (P = M for d_k and
+Delta, CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi)
+off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition walker
+`_walk`, with one matrix row per leaf.  A call is then one sparse product.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactalg import (
     GradedPoly,
@@ -37,49 +39,61 @@ from .exactalg import (
 )
 
 
+@functools.cache
+def _basis(n: int) -> tuple[tuple[Partition, ...], MappingProxyType]:
+    """The partitions of n, largest-first lex order, and the index of each."""
+    basis = tuple(partitions(n))
+    return basis, MappingProxyType({omega: i for i, omega in enumerate(basis)})
+
+
+def _coordinate(n: int, omega) -> int:
+    """The index of omega in `_basis(n)`; ValueError unless omega has weight n."""
+    omega = canonical_partition(omega)
+    if sum(omega) != n:
+        raise ValueError(f"partition {omega} does not have weight {n}")
+    return _basis(n)[1][omega]
+
+
 class ChernVector:
     """A bordism class of dimension 2n as the map {partitions of n} -> Z.
 
-    `numbers` is keyed in `partitions(dim)` order, so its values are the
-    class's coordinates in that order.
+    `values` holds the Chern numbers in `_basis(dim)` order; `numbers` is
+    the same map as a read-only dict keyed in that order.
     """
 
-    __slots__ = ("dim", "numbers")
+    __slots__ = ("dim", "values")
 
     def __init__(self, dim: int, numbers=None):
-        if strict_int(dim, "a dimension") < 0:
-            raise ValueError("dimension must be nonnegative")
+        values = [0] * len(_basis(strict_int(dim, "a dimension"))[0])  # refuses dim < 0
+        for omega, value in (numbers or {}).items():
+            values[_coordinate(dim, omega)] = strict_int(value, "a Chern number")
         object.__setattr__(self, "dim", dim)
-        table = dict.fromkeys(partitions(dim), 0)
-        if numbers:
-            for omega, value in numbers.items():
-                omega = canonical_partition(omega)
-                if sum(omega) != dim:
-                    raise ValueError(f"partition {omega} does not have weight {dim}")
-                table[omega] = strict_int(value, "a Chern number")
-        object.__setattr__(self, "numbers", table)
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def _of_values(cls, dim: int, values) -> "ChernVector":
-        """The class with the given Chern numbers in `partitions(dim)` order,
-        computed inside bordx and taken as they are."""
+        """The class of Chern numbers computed inside bordx, in `_basis(dim)` order."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "dim", dim)
-        object.__setattr__(vec, "numbers", dict(zip(partitions(dim), values)))
+        object.__setattr__(vec, "values", tuple(values))
         return vec
 
     def __setattr__(self, name, value):
         raise AttributeError("ChernVector is immutable")
+
+    @property
+    def numbers(self):
+        return MappingProxyType(dict(zip(_basis(self.dim)[0], self.values)))
 
     @classmethod
     def unit(cls, value: int = 1) -> "ChernVector":
         return cls(0, {(): value})
 
     def number(self, omega) -> int:
-        return self.numbers[canonical_partition(omega)]
+        return self.values[_coordinate(self.dim, omega)]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.numbers.values())
+        return not any(self.values)
 
     # -- additive structure ---------------------------------------------------
 
@@ -89,21 +103,20 @@ class ChernVector:
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
         self._check_dim(other)
-        return ChernVector(
-            self.dim, {w: self.numbers[w] + other.numbers[w] for w in self.numbers}
-        )
+        return ChernVector._of_values(
+            self.dim, map(operator.add, self.values, other.values))
 
     def __sub__(self, other: "ChernVector") -> "ChernVector":
         self._check_dim(other)
-        return ChernVector(
-            self.dim, {w: self.numbers[w] - other.numbers[w] for w in self.numbers}
-        )
+        return ChernVector._of_values(
+            self.dim, map(operator.sub, self.values, other.values))
 
     def __neg__(self) -> "ChernVector":
-        return ChernVector(self.dim, {w: -v for w, v in self.numbers.items()})
+        return ChernVector._of_values(self.dim, map(operator.neg, self.values))
 
     def scale(self, k: int) -> "ChernVector":
-        return ChernVector(self.dim, {w: k * v for w, v in self.numbers.items()})
+        strict_int(k, "a scale factor")
+        return ChernVector._of_values(self.dim, (k * v for v in self.values))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -121,39 +134,27 @@ class ChernVector:
         return (
             isinstance(other, ChernVector)
             and self.dim == other.dim
-            and self.numbers == other.numbers
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.numbers.items())))
+        return hash((self.dim, self.values))
 
     def __repr__(self):
         nz = {w: v for w, v in self.numbers.items() if v}
         return f"ChernVector(dim={self.dim}, {nz})"
 
-    # -- pairing with formal Chern polynomials --------------------------------
-
     def pair(self, poly: GradedPoly) -> int:
-        """<poly, [M]> for poly in the formal classes c_1..c_n (degrees 2..2n).
-
-        Terms of degree other than 2n pair to zero.
-        """
-        n = self.dim
-        total = 0
-        for exp, coeff in poly.terms.items():
-            if poly.term_degree(exp) != 2 * n:
-                continue
-            omega = _exp_to_partition(exp)
-            total += coeff * self.numbers[omega]
-        return total
+        """<poly, [M]> for poly in the formal classes c_1..c_n; terms of degree
+        other than 2n pair to zero.  Traced by name in `perfbench/spans.py`."""
+        return sum(coeff * self.number(_exp_to_partition(exp))
+                   for exp, coeff in poly.terms.items()
+                   if poly.term_degree(exp) == 2 * self.dim)
 
 
 def _exp_to_partition(exp) -> Partition:
-    parts = []
-    for i, e in enumerate(exp):
-        parts.extend([i + 1] * e)
-    parts.sort(reverse=True)
-    return tuple(parts)
+    """The partition with exp[i] parts i + 1, largest first."""
+    return tuple(i + 1 for i in reversed(range(len(exp))) for _ in range(exp[i]))
 
 
 def _walk(n: int, total: GradedPoly, evaluate, start=None, reduce=None) -> dict:
@@ -161,7 +162,7 @@ def _walk(n: int, total: GradedPoly, evaluate, start=None, reduce=None) -> dict:
     omega of n whose product is nonzero.
 
     total_{2i} is the graded part of degree 2i of `total`; `start` defaults to
-    1.  Partitions are walked depth-first in the order of `partitions(n)`, so
+    1.  Partitions are walked depth-first in `_basis(n)` order, so
     partitions sharing a prefix share its product, a zero prefix leaves its
     whole subtree out, and only the products on the current path are held.
     Each product is homogeneous of degree deg(start) + 2|prefix|, so no
@@ -209,11 +210,8 @@ def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
 
 def cp(n: int) -> ChernVector:
     """The class of CP^n: c_omega = prod binomial(n+1, i_j)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return ChernVector(
-        n, {w: math.prod(math.comb(n + 1, i) for i in w) for w in partitions(n)}
-    )
+    return ChernVector._of_values(  # _basis refuses n < 0
+        n, (math.prod(math.comb(n + 1, i) for i in w) for w in _basis(n)[0]))
 
 
 def v4() -> ChernVector:
@@ -226,9 +224,7 @@ def k_class() -> ChernVector:
     return cp(1) * cp(1) * 9 - cp(2) * 8
 
 
-_SPLIT_TABLES: dict[tuple[int, int], tuple] = {}
-
-
+@functools.cache
 def _split_table(na: int, nb: int):
     """The Whitney split table of products of dimensions na and nb, built once.
 
@@ -237,18 +233,14 @@ def _split_table(na: int, nb: int):
     split every part k of omega as i + (k - i) so that the nonzero i form tau
     (|tau| = na) and the nonzero k - i form sigma.  Equal parts of omega are
     split together: a multiset of m splits of the part k arises in
-    m! / prod(multiplicities)! ways.  The table holds one row per omega, in
-    `partitions(na + nb)` order, of triples (count, index of tau in
-    `partitions(na)`, index of sigma in `partitions(nb)`).
+    m! / prod(multiplicities)! ways.  The table holds one row per omega of
+    `_basis(na + nb)`, of triples (count, index of tau in `_basis(na)`, index
+    of sigma in `_basis(nb)`).
     """
-    table = _SPLIT_TABLES.get((na, nb))
-    if table is not None:
-        return table
-    tau_index = {tau: i for i, tau in enumerate(partitions(na))}
-    sigma_index = {sigma: j for j, sigma in enumerate(partitions(nb))}
+    tau_index, sigma_index = _basis(na)[1], _basis(nb)[1]
     group_splits = {}  # (k, m) -> [(tau parts, sigma parts, ways)]
     table = []
-    for omega in partitions(na + nb):
+    for omega in _basis(na + nb)[0]:
         # (tau, sigma) -> number of ways, over the parts of omega split so far
         splits = {((), ()): 1}
         for k, m in Counter(omega).items():
@@ -269,15 +261,13 @@ def _split_table(na: int, nb: int):
             splits = grown
         table.append(tuple((count, tau_index[tau], sigma_index[sigma])
                            for (tau, sigma), count in splits.items()))
-    table = _SPLIT_TABLES[(na, nb)] = tuple(table)
-    return table
+    return tuple(table)
 
 
 def product(a: ChernVector, b: ChernVector) -> ChernVector:
     """Chern numbers of the product manifold: the split table applied to a and b."""
-    av, bv = list(a.numbers.values()), list(b.numbers.values())
-    n = a.dim + b.dim
-    return ChernVector._of_values(n, [
+    av, bv = a.values, b.values
+    return ChernVector._of_values(a.dim + b.dim, [
         sum(count * av[i] * bv[j] for count, i, j in row)
         for row in _split_table(a.dim, b.dim)
     ])
@@ -287,26 +277,21 @@ def product(a: ChernVector, b: ChernVector) -> ChernVector:
 # genera
 # ---------------------------------------------------------------------------
 
-_GIRARD_WARING_ROWS: dict[int, tuple[int, ...]] = {}
-
-
+@functools.cache
 def _girard_waring_row(n: int) -> tuple[int, ...]:
-    """s_n in the Chern basis, one coefficient per partition of n, built once.
+    """s_n in the Chern basis, one coefficient per partition of `_basis(n)`.
 
     Girard-Waring: s_n = sum_{lambda |- n} (-1)^(n - l) n (l - 1)! /
     prod_i m_i(lambda)! c_lambda, with l the length of lambda and m_i its
-    multiplicities; in `partitions(n)` order.
+    multiplicities.
     """
     if n == 0:
         return (0,)  # s_0 is taken as 0
-    row = _GIRARD_WARING_ROWS.get(n)
-    if row is None:
-        row = _GIRARD_WARING_ROWS[n] = tuple(
-            (-1) ** (n - len(lam)) * n * math.factorial(len(lam) - 1)
-            // math.prod(map(math.factorial, Counter(lam).values()))
-            for lam in partitions(n)
-        )
-    return row
+    return tuple(
+        (-1) ** (n - len(lam)) * n * math.factorial(len(lam) - 1)
+        // math.prod(map(math.factorial, Counter(lam).values()))
+        for lam in _basis(n)[0]
+    )
 
 
 def s_polynomial(n: int, chern_classes) -> GradedPoly:
@@ -316,7 +301,7 @@ def s_polynomial(n: int, chern_classes) -> GradedPoly:
     classes past the end of `chern_classes` are zero.
     """
     total = chern_classes[0].scale(0)
-    for lam, coeff in zip(partitions(n), _girard_waring_row(n)):
+    for lam, coeff in zip(_basis(n)[0], _girard_waring_row(n)):
         if coeff and lam[0] <= len(chern_classes):
             term = chern_classes[lam[0] - 1].scale(coeff)
             for i in lam[1:]:
@@ -327,7 +312,60 @@ def s_polynomial(n: int, chern_classes) -> GradedPoly:
 
 def s_num(a: ChernVector) -> int:
     """Milnor s-number; additive, vanishing on decomposable classes."""
-    return sum(map(operator.mul, _girard_waring_row(a.dim), a.numbers.values()))
+    return sum(map(operator.mul, _girard_waring_row(a.dim), a.values))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """The conjugate partition: its i-th part counts the parts of lam above i."""
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
+
+
+@functools.cache
+def _monomial_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """m_omega in the Chern basis (e_lambda pairs to c_lambda), one row per omega.
+
+    e_lambda = sum_mu M_(lambda, mu) m_mu, M_(lambda, mu) the number of 0-1
+    matrices with row sums lambda and column sums mu (Macdonald, *Symmetric
+    Functions*, I.6): zero unless lambda' dominates mu, and 1 at mu =
+    lambda'.  So N_(lambda, nu) = M_(lambda, nu') is lower unitriangular in
+    `_basis` order, and one forward substitution solves e = N f for
+    f_lambda = m_lambda'.
+    """
+    basis, index = _basis(n)
+
+    @functools.cache
+    def count(rows: Partition, cols: Partition) -> int:
+        """M_(rows, cols): the first row puts a 1 in j of the k columns of each
+        sum v, in C(k, j) ways."""
+        if not rows:
+            return 1
+        groups = Counter(cols)
+        total = 0
+        for picks in itertools.product(*(range(k + 1) for k in groups.values())):
+            if sum(picks) == rows[0]:
+                rest = []
+                for (v, k), j in zip(groups.items(), picks):
+                    rest += [v - 1] * j + [v] * (k - j)
+                total += math.prod(map(math.comb, groups.values(), picks)) * count(
+                    rows[1:], tuple(sorted(filter(None, rest), reverse=True)))
+        return total
+
+    f = []
+    for i, lam in enumerate(basis):
+        row = [0] * len(basis)
+        row[i] = 1
+        for j in range(i):
+            c = count(lam, _conjugate(basis[j]))
+            if c:
+                row = [x - c * y for x, y in zip(row, f[j])]
+        f.append(row)
+    return tuple(tuple(f[index[_conjugate(omega)]]) for omega in basis)
+
+
+def s_omega(a: ChernVector, omega) -> int:
+    """Characteristic number of the monomial symmetric function m_omega."""
+    row = _monomial_table(a.dim)[_coordinate(a.dim, omega)]
+    return sum(map(operator.mul, row, a.values))
 
 
 _TODD = {
@@ -351,7 +389,7 @@ def todd(a: ChernVector) -> Fraction:
         raise ValueError(f"Todd genus implemented through dimension 4, got {a.dim}")
     total = Fraction(0)
     for omega, coeff in _TODD[a.dim].items():
-        total += coeff * a.numbers[omega]
+        total += coeff * a.number(omega)
     return total
 
 
@@ -359,13 +397,10 @@ def todd(a: ChernVector) -> Fraction:
 # the operations d_k, Delta, Psi, chi, pi
 # ---------------------------------------------------------------------------
 
-_OPERATION_MATRICES: dict[tuple, tuple] = {}
-
-
-def _projective_dual(op: tuple, n: int, k: int = 0, fibre=lambda x, c1: 1,
+def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
                      nu=lambda x, c1: 1, eps: int = 0, sign: int = 1) -> tuple:
     """The matrix of M -> N, N the submanifold dual to a bundle nu in a
-    projective bundle P over M of dimension n; built once per (op, n).
+    projective bundle P over M of dimension n.
 
     H*(P) = H*(M)[x]/(x^k (x - eps c_1)), c(TP) = c(M) * fibre and
     <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` map the
@@ -374,13 +409,10 @@ def _projective_dual(op: tuple, n: int, k: int = 0, fibre=lambda x, c1: 1,
     c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.  Every product is
     reduced by x^(k+j) = (eps c_1)^j x^k, so the x^k layer pairs with a and
     the lower powers of x pair to zero.  The walk emits, for each omega, the
-    row {index of tau in `partitions(n)`: coefficient of c_tau[M]}; the
-    matrix is (dimension of N, rows in `partitions` order), each row a pair
-    (indices, coefficients).  `op` names the operation and its parameters.
+    row {index of tau in `_basis(n)`: coefficient of c_tau[M]}; the matrix
+    is (dimension of N, rows in `_basis` order), each row a pair (indices,
+    coefficients).
     """
-    matrix = _OPERATION_MATRICES.get((op, n))
-    if matrix is not None:
-        return matrix
     degrees = (2,) + tuple(2 * i for i in range(1, n + 1))  # generator 0 is x
     zero = GradedPoly.zero(degrees)
     x = GradedPoly.generator(degrees, 0)
@@ -388,7 +420,7 @@ def _projective_dual(op: tuple, n: int, k: int = 0, fibre=lambda x, c1: 1,
     chern = 1 + GradedPoly(degrees, {  # c(M) = 1 + c_1 + ... + c_n
         (0,) * i + (1,) + (0,) * (n - i): 1 for i in range(1, n + 1)})
     lift = eps if n else 0  # eps c_1 is 0 when M is a point
-    index = {tau: i for i, tau in enumerate(partitions(n))}
+    index = _basis(n)[1]
 
     def reduce(poly: GradedPoly) -> GradedPoly:
         out = {}
@@ -420,36 +452,38 @@ def _projective_dual(op: tuple, n: int, k: int = 0, fibre=lambda x, c1: 1,
         total = reduce(total)
     rows = _walk(m, total, row, start=nu.graded_part(2 * rank),
                  reduce=reduce if k else None)
-    matrix = _OPERATION_MATRICES[(op, n)] = (
-        m, tuple(rows.get(omega, ((), ())) for omega in partitions(m)))
-    return matrix
+    return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])
 
 
 def _apply(matrix: tuple, a: ChernVector) -> ChernVector:
     """The class whose Chern numbers are the matrix rows applied to a's."""
     m, rows = matrix
-    at = tuple(a.numbers.values()).__getitem__
+    at = a.values.__getitem__
     return ChernVector._of_values(
         m, [sum(map(operator.mul, coeffs, map(at, idx))) for idx, coeffs in rows])
 
 
+@functools.cache
 def _boundary_matrix(n: int, k: int) -> tuple:
-    return _projective_dual(("d", k), n, nu=lambda x, c1: (1 + c1).pow(k))
+    return _projective_dual(n, nu=lambda x, c1: (1 + c1).pow(k))
 
 
+@functools.cache
 def _delta_matrix(n: int) -> tuple:
-    return _projective_dual(("delta",), n, nu=lambda x, c1: 1 - c1 * c1)
+    return _projective_dual(n, nu=lambda x, c1: 1 - c1 * c1)
 
 
+@functools.cache
 def _psi_matrix(n: int, k1: int, k2: int) -> tuple:
     return _projective_dual(
-        ("psi", k1, k2), n, k1 + k2,
+        n, k1 + k2,
         fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
         eps=1, sign=-1 if k2 % 2 else 1)
 
 
+@functools.cache
 def _pi_matrix(n: int) -> tuple:
-    return _projective_dual(("pi",), n, 1, fibre=lambda x, c1: (1 + x).pow(2),
+    return _projective_dual(n, 1, fibre=lambda x, c1: (1 + x).pow(2),
                             nu=lambda x, c1: 1 + x + c1)
 
 
@@ -525,8 +559,7 @@ def in_W(a: ChernVector) -> bool:
     Delta is defined, that Delta(a) = 0; the two criteria must agree.
     """
     by_numbers = all(
-        v == 0 for w, v in a.numbers.items() if len(w) >= 2 and w[-2:] == (1, 1)
-    )
+        not v for w, v in zip(_basis(a.dim)[0], a.values) if w[-2:] == (1, 1))
     if a.dim >= 2:
         by_delta = delta(a).is_zero()
         if by_delta != by_numbers:
@@ -573,11 +606,20 @@ def chern_vector_to_json(a: ChernVector) -> dict:
     }
 
 
+def parse_partition(key: str) -> Partition:
+    """The partition written as "" or comma-separated decimal parts, e.g. "3,1,1"."""
+    parts = key.split(",") if key else []
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"a partition is written as comma-separated decimal parts, "
+                         f"got {key!r}")
+    return canonical_partition(tuple(map(int, parts)))
+
+
 def chern_vector_from_json(data) -> ChernVector:
     if isinstance(data, str):
         data = json.loads(data)
-    numbers = {}
-    for key, v in data["numbers"].items():
-        omega = tuple(int(p) for p in key.split(",")) if key else ()
-        numbers[omega] = v
-    return ChernVector(data["dim"], numbers)
+    if not (isinstance(data, dict) and "dim" in data
+            and isinstance(data.get("numbers"), dict)):
+        raise ValueError('a Chern vector is an object with "dim" and an object "numbers"')
+    return ChernVector(data["dim"], {parse_partition(key): v
+                                     for key, v in data["numbers"].items()})

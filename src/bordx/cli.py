@@ -211,6 +211,8 @@ GENS_MAX_DIM = {"cy": 30, "quasitoric": 44}
 # largest complex dimension of a `chern` manifold: its Chern numbers are
 # indexed by the p(n) partitions of n
 CHERN_MAX_DIM = 24
+# largest cohomology rank of a `chern` tower, which the dimension does not bound
+CHERN_MAX_RANK = 1024
 
 LEMMAS = tuple(_LEMMA_SUITES)
 
@@ -289,7 +291,7 @@ def cmd_chern(args) -> int:
             if not args.omega:
                 print("error: CPprod needs --omega", file=sys.stderr)
                 return EXIT_USAGE
-            omega = tuple(int(x) for x in args.omega.split(","))
+            omega = bordclass.parse_partition(args.omega)
             _check_chern_dim(sum(omega))
             spec = tower.build_family("CPprod", omega,
                                       convention=args.convention or "toric")
@@ -302,6 +304,9 @@ def cmd_chern(args) -> int:
             _check_chern_dim(args.n1 + args.n2 + (args.family == "Ntilde"))
             spec = tower.build_family(args.family, args.n1, args.n2,
                                       convention=args.convention or "toric")
+    if spec.cohomology_rank > CHERN_MAX_RANK:  # checked before any ring is built
+        raise ValueError(f"chern handles towers of cohomology rank at most "
+                         f"{CHERN_MAX_RANK}, got {spec.cohomology_rank}")
     vec = tower.chern_numbers(spec)
     s = tower.s_number(spec)
     if args.format == "json":

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bordclass, numbers, tower
-from .bordclass import ChernVector, InconsistencyError, s_polynomial
+# s_omega, the characteristic number of m_omega, is a table of bordclass
+from .bordclass import ChernVector, InconsistencyError, s_omega, s_polynomial
 from .cohomring import PresentedRing, evaluate_top
 from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo
 
@@ -184,67 +185,6 @@ def construct_b(i: int) -> ChernVector:
     return bordclass.stong_pi(
         bordclass.product(bordclass.cp(2 ** p), bordclass.cp(2 ** (p + 1) * q))
     )
-
-
-def s_omega(a: ChernVector, omega) -> int:
-    """Characteristic number of the monomial symmetric function m_omega."""
-    omega = canonical_partition(omega)
-    n = sum(omega)
-    if n != a.dim:
-        raise ValueError("weight of omega must equal the dimension")
-    return a.pair(monomial_symmetric_in_chern(omega))
-
-
-def monomial_symmetric_in_chern(omega) -> GradedPoly:
-    """m_omega(x_1, ..., x_N) expressed in the elementary symmetric classes.
-
-    Classical leading-term reduction: repeatedly subtract the product of
-    elementary symmetric polynomials matching the lex-leading monomial.
-    """
-    omega = canonical_partition(omega)
-    n = sum(omega)
-    nvars = max(n, len(omega))
-    var_degrees = (2,) * nvars
-
-    def elementary(k: int) -> GradedPoly:
-        import itertools
-
-        terms = {}
-        for combo in itertools.combinations(range(nvars), k):
-            exp = [0] * nvars
-            for idx in combo:
-                exp[idx] = 1
-            terms[tuple(exp)] = 1
-        return GradedPoly(var_degrees, terms)
-
-    def mono_symmetric(parts) -> GradedPoly:
-        import itertools
-
-        terms = {}
-        padded = list(parts) + [0] * (nvars - len(parts))
-        for perm in set(itertools.permutations(padded)):
-            terms[perm] = 1
-        return GradedPoly(var_degrees, terms)
-
-    target = mono_symmetric(omega)
-    e_cache = {k: elementary(k) for k in range(1, n + 1)}
-    out_degrees = tuple(2 * i for i in range(1, n + 1))
-    result = GradedPoly.zero(out_degrees)
-    while not target.is_zero():
-        lead = max(target.terms)  # lex-leading exponent vector
-        coeff = target.terms[lead]
-        lam = sorted((e for e in lead if e), reverse=True)
-        # the product prod_k e_{lam'_k} over the conjugate partition has the
-        # same lex-leading monomial x^lam
-        heights = [sum(1 for x in lam if x >= j) for j in range(1, lam[0] + 1)]
-        subtrahend = GradedPoly.constant(var_degrees, coeff)
-        e_out = [0] * n
-        for height in heights:
-            subtrahend = subtrahend * e_cache[height]
-            e_out[height - 1] += 1
-        target = target - subtrahend
-        result = result + GradedPoly.monomial(out_degrees, e_out, coeff)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ that exported Chern vectors obey the bordism-operation identities.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -99,6 +100,12 @@ class TowerSpec:
 
     def roster_size(self) -> int:
         return sum(x + 1 for x in self.base) + sum(len(s.lines) for s in self.stages)
+
+    @property
+    def cohomology_rank(self) -> int:
+        """Rank of H*(M) by Leray-Hirsch: prod (n_i + 1) times the line counts."""
+        return math.prod(x + 1 for x in self.base) * math.prod(
+            len(s.lines) for s in self.stages)
 
     def with_convention(self, convention: str) -> "TowerSpec":
         return TowerSpec(self.base, self.stages, self.conjugations, convention)
@@ -487,6 +494,10 @@ def char_matrix_to_json(M: CharMatrix) -> dict:
 def char_matrix_from_json(data) -> CharMatrix:
     if isinstance(data, str):
         data = json.loads(data)
+    if not (isinstance(data, dict) and isinstance(data.get("simplex_dims"), list)
+            and isinstance(data.get("lambda"), list)
+            and all(isinstance(row, list) for row in data["lambda"])):
+        raise ValueError('a characteristic matrix needs lists "simplex_dims" and "lambda"')
     return CharMatrix(
         IntMatrix.from_rows(data["lambda"]),
         tuple(data["simplex_dims"]),

@@ -1,8 +1,11 @@
 """Tests for the Chern-number operation calculus."""
 
 from fractions import Fraction
+import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from bordx import bordclass as bc
@@ -40,6 +43,36 @@ class TestCp:
 
     def test_cp2(self):
         assert cp(2).numbers == {(2,): 3, (1, 1): 9}
+
+
+class TestCoordinates:
+    def test_numbers_follow_the_basis(self):
+        a = cp(4) - cp(2) * cp(2)
+        assert list(a.numbers) == partitions(4)
+        assert tuple(a.numbers.values()) == a.values
+        assert a == ChernVector(4, dict(a.numbers))
+
+    def test_equality_reads_every_coordinate(self):
+        assert cp(2) != cp(1) * cp(1)
+        assert ChernVector(3, {(2, 1): 1}) != ChernVector(3, {(1, 1, 1): 1})
+        assert ChernVector(2) != ChernVector(3)
+        assert hash(cp(3) - cp(3)) == hash(ChernVector(3))
+
+    def test_numbers_are_read_only(self):
+        with pytest.raises(TypeError):
+            cp(2).numbers[(2,)] = 0
+        with pytest.raises(AttributeError):
+            cp(2).values = (0, 0)
+
+    @pytest.mark.parametrize("omega", [(2,), (2, 2), (), (1, 1, 1, 1)])
+    def test_number_of_wrong_weight(self, omega):
+        with pytest.raises(ValueError):
+            cp(3).number(omega)
+
+    def test_scale_refuses_non_integers(self):
+        for k in (1.5, 0.0, True, "2"):
+            with pytest.raises(ValueError):
+                cp(2).scale(k)
 
 
 class TestProduct:
@@ -270,6 +303,13 @@ class TestMembership:
         assert not in_W(product(cp(1), cp(1)))
         assert in_W(bc.k_class())
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_c1_squared_number_leaves_w(self, n):
+        # one nonzero Chern number with a c_1^2 factor puts a class outside W
+        for omega in partitions(n):
+            if omega[-2:] == (1, 1):
+                assert not in_W(ChernVector(n, {omega: 1})), omega
+
     def test_in_ker_boundary(self):
         assert in_ker_boundary(bc.k_class())
         assert not in_ker_boundary(cp(1))
@@ -401,10 +441,18 @@ class TestMatrixIdentities:
 # the matrix cache
 # ---------------------------------------------------------------------------
 
+MATRIX_CACHES = (bc._boundary_matrix, bc._delta_matrix, bc._psi_matrix, bc._pi_matrix)
+
+
+def clear_matrix_caches():
+    for cached in MATRIX_CACHES:
+        cached.cache_clear()
+
+
 @pytest.fixture
 def count_walks(monkeypatch):
     """Count the walks run by the operations, starting from an empty cache."""
-    monkeypatch.setattr(bc, "_OPERATION_MATRICES", {})
+    clear_matrix_caches()
     walks = []
     real = bc._walk
 
@@ -438,7 +486,7 @@ class TestMatrixCache:
         cached = [op(a) for op in self.OPS]
         again = []
         for op in self.OPS:
-            bc._OPERATION_MATRICES.clear()
+            clear_matrix_caches()
             again.append(op(a))
         assert again == cached
         assert len(count_walks) == 2 * len(self.OPS)
@@ -460,7 +508,7 @@ class TestMatrixCache:
         with pytest.raises(ValueError):
             call()
         assert count_walks == []
-        assert bc._OPERATION_MATRICES == {}
+        assert all(cached.cache_info().currsize == 0 for cached in MATRIX_CACHES)
 
 
 class TestJson:
@@ -491,3 +539,46 @@ class TestJson:
     def test_from_json_refuses_non_integers(self, data):
         with pytest.raises(ValueError):
             chern_vector_from_json(data)
+
+    @pytest.mark.parametrize("key,dim", [
+        ("1_0", 10), (" 1", 1), ("1 ", 1), ("+1", 1), ("\u0661", 1), ("2, 1", 3),
+        ("-1", 1), ("0", 0), ("1,", 1), (",1", 1), ("1,,1", 2), ("1;1", 2), ("a", 1),
+        ("1.0", 1), ("0x1", 1),
+    ])
+    def test_from_json_refuses_bad_keys(self, key, dim):
+        # dim is the weight a lax reading of the key would give
+        with pytest.raises(ValueError):
+            chern_vector_from_json({"dim": dim, "numbers": {key: 2}})
+
+    @pytest.mark.parametrize("data", [
+        [1, 2], "[1, 2]", 5, None, {"dim": 1, "numbers": [["1", 2]]},
+        {"dim": 1, "numbers": "1"}, {"dim": 1}, {"numbers": {"1": 2}},
+        {"dim": 2, "numbers": {"1": 2}},
+    ])
+    def test_from_json_refuses_bad_shapes(self, data):
+        with pytest.raises(ValueError):
+            chern_vector_from_json(data)
+
+    def test_keys_in_any_part_order(self):
+        assert chern_vector_from_json({"dim": 3, "numbers": {"1,2": 5}}) == ChernVector(
+            3, {(2, 1): 5})
+
+
+COORDINATES = st.one_of(st.just(0), st.integers(-300, 300),
+                        st.integers(-10**60, 10**60))
+
+
+@st.composite
+def chern_vectors(draw):
+    n = draw(st.integers(0, 8))
+    basis = partitions(n)
+    values = draw(st.lists(COORDINATES, min_size=len(basis), max_size=len(basis)))
+    return ChernVector(n, dict(zip(basis, values)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chern_vectors())
+def test_json_round_trip_on_drawn_vectors(a):
+    text = json.dumps(chern_vector_to_json(a))
+    assert chern_vector_from_json(json.loads(text)) == a
+    assert chern_vector_from_json(text) == a

@@ -124,7 +124,8 @@ class TestDimensionLimits:
                              (tower, "presented_ring")]:
             monkeypatch.setattr(target, name, no_work)
 
-    def assert_refused(self, code, out, err, largest):
+    @staticmethod
+    def assert_refused(code, out, err, largest):
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(largest) in err and "Traceback" not in err
@@ -195,6 +196,70 @@ class TestDimensionLimits:
             monkeypatch.setattr(genfactory, name, reached)
         with pytest.raises(Reached):
             main(["gens", "--dim", str(cli.GENS_MAX_DIM[source]), "--source", source])
+
+
+class TestRankLimit:
+    """A tower of cohomology rank above the largest exits 2 before any ring is built."""
+
+    @pytest.fixture
+    def no_ring(self, monkeypatch):
+        for target, name in [(bordclass, "_walk"), (tower, "presented_ring"),
+                             (tower, "chern_numbers"), (tower, "s_number")]:
+            monkeypatch.setattr(target, name, no_work)
+
+    @pytest.mark.parametrize("omega", [
+        [1] * 11, [2] * 10, [3] * 8, [1] * 24, [2] * 6 + [1] * 4, [8, 8, 7, 1],
+    ])
+    def test_omega_above_largest(self, omega, no_ring, capsys):
+        code, out, err = run_cli(["chern", "--family", "CPprod", "--omega",
+                                  ",".join(map(str, omega))], capsys)
+        TestDimensionLimits.assert_refused(code, out, err, cli.CHERN_MAX_RANK)
+
+    @pytest.mark.parametrize("data", [
+        {"base": [1] * 11},
+        {"base": [3] * 5, "stages": [{"lines": [[0] * 5, [1, 0, 0, 0, 0]]}]},
+        {"base": [1], "stages": [{"lines": [[0]] * 2}] + [
+            {"lines": [[0] * (i + 2)] * 2} for i in range(10)]},
+    ])
+    def test_spec_above_largest(self, data, no_ring, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        TestDimensionLimits.assert_refused(code, out, err, cli.CHERN_MAX_RANK)
+
+    @pytest.mark.parametrize("omega", ["1,1,1,1,1,1,1,1,1,1", "3,3,3,3,3", "8,8,8",
+                                       "10,10,4", "24"])
+    def test_largest_ranks_are_admitted(self, omega, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(tower, "chern_numbers", reached)
+        with pytest.raises(Reached):
+            main(["chern", "--family", "CPprod", "--omega", omega])
+
+    def test_families_to_the_largest_dimension_are_admitted(self):
+        instances = [("L", n1, n2) for n1 in range(cli.CHERN_MAX_DIM + 1)
+                     for n2 in range(cli.CHERN_MAX_DIM + 1 - n1)]
+        instances += [("Ltilde", n1, n2) for n1 in range(2, cli.CHERN_MAX_DIM, 2)
+                      for n2 in range(1, cli.CHERN_MAX_DIM + 1 - n1, 2)]
+        instances += [("Ntilde", n1, n2) for n1 in range(2, cli.CHERN_MAX_DIM, 2)
+                      for n2 in range(1, cli.CHERN_MAX_DIM - n1, 2)]
+        for name, n1, n2 in instances:
+            spec = tower.build_family(name, n1, n2)
+            assert spec.dim <= cli.CHERN_MAX_DIM
+            assert spec.cohomology_rank <= cli.CHERN_MAX_RANK, (name, n1, n2)
+
+    @pytest.mark.parametrize("omega", ["1_0", " 1", "1 ", "+1", "0", "1,,1", "1,", "2;1",
+                                       "\u0661"])
+    def test_omega_is_read_strictly(self, omega, no_ring, capsys):
+        code, out, err = run_cli(["chern", "--family", "CPprod", "--omega", omega],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_gcddif_count(self, capsys):

@@ -1,12 +1,22 @@
 """Tests for generator construction and certification."""
 
+import functools
+import itertools
+import math
+import random
+from collections import Counter
+
 import pytest
 
 from bordx import bordclass as bc
 from bordx import numbers, tower
+from bordx.exactalg import GradedPoly, partitions
+
+from test_walker import random_class
 from bordx.genfactory import (
     GeneratorCertificate,
     construct_b,
+    cp_product_class,
     cy3_criterion,
     cy4_invariants,
     cy_generator_combo,
@@ -238,3 +248,107 @@ class TestCertificateJson:
         assert data["target"] == 6
         assert all(data["su_checks"].values())
         assert isinstance(data["combination"], list)
+
+
+# ---------------------------------------------------------------------------
+# the s basis against the permutation expansion
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _elementary_product(nvars, heights):
+    """prod_k e_(heights_k)(x_1, ..., x_nvars) as a polynomial in the x_i."""
+    degrees = (2,) * nvars
+    out = GradedPoly.constant(degrees, 1)
+    for h in heights:
+        out = out * GradedPoly(degrees, {
+            tuple(int(i in combo) for i in range(nvars)): 1
+            for combo in itertools.combinations(range(nvars), h)})
+    return out
+
+
+@functools.cache
+def ref_monomial_in_chern(omega):
+    """m_omega(x_1, ..., x_n), n = |omega|, in the elementary symmetric classes,
+    as {lambda: coefficient of c_lambda = prod_i e_(lambda_i)}.
+
+    Classical leading-term reduction over the full permutation expansion:
+    repeatedly subtract the product of elementary symmetric polynomials,
+    over the conjugate of the lex-leading exponent, that has the same
+    leading monomial.
+    """
+    n = sum(omega)
+    padded = tuple(omega) + (0,) * (n - len(omega))
+    target = dict.fromkeys(set(itertools.permutations(padded)), 1)
+    result = Counter()
+    while target:
+        lead = max(target)
+        coeff = target[lead]
+        heights = tuple(sum(1 for e in lead if e >= j) for j in range(1, lead[0] + 1))
+        for exp, c in _elementary_product(n, heights).terms.items():
+            left = target.get(exp, 0) - coeff * c
+            if left:
+                target[exp] = left
+            else:
+                target.pop(exp, None)
+        result[heights] += coeff
+    return result
+
+
+def ref_s_omega(a, omega):
+    return sum(c * a.number(lam) for lam, c in ref_monomial_in_chern(omega).items())
+
+
+def sub_multisets(omega, weight):
+    """(omega', omega'') for each distinct sub-multiset omega' of omega of the weight."""
+    counts = sorted(Counter(omega).items(), reverse=True)
+    for picks in itertools.product(*(range(m + 1) for _, m in counts)):
+        first = tuple(p for (p, _), j in zip(counts, picks) for _ in range(j))
+        if sum(first) == weight:
+            rest = tuple(p for (p, m), j in zip(counts, picks) for _ in range(m - j))
+            yield first, rest
+
+
+class TestSBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_permutation_expansion(self, n):
+        rng = random.Random(n)
+        classes = [cp_product_class(w) for w in partitions(n)]
+        classes += [random_class(rng, n) for _ in range(2)]
+        if n != 2:
+            classes.append(construct_b(n))
+        for omega in partitions(n):
+            for a in classes:
+                assert s_omega(a, omega) == ref_s_omega(a, omega), (omega, a)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_row_n_is_girard_waring(self, n):
+        assert bc._monomial_table(n)[0] == bc._girard_waring_row(n)
+        a = random_class(random.Random(n), n)
+        assert s_omega(a, (n,)) == bc.s_num(a)
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_cp_closed_form(self, n):
+        # m_omega at n + 1 equal roots: the distinct arrangements of omega
+        for omega in partitions(n):
+            mult = math.prod(map(math.factorial, Counter(omega).values()))
+            want = math.factorial(n + 1) // (math.factorial(n + 1 - len(omega)) * mult)
+            assert s_omega(bc.cp(n), omega) == want, omega
+
+    def test_coproduct_on_products(self):
+        rng = random.Random(2019)
+        for _ in range(30):
+            total = rng.randint(0, 8)
+            dm = rng.randint(0, total)
+            m, x = random_class(rng, dm), random_class(rng, total - dm)
+            mx = bc.product(m, x)
+            for omega in partitions(total):
+                assert s_omega(mx, omega) == sum(
+                    s_omega(m, first) * s_omega(x, rest)
+                    for first, rest in sub_multisets(omega, dm)), (dm, omega)
+
+    def test_s_44_of_b8(self):
+        assert s_omega(construct_b(8), (4, 4)) == 246062525
+
+    def test_weight_must_match(self):
+        with pytest.raises(ValueError):
+            s_omega(bc.cp(3), (2, 2))

@@ -1,6 +1,7 @@
 """Tests for the manifold families: presentations, Chern data, s-numbers,
 characteristic matrices and the SU criterion."""
 
+import json
 import math
 
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ import pytest
 
 from bordx import bordclass, cohomring, tower
 from bordx.cli import snl_closed_form, snn_closed_form
-from bordx.exactalg import GradedPoly
+from bordx.exactalg import GradedPoly, IntMatrix
 
 from test_charmatrix_consistency import CASES as CHARMATRIX_CASES
 
@@ -280,6 +281,17 @@ class TestJson:
         with pytest.raises(ValueError):
             tower.char_matrix_from_json(data)
 
+    @pytest.mark.parametrize("data", [
+        [[1, -1]], "[[1, -1]]", 5, None, {"lambda": [[1, -1]]},
+        {"simplex_dims": [1]}, {"simplex_dims": 1, "lambda": [[1, -1]]},
+        {"simplex_dims": [1], "lambda": [1, -1]},
+        {"simplex_dims": [1], "lambda": {"1": [1, -1]}},
+        {"simplex_dims": [1], "lambda": ["1-1"]},
+    ])
+    def test_char_matrix_refuses_bad_shapes(self, data):
+        with pytest.raises(ValueError):
+            tower.char_matrix_from_json(data)
+
 
 # ---------------------------------------------------------------------------
 # the reduced walk against the unreduced route
@@ -329,6 +341,14 @@ def _family(name, n1, n2, convention):
     if name == "CPprod":
         return tower.build_family(name, n1, convention=convention)
     return tower.build_family(name, n1, n2, convention=convention)
+
+
+@pytest.mark.parametrize("name,n1,n2", REFERENCE_FAMILIES)
+def test_cohomology_rank_is_the_sum_of_graded_ranks(name, n1, n2):
+    spec = _family(name, n1, n2, "toric")
+    ring = tower.presented_ring(spec)
+    assert spec.cohomology_rank == sum(
+        cohomring.graded_rank(ring, d) for d in range(0, ring.top_degree + 1, 2))
 
 
 @pytest.mark.parametrize("convention", ["toric", "bordism"])
@@ -386,3 +406,30 @@ def test_triangular_equals_lattice_on_drawn_towers(spec):
     assert tower.chern_numbers(spec) == ref_chern_numbers(
         spec, cohomring.lattice_evaluate, lattice)
     assert tower.s_number(spec) == ref_s_number(spec, cohomring.lattice_evaluate, lattice)
+
+
+@st.composite
+def char_matrices(draw):
+    """Characteristic matrices of any entries, zero and large ones included."""
+    polytope = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = sum(polytope)
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**40, 10**40))
+    rows = draw(st.lists(st.lists(entry, min_size=n + len(polytope),
+                                  max_size=n + len(polytope)), min_size=n, max_size=n))
+    return tower.CharMatrix(IntMatrix.from_rows(rows), polytope)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tower_specs())
+def test_json_round_trip_on_drawn_towers(spec):
+    text = json.dumps(tower.tower_to_json(spec))
+    assert tower.tower_from_json(json.loads(text)) == spec
+    assert tower.tower_from_json(text) == spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(char_matrices())
+def test_json_round_trip_on_drawn_char_matrices(M):
+    text = json.dumps(tower.char_matrix_to_json(M))
+    assert tower.char_matrix_from_json(json.loads(text)) == M
+    assert tower.char_matrix_from_json(text) == M
