@@ -10,23 +10,34 @@ multiples (ground truth).
 The triangular backend memoises the normal form of every monomial it
 rewrites, once per ring, so evaluating many products in one ring rewrites
 each monomial only once.
+
+The lattice backend reads everything off one unimodular echelon form of the
+top-degree relation matrix: the rank, and a kernel vector by exact back
+substitution, which is the vector of signed maximal minors of the relation
+lattice.  The content of that vector (the gcd of the maximal minors) is the
+order of the torsion of the quotient (Newman, *Integral Matrices*, II), so
+the quotient is Z exactly when the content is 1, and the vector is then the
+functional itself.  The lattice models are bounded: a degree with more than
+LATTICE_MAX_MONOMIALS monomials or LATTICE_MAX_ROWS relation rows is refused
+before it is enumerated.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import math
+import operator
 
-from .exactalg import (
-    GradedPoly,
-    IntMatrix,
-    hermite_normal_form,
-    lattice_rank_kernel,
-    saturation_kernel_basis,
-    strict_int,
-)
+from .exactalg import GradedPoly, IntMatrix, echelon_form, strict_int
 
 _REWRITE_STEP_LIMIT = 2_000_000
+
+# a lattice model has one column per monomial of its degree and one row per
+# relation multiple; a larger one is refused before it is enumerated
+LATTICE_MAX_MONOMIALS = 2_000
+LATTICE_MAX_ROWS = 4_000
+_DEAD_END_LIMIT = 100_000
 
 # parse_poly refuses longer sources, larger exponents, and powers or products
 # of higher degree or larger coefficients, before it forms them
@@ -103,22 +114,58 @@ class PresentedRing:
         return GradedPoly.constant(self.degrees, 1)
 
     def monomials_of_degree(self, degree: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        k = len(self.degrees)
+        return [m for m in self._monomial_walk(degree) if m is not None]
 
-        def rec(i: int, remaining: int, prefix: list[int]) -> None:
-            if i == k:
-                if remaining == 0:
-                    out.append(tuple(prefix))
+    def _monomial_walk(self, degree: int):
+        """Monomials of `degree` in lexicographic order, and None for each dead end.
+
+        An odometer runs over the exponents of every generator but the last,
+        whose exponent is read off by division; a dead end is a setting that
+        leaves a remainder the last degree does not divide.
+        """
+        if not self.degrees:
+            if degree == 0:
+                yield ()
+            return
+        *head, last = self.degrees
+        exp = [0] * len(head)
+        remaining = degree
+        while True:
+            if remaining % last:
+                yield None
+            else:
+                yield (*exp, remaining // last)
+            i = len(head) - 1
+            while i >= 0 and remaining < head[i]:
+                remaining += exp[i] * head[i]
+                exp[i] = 0
+                i -= 1
+            if i < 0:
                 return
-            d = self.degrees[i]
-            for e in range(remaining // d + 1):
-                prefix.append(e)
-                rec(i + 1, remaining - e * d, prefix)
-                prefix.pop()
+            exp[i] += 1
+            remaining -= head[i]
 
-        rec(0, degree, [])
-        return out
+    def _monomial_count(self, degree: int, limit: int) -> int:
+        """Number of monomials of `degree`, or limit + 1 once it is past limit.
+
+        Dead ends come only from generator degrees that do not divide one
+        another; past _DEAD_END_LIMIT of them the degree is refused, so the
+        count takes a bounded number of steps whatever the degrees.
+        """
+        found = dead = 0
+        for mono in self._monomial_walk(degree):
+            if mono is not None:
+                found += 1
+                if found > limit:
+                    break
+            else:
+                dead += 1
+                if dead > _DEAD_END_LIMIT:
+                    raise PresentationError(
+                        f"degree {degree} takes more than {_DEAD_END_LIMIT} dead ends "
+                        "to count its monomials (lattice model too large)"
+                    )
+        return found
 
     def __repr__(self):
         return (
@@ -240,16 +287,34 @@ class PresentedRing:
     # -- lattice backend -----------------------------------------------------
 
     def _lattice_model(self, degree: int):
-        """(monomial index, relation-row HNF, primitive functional) for a degree."""
+        """(monomials, monomial index, relation-row matrix) for a degree."""
         cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
+        if self._monomial_count(degree, LATTICE_MAX_MONOMIALS) > LATTICE_MAX_MONOMIALS:
+            raise PresentationError(
+                f"degree {degree} has more than {LATTICE_MAX_MONOMIALS} monomials "
+                "(lattice model too large)"
+            )
+        rows_left = LATTICE_MAX_ROWS
+        for rel in self.relations:
+            shift = degree - rel.degree()
+            if shift >= 0:
+                rows_left -= self._monomial_count(shift, rows_left)
+                if rows_left < 0:
+                    raise PresentationError(
+                        f"degree {degree} has more than {LATTICE_MAX_ROWS} relation "
+                        "multiples (lattice model too large)"
+                    )
         monos = self.monomials_of_degree(degree)
+        if degree == self.top_degree:
+            # the fundamental monomial's column last, as the evaluator wants
+            monos.remove(self.fundamental_monomial)
+            monos.append(self.fundamental_monomial)
         index = {m: i for i, m in enumerate(monos)}
         rows = []
         for rel in self.relations:
-            rel_deg = rel.degree()
-            shift = degree - rel_deg
+            shift = degree - rel.degree()
             if shift < 0:
                 continue
             for m in self.monomials_of_degree(shift):
@@ -258,44 +323,50 @@ class PresentedRing:
                     key = tuple(a + b for a, b in zip(e, m))
                     row[index[key]] = c
                 rows.append(row)
-        matrix = _matrix(rows, len(monos))
-        model = (monos, index, matrix)
+        model = (monos, index, _matrix(rows, len(monos)))
         self._lattice_cache[degree] = model
         return model
 
     def _lattice_evaluator(self):
-        """Primitive functional phi on top-degree monomials with phi(mu) = 1."""
+        """Primitive functional phi on top-degree monomials with phi(mu) = 1.
+
+        The model puts mu's column last, and one unimodular echelon form E
+        of the relation matrix gives the three checks in turn.  The quotient
+        rank is the number of columns without a pivot.  With one free column
+        f, v_f = prod(pivots) and back substitution (every division exact, by
+        Cramer's rule) give the signed maximal minors v of the relation
+        lattice; their content is the torsion order of the quotient, and
+        when it is 1, mu generates exactly when v_mu = 1, and then phi = v.
+        """
         key = -1
         cached = self._lattice_cache.get(key)
         if cached is not None:
             return cached
         monos, index, matrix = self._lattice_model(self.top_degree)
         m = len(monos)
-        rank, kernel = lattice_rank_kernel(matrix)
-        if len(kernel) != 1:
+        echelon = echelon_form(matrix)
+        if len(echelon) != m - 1:
             raise PresentationError(
-                f"top-degree quotient has rank {len(kernel)}, expected 1 "
+                f"top-degree quotient has rank {m - len(echelon)}, expected 1 "
                 "(bad presentation)"
             )
-        phi = kernel[0]
-        # saturation check: quotient must be Z, not Z + torsion
-        h_rel = hermite_normal_form(matrix)
-        h_sat = hermite_normal_form(_matrix(saturation_kernel_basis(phi), m))
-        if h_rel != h_sat:
+        pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+        (free,) = set(range(m)).difference(pivots)
+        v = [0] * m
+        v[free] = math.prod(row[p] for row, p in zip(echelon, pivots))
+        for row, p in zip(reversed(echelon), reversed(pivots)):
+            v[p] = -sum(map(operator.mul, row[p + 1:], v[p + 1:])) // row[p]
+        if math.gcd(*v) != 1:
             raise PresentationError(
                 "top-degree quotient has torsion (bad presentation)"
             )
-        mu = self.fundamental_monomial
-        if mu not in index:
-            raise PresentationError("fundamental monomial not a top-degree monomial")
-        val = phi[index[mu]]
-        if abs(val) != 1:
+        # v_mu is 0 when mu's column has a pivot, else the product of the
+        # (positive) pivots, so no sign is left to fix
+        if v[-1] != 1:
             raise PresentationError(
                 "fundamental monomial does not generate the top-degree quotient"
             )
-        if val < 0:
-            phi = [-x for x in phi]
-        result = (index, phi)
+        result = (index, v)
         self._lattice_cache[key] = result
         return result
 
@@ -378,10 +449,7 @@ def graded_rank(ring: PresentedRing, degree: int) -> int:
     if degree < 0:
         return 0
     monos, _, matrix = ring._lattice_model(degree)
-    if not monos:
-        return 0
-    rank, _ = lattice_rank_kernel(matrix)
-    return len(monos) - rank
+    return len(monos) - len(echelon_form(matrix))
 
 
 # ---------------------------------------------------------------------------

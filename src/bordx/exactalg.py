@@ -432,85 +432,19 @@ class IntMatrix:
         return cls(len(rows), ncols, tuple(rows))
 
 
-def _normalize_row(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def echelon_form(M: IntMatrix) -> list[list[int]]:
+    """Row echelon basis of the row lattice of M, by unimodular row operations.
 
-
-def _row_reduce(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Fraction-free elimination on the first `width` columns.
-
-    Rows are combined with integer operations only; each row is divided by its
-    content to control growth.  Returns the reduced rows (order: echelon rows
-    first, fully-reduced-to-zero-in-window rows after).
-    """
-    rows = [list(r) for r in rows]
-    pivots: list[tuple[int, list[int]]] = []  # (pivot col, row)
-    done: list[list[int]] = []
-    for row in rows:
-        row = list(row)
-        while True:
-            lead = next((j for j in range(width) if row[j]), None)
-            if lead is None:
-                break
-            hit = next((p for p in pivots if p[0] == lead), None)
-            if hit is None:
-                pivots.append((lead, _normalize_row(row)))
-                row = None
-                break
-            _, prow = hit
-            a, b = prow[lead], row[lead]
-            g = math.gcd(a, b)
-            ma, mb = b // g, a // g
-            row = [mb * x - ma * y for x, y in zip(row, prow)]
-            row = _normalize_row(row)
-        if row is not None:
-            done.append(row)
-    pivots.sort(key=lambda p: p[0])
-    return [p[1] for p in pivots] + done
-
-
-def lattice_rank_kernel(M: IntMatrix) -> tuple[int, list[list[int]]]:
-    """Rank over Q and an integer basis spanning the rational kernel of M.
-
-    Kernel vectors are normalized to content 1 with positive leading entry;
-    the output order is deterministic.
-    """
-    m, n = M.rows, M.cols
-    # kernel of M = left kernel of M^T; reduce [M^T | I_n]
-    aug = [
-        [M.entries[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
-        for j in range(n)
-    ]
-    reduced = _row_reduce(aug, m)
-    kernel = []
-    rank = 0
-    for row in reduced:
-        if any(row[:m]):
-            rank += 1
-        else:
-            vec = _normalize_row(row[m:])
-            lead = next((x for x in vec if x), 0)
-            if lead < 0:
-                vec = [-x for x in vec]
-            kernel.append(vec)
-    kernel.sort()
-    return rank, kernel
-
-
-def hermite_normal_form(M: IntMatrix) -> list[list[int]]:
-    """Row-style Hermite normal form (nonzero rows only).
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    The result is the canonical basis of the row lattice of M.
+    Column by column, every remaining row with a nonzero entry there is
+    gcd-combined into one pivot row (pivot made positive) and leftovers that
+    are zero in that column, by a plain subtraction when the pivot divides
+    the entry.  No row is divided by its content, and entries above a pivot
+    are left as they are.  Nonzero rows only, in pivot-column order, so the
+    length is the rank.
     """
     rows = [list(r) for r in M.entries if any(r)]
     n = M.cols
-    h: list[list[int]] = []
+    out: list[list[int]] = []
     col = 0
     while rows and col < n:
         live = [r for r in rows if r[col]]
@@ -518,30 +452,42 @@ def hermite_normal_form(M: IntMatrix) -> list[list[int]]:
         if not live:
             col += 1
             continue
-        # gcd-combine all rows with a nonzero entry in this column
         base = live[0]
         for r in live[1:]:
-            g, x, y = ext_gcd(base[col], r[col])
-            new_base = [x * a + y * b for a, b in zip(base, r)]
-            q1, q2 = base[col] // g, r[col] // g
-            leftover = [q2 * a - q1 * b for a, b in zip(base, r)]
-            base, extra = new_base, leftover
+            if r[col] % base[col] == 0:
+                q = r[col] // base[col]
+                extra = [b - q * a for a, b in zip(base, r)]
+            else:
+                # [[x, y], [q2, -q1]] has determinant -1: the lattice is kept
+                g, x, y = ext_gcd(base[col], r[col])
+                q1, q2 = base[col] // g, r[col] // g
+                extra = [q2 * a - q1 * b for a, b in zip(base, r)]
+                base = [x * a + y * b for a, b in zip(base, r)]
             if any(extra):
                 rest.append(extra)
         if base[col] < 0:
             base = [-x for x in base]
-        # reduce previously fixed rows modulo the new pivot row
-        for prev in h:
-            if prev[col]:
-                q = prev[col] // base[col]
-                if q:
-                    for j in range(n):
-                        prev[j] -= q * base[j]
-        h.append(base)
+        out.append(base)
         rows = rest
         col += 1
-    # re-sort by pivot column (insertion above may disturb nothing, but be safe)
-    h.sort(key=lambda r: next(j for j in range(n) if r[j]))
+    return out
+
+
+def hermite_normal_form(M: IntMatrix) -> list[list[int]]:
+    """Row-style Hermite normal form (nonzero rows only).
+
+    The echelon form with every entry above a pivot reduced into [0, pivot).
+    The result is the canonical basis of the row lattice of M.
+    """
+    h = echelon_form(M)
+    n = M.cols
+    for k, row in enumerate(h):
+        col = next(j for j in range(n) if row[j])
+        for prev in h[:k]:
+            q = prev[col] // row[col]
+            if q:
+                for j in range(col, n):
+                    prev[j] -= q * row[j]
     return h
 
 
@@ -558,34 +504,3 @@ def in_row_span(hnf_rows: list[list[int]], target) -> bool:
             for j in range(n):
                 v[j] -= q * row[j]
     return not any(v)
-
-
-def saturation_kernel_basis(phi: list[int]) -> list[list[int]]:
-    """Z-basis of the saturated lattice {x : phi . x = 0} for primitive phi."""
-    m = len(phi)
-    g = 0
-    for x in phi:
-        g = math.gcd(g, x)
-    if g != 1:
-        raise ValueError("phi must be primitive")
-    # unimodular row operations turning phi (as a column) into e_1
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    psi = list(phi)
-    piv = next(i for i in range(m) if psi[i])
-    if piv != 0:
-        psi[0], psi[piv] = psi[piv], psi[0]
-        u[0], u[piv] = u[piv], u[0]
-    for i in range(1, m):
-        while psi[i]:
-            if abs(psi[0]) > abs(psi[i]) or psi[0] == 0:
-                psi[0], psi[i] = psi[i], psi[0]
-                u[0], u[i] = u[i], u[0]
-                continue
-            q = psi[i] // psi[0]
-            psi[i] -= q * psi[0]
-            u[i] = [a - q * b for a, b in zip(u[i], u[0])]
-    if psi[0] < 0:
-        u[0] = [-x for x in u[0]]
-        psi[0] = -psi[0]
-    # now psi = g*e_1 with g = 1; kernel of phi is spanned by rows 2..m of u
-    return [list(u[i]) for i in range(1, m)]

@@ -14,6 +14,7 @@ that exported Chern vectors obey the bordism-operation identities.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -132,8 +133,14 @@ def _stage_lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def presented_ring(spec: TowerSpec) -> PresentedRing:
-    """Cohomology presentation of the tower (triangular by construction)."""
+    """Cohomology presentation of the tower (triangular by construction).
+
+    One ring per spec, shared by `chern_numbers`, `s_number` and
+    `ring_backend_pair`, so its rewrite rules and memoised normal forms are
+    built once; the 16 most recent specs are kept.
+    """
     degrees = (2,) * spec.generator_count
     relations = [GradedPoly.generator(degrees, i, n_i + 1)
                  for i, n_i in enumerate(spec.base)]

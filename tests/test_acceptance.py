@@ -9,13 +9,14 @@ import itertools
 from bordx import bordclass as bc
 from bordx import cohomring, numbers, tower
 from bordx.cli import run_lemma, snl_closed_form, snn_closed_form
-from bordx.exactalg import GradedPoly, IntMatrix, lattice_rank_kernel, partitions
+from bordx.exactalg import GradedPoly, IntMatrix, partitions
 from bordx.genfactory import (
     cy4_invariants,
     cy_generator_combo,
     cy_hypersurface,
     grassmann_s4,
 )
+from lattice_reference import lattice_rank_kernel
 
 GRID = [(n1, n2) for n1 in (2, 4, 6, 8, 10) for n2 in (1, 3, 5, 7, 9)]
 

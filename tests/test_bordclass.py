@@ -30,8 +30,9 @@ from bordx.bordclass import (
     twisted_mul,
 )
 from bordx.cli import sample_classes, w_sample_classes
-from bordx.exactalg import IntMatrix, lattice_rank_kernel, partitions
+from bordx.exactalg import IntMatrix, partitions
 from bordx.numbers import rank_table
+from lattice_reference import lattice_rank_kernel
 
 
 class TestCp:

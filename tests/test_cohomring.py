@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bordx import cohomring, tower
 from bordx.cohomring import (
@@ -18,6 +20,8 @@ from bordx.cohomring import (
     ring_to_json,
 )
 from bordx.exactalg import GradedPoly
+from lattice_reference import reference_evaluator
+from test_tower import _qt_gens_instances
 
 
 def cp_ring(n):
@@ -435,3 +439,163 @@ class TestParseLimits:
         p = parse_poly("u^256" + " " * (cohomring.PARSE_MAX_CHARS - 5), ("u",), (2,))
         assert p.degree() == cohomring.PARSE_MAX_DEGREE
         assert parse_poly("(1+u)^256", ("u",), (2,)).coefficient((128,)) > 2 ** 250
+
+
+def _lattice_outcome(route, ring):
+    """(phi, None) from a lattice route, or (None, (error class, message))."""
+    try:
+        return route(ring)[1], None
+    except PresentationError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _lattice_copy(ring):
+    return PresentedRing(ring.names, ring.degrees, ring.relations, ring.top_degree,
+                         ring.fundamental_monomial, backend="lattice")
+
+
+def assert_routes_agree(ring):
+    """The echelon evaluator gives the earlier route's phi or its error, exactly."""
+    new = _lattice_outcome(lambda r: r._lattice_evaluator(), _lattice_copy(ring))
+    old = _lattice_outcome(reference_evaluator, _lattice_copy(ring))
+    assert new == old
+    return new
+
+
+def _ring(degrees, relations, top, mu):
+    return PresentedRing("xyz"[:len(degrees)], degrees,
+                         [GradedPoly(degrees, t) for t in relations], top, mu,
+                         backend="lattice")
+
+
+@st.composite
+def small_presentations(draw):
+    """2-3 generators of degree 2 or 4, 1-3 sparse relations, top degree <= 8."""
+    degrees = tuple(draw(st.lists(st.sampled_from((2, 2, 4)), min_size=2, max_size=3)))
+    top = draw(st.sampled_from((2, 4, 6, 8)))
+    probe = PresentedRing("xyz"[:len(degrees)], degrees, [], 0, (0,) * len(degrees))
+    tops = probe.monomials_of_degree(top)
+    if not tops:
+        top, tops = 4, probe.monomials_of_degree(4)
+    mu = draw(st.sampled_from(tops))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = probe.monomials_of_degree(draw(st.sampled_from([d for d in (2, 4, 6)
+                                                                if d <= top])))
+        if monos:
+            chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                                   unique=True))
+            relations.append({m: draw(st.integers(-3, 3)) for m in chosen})
+    return _ring(degrees, relations, top, mu)
+
+
+# one presentation per outcome of the evaluator
+_OK = _ring((2,), [{(3,): 1}], 4, (2,))
+_RANK_0 = _ring((2,), [{(2,): 1}], 4, (2,))
+_RANK_2 = _ring((2, 2), [], 2, (1, 0))
+_TORSION = _ring((2, 2), [{(1, 0): 2}], 2, (0, 1))
+_NOT_A_GENERATOR = _ring((2, 2), [{(1, 0): 1, (0, 1): -2}], 2, (1, 0))
+
+
+class TestLatticeRoute:
+    """The echelon evaluator against the earlier route in tests/lattice_reference.py."""
+
+    @pytest.mark.parametrize("name,n1,n2", _qt_gens_instances(30))
+    def test_qt_gens_rings(self, name, n1, n2):
+        ring = tower.presented_ring(tower.build_family(name, n1, n2, convention="bordism"))
+        phi, error = assert_routes_agree(ring)
+        assert error is None and phi[ring._lattice_model(ring.top_degree)[1][
+            ring.fundamental_monomial]] == 1
+
+    def test_grassmann_and_projective_spaces(self):
+        for ring in [grassmann_ring()] + [cp_ring(n) for n in range(1, 7)]:
+            assert assert_routes_agree(ring)[1] is None
+
+    @pytest.mark.parametrize("ring,message", [
+        (_OK, None),
+        (_RANK_0, "rank 0"),
+        (_RANK_2, "rank 2"),
+        (_TORSION, "torsion"),
+        (_NOT_A_GENERATOR, "does not generate"),
+    ])
+    def test_each_outcome(self, ring, message):
+        _, error = assert_routes_agree(ring)
+        assert (error is None) if message is None else (message in error[1])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_presentations())
+    @example(_RANK_0)
+    @example(_TORSION)
+    @example(_NOT_A_GENERATOR)
+    def test_small_presentations(self, ring):
+        assert_routes_agree(ring)
+
+    def test_graded_rank_reads_the_echelon_rank(self):
+        from lattice_reference import lattice_rank_kernel
+
+        for ring in [grassmann_ring(), ntilde_ring(2, 3), _TORSION, _RANK_2]:
+            for d in range(0, ring.top_degree + 1, 2):
+                monos, _, matrix = ring._lattice_model(d)
+                assert graded_rank(ring, d) == len(monos) - lattice_rank_kernel(matrix)[0]
+
+
+def _payload(count, top, relations, mu=None):
+    names = [f"g{i}" for i in range(count)]
+    return {
+        "generators": [{"name": n, "degree": 2} for n in names],
+        "relations": relations,
+        "top_degree": top,
+        "fundamental_monomial": mu or [top // 2] + [0] * (count - 1),
+        "backend": "lattice",
+    }
+
+
+class TestLatticeLimits:
+    """Lattice models over the documented limits are refused before enumeration."""
+
+    @pytest.fixture
+    def no_model(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice model was enumerated")
+
+        monkeypatch.setattr(PresentedRing, "monomials_of_degree", refuse)
+
+    def test_too_many_monomials(self, no_model):
+        # C(27, 7) = 888,030 top-degree monomials
+        ring = ring_from_json(_payload(8, 40, ["g0^2"]))
+        x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
+        with pytest.raises(PresentationError, match="monomials"):
+            evaluate_top(ring, x)
+        with pytest.raises(PresentationError, match="monomials"):
+            graded_rank(ring, 40)
+
+    def test_too_many_relation_rows(self, no_model):
+        # 1,001 columns, but 5 relations of degree 2 give 5,000 rows
+        top = 2 * 1000
+        ring = ring_from_json(_payload(2, top, ["g0^2", "g1^2", "g0*g1", "g0^2 - g1^2",
+                                                "g0^2 + g0*g1"]))
+        assert ring._monomial_count(top, cohomring.LATTICE_MAX_MONOMIALS) == 1001
+        x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
+        with pytest.raises(PresentationError, match="relation multiples"):
+            lattice_evaluate(ring, x)
+
+    def test_too_many_dead_ends(self, no_model):
+        # degrees 2 and 1,000,002: a million exponents of the first are tried
+        # and almost none leaves a multiple of the second
+        ring = PresentedRing(("x", "y"), (2, 1_000_002), [], 2_000_000, (1_000_000, 0),
+                             backend="lattice")
+        with pytest.raises(PresentationError, match="dead ends"):
+            graded_rank(ring, 2_000_000)
+
+    def test_one_generator_of_huge_degree_is_cheap(self):
+        ring = PresentedRing(("x",), (2,), [], 2 * 10 ** 12, (10 ** 12,), backend="lattice")
+        assert ring.monomials_of_degree(2 * 10 ** 12) == [(10 ** 12,)]
+        assert lattice_evaluate(ring, GradedPoly.monomial((2,), (10 ** 12,), 3)) == 3
+
+    def test_limits_sit_far_above_the_largest_qt_gens_model(self):
+        # Ntilde(12, 1): 120 columns x 185 rows, the largest of every qt_gens model
+        ring = tower.presented_ring(tower.build_family("Ntilde", 12, 1, convention="bordism"))
+        monos, _, matrix = ring._lattice_model(ring.top_degree)
+        assert (len(monos), matrix.rows) == (120, 185)
+        assert 10 * len(monos) <= cohomring.LATTICE_MAX_MONOMIALS
+        assert 10 * matrix.rows <= cohomring.LATTICE_MAX_ROWS

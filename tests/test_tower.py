@@ -433,3 +433,36 @@ def test_json_round_trip_on_drawn_char_matrices(M):
     text = json.dumps(tower.char_matrix_to_json(M))
     assert tower.char_matrix_from_json(json.loads(text)) == M
     assert tower.char_matrix_from_json(text) == M
+
+
+class TestRingCache:
+    """One presented ring per tower spec, in a bounded cache."""
+
+    def test_three_calls_share_one_ring(self, monkeypatch):
+        built = []
+        real = tower.PresentedRing
+
+        def counting(*args, **kwargs):
+            ring = real(*args, **kwargs)
+            built.append(ring)
+            return ring
+
+        tower.presented_ring.cache_clear()
+        monkeypatch.setattr(tower, "PresentedRing", counting)
+        spec = tower.build_family("Ntilde", 2, 3, convention="bordism")
+        tower.chern_numbers(spec)
+        tower.s_number(spec)
+        tri, lat = tower.ring_backend_pair(spec)
+        assert built == [tri, lat]  # the triangular ring once, then its lattice twin
+        assert tower.presented_ring.cache_info().misses == 1
+        assert tower.presented_ring.cache_info().hits == 2
+        assert tri._nf_memo  # the normal forms of the first two calls are kept
+
+    def test_cache_is_bounded(self):
+        tower.presented_ring.cache_clear()
+        specs = [tower.build_family("CPprod", (n,)) for n in range(1, 21)]
+        for spec in specs:
+            tower.presented_ring(spec)
+        info = tower.presented_ring.cache_info()
+        assert info.maxsize == 16 and info.currsize == 16
+        assert tower.presented_ring(specs[-1]) is tower.presented_ring(specs[-1])
