@@ -421,6 +421,7 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
         (0,) * i + (1,) + (0,) * (n - i): 1 for i in range(1, n + 1)})
     lift = eps if n else 0  # eps c_1 is 0 when M is a point
     index = _basis(n)[1]
+    slots: dict = {}  # exponent tuple -> index of its partition, once per build
 
     def reduce(poly: GradedPoly) -> GradedPoly:
         out = {}
@@ -439,9 +440,15 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
         return GradedPoly._trusted(degrees, out)
 
     def row(poly: GradedPoly) -> tuple:
-        layer = [(index[_exp_to_partition(exp[1:])], sign * coeff)
-                 for exp, coeff in poly.terms.items() if exp[0] == k]
-        return tuple(i for i, _ in layer), tuple(c for _, c in layer)
+        idx, coeffs = [], []
+        for exp, coeff in poly.terms.items():
+            if exp[0] == k:
+                slot = slots.get(exp)
+                if slot is None:
+                    slot = slots[exp] = index[_exp_to_partition(exp[1:])]
+                idx.append(slot)
+                coeffs.append(sign * coeff)
+        return tuple(idx), tuple(coeffs)
 
     nu = zero + nu(x, c1)  # `zero +` lifts a constant into the ring
     rank = nu.degree() // 2

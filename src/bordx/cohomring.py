@@ -221,15 +221,23 @@ class PresentedRing:
         return self._reduce(x, self._get_rules(), self._nf_memo)
 
     def _reduce(self, x: GradedPoly, rules, memo) -> GradedPoly:
-        """sum c * NF(m) over the terms c*m of x, NF memoised in `memo`."""
+        """sum c * NF(m) over the terms c*m of x, NF memoised in `memo`.
+
+        The memo is read first and a degree computed only on a miss: it
+        holds only monomials of at most the top degree, since
+        `_monomial_nf` is entered only there and homogeneous rules keep
+        each child's degree.
+        """
         out: dict[tuple[int, ...], int] = {}
+        top, degrees = self.top_degree, self.degrees
         for exp, c in x.terms.items():
-            if x.term_degree(exp) <= self.top_degree:
-                nf = memo.get(exp)
-                if nf is None:
-                    nf = self._monomial_nf(exp, rules, memo)
-                _accumulate(out, nf, c)
-        return GradedPoly._trusted(self.degrees, out)
+            nf = memo.get(exp)
+            if nf is None:
+                if sum(map(operator.mul, exp, degrees)) > top:
+                    continue
+                nf = self._monomial_nf(exp, rules, memo)
+            _accumulate(out, nf, c)
+        return GradedPoly._trusted(degrees, out)
 
     def _monomial_nf(self, root, rules, memo) -> dict:
         """Normal form of the monomial `root`, and of each monomial below it.
@@ -280,7 +288,7 @@ class PresentedRing:
                 d, rhs = rule
                 rem = list(mono)
                 rem[j] -= d
-                return [(tuple(a + b for a, b in zip(rem, e)), c)
+                return [(tuple(map(operator.add, rem, e)), c)
                         for e, c in rhs.terms.items()]
         return None
 
@@ -391,7 +399,11 @@ def _matrix(rows, cols: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 def normal_form(ring: PresentedRing, x: GradedPoly) -> GradedPoly:
-    """Fixed point of the triangular rewriting rules, top-degree truncated."""
+    """Fixed point of the triangular rewriting rules, top-degree truncated.
+
+    Public API: the checked entry to `PresentedRing.reduce`, which refuses a
+    ring marked for the lattice backend and an inhomogeneous element.
+    """
     if ring.backend != "triangular":
         raise NonTriangularError("ring is marked for the lattice backend")
     if not x.is_homogeneous():

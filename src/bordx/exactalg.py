@@ -292,35 +292,43 @@ class GradedPoly:
         """Product, without the terms of degree above `cap` when a cap is given.
 
         This is the hot loop of the whole workbench.  Exponents, degrees and
-        the cap are arbitrary-precision ints; a negative cap means no cap.
+        the cap are arbitrary-precision ints.  With no cap (None or negative)
+        no degree is computed.  With a cap, the smaller operand's terms are
+        sorted by degree once, and the inner loop stops at the first of them
+        past cap - deg(a-term).
         """
         self._check_compatible(other)
         degrees = self.degrees
-        if cap is None:
-            cap = -1
         a_terms, b_terms = self.terms, other.terms
         if len(b_terms) > len(a_terms):
             a_terms, b_terms = b_terms, a_terms
-        bitems = []
-        for eb, cb in b_terms.items():
-            db = 0
-            for i, e in enumerate(eb):
-                db += e * degrees[i]
-            bitems.append((db, eb, cb))
+        add, mul = operator.add, operator.mul
         out = {}
-        for ea, ca in a_terms.items():
-            da = 0
-            for i, e in enumerate(ea):
-                da += e * degrees[i]
-            for db, eb, cb in bitems:
-                if cap >= 0 and da + db > cap:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                c = out.get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
+        get = out.get
+        if cap is None or cap < 0:
+            b_items = b_terms.items()
+            for ea, ca in a_terms.items():
+                for eb, cb in b_items:
+                    key = tuple(map(add, ea, eb))
+                    c = get(key, 0) + ca * cb
+                    if c:
+                        out[key] = c
+                    elif key in out:
+                        del out[key]
+        else:
+            by_degree = sorted((sum(map(mul, eb, degrees)), eb, cb)
+                               for eb, cb in b_terms.items())
+            for ea, ca in a_terms.items():
+                room = cap - sum(map(mul, ea, degrees))
+                for db, eb, cb in by_degree:
+                    if db > room:
+                        break
+                    key = tuple(map(add, ea, eb))
+                    c = get(key, 0) + ca * cb
+                    if c:
+                        out[key] = c
+                    elif key in out:
+                        del out[key]
         return GradedPoly._trusted(degrees, out)
 
     def __mul__(self, other):
@@ -390,7 +398,13 @@ class GradedPoly:
 
 
 def geometric_series(x: GradedPoly, cap: int) -> GradedPoly:
-    """1 + x + x^2 + ... truncated at degree cap; x must have zero constant term."""
+    """1 + x + x^2 + ... truncated at degree cap; x must have zero constant term.
+
+    The cap must be a nonnegative int: without one, x^k never vanishes and
+    the series never ends, so None or a negative cap is refused up front.
+    """
+    if strict_int(cap, "a series cap") < 0:
+        raise ValueError(f"a series cap must be nonnegative, got {cap}")
     if x.constant_term():
         raise ValueError("series inverse needs zero constant term")
     one = GradedPoly.constant(x.degrees, 1)
@@ -404,7 +418,7 @@ def geometric_series(x: GradedPoly, cap: int) -> GradedPoly:
 
 
 def inverse_one_plus(x: GradedPoly, cap: int) -> GradedPoly:
-    """(1 + x)^(-1) truncated at degree cap."""
+    """(1 + x)^(-1) truncated at degree cap (a nonnegative int, as for the series)."""
     return geometric_series(-x, cap)
 
 

@@ -173,12 +173,16 @@ def signed_roster(spec: TowerSpec) -> list[GradedPoly]:
 
 
 def total_chern(spec: TowerSpec) -> GradedPoly:
-    """Product of (1 + c_1(line)) over the roster, truncated at the top degree."""
+    """Product of (1 + c_1(line)) over the roster, truncated at the top degree.
+
+    Equal summands are grouped: one factor (1 + x)^count per distinct signed
+    roster class, as `s_number` groups them.
+    """
     cap = 2 * spec.dim
     degrees = (2,) * spec.generator_count
     c = GradedPoly.constant(degrees, 1)
-    for cls in signed_roster(spec):
-        c = c.mul(GradedPoly.constant(degrees, 1) + cls, cap)
+    for cls, count in Counter(signed_roster(spec)).items():
+        c = c.mul((cls + 1).pow(count, cap), cap)
     return c
 
 

@@ -9,8 +9,10 @@ from bordx.exactalg import (
     IntMatrix,
     echelon_form,
     ext_gcd_combo,
+    geometric_series,
     hermite_normal_form,
     in_row_span,
+    inverse_one_plus,
     multinomial,
     partitions,
 )
@@ -246,6 +248,84 @@ class TestGradedPoly:
                 assert x == GradedPoly(deg, x.terms)
                 assert all(x.terms.values())
                 assert all(type(e) is tuple and len(e) == 2 for e in x.terms)
+
+
+def _reference_mul(a, b, cap):
+    """Every pair, then the terms above the cap dropped, then the zeros."""
+    pairs = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            pairs[key] = pairs.get(key, 0) + ca * cb
+    if cap is not None and cap >= 0:
+        pairs = {e: c for e, c in pairs.items()
+                 if sum(x * d for x, d in zip(e, a.degrees)) <= cap}
+    return {e: c for e, c in pairs.items() if c}
+
+
+class TestKernelAgainstReference:
+    """`mul` and `pow` against the product kept above, on seeded random input."""
+
+    DEGREES = (2, 4, 6)
+
+    def _operands(self, rng):
+        # unequal sizes, small exponents and unit coefficients, so that
+        # products collide and cancel
+        a = _random_poly(rng, self.DEGREES, max_exp=2, nterms=rng.randint(0, 9))
+        b = GradedPoly(self.DEGREES, {
+            tuple(rng.randint(0, 2) for _ in self.DEGREES): rng.choice((-1, 1))
+            for _ in range(rng.randint(1, 4))})
+        return a, b
+
+    def _caps(self, a, b):
+        degrees = {sum(x * d for x, d in zip(e, self.DEGREES))
+                   for e in _reference_mul(a, b, None)}
+        # None and -1 mean no cap; then 0, every term degree and the odd
+        # values between term degrees
+        return [None, -1, 0] + sorted(degrees | {d + 1 for d in degrees})
+
+    def test_mul_matches_reference(self):
+        rng = random.Random(23)
+        cancelled = 0
+        for _ in range(150):
+            a, b = self._operands(rng)
+            keys = {tuple(x + y for x, y in zip(ea, eb)) for ea in a.terms for eb in b.terms}
+            cancelled += len(keys) - len(_reference_mul(a, b, None))
+            for cap in self._caps(a, b):
+                want = _reference_mul(a, b, cap)
+                assert a.mul(b, cap).terms == want, (a, b, cap)
+                assert b.mul(a, cap).terms == want, (b, a, cap)
+        assert cancelled  # the sweep did reach terms that cancel
+
+    def test_pow_matches_repeated_reference(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            base, _ = self._operands(rng)
+            for cap in (None, -1, 0, 4, 7, 12):
+                want = {(0, 0, 0): 1}
+                for k in range(5):
+                    assert base.pow(k, cap).terms == want, (base, k, cap)
+                    want = _reference_mul(GradedPoly(self.DEGREES, want), base, cap)
+
+
+class TestSeriesCap:
+    @pytest.mark.parametrize("series", [geometric_series, inverse_one_plus])
+    @pytest.mark.parametrize("cap", [-1, None, -8, 2.0, True, "4"])
+    def test_refuses_missing_cap_before_any_multiply(self, monkeypatch, series, cap):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a multiply ran")
+
+        # with `mul` patched to fail, no unbounded loop can run
+        monkeypatch.setattr(GradedPoly, "mul", refuse)
+        with pytest.raises(ValueError):
+            series(GradedPoly.generator((2,), 0), cap)
+
+    def test_bounded_caps(self):
+        u = GradedPoly.generator((2,), 0)
+        one = GradedPoly.constant((2,), 1)
+        assert geometric_series(u, 0) == one
+        assert geometric_series(u, 7) == one + u + u * u + u.pow(3)
+        assert inverse_one_plus(u, 6) == one - u + u * u - u.pow(3)
 
 
 class TestLatticeAlgebra:

@@ -3,6 +3,7 @@ characteristic matrices and the SU criterion."""
 
 import json
 import math
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -466,3 +467,77 @@ class TestRingCache:
         info = tower.presented_ring.cache_info()
         assert info.maxsize == 16 and info.currsize == 16
         assert tower.presented_ring(specs[-1]) is tower.presented_ring(specs[-1])
+
+
+# ---------------------------------------------------------------------------
+# the memo-first normal form and the grouped total Chern class
+# ---------------------------------------------------------------------------
+
+def _above_top(ring):
+    """Monomials two and four degrees above the top, and one far above it."""
+    k = len(ring.degrees)
+    first = tuple(e + (j == 0) for j, e in enumerate(ring.fundamental_monomial))
+    last = tuple(e + 2 * (j == k - 1) for j, e in enumerate(ring.fundamental_monomial))
+    return {first: 3, last: -2, (ring.top_degree,) * k: 7}
+
+
+@pytest.mark.parametrize("name,n1,n2", REFERENCE_FAMILIES)
+def test_normal_form_same_on_memo_miss_and_hit(monkeypatch, name, n1, n2):
+    spec = _family(name, n1, n2, "toric")
+    ring = tower.presented_ring.__wrapped__(spec)  # a fresh ring, empty memo
+    below = tower.total_chern(spec)
+    mixed = below + ring.poly(_above_top(ring))
+    entered = []
+    real = cohomring.PresentedRing._monomial_nf
+
+    def counting(self, root, rules, memo):
+        entered.append(root)
+        return real(self, root, rules, memo)
+
+    monkeypatch.setattr(cohomring.PresentedRing, "_monomial_nf", counting)
+    first = ring.reduce(mixed)
+    assert entered and not any(m in ring._nf_memo for m in _above_top(ring))
+    del entered[:]
+    second = ring.reduce(mixed)
+    assert not entered  # every monomial at or below the top was a memo hit
+    assert first == second
+    assert first == tower.presented_ring.__wrapped__(spec).reduce(below)
+    assert (first.degree() or 0) <= ring.top_degree
+    # the top part against the lattice route, which never reads the memo
+    _, lattice = tower.ring_backend_pair(spec)
+    top = ring.top_degree
+    assert cohomring.fundamental_coefficient(ring, first.graded_part(top)) == \
+        cohomring.lattice_evaluate(lattice, below.graded_part(top))
+
+
+@pytest.mark.parametrize("name,n1,n2", REFERENCE_FAMILIES)
+def test_normal_form_memo_stays_at_or_below_the_top(name, n1, n2):
+    spec = _family(name, n1, n2, "bordism")
+    tower.chern_numbers(spec)
+    tower.s_number(spec)
+    ring = tower.presented_ring(spec)
+    assert ring._nf_memo
+    assert all(sum(map(operator.mul, m, ring.degrees)) <= ring.top_degree
+               for m in ring._nf_memo)
+
+
+def ref_total_chern(spec):
+    """(1 + c_1) multiplied in over the signed roster one summand at a time."""
+    cap = 2 * spec.dim
+    c = GradedPoly.constant((2,) * spec.generator_count, 1)
+    for cls in tower.signed_roster(spec):
+        c = c.mul(cls + 1, cap)
+    return c
+
+
+@pytest.mark.parametrize("convention", ["toric", "bordism"])
+@pytest.mark.parametrize("name,n1,n2", REFERENCE_FAMILIES)
+def test_grouped_total_chern_on_families(name, n1, n2, convention):
+    spec = _family(name, n1, n2, convention)
+    assert tower.total_chern(spec) == ref_total_chern(spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tower_specs())
+def test_grouped_total_chern_on_drawn_towers(spec):
+    assert tower.total_chern(spec) == ref_total_chern(spec)
