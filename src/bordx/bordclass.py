@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -33,7 +33,6 @@ from .exactalg import (
     Partition,
     canonical_partition,
     inverse_one_plus,
-    multinomial,
     partitions,
     strict_int,
 )
@@ -229,38 +228,46 @@ def _split_table(na: int, nb: int):
     """The Whitney split table of products of dimensions na and nb, built once.
 
     By c_k(MxN) = sum_{i+j=k} c_i(M) c_j(N), c_omega[MxN] = sum T^omega_{tau
-    sigma} c_tau[M] c_sigma[N], where T^omega_{tau sigma} counts the ways to
-    split every part k of omega as i + (k - i) so that the nonzero i form tau
-    (|tau| = na) and the nonzero k - i form sigma.  Equal parts of omega are
-    split together: a multiset of m splits of the part k arises in
-    m! / prod(multiplicities)! ways.  The table holds one row per omega of
+    sigma} c_tau[M] c_sigma[N], T^omega_{tau sigma} the number of ways to split
+    the parts k of omega, one by one, as i + (k - i) so that the nonzero i
+    form tau (|tau| = na) and the nonzero k - i form sigma: the coproduct of
+    e_omega (Macdonald, *Symmetric Functions*, I.5).  One row per omega of
     `_basis(na + nb)`, of triples (count, index of tau in `_basis(na)`, index
-    of sigma in `_basis(nb)`).
+    of sigma in `_basis(nb)`).  A depth-first walk in `_basis` order shares
+    each prefix's splits {|tau|: {key: count}}; a key holds the part counts
+    of tau, then of sigma, as digits of radix na + nb + 1, so a split is one
+    addition.  A tail of r ones gives tau its last t = na - |tau| in C(r, t) ways.
     """
-    tau_index, sigma_index = _basis(na)[1], _basis(nb)[1]
-    group_splits = {}  # (k, m) -> [(tau parts, sigma parts, ways)]
+    n = na + nb
+    shift = (n + 1) ** na  # every tau code is below it
+    unit = [0] + [(n + 1) ** (p - 1) for p in range(1, n + 1)]  # the digit of part p
+    tau_index, sigma_index = ({sum(unit[p] for p in w): i for i, w in enumerate(_basis(m)[0])}
+                              for m in (na, nb))
     table = []
-    for omega in _basis(na + nb)[0]:
-        # (tau, sigma) -> number of ways, over the parts of omega split so far
-        splits = {((), ()): 1}
-        for k, m in Counter(omega).items():
-            if (k, m) not in group_splits:
-                group_splits[(k, m)] = [
-                    (tuple(i for i in chosen if i), tuple(k - i for i in chosen if i < k),
-                     multinomial(m, Counter(chosen).values()))
-                    for chosen in itertools.combinations_with_replacement(range(k + 1), m)
-                ]
-            grown = defaultdict(int)
-            for tau_parts, sigma_parts, ways in group_splits[(k, m)]:
-                for (tau, sigma), count in splits.items():
-                    tau_new, sigma_new = tau + tau_parts, sigma + sigma_parts
-                    if sum(tau_new) <= na and sum(sigma_new) <= nb:
-                        key = (tuple(sorted(tau_new, reverse=True)),
-                               tuple(sorted(sigma_new, reverse=True)))
-                        grown[key] += count * ways
-            splits = grown
-        table.append(tuple((count, tau_index[tau], sigma_index[sigma])
-                           for (tau, sigma), count in splits.items()))
+
+    def walk(splits: dict, remaining: int, largest: int) -> None:
+        for part in range(min(largest, remaining), 1, -1):
+            grown: dict = {}
+            for ta, keys in splits.items():
+                room = remaining - na + ta  # what sigma can still take
+                for i in range(max(0, part - room), min(part, na - ta) + 1):
+                    step = unit[i] + unit[part - i] * shift
+                    bucket = grown.setdefault(ta + i, {})
+                    for key, count in keys.items():
+                        key += step
+                        bucket[key] = bucket.get(key, 0) + count
+            walk(grown, remaining - part, part)
+        row: dict = {}  # omega = the prefix and `remaining` ones
+        for ta, keys in splits.items():
+            t = na - ta
+            ways, step = math.comb(remaining, t), t + (remaining - t) * shift  # unit[1] = 1
+            for key, count in keys.items():
+                key += step
+                row[key] = row.get(key, 0) + ways * count
+        table.append(tuple((count, tau_index[key % shift], sigma_index[key // shift])
+                           for key, count in row.items()))
+
+    walk({0: {0: 1}}, n, n)
     return tuple(table)
 
 

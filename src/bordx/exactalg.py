@@ -344,15 +344,18 @@ class GradedPoly:
     def pow(self, k: int, cap: int | None = None) -> "GradedPoly":
         if k < 0:
             raise ValueError("negative power")
-        result = GradedPoly.constant(self.degrees, 1)
-        base = self
-        while k:
+        if not k:
+            return GradedPoly.constant(self.degrees, 1)
+        base = self if cap is None or cap < 0 else GradedPoly._trusted(self.degrees, {
+            e: c for e, c in self.terms.items() if self.term_degree(e) <= cap})
+        result = None  # the base at the first set bit: no 1 * base multiply
+        while True:
             if k & 1:
-                result = result.mul(base, cap)
+                result = base if result is None else result.mul(base, cap)
             k >>= 1
-            if k:
-                base = base.mul(base, cap)
-        return result
+            if not k:
+                return result
+            base = base.mul(base, cap)
 
     def __pow__(self, k: int):
         return self.pow(k)

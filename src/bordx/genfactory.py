@@ -7,6 +7,7 @@ and the low-dimensional special classes with their Hodge-number criteria.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import bordclass, numbers, tower
@@ -94,11 +95,15 @@ def _certify(dimension, combination, cls, target) -> GeneratorCertificate:
 
 def cp_product_class(omega) -> ChernVector:
     """The bordism class of CP^{i_1} x ... x CP^{i_k}."""
-    omega = canonical_partition(omega)
-    cls = ChernVector.unit()
-    for i in omega:
-        cls = bordclass.product(cls, bordclass.cp(i))
-    return cls
+    return _cp_product(canonical_partition(omega))
+
+
+@functools.lru_cache(maxsize=1024)  # every prefix of phat(n), n <= 16: 912 with ()
+def _cp_product(omega) -> ChernVector:
+    """CP^omega[:-1] x CP^omega[-1], for a canonical omega (ChernVector is immutable)."""
+    if not omega:
+        return ChernVector.unit()
+    return bordclass.product(_cp_product(omega[:-1]), bordclass.cp(omega[-1]))
 
 
 def cy_hypersurface(omega) -> ChernVector:

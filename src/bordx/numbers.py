@@ -64,22 +64,24 @@ def phat(n: int) -> list[Partition]:
 def verify_alpha_gcd(n: int) -> tuple[int, bool]:
     """gcd of alpha over phat(n), compared against |g(n)|.
 
-    alpha(omega) = n! prod (i+1)^i / prod i!, from tables of (i+1)^i and i!;
-    every partial quotient n! / (i_1! ... i_j!) is an integer.
+    alpha(omega) = n! prod (i+1)^i / i! over the parts i of omega, carried
+    as an integer partial quotient down a depth-first walk over the parts
+    2..n-2.  A part 1 contributes 2^1 / 1! = 2, so a prefix with r left is
+    the one member of phat(n) that r ones complete, of alpha value << r.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     powers = [(i + 1) ** i for i in range(n - 1)]
-    factorials = [1] * (n - 1)
-    for i in range(1, n - 1):
-        factorials[i] = factorials[i - 1] * i
-    n_factorial = math.factorial(n)
+    factorials = [math.factorial(i) for i in range(n - 1)]
     acc = 0
-    for omega in phat(n):
-        value = n_factorial
-        for i in omega:
-            value = value // factorials[i] * powers[i]
-        acc = math.gcd(acc, value)
+
+    def walk(value: int, remaining: int, largest: int) -> None:
+        nonlocal acc
+        acc = math.gcd(acc, value << remaining)
+        for i in range(min(largest, remaining), 1, -1):
+            walk(value // factorials[i] * powers[i], remaining - i, i)
+
+    walk(math.factorial(n), n, n - 2)
     return acc, acc == abs(g(n))
 
 

@@ -1,6 +1,8 @@
 """Tests for the Chern-number operation calculus."""
 
+from collections import Counter, defaultdict
 from fractions import Fraction
+import itertools
 import json
 import random
 
@@ -30,7 +32,7 @@ from bordx.bordclass import (
     twisted_mul,
 )
 from bordx.cli import sample_classes, w_sample_classes
-from bordx.exactalg import IntMatrix, partitions
+from bordx.exactalg import IntMatrix, multinomial, partitions
 from bordx.numbers import rank_table
 from lattice_reference import lattice_rank_kernel
 
@@ -95,6 +97,50 @@ class TestProduct:
         a, b, c = cp(1), cp(2), bc.k_class()
         assert product(a, b) == product(b, a)
         assert product(product(a, b), c) == product(a, product(b, c))
+
+
+def reference_split_table(na, nb):
+    """The split table built omega by omega: equal parts of omega are split
+    together, a multiset of m splits of the part k arising in
+    m! / prod(multiplicities)! ways."""
+    tau_index, sigma_index = bc._basis(na)[1], bc._basis(nb)[1]
+    group_splits = {}  # (k, m) -> [(tau parts, sigma parts, ways)]
+    table = []
+    for omega in bc._basis(na + nb)[0]:
+        # (tau, sigma) -> number of ways, over the parts of omega split so far
+        splits = {((), ()): 1}
+        for k, m in Counter(omega).items():
+            if (k, m) not in group_splits:
+                group_splits[(k, m)] = [
+                    (tuple(i for i in chosen if i), tuple(k - i for i in chosen if i < k),
+                     multinomial(m, Counter(chosen).values()))
+                    for chosen in itertools.combinations_with_replacement(range(k + 1), m)
+                ]
+            grown = defaultdict(int)
+            for tau_parts, sigma_parts, ways in group_splits[(k, m)]:
+                for (tau, sigma), count in splits.items():
+                    tau_new, sigma_new = tau + tau_parts, sigma + sigma_parts
+                    if sum(tau_new) <= na and sum(sigma_new) <= nb:
+                        key = (tuple(sorted(tau_new, reverse=True)),
+                               tuple(sorted(sigma_new, reverse=True)))
+                        grown[key] += count * ways
+            splits = grown
+        table.append(tuple((count, tau_index[tau], sigma_index[sigma])
+                           for (tau, sigma), count in splits.items()))
+    return tuple(table)
+
+
+class TestSplitTable:
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_matches_per_omega_reference(self, n):
+        for na in range(n + 1):
+            table = bc._split_table(na, n - na)
+            want = reference_split_table(na, n - na)
+            assert len(table) == len(want) == len(bc._basis(n)[0])
+            for omega, row, want_row in zip(bc._basis(n)[0], table, want):
+                assert Counter(row) == Counter(want_row), (na, omega)
+                assert len({(i, j) for _, i, j in row}) == len(row), (na, omega)
+                assert all(count > 0 for count, _, _ in row), (na, omega)
 
 
 class TestSNumber:

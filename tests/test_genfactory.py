@@ -15,6 +15,7 @@ from bordx.exactalg import GradedPoly, partitions
 from test_walker import random_class
 from bordx.genfactory import (
     GeneratorCertificate,
+    _cp_product,
     construct_b,
     cp_product_class,
     cy3_criterion,
@@ -53,6 +54,31 @@ class TestCyHypersurface:
             n = cy_hypersurface(omega)
             assert bc.in_W(n)
             assert bc.in_ker_boundary(n)
+
+
+class TestCpProduct:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_tower_route(self, n):
+        for omega in partitions(n):
+            spec = tower.build_family("CPprod", omega)
+            assert cp_product_class(omega) == tower.chern_numbers(spec), omega
+
+    def test_order_of_factors(self):
+        want = cp_product_class((4, 2, 2, 1))
+        for omega in set(itertools.permutations((4, 2, 2, 1))):
+            assert cp_product_class(omega) == want, omega
+        assert cp_product_class([1, 2, 2, 4]) == want
+
+    def test_cold_and_warm_calls_agree(self):
+        _cp_product.cache_clear()
+        cold = [cp_product_class(w) for w in numbers.phat(7)]
+        assert _cp_product.cache_info().hits > 0  # phat(7) shares prefixes
+        assert [cp_product_class(w) for w in numbers.phat(7)] == cold
+        _cp_product.cache_clear()
+        assert [cp_product_class(w) for w in reversed(numbers.phat(7))] == cold[::-1]
+
+    def test_memo_is_bounded(self):
+        assert _cp_product.cache_info().maxsize == 1024
 
 
 class TestCyCombo:

@@ -226,7 +226,7 @@ class TestClosedFormsAgainstDefinitions:
             assert verify_gcddif(k)[0] == want, k
 
     def test_alpha_gcd(self):
-        for n in range(3, 21):
+        for n in range(3, 33):  # through the benchmark's --nmax
             want = 0
             for omega in phat(n):
                 want = math.gcd(want, alpha(omega))
