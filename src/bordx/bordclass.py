@@ -14,7 +14,13 @@ Psi_(k1,k2) and pi a sparse matrix each, built by one routine,
 dual to a bundle nu inside a projective bundle P over M (P = M for d_k and
 Delta, CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi)
 off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition walker
-`_walk`, with one matrix row per leaf.  A call is then one sparse product.
+`_walk`, with one matrix row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n
+of that walk is one int, its exponents the digits of radix n + k + 1; no
+digit carries, since no exponent of a product of degree at most 2(n + k)
+exceeds n + k, so a monomial product is one addition.  A call is then one
+sparse product.  The operations refuse a source or target dimension above
+`OPERATION_MAX_DIM` before any matrix is built, and keep at most
+`MATRIX_CACHE_SIZE` matrices per operation.
 """
 
 from __future__ import annotations
@@ -156,35 +162,26 @@ def _exp_to_partition(exp) -> Partition:
     return tuple(i + 1 for i in reversed(range(len(exp))) for _ in range(exp[i]))
 
 
-def _walk(n: int, total: GradedPoly, evaluate, start=None, reduce=None) -> dict:
-    """{omega: evaluate(start * prod_{i in omega} total_{2i})} over the partitions
+def _walk(n: int, start, step, evaluate) -> dict:
+    """{omega: evaluate(start * prod_{i in omega} piece_i)} over the partitions
     omega of n whose product is nonzero.
 
-    total_{2i} is the graded part of degree 2i of `total`; `start` defaults to
-    1.  Partitions are walked depth-first in `_basis(n)` order, so
+    `step(value, part, rest)` returns value * piece_part, or None when that
+    product is zero; `rest` is what the partition still has to take after
+    `part`.  Partitions are walked depth-first in `_basis(n)` order, so
     partitions sharing a prefix share its product, a zero prefix leaves its
     whole subtree out, and only the products on the current path are held.
-    Each product is homogeneous of degree deg(start) + 2|prefix|, so no
-    degree cap is needed.  `reduce`, if given, is applied after every
-    multiplication (a relation the formal ring does not encode).
     """
-    if start is None:
-        start = GradedPoly.constant(total.degrees, 1)
-    parts = total.graded_parts()
-    zero = GradedPoly.zero(total.degrees)
-    pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
     leaves = {}
     prefix: list[int] = []
 
-    def walk(poly: GradedPoly, remaining: int, largest: int) -> None:
+    def walk(value, remaining: int, largest: int) -> None:
         if remaining == 0:
-            leaves[tuple(prefix)] = evaluate(poly)
+            leaves[tuple(prefix)] = evaluate(value)
             return
         for part in range(min(largest, remaining), 0, -1):
-            child = poly.mul(pieces[part])
-            if reduce is not None:
-                child = reduce(child)
-            if child.is_zero():
+            child = step(value, part, remaining - part)
+            if child is None:
                 continue
             prefix.append(part)
             walk(child, remaining - part, part)
@@ -198,9 +195,25 @@ def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
                            reduce=None) -> ChernVector:
     """The class of dimension n with c_omega = evaluate(start * prod_{i in omega} total_{2i}).
 
-    One walk of `_walk`; the partitions it leaves out read 0.
+    total_{2i} is the graded part of degree 2i of `total`; `start` defaults to
+    1.  One walk of `_walk`; each product is homogeneous of degree
+    deg(start) + 2|prefix|, so no degree cap is needed, and `reduce`, if
+    given, is applied after every multiplication (a relation the formal ring
+    does not encode).  The partitions the walk leaves out read 0.
     """
-    return ChernVector(n, _walk(n, total, evaluate, start, reduce))
+    if start is None:
+        start = GradedPoly.constant(total.degrees, 1)
+    parts = total.graded_parts()
+    zero = GradedPoly.zero(total.degrees)
+    pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
+
+    def step(poly: GradedPoly, part: int, rest: int):
+        child = poly.mul(pieces[part])
+        if reduce is not None:
+            child = reduce(child)
+        return None if child.is_zero() else child
+
+    return ChernVector(n, _walk(n, start, step, evaluate))
 
 
 # ---------------------------------------------------------------------------
@@ -413,59 +426,85 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` map the
     formal classes x and c_1 to total Chern classes; e(nu) is the top graded
     part of nu, its rank is half its degree, and
-    c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.  Every product is
-    reduced by x^(k+j) = (eps c_1)^j x^k, so the x^k layer pairs with a and
-    the lower powers of x pair to zero.  The walk emits, for each omega, the
-    row {index of tau in `_basis(n)`: coefficient of c_tau[M]}; the matrix
-    is (dimension of N, rows in `_basis` order), each row a pair (indices,
-    coefficients).
+    c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.
+
+    The walk runs over coded monomials: x^a c_1^e_1 ... c_n^e_n is the int
+    with digits a, e_1, ..., e_n in radix R = n + k + 1, x at digit 0 and
+    c_i at digit i, so multiplying two monomials is one addition.  No digit
+    carries: every walk product has degree at most 2(n + k) and every
+    generator degree at least 2, so no exponent exceeds n + k.  The degree-2i
+    pieces of c(TP - nu) are sum_j c_j s_(2(i-j)), built from c(M) = 1 + c_1
+    + ... + c_n and the series s = fibre * nu^-1 in x and c_1 alone.  Every
+    product is reduced by x^(k+j) = (eps c_1)^j x^k, which moves j from digit
+    0 to digit 1, so the x^k layer pairs with a and the lower powers of x
+    pair to zero; a term whose x exponent cannot reach k in the parts still
+    to come is dropped.  So a leaf holds the x^k layer alone, and one dict
+    takes its codes to the indices of `_basis(n)`, giving the row {index of
+    tau: coefficient of c_tau[M]}.  The matrix is (dimension of N, rows in
+    `_basis` order), each row a pair (indices, coefficients).
     """
-    degrees = (2,) + tuple(2 * i for i in range(1, n + 1))  # generator 0 is x
+    degrees = (2, 2)  # x and c_1
     zero = GradedPoly.zero(degrees)
     x = GradedPoly.generator(degrees, 0)
-    c1 = GradedPoly.generator(degrees, 1) if n else zero
-    chern = 1 + GradedPoly(degrees, {  # c(M) = 1 + c_1 + ... + c_n
-        (0,) * i + (1,) + (0,) * (n - i): 1 for i in range(1, n + 1)})
-    lift = eps if n else 0  # eps c_1 is 0 when M is a point
-    index = _basis(n)[1]
-    slots: dict = {}  # exponent tuple -> index of its partition, once per build
-
-    def reduce(poly: GradedPoly) -> GradedPoly:
-        out = {}
-        for exp, coeff in poly.terms.items():
-            j = exp[0] - k
-            if j > 0:
-                coeff *= lift ** j
-                if not coeff:
-                    continue
-                exp = (k, exp[1] + j) + exp[2:]
-            coeff += out.get(exp, 0)
-            if coeff:
-                out[exp] = coeff
-            else:
-                del out[exp]
-        return GradedPoly._trusted(degrees, out)
-
-    def row(poly: GradedPoly) -> tuple:
-        idx, coeffs = [], []
-        for exp, coeff in poly.terms.items():
-            if exp[0] == k:
-                slot = slots.get(exp)
-                if slot is None:
-                    slot = slots[exp] = index[_exp_to_partition(exp[1:])]
-                idx.append(slot)
-                coeffs.append(sign * coeff)
-        return tuple(idx), tuple(coeffs)
-
+    c1 = GradedPoly.generator(degrees, 1) if n else zero  # c_1 is 0 when M is a point
     nu = zero + nu(x, c1)  # `zero +` lifts a constant into the ring
     rank = nu.degree() // 2
     m = n + k - rank
     cap = 2 * m
-    total = chern.mul(zero + fibre(x, c1), cap).mul(inverse_one_plus(nu - 1, cap), cap)
-    if k:
-        total = reduce(total)
-    rows = _walk(m, total, row, start=nu.graded_part(2 * rank),
-                 reduce=reduce if k else None)
+    series = (zero + fibre(x, c1)).mul(inverse_one_plus(nu - 1, cap), cap)
+    radix = n + k + 1
+    digit = [0] + [radix ** i for i in range(1, n + 1)]  # the code of c_i, c_0 = 1
+    lift = eps if n else 0
+    shift = radix - 1  # x^j -> c_1^j: digit 0 down by j, digit 1 up by j
+
+    def coded(poly: GradedPoly) -> dict:
+        return {a + b * radix: coeff for (a, b), coeff in poly.terms.items()}
+
+    def reduce(terms: dict, rest: int) -> dict | None:
+        """The nonzero terms in normal form whose x exponent can still reach k."""
+        out = {}
+        for key, coeff in terms.items():
+            a = key % radix
+            if a > k:
+                coeff *= lift ** (a - k)
+                key += (a - k) * shift
+            elif a + rest < k:
+                continue
+            if coeff:
+                coeff += out.get(key, 0)
+                if coeff:
+                    out[key] = coeff
+                else:
+                    del out[key]
+        return out or None
+
+    parts = {d // 2: coded(p) for d, p in series.graded_parts().items()}
+    pieces = [None]
+    for i in range(1, m + 1):
+        piece: dict = {}
+        for j in range(min(i, n) + 1):
+            for key, coeff in parts.get(i - j, {}).items():
+                key += digit[j]
+                piece[key] = piece.get(key, 0) + coeff
+        pieces.append({key: c for key, c in piece.items() if c})
+
+    def step(terms: dict, part: int, rest: int) -> dict | None:
+        out: dict = {}
+        get = out.get
+        for kb, cb in pieces[part].items():
+            for ka, ca in terms.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        return reduce(out, rest)
+
+    index = {k + sum(map(digit.__getitem__, tau)): i
+             for i, tau in enumerate(_basis(n)[0])}
+
+    def row(terms: dict) -> tuple:
+        return tuple(map(index.__getitem__, terms)), tuple(sign * c for c in terms.values())
+
+    start = reduce(coded(nu.graded_part(2 * rank)), m)
+    rows = _walk(m, start, step, row) if start else {}
     return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])
 
 
@@ -477,17 +516,36 @@ def _apply(matrix: tuple, a: ChernVector) -> ChernVector:
         m, [sum(map(operator.mul, coeffs, map(at, idx))) for idx, coeffs in rows])
 
 
-@functools.cache
+# Each operation matrix is built once per key and kept in a cache of this
+# many keys per operation.  One `ops` benchmark pass uses at most 20 keys of
+# one operation (`_boundary_matrix`; 14 of `_psi_matrix`, 11 of
+# `_delta_matrix`, 9 of `_pi_matrix`), so a pass evicts nothing.
+MATRIX_CACHE_SIZE = 64
+
+# The operations refuse a source or target of complex dimension above this,
+# before any matrix is built.  22 is what `gens --dim 44 --source
+# quasitoric` needs for its Delta and d checks; the slowest build at the
+# limit, a Psi_(k1,k2) matrix into dimension 22, takes under a second.
+OPERATION_MAX_DIM = 22
+
+
+def _check_operation_dims(source: int, target: int) -> None:
+    if max(source, target) > OPERATION_MAX_DIM:
+        raise ValueError(f"the operations handle complex dimension at most "
+                         f"{OPERATION_MAX_DIM}, got {source} -> {target}")
+
+
+@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _boundary_matrix(n: int, k: int) -> tuple:
     return _projective_dual(n, nu=lambda x, c1: (1 + c1).pow(k))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _delta_matrix(n: int) -> tuple:
     return _projective_dual(n, nu=lambda x, c1: 1 - c1 * c1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _psi_matrix(n: int, k1: int, k2: int) -> tuple:
     return _projective_dual(
         n, k1 + k2,
@@ -495,7 +553,7 @@ def _psi_matrix(n: int, k1: int, k2: int) -> tuple:
         eps=1, sign=-1 if k2 % 2 else 1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _pi_matrix(n: int) -> tuple:
     return _projective_dual(n, 1, fibre=lambda x, c1: (1 + x).pow(2),
                             nu=lambda x, c1: 1 + x + c1)
@@ -507,6 +565,7 @@ def boundary_k(a: ChernVector, k: int) -> ChernVector:
         raise ValueError("k must be positive")
     if a.dim < k:
         raise ValueError(f"need dim >= {k}, got {a.dim}")
+    _check_operation_dims(a.dim, a.dim - k)
     return _apply(_boundary_matrix(a.dim, k), a)
 
 
@@ -519,6 +578,7 @@ def delta(a: ChernVector) -> ChernVector:
     """Delta: the class dual to -c_1^2, nu = 1 - c_1^2."""
     if a.dim < 2:
         raise ValueError(f"Delta needs dim >= 2, got {a.dim}")
+    _check_operation_dims(a.dim, a.dim - 2)
     return _apply(_delta_matrix(a.dim), a)
 
 
@@ -532,6 +592,7 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     """
     if k1 < 0 or k2 < 0 or k1 + k2 < 1:
         raise ValueError("need k1, k2 >= 0 with k1 + k2 >= 1")
+    _check_operation_dims(a.dim, a.dim + k1 + k2)
     return _apply(_psi_matrix(a.dim, k1, k2), a)
 
 
@@ -548,6 +609,7 @@ def psi(a: ChernVector) -> ChernVector:
 def stong_pi(a: ChernVector) -> ChernVector:
     """Stong's projection onto W: the submanifold of CP^1 x M dual to
     (hyperplane bundle) tensor det TM, nu = 1 + x + c_1 with x^2 = 0."""
+    _check_operation_dims(a.dim, a.dim)
     return _apply(_pi_matrix(a.dim), a)
 
 

@@ -558,6 +558,79 @@ class TestMatrixCache:
         assert all(cached.cache_info().currsize == 0 for cached in MATRIX_CACHES)
 
 
+class TestMatrixCacheBound:
+    def test_size_is_pinned(self):
+        assert bc.MATRIX_CACHE_SIZE == 64
+        for cached in MATRIX_CACHES:
+            assert cached.cache_info().maxsize == bc.MATRIX_CACHE_SIZE
+
+    def test_ops_sized_key_set_evicts_nothing(self):
+        """Every key of a pass of the `ops` operations, for every (k1, k2) and
+        k it may draw, is built once and stays cached."""
+        clear_matrix_caches()
+        partner = stong_pi(cp(2) - cp(1) * cp(1))
+
+        def ops_pass():
+            for n in range(4, 12):
+                a = cp(n) * 2 - cp(n - 2) * cp(2)
+                p = psi(a)
+                delta(p), boundary(p), boundary(boundary(a))
+                for k1, k2 in [(2, 0), (1, 1), (0, 2)]:
+                    psi_k1k2(a, k1, k2)
+                for k in (2, 3):
+                    boundary_k(a, k)
+                pi_a = stong_pi(a)
+                in_W(rho(a)), in_W(twisted_mul(pi_a, partner))
+
+        ops_pass()
+        built = [cached.cache_info() for cached in MATRIX_CACHES]
+        for info in built:
+            assert info.misses == info.currsize <= bc.MATRIX_CACHE_SIZE
+        ops_pass()
+        assert [cached.cache_info().misses for cached in MATRIX_CACHES] == [
+            info.misses for info in built]
+
+
+class TestOperationLimit:
+    """Above `OPERATION_MAX_DIM` the operations refuse before any matrix is built."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        clear_matrix_caches()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(bc, "_walk", fail)
+
+    @pytest.mark.parametrize("call", [
+        lambda: psi_k1k2(cp(1), 25, 25),
+        lambda: psi_k1k2(ChernVector(bc.OPERATION_MAX_DIM), 1, 0),
+        lambda: psi(ChernVector(bc.OPERATION_MAX_DIM - 1)),
+        lambda: boundary(ChernVector(bc.OPERATION_MAX_DIM + 1)),
+        lambda: boundary_k(ChernVector(bc.OPERATION_MAX_DIM + 1), bc.OPERATION_MAX_DIM),
+        lambda: delta(ChernVector(bc.OPERATION_MAX_DIM + 1)),
+        lambda: stong_pi(ChernVector(bc.OPERATION_MAX_DIM + 1)),
+        lambda: in_W(ChernVector(bc.OPERATION_MAX_DIM + 1)),
+        lambda: rho(ChernVector(bc.OPERATION_MAX_DIM + 1)),
+    ])
+    def test_refused_before_any_walk(self, no_walk, call):
+        with pytest.raises(ValueError, match=str(bc.OPERATION_MAX_DIM)):
+            call()
+        assert all(cached.cache_info().currsize == 0 for cached in MATRIX_CACHES)
+
+    def test_limit_covers_the_quasitoric_gens_checks(self):
+        from bordx.cli import GENS_MAX_DIM
+        assert bc.OPERATION_MAX_DIM >= GENS_MAX_DIM["quasitoric"] // 2
+
+    def test_operations_run_at_the_limit(self):
+        a = ChernVector(bc.OPERATION_MAX_DIM, {(bc.OPERATION_MAX_DIM,): 1})
+        assert delta(a).dim == bc.OPERATION_MAX_DIM - 2
+        assert boundary(a).dim == bc.OPERATION_MAX_DIM - 1
+        assert psi(ChernVector(bc.OPERATION_MAX_DIM - 2, {(bc.OPERATION_MAX_DIM - 2,): 1})
+                   ).dim == bc.OPERATION_MAX_DIM
+
+
 class TestJson:
     def test_round_trip(self):
         a = bc.k_class()
