@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 from collections import Counter
@@ -39,9 +38,15 @@ from .exactalg import (
     Partition,
     canonical_partition,
     inverse_one_plus,
+    json_field,
+    json_object,
     partitions,
     strict_int,
 )
+
+# Largest complex dimension of a Chern vector read from JSON or computed by
+# `bordx chern`: its Chern numbers are indexed by the p(n) partitions of n.
+CHERN_MAX_DIM = 24
 
 
 @functools.cache
@@ -191,18 +196,16 @@ def _walk(n: int, start, step, evaluate) -> dict:
     return leaves
 
 
-def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
+def characteristic_numbers(n: int, total: GradedPoly, evaluate,
                            reduce=None) -> ChernVector:
-    """The class of dimension n with c_omega = evaluate(start * prod_{i in omega} total_{2i}).
+    """The class of dimension n with c_omega = evaluate(prod_{i in omega} total_{2i}).
 
-    total_{2i} is the graded part of degree 2i of `total`; `start` defaults to
-    1.  One walk of `_walk`; each product is homogeneous of degree
-    deg(start) + 2|prefix|, so no degree cap is needed, and `reduce`, if
-    given, is applied after every multiplication (a relation the formal ring
-    does not encode).  The partitions the walk leaves out read 0.
+    total_{2i} is the graded part of degree 2i of `total`.  One walk of
+    `_walk`; each product is homogeneous of degree 2|prefix|, so no degree
+    cap is needed, and `reduce`, if given, is applied after every
+    multiplication (a relation the formal ring does not encode).  The
+    partitions the walk leaves out read 0.
     """
-    if start is None:
-        start = GradedPoly.constant(total.degrees, 1)
     parts = total.graded_parts()
     zero = GradedPoly.zero(total.degrees)
     pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
@@ -213,7 +216,7 @@ def characteristic_numbers(n: int, total: GradedPoly, evaluate, start=None,
             child = reduce(child)
         return None if child.is_zero() else child
 
-    return ChernVector(n, _walk(n, start, step, evaluate))
+    return ChernVector(n, _walk(n, GradedPoly.constant(total.degrees, 1), step, evaluate))
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +687,8 @@ def chern_vector_to_json(a: ChernVector) -> dict:
 
 def parse_partition(key: str) -> Partition:
     """The partition written as "" or comma-separated decimal parts, e.g. "3,1,1"."""
+    if not isinstance(key, str):
+        raise ValueError(f"a partition is written as a string, got {type(key).__name__}")
     parts = key.split(",") if key else []
     if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"a partition is written as comma-separated decimal parts, "
@@ -692,10 +697,12 @@ def parse_partition(key: str) -> Partition:
 
 
 def chern_vector_from_json(data) -> ChernVector:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not (isinstance(data, dict) and "dim" in data
-            and isinstance(data.get("numbers"), dict)):
-        raise ValueError('a Chern vector is an object with "dim" and an object "numbers"')
-    return ChernVector(data["dim"], {parse_partition(key): v
-                                     for key, v in data["numbers"].items()})
+    """The class a JSON object {"dim": n, "numbers": {key: c_omega}} gives;
+    a dimension above CHERN_MAX_DIM is refused before any basis is built."""
+    data = json_object(data, "a Chern vector")
+    dim = json_field(data, "dim", int, "a Chern vector")
+    if dim > CHERN_MAX_DIM:
+        raise ValueError(f"a Chern vector has complex dimension at most {CHERN_MAX_DIM}, "
+                         f"got {dim}")
+    numbers = json_field(data, "numbers", dict, "a Chern vector")
+    return ChernVector(dim, {parse_partition(key): v for key, v in numbers.items()})

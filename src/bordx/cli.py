@@ -208,9 +208,8 @@ _LEMMA_SUITES = {
 RANKS_MAX_DIM = 4000
 # largest `gens --dim` (real dimension) per source
 GENS_MAX_DIM = {"cy": 30, "quasitoric": 44}
-# largest complex dimension of a `chern` manifold: its Chern numbers are
-# indexed by the p(n) partitions of n
-CHERN_MAX_DIM = 24
+# largest complex dimension of a `chern` manifold (bordclass owns it)
+CHERN_MAX_DIM = bordclass.CHERN_MAX_DIM
 # largest cohomology rank of a `chern` tower, which the dimension does not bound
 CHERN_MAX_RANK = 1024
 
@@ -274,31 +273,23 @@ def _check_chern_dim(dim: int) -> None:
 def cmd_chern(args) -> int:
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            spec = tower.tower_from_json(data)
-        except (KeyError, TypeError) as exc:
-            print(f"error: cannot read tower spec: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            spec = tower.tower_from_json(fh.read())
         if args.convention:
             spec = spec.with_convention(args.convention)
         _check_chern_dim(spec.dim)
     else:
         if not args.family:
-            print("error: need --family or --spec", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("need --family or --spec")
         if args.family == "CPprod":
             if not args.omega:
-                print("error: CPprod needs --omega", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("CPprod needs --omega")
             omega = bordclass.parse_partition(args.omega)
             _check_chern_dim(sum(omega))
             spec = tower.build_family("CPprod", omega,
                                       convention=args.convention or "toric")
         else:
             if args.n1 is None or args.n2 is None:
-                print("error: family needs --n1 and --n2", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("family needs --n1 and --n2")
             # checked before the spec is built: L and Ltilde have dimension
             # n1 + n2, Ntilde one more
             _check_chern_dim(args.n1 + args.n2 + (args.family == "Ntilde"))
@@ -332,29 +323,17 @@ def cmd_verify(args) -> int:
 def cmd_gens(args) -> int:
     dim = args.dim
     if dim % 2:
-        print("error: --dim must be even", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--dim must be even")
     if dim > GENS_MAX_DIM[args.source]:
-        print(f"error: --dim must be at most {GENS_MAX_DIM[args.source]} for "
-              f"--source {args.source}, got {dim}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--dim must be at most {GENS_MAX_DIM[args.source]} for "
+                         f"--source {args.source}, got {dim}")
     if args.source == "cy":
         if dim < 6:
-            print(
-                "error: the Calabi-Yau certification route is exposed for "
-                "dimension >= 6",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ValueError("the Calabi-Yau certification route is exposed for "
+                             "dimension >= 6")
         cert = genfactory.cy_generator_combo(dim // 2 + 1)
     else:
-        if dim < 10:
-            print(
-                "error: every quasitoric SU-manifold of dimension < 10 is "
-                "null-bordant, so no quasitoric generator exists there",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+        # genfactory refuses every dim < 10: those manifolds are null-bordant
         i = dim // 2
         cert = (genfactory.quasitoric_generator_odd(i // 2) if i % 2
                 else genfactory.quasitoric_generator_even(i // 2))
@@ -373,9 +352,8 @@ def cmd_gens(args) -> int:
 
 def cmd_ranks(args) -> int:
     if not 0 <= args.max_dim <= RANKS_MAX_DIM:
-        print(f"error: --max-dim must be between 0 and {RANKS_MAX_DIM}, "
-              f"got {args.max_dim}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--max-dim must be between 0 and {RANKS_MAX_DIM}, "
+                         f"got {args.max_dim}")
     table = numbers.rank_table(args.max_dim)
     rows = table.to_json()
     _render_rows(rows, ["dimension", "rank_omega_u", "rank_w", "rank_omega_su",

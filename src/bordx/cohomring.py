@@ -25,11 +25,11 @@ before it is enumerated.
 from __future__ import annotations
 
 import ast
-import json
 import math
 import operator
 
-from .exactalg import GradedPoly, IntMatrix, echelon_form, strict_int
+from .exactalg import (GradedPoly, IntMatrix, echelon_form, json_field, json_object,
+                       strict_int)
 
 _REWRITE_STEP_LIMIT = 2_000_000
 
@@ -549,18 +549,18 @@ def ring_to_json(ring: PresentedRing) -> dict:
 
 
 def ring_from_json(data) -> PresentedRing:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError(f"a ring is a JSON object, got {type(data).__name__}")
-    names = [g["name"] for g in data["generators"]]
-    degrees = [g["degree"] for g in data["generators"]]
-    relations = [parse_poly(src, names, degrees) for src in data["relations"]]
+    """The ring a JSON object gives; every malformed input raises ValueError."""
+    data = json_object(data, "a ring")
+    generators = json_field(data, "generators", list, "a ring", each=dict)
+    names = [json_field(g, "name", str, "a generator") for g in generators]
+    degrees = [json_field(g, "degree", int, "a generator") for g in generators]
+    relations = [parse_poly(src, names, degrees)
+                 for src in json_field(data, "relations", list, "a ring", each=str)]
     return PresentedRing(
         names,
         degrees,
         relations,
-        data["top_degree"],
-        data["fundamental_monomial"],
-        backend=data.get("backend", "triangular"),
+        json_field(data, "top_degree", int, "a ring"),
+        json_field(data, "fundamental_monomial", list, "a ring"),
+        backend=json_field(data, "backend", str, "a ring", "triangular"),
     )

@@ -7,6 +7,7 @@ module is safe to use from multiple threads.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -22,6 +23,41 @@ def strict_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _json_kind(value, kind: type, what: str):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def json_object(data, what: str) -> dict:
+    """data as a JSON object: a string is parsed first, and anything but an
+    object is refused.  Every malformed input, including a document nested
+    too deeply to parse, raises ValueError."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError(f"{what} is nested too deeply") from None
+    return _json_kind(data, dict, what)
+
+
+def json_field(obj: dict, key: str, kind: type, what: str, default=None, each=None):
+    """obj[key] if it is a `kind` (dict, list, str or int), and for an array
+    every item an `each` if given; a missing key gives `default`, and is
+    refused when that is None."""
+    if key not in obj:
+        if default is None:
+            raise ValueError(f'{what} needs the field "{key}"')
+        return default
+    value = _json_kind(obj[key], kind, f'"{key}" of {what}')
+    for item in value if each else ():
+        _json_kind(item, each, f'an item of "{key}" of {what}')
+    return value
 
 
 # ---------------------------------------------------------------------------

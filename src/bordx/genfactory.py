@@ -143,9 +143,8 @@ def _tower_certificate(name: str, instances, target) -> GeneratorCertificate:
 def quasitoric_generator_odd(k: int) -> GeneratorCertificate:
     """Combination of the odd-dimensional towers with |s| = m_{2k+1} m_{2k}."""
     if k <= 1:
-        raise ValueError(
-            "quasitoric SU-manifolds of dimension < 10 are null-bordant; need k > 1"
-        )
+        raise ValueError("quasitoric SU-manifolds of dimension < 10 are null-bordant, "
+                         f"got dimension {4 * k + 2}")
     i = 2 * k + 1
     return _tower_certificate("Ltilde", [(n1, i - n1) for n1 in range(2, i, 2)],
                               numbers.m(i) * numbers.m(i - 1))
@@ -154,9 +153,8 @@ def quasitoric_generator_odd(k: int) -> GeneratorCertificate:
 def quasitoric_generator_even(k: int) -> GeneratorCertificate:
     """Combination of the even-dimensional towers with |s| = 2 m_{2k} m_{2k-1}."""
     if k <= 2:
-        raise ValueError(
-            "quasitoric SU-manifolds of dimension < 10 are null-bordant; need k > 2"
-        )
+        raise ValueError("quasitoric SU-manifolds of dimension < 10 are null-bordant, "
+                         f"got dimension {4 * k}")
     i = 2 * k
     return _tower_certificate("Ntilde", [(n1, i - 1 - n1) for n1 in range(2, i - 1, 2)],
                               2 * numbers.m(i) * numbers.m(i - 1))

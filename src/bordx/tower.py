@@ -15,7 +15,7 @@ that exported Chern vectors obey the bordism-operation identities.
 from __future__ import annotations
 
 import functools
-import json
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,8 +26,11 @@ from .exactalg import (
     GradedPoly,
     IntMatrix,
     canonical_partition,
+    echelon_form,
     hermite_normal_form,
     in_row_span,
+    json_field,
+    json_object,
     strict_int,
 )
 
@@ -327,38 +330,19 @@ class CharMatrix:
         return out
 
     def validate_vertices(self) -> None:
-        """det = +-1 for the n columns at every vertex of the polytope."""
-        import itertools
+        """det = +-1 for the n columns at every vertex of the polytope.
 
+        The echelon form keeps |det| and is upper triangular with positive
+        pivots, so |det| = 1 exactly when it has n pivots, all of them 1.
+        """
         blocks = self.facet_blocks()
-        cols = [[self.matrix.entries[i][j] for i in range(self.matrix.rows)]
-                for j in range(self.matrix.cols)]
-        for dropped in itertools.product(*[list(b) for b in blocks]):
+        n = self.matrix.rows
+        for dropped in itertools.product(*blocks):
             chosen = [j for b in blocks for j in b if j not in dropped]
-            sub = [[cols[j][i] for j in chosen] for i in range(self.matrix.rows)]
-            if abs(_det(sub)) != 1:
+            h = echelon_form(IntMatrix.from_rows(
+                [[row[j] for j in chosen] for row in self.matrix.entries], n))
+            if len(h) != n or any(h[k][k] != 1 for k in range(n)):
                 raise ValueError(f"vertex columns {chosen} have determinant != +-1")
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
 
 
 def char_matrix(name: str, *params) -> CharMatrix:
@@ -478,20 +462,18 @@ def tower_to_json(spec: TowerSpec) -> dict:
 
 
 def tower_from_json(data) -> TowerSpec:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError(f"a tower spec is a JSON object, got {type(data).__name__}")
-    stages = tuple(Stage(tuple(tuple(w) for w in s["lines"])) for s in data.get("stages", []))
+    """The TowerSpec a JSON object gives; every malformed input raises ValueError."""
+    data = json_object(data, "a tower spec")
+    stages = json_field(data, "stages", list, "a tower spec", [], each=dict)
     # a list, not a set, so TowerSpec sees every index before true merges with 1
-    conj = list(data.get("conjugate", []))
-    for s in data.get("stages", []):
-        conj.extend(s.get("conjugate", []))
+    conj = json_field(data, "conjugate", list, "a tower spec", []) + [
+        i for s in stages for i in json_field(s, "conjugate", list, "a stage", [])]
     return TowerSpec(
-        tuple(data["base"]),
-        stages,
+        tuple(json_field(data, "base", list, "a tower spec")),
+        tuple(Stage(tuple(map(tuple, json_field(s, "lines", list, "a stage", each=list))))
+              for s in stages),
         conj,
-        data.get("convention", "toric"),
+        json_field(data, "convention", str, "a tower spec", "toric"),
     )
 
 
@@ -503,15 +485,11 @@ def char_matrix_to_json(M: CharMatrix) -> dict:
 
 
 def char_matrix_from_json(data) -> CharMatrix:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not (isinstance(data, dict) and isinstance(data.get("simplex_dims"), list)
-            and isinstance(data.get("lambda"), list)
-            and all(isinstance(row, list) for row in data["lambda"])):
-        raise ValueError('a characteristic matrix needs lists "simplex_dims" and "lambda"')
+    data = json_object(data, "a characteristic matrix")
     return CharMatrix(
-        IntMatrix.from_rows(data["lambda"]),
-        tuple(data["simplex_dims"]),
+        IntMatrix.from_rows(
+            json_field(data, "lambda", list, "a characteristic matrix", each=list)),
+        tuple(json_field(data, "simplex_dims", list, "a characteristic matrix")),
     )
 
 

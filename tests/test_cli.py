@@ -55,6 +55,31 @@ class TestChern:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("data", [
+        {"base": 2}, {"stages": []}, {"base": [2], "stages": [{}]},
+        {"base": [2], "stages": [{"lines": [0, 1]}]}, {"base": [2.0]}, [2],
+    ])
+    def test_malformed_spec_exits_2(self, data, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["chern"], "need --family or --spec"),
+        (["chern", "--family", "CPprod"], "CPprod needs --omega"),
+        (["chern", "--family", "L", "--n1", "2"], "family needs --n1 and --n2"),
+        (["gens", "--dim", "7", "--source", "cy"], "--dim must be even"),
+        (["gens", "--dim", "4", "--source", "cy"],
+         "the Calabi-Yau certification route is exposed for dimension >= 6"),
+        (["ranks", "--max-dim", "-1"], "--max-dim must be between 0 and 4000, got -1"),
+    ])
+    def test_usage_error_is_one_line(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_invalid_family_params(self, capsys):
         code, _, err = run_cli(
             ["chern", "--family", "Ltilde", "--n1", "3", "--n2", "1"], capsys
@@ -457,16 +482,30 @@ class TestRanksAndCy:
         assert code == 2
 
 
+def run_child(args):
+    """`python -m bordx.cli args` in a fresh interpreter."""
+    # the child imports the same bordx as this process, installed or not
+    src = str(Path(bordx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bordx.cli"] + args,
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
 class TestEntryPoint:
     def test_subprocess_smoke(self):
-        # the child imports the same bordx as this process, installed or not
-        src = str(Path(bordx.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bordx.cli", "chern", "--family", "L",
-             "--n1", "1", "--n2", "1"],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        proc = run_child(["chern", "--family", "L", "--n1", "1", "--n2", "1"])
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines()[-1].startswith("s\t")
+
+    @pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000,
+                                      '{"base": ' + "[" * 3000 + "]" * 3000 + "}"],
+                             ids=["array", "in_object"])
+    def test_deep_spec_exits_2(self, text, tmp_path):
+        # one error line from main, not a RecursionError traceback with exit 1
+        spec = tmp_path / "deep.json"
+        spec.write_text(text)
+        proc = run_child(["chern", "--spec", str(spec)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 """Tests for the manifold families: presentations, Chern data, s-numbers,
 characteristic matrices and the SU criterion."""
 
+import itertools
 import json
 import math
 import operator
@@ -207,6 +208,33 @@ class TestCharMatrix:
             ("Ntilde", (4, 3)),
         ]:
             tower.char_matrix(name, *params).validate_vertices()
+
+    @pytest.mark.parametrize("b", [-2, 0, 2])
+    def test_vertex_without_unit_determinant_refused(self, b):
+        # over the 2-simplex the vertex dropping column 1 has determinant b
+        M = tower.CharMatrix(IntMatrix.from_rows([[1, 0, -1], [0, 1, b]]), (2,))
+        with pytest.raises(ValueError, match="determinant"):
+            M.validate_vertices()
+
+    @given(st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+           st.sampled_from([(2,), (1, 1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_check_matches_determinants(self, entries, polytope):
+        # a 2x4 matrix over the square or a 2x3 matrix over the triangle
+        cols = 2 + len(polytope)
+        rows = [entries[:cols], entries[cols:2 * cols]]
+        M = tower.CharMatrix(IntMatrix.from_rows(rows), polytope)
+        blocks = M.facet_blocks()
+        unit = True
+        for dropped in itertools.product(*blocks):
+            (a, b), (c, d) = [[row[j] for j in range(cols) if j not in dropped]
+                              for row in rows]
+            unit = unit and abs(a * d - b * c) == 1
+        if unit:
+            M.validate_vertices()
+        else:
+            with pytest.raises(ValueError):
+                M.validate_vertices()
 
     def test_column_sums_of_su_families(self):
         for name, n1, n2 in [("Ltilde", 2, 3), ("Ltilde", 6, 5), ("Ntilde", 2, 1),
