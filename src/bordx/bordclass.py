@@ -8,8 +8,8 @@ exact transforms of Chern-number vectors.
 
 Vectors and operations are coordinates and integer tables over one cached
 basis, `_basis(n)`: the product the Whitney split table, the s-number the
-Girard-Waring row, s_omega the e -> m transition, and d_k, Delta,
-Psi_(k1,k2) and pi a sparse matrix each, built by one routine,
+Girard-Waring row, s_omega the e -> m transition and Todd a row over it,
+and d_k, Delta, Psi_(k1,k2) and pi a sparse matrix each, built by one routine,
 `_projective_dual`.  It reads the characteristic numbers of the submanifold
 dual to a bundle nu inside a projective bundle P over M (P = M for d_k and
 Delta, CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi)
@@ -26,10 +26,10 @@ sparse product.  The operations refuse a source or target dimension above
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -67,16 +67,23 @@ def _coordinate(n: int, omega) -> int:
 class ChernVector:
     """A bordism class of dimension 2n as the map {partitions of n} -> Z.
 
-    `values` holds the Chern numbers in `_basis(dim)` order; `numbers` is
-    the same map as a read-only dict keyed in that order.
+    It is built from a mapping {omega: c_omega} or from (omega, c_omega)
+    pairs; two keys naming one partition, such as (1, 2) and (2, 1), are
+    refused.  `values` holds the Chern numbers in `_basis(dim)` order;
+    `numbers` is the same map as a read-only dict keyed in that order.
     """
 
     __slots__ = ("dim", "values")
 
     def __init__(self, dim: int, numbers=None):
         values = [0] * len(_basis(strict_int(dim, "a dimension"))[0])  # refuses dim < 0
-        for omega, value in (numbers or {}).items():
-            values[_coordinate(dim, omega)] = strict_int(value, "a Chern number")
+        given = set()
+        for omega, value in numbers.items() if isinstance(numbers, Mapping) else numbers or ():
+            i = _coordinate(dim, omega)
+            if i in given:
+                raise ValueError(f"the Chern number of {_basis(dim)[0][i]} is given twice")
+            given.add(i)
+            values[i] = strict_int(value, "a Chern number")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "values", tuple(values))
 
@@ -338,51 +345,37 @@ def s_num(a: ChernVector) -> int:
     return sum(map(operator.mul, _girard_waring_row(a.dim), a.values))
 
 
-def _conjugate(lam: Partition) -> Partition:
-    """The conjugate partition: its i-th part counts the parts of lam above i."""
-    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
-
-
 @functools.cache
 def _monomial_table(n: int) -> tuple[tuple[int, ...], ...]:
     """m_omega in the Chern basis (e_lambda pairs to c_lambda), one row per omega.
 
-    e_lambda = sum_mu M_(lambda, mu) m_mu, M_(lambda, mu) the number of 0-1
-    matrices with row sums lambda and column sums mu (Macdonald, *Symmetric
-    Functions*, I.6): zero unless lambda' dominates mu, and 1 at mu =
-    lambda'.  So N_(lambda, nu) = M_(lambda, nu') is lower unitriangular in
-    `_basis` order, and one forward substitution solves e = N f for
-    f_lambda = m_lambda'.
+    From the power sums: with k the last part of omega and mu the rest,
+    p_k m_mu = a m_omega + sum_nu a_nu m_nu, a the multiplicity of k in omega,
+    nu each mu with k added to one distinct part v and a_nu the multiplicity
+    of v + k in nu.  Each nu dominates omega, so its row comes first in
+    `_basis` order; p_k is the Girard-Waring row, and e_lambda e_kappa =
+    e_(lambda u kappa) joins it to row mu of `_monomial_table(n - k)`.
     """
+    if n == 0:
+        return ((1,),)
     basis, index = _basis(n)
-
-    @functools.cache
-    def count(rows: Partition, cols: Partition) -> int:
-        """M_(rows, cols): the first row puts a 1 in j of the k columns of each
-        sum v, in C(k, j) ways."""
-        if not rows:
-            return 1
-        groups = Counter(cols)
-        total = 0
-        for picks in itertools.product(*(range(k + 1) for k in groups.values())):
-            if sum(picks) == rows[0]:
-                rest = []
-                for (v, k), j in zip(groups.items(), picks):
-                    rest += [v - 1] * j + [v] * (k - j)
-                total += math.prod(map(math.comb, groups.values(), picks)) * count(
-                    rows[1:], tuple(sorted(filter(None, rest), reverse=True)))
-        return total
-
-    f = []
-    for i, lam in enumerate(basis):
+    rows = []
+    for omega in basis:
+        k, mu = omega[-1], omega[:-1]
+        lower, lower_index = _basis(n - k)
+        m_mu = _monomial_table(n - k)[lower_index[mu]]
         row = [0] * len(basis)
-        row[i] = 1
-        for j in range(i):
-            c = count(lam, _conjugate(basis[j]))
-            if c:
-                row = [x - c * y for x, y in zip(row, f[j])]
-        f.append(row)
-    return tuple(tuple(f[index[_conjugate(omega)]]) for omega in basis)
+        for lam, g in zip(_basis(k)[0], _girard_waring_row(k)):
+            for kappa, m in zip(lower, m_mu):
+                if m:
+                    row[index[tuple(sorted(lam + kappa, reverse=True))]] += g * m
+        for v in set(mu):
+            nu = list(mu)
+            nu.remove(v)
+            nu = canonical_partition(nu + [v + k])
+            row = [x - nu.count(v + k) * y for x, y in zip(row, rows[index[nu]])]
+        rows.append(tuple(x // omega.count(k) for x in row))
+    return tuple(rows)
 
 
 def s_omega(a: ChernVector, omega) -> int:
@@ -391,29 +384,22 @@ def s_omega(a: ChernVector, omega) -> int:
     return sum(map(operator.mul, row, a.values))
 
 
-_TODD = {
-    0: {(): Fraction(1)},
-    1: {(1,): Fraction(1, 2)},
-    2: {(1, 1): Fraction(1, 12), (2,): Fraction(1, 12)},
-    3: {(2, 1): Fraction(1, 24)},
-    4: {
-        (1, 1, 1, 1): Fraction(-1, 720),
-        (2, 1, 1): Fraction(4, 720),
-        (2, 2): Fraction(3, 720),
-        (3, 1): Fraction(1, 720),
-        (4,): Fraction(-1, 720),
-    },
-}
+@functools.cache
+def _todd_row(n: int) -> tuple[Fraction, ...]:
+    """Todd in the Chern basis: sum_lambda prod_i q_(lambda_i) m_lambda, where
+    sum_k q_k x^k = x / (1 - e^-x) inverts sum_k (-x)^k / (k + 1)!."""
+    q = [Fraction(1)]
+    for k in range(1, n + 1):
+        q.append(-sum(q[k - j] * Fraction((-1) ** j, math.factorial(j + 1))
+                      for j in range(1, k + 1)))
+    terms = [(math.prod(q[i] for i in lam), row)
+             for lam, row in zip(_basis(n)[0], _monomial_table(n))]
+    return tuple(sum(w * row[i] for w, row in terms if w) for i in range(len(terms)))
 
 
 def todd(a: ChernVector) -> Fraction:
-    """Todd genus through complex dimension 4."""
-    if a.dim > 4:
-        raise ValueError(f"Todd genus implemented through dimension 4, got {a.dim}")
-    total = Fraction(0)
-    for omega, coeff in _TODD[a.dim].items():
-        total += coeff * a.number(omega)
-    return total
+    """Todd genus: the Todd row applied to the Chern numbers."""
+    return sum(map(operator.mul, _todd_row(a.dim), a.values), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -705,4 +691,4 @@ def chern_vector_from_json(data) -> ChernVector:
         raise ValueError(f"a Chern vector has complex dimension at most {CHERN_MAX_DIM}, "
                          f"got {dim}")
     numbers = json_field(data, "numbers", dict, "a Chern vector")
-    return ChernVector(dim, {parse_partition(key): v for key, v in numbers.items()})
+    return ChernVector(dim, ((parse_partition(key), v) for key, v in numbers.items()))

@@ -25,6 +25,7 @@ before it is enumerated.
 from __future__ import annotations
 
 import ast
+import keyword
 import math
 import operator
 
@@ -68,6 +69,10 @@ class PresentedRing:
         backend: str = "triangular",
     ):
         self.names = tuple(names)
+        if not all(isinstance(x, str) and x.isidentifier() and not keyword.iskeyword(x)
+                   for x in self.names) or len(set(self.names)) < len(self.names):
+            raise PresentationError(  # the names `parse_poly` can resolve
+                f"generator names must be distinct identifiers, not keywords: {self.names}")
         self.degrees = GradedPoly.zero(degrees).degrees  # strict, positive, even
         if len(self.names) != len(self.degrees):
             raise PresentationError("names and degrees must have equal length")

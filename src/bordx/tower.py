@@ -65,8 +65,10 @@ class TowerSpec:
         object.__setattr__(self, "base", tuple(
             strict_int(x, "a base factor") for x in self.base))
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "conjugations", frozenset(
-            strict_int(i, "a conjugation index") for i in self.conjugations))
+        conjugations = [strict_int(i, "a conjugation index") for i in self.conjugations]
+        object.__setattr__(self, "conjugations", frozenset(conjugations))
+        if len(self.conjugations) < len(conjugations):
+            raise ValueError(f"a conjugation index is given twice in {conjugations}")
         if any(x < 1 for x in self.base):
             raise ValueError("base factors must be positive")
         if self.convention not in ("toric", "bordism"):
@@ -465,7 +467,8 @@ def tower_from_json(data) -> TowerSpec:
     """The TowerSpec a JSON object gives; every malformed input raises ValueError."""
     data = json_object(data, "a tower spec")
     stages = json_field(data, "stages", list, "a tower spec", [], each=dict)
-    # a list, not a set, so TowerSpec sees every index before true merges with 1
+    # a list, not a set, so TowerSpec sees every index: true is refused rather
+    # than merged with 1, and an index given twice rather than collapsed
     conj = json_field(data, "conjugate", list, "a tower spec", []) + [
         i for s in stages for i in json_field(s, "conjugate", list, "a stage", [])]
     return TowerSpec(

@@ -35,6 +35,7 @@ from bordx.cli import sample_classes, w_sample_classes
 from bordx.exactalg import IntMatrix, multinomial, partitions
 from bordx.numbers import rank_table
 from lattice_reference import lattice_rank_kernel
+import monomial_table_reference
 
 
 class TestCp:
@@ -175,12 +176,40 @@ class TestTodd:
         # td(V^4) = (c1^2 + c2)/12 = 0
         assert todd(bc.v4()) == 0
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            todd(cp(5))
+    def test_projective_spaces_in_every_dimension(self):
+        for n in range(13):
+            assert todd(cp(n)) == 1
+
+    def test_row_matches_the_closed_forms(self):
+        # the hand-typed table the row replaced: td_n in the Chern numbers, n <= 4
+        closed = {
+            0: {(): Fraction(1)},
+            1: {(1,): Fraction(1, 2)},
+            2: {(1, 1): Fraction(1, 12), (2,): Fraction(1, 12)},
+            3: {(2, 1): Fraction(1, 24)},
+            4: {
+                (1, 1, 1, 1): Fraction(-1, 720),
+                (2, 1, 1): Fraction(4, 720),
+                (2, 2): Fraction(3, 720),
+                (3, 1): Fraction(1, 720),
+                (4,): Fraction(-1, 720),
+            },
+        }
+        for n, coeffs in closed.items():
+            assert bc._todd_row(n) == tuple(coeffs.get(w, 0) for w in partitions(n))
+            rng = random.Random(n)
+            a = ChernVector(n, {w: rng.randint(-10**6, 10**6) for w in partitions(n)})
+            assert todd(a) == sum(c * a.number(w) for w, c in coeffs.items())
 
     def test_returns_exact_fraction(self):
         assert todd(cp(1) * 3) == Fraction(3)
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("n", range(15))
+    def test_matches_the_0_1_matrix_counts(self, n):
+        # the e -> m transition by counting 0-1 matrices, row for row
+        assert bc._monomial_table(n) == monomial_table_reference._monomial_table(n)
 
 
 class TestBoundary:

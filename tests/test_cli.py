@@ -120,6 +120,20 @@ class TestChern:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("data", [
+        {"base": [1], "conjugate": [0, 0]},
+        {"base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2, 2]}]},
+        {"base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2]}],
+         "conjugate": [2]},
+    ])
+    def test_conjugation_given_twice_exits_2(self, data, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: a conjugation index is given twice")
+        assert err.count("\n") == 1
+
     def test_unwritable_output(self, tmp_path, capsys):
         path = tmp_path / "missing" / "out.tsv"
         code, out, err = run_cli(
@@ -353,6 +367,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(largest) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lemma", cli.LEMMAS)
+    def test_every_lemma_passes_at_its_default_size(self, lemma):
+        rows = cli.run_lemma(lemma)
+        assert rows
+        assert [row for row in rows if row["status"] != "pass"] == []
+
+    def test_wring_rows(self):
+        rows = cli.run_lemma("wring")
+        assert len(rows) == 34
+        assert rows[1]["instance"] == "x1 * x1 = K"
 
     def test_unknown_lemma_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -190,6 +190,44 @@ class TestConstructB:
             assert (s // target) % 2 == 1
 
 
+@functools.cache
+def cy_certificates():
+    """The Calabi-Yau generator certificates of real dimension 4..20 (n = 3..11)."""
+    return [cy_generator_combo(n) for n in range(3, 12)]
+
+
+@functools.cache
+def quasitoric_certificates():
+    """The quasitoric generator certificates of real dimension 10..30."""
+    return ([quasitoric_generator_odd(k) for k in range(2, 8)]
+            + [quasitoric_generator_even(k) for k in range(3, 8)])
+
+
+class TestToddOnCertificates:
+    """Necessary conditions on every certified class: td is an integer, td = 0
+    on the quasitoric ones, and td = A-hat (every c_1-number vanishes) is even
+    in real dimension 8k + 4, as for every spin manifold."""
+
+    def test_integer_on_every_certificate(self):
+        certs = cy_certificates() + quasitoric_certificates()
+        assert [c.dimension for c in certs] == (
+            list(range(4, 21, 2)) + list(range(10, 31, 4)) + list(range(12, 29, 4)))
+        for cert in certs:
+            assert bc.todd(cert.chern_class).denominator == 1, cert.dimension
+
+    def test_zero_on_quasitoric_certificates(self):
+        for cert in quasitoric_certificates():
+            assert bc.todd(cert.chern_class) == 0, cert.dimension
+
+    def test_even_in_real_dimension_8k_plus_4(self):
+        td = {c.dimension: bc.todd(c.chern_class) for c in cy_certificates()}
+        assert td[4] == 2
+        assert td[12] == -16094518
+        assert 9.2e25 < td[20] < 9.3e25
+        for dim in (4, 12, 20):
+            assert td[dim] % 2 == 0, dim
+
+
 class TestLowDimensional:
     def test_y2(self):
         cert = y2_class()

@@ -1,5 +1,6 @@
 """The four JSON readers share one strict input edge: every malformed input
-raises ValueError, never KeyError, TypeError or RecursionError."""
+raises ValueError, never KeyError, TypeError or RecursionError, and an input
+that names one thing twice is refused rather than collapsed."""
 
 import pytest
 
@@ -118,3 +119,87 @@ class TestChernVectorDimension:
         monkeypatch.setattr(bordclass, "partitions", no_work)
         with pytest.raises(ValueError, match="at most 24"):
             bordclass.chern_vector_from_json({"dim": dim, "numbers": {}})
+
+
+class TestNamedTwice:
+    @pytest.mark.parametrize("dim, numbers", [
+        (3, {"1,2": 3, "2,1": 4}),
+        (3, {"1,2": 0, "2,1": 0}),
+        (4, {"2,1,1": 1, "1,2,1": 1, "4": 1}),
+    ])
+    def test_chern_number_refused_from_json(self, dim, numbers):
+        with pytest.raises(ValueError, match="given twice"):
+            bordclass.chern_vector_from_json({"dim": dim, "numbers": numbers})
+
+    @pytest.mark.parametrize("numbers", [
+        {(1, 2): 3, (2, 1): 4},
+        [((2, 1), 3), ((2, 1), 3)],
+        [((1, 1, 1), 1), ((2, 1), 1), ((1, 2), 1)],
+    ])
+    def test_chern_number_refused(self, numbers):
+        with pytest.raises(ValueError, match="given twice"):
+            bordclass.ChernVector(3, numbers)
+
+    def test_pairs_and_mapping_agree(self):
+        numbers = {(2, 1): 3, (1, 1, 1): -4}
+        assert (bordclass.ChernVector(3, numbers)
+                == bordclass.ChernVector(3, list(numbers.items()))
+                == bordclass.chern_vector_from_json(
+                    {"dim": 3, "numbers": {"1,2": 3, "1,1,1": -4}}))
+
+    @pytest.mark.parametrize("data", [
+        {"base": [1], "conjugate": [0, 0]},
+        {"base": [1, 1], "conjugate": [3, 0, 3]},
+        {"base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2, 2]}]},
+        {"base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2]}],
+         "conjugate": [2]},
+        {"base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [0]},
+                                 {"lines": [[0, 1], [0, 0]], "conjugate": [0]}]},
+    ])
+    def test_conjugation_refused(self, data):
+        with pytest.raises(ValueError, match="given twice"):
+            tower.tower_from_json(data)
+
+    def test_conjugation_refused_by_the_spec(self):
+        with pytest.raises(ValueError, match="given twice"):
+            tower.TowerSpec((1, 1), (), [1, 1])
+        spec = tower.TowerSpec((1, 1), (), [1, 2])
+        assert spec.conjugations == frozenset({1, 2})
+        assert tower.tower_from_json(tower.tower_to_json(spec)) == spec
+
+    def test_conjugations_in_different_lists_are_read(self):
+        spec = tower.tower_from_json({
+            "base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2]}],
+            "conjugate": [0]})
+        assert spec.conjugations == frozenset({0, 2})
+
+
+def ring(names, relations=()):
+    return {"generators": [{"name": name, "degree": 2} for name in names],
+            "relations": list(relations), "top_degree": 2,
+            "fundamental_monomial": [1] + [0] * (len(names) - 1)}
+
+
+class TestGeneratorNames:
+    @pytest.mark.parametrize("names", [("u", "u"), ("u", "v", "u")])
+    def test_repeated_name_refused(self, names):
+        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
+            cohomring.ring_from_json(ring(names, ["u^2"]))
+        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
+            cohomring.PresentedRing(names, [2] * len(names), [], 2,
+                                    [1] + [0] * (len(names) - 1))
+
+    @pytest.mark.parametrize("name", ["1x", "", "a-b", "x y", "u^2", "if", "None", "True"])
+    def test_name_that_is_not_an_identifier_refused(self, name):
+        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
+            cohomring.ring_from_json(ring(("u", name), ["u^2"]))
+        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
+            cohomring.PresentedRing((name,), (2,), [], 2, (1,))
+
+    def test_name_that_is_not_a_string_refused(self):
+        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
+            cohomring.PresentedRing((1,), (2,), [], 2, (1,))
+
+    def test_identifiers_are_read(self):
+        r = cohomring.ring_from_json(ring(("u_1", "x2", "c"), ["u_1^2 - x2*c"]))
+        assert r.names == ("u_1", "x2", "c")
