@@ -203,29 +203,6 @@ def _walk(n: int, start, step, evaluate) -> dict:
     return leaves
 
 
-def characteristic_numbers(n: int, total: GradedPoly, evaluate,
-                           reduce=None) -> ChernVector:
-    """The class of dimension n with c_omega = evaluate(prod_{i in omega} total_{2i}).
-
-    total_{2i} is the graded part of degree 2i of `total`.  One walk of
-    `_walk`; each product is homogeneous of degree 2|prefix|, so no degree
-    cap is needed, and `reduce`, if given, is applied after every
-    multiplication (a relation the formal ring does not encode).  The
-    partitions the walk leaves out read 0.
-    """
-    parts = total.graded_parts()
-    zero = GradedPoly.zero(total.degrees)
-    pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
-
-    def step(poly: GradedPoly, part: int, rest: int):
-        child = poly.mul(pieces[part])
-        if reduce is not None:
-            child = reduce(child)
-        return None if child.is_zero() else child
-
-    return ChernVector(n, _walk(n, GradedPoly.constant(total.degrees, 1), step, evaluate))
-
-
 # ---------------------------------------------------------------------------
 # basic classes
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ multiples (ground truth).
 
 The triangular backend memoises the normal form of every monomial it
 rewrites, once per ring, so evaluating many products in one ring rewrites
-each monomial only once.
+each monomial only once.  It works on coded monomials: x^e is the int
+sum e_j R^j with R = top_degree // min(degrees) + 1.  At or below the top
+degree every exponent is below R, so the code is one-to-one there and the
+product of two monomials whose product stays at or below the top is one
+addition of their codes.  A monomial with an exponent of R or more lies
+above the top, and its code would be that of another monomial, so it is
+dropped before it is encoded.
 
 The lattice backend reads everything off one unimodular echelon form of the
 top-degree relation matrix: the rank, and a kernel vector by exact back
@@ -102,9 +108,12 @@ class PresentedRing:
             raise PresentationError(
                 f"fundamental monomial has degree {mu_degree}, expected {self.top_degree}"
             )
+        # the coding of monomials, see the module docstring
+        self.radix = top_degree // min(self.degrees) + 1 if self.degrees else 1
+        self._places = tuple(self.radix ** j for j in range(len(self.degrees)))
         self._rules = None
         self._rules_error = None
-        self._nf_memo: dict[tuple[int, ...], dict] = {}  # under the final rules
+        self._nf_memo: dict[int, dict] = {}  # code -> coded normal form, final rules
         self._lattice_cache: dict[int, tuple] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -180,9 +189,33 @@ class PresentedRing:
 
     # -- triangular backend --------------------------------------------------
 
+    def encode(self, exp) -> int:
+        """The code of the monomial x^exp; one-to-one on exponents below `radix`."""
+        return sum(map(operator.mul, exp, self._places))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        """The exponents of the monomial with code `code`."""
+        exp = []
+        for _ in self._places:
+            code, e = divmod(code, self.radix)
+            exp.append(e)
+        return tuple(exp)
+
+    def coded(self, x: GradedPoly) -> dict:
+        """{code: coefficient} over the terms of x at or below the top."""
+        top, degrees = self.top_degree, self.degrees
+        return {self.encode(exp): c for exp, c in x.terms.items()
+                if sum(map(operator.mul, exp, degrees)) <= top}
+
     def _build_rules(self):
-        """Rewrite rules x_j^d -> rhs, one per relation, keyed by generator index."""
-        rules: dict[int, tuple[int, GradedPoly]] = {}
+        """Rewrite rules x_j^d -> rhs, one per relation, highest generator first.
+
+        A rule is (R^j, d, d R^j, coded rhs items): it applies to a code whose
+        digit j is at least d, and rewrites it by subtracting d R^j and adding
+        each code of the rhs.  A rule whose x_j^d lies above the top never
+        applies at or below it, so the rhs terms above the top are dropped.
+        """
+        rules: dict[int, tuple[int, dict]] = {}
         for rel in self.relations:
             candidates = []
             for exp, c in rel.terms.items():
@@ -202,14 +235,23 @@ class PresentedRing:
                     "use the lattice backend"
                 )
             rest = rel - GradedPoly.monomial(self.degrees, exp, c)
-            rhs = rest.scale(-c)  # c in {1,-1}: x_j^d = -c^(-1) * rest = -c * rest
-            rules[j] = (d, rhs)
+            rules[j] = (d, self.coded(rest.scale(-c)))  # x_j^d = -c * rest, c = +-1
         # pre-reduce each rhs by the preliminary rules; the normal forms
         # memoised on the way belong to those rules and are dropped here
+        preliminary = self._rule_table(rules)
         memo: dict = {}
-        return {j: (d, self._reduce(rhs, rules, memo)) for j, (d, rhs) in rules.items()}
+        return self._rule_table({j: (d, self._reduce_codes(rhs, preliminary, memo))
+                                 for j, (d, rhs) in rules.items()})
+
+    def _rule_table(self, rules: dict) -> tuple:
+        """{j: (d, coded rhs)} as the rule tuples `_rewrite` reads."""
+        places = self._places
+        return tuple((places[j], d, d * places[j], tuple(rhs.items()))
+                     for j, (d, rhs) in sorted(rules.items(), reverse=True))
 
     def _get_rules(self):
+        if self.backend != "triangular":
+            raise NonTriangularError("ring is marked for the lattice backend")
         if self._rules is None and self._rules_error is None:
             try:
                 self._rules = self._build_rules()
@@ -220,39 +262,68 @@ class PresentedRing:
         return self._rules
 
     def reduce(self, x: GradedPoly) -> GradedPoly:
-        """Triangular normal form of x, any degrees, terms above the top dropped."""
-        if self.backend != "triangular":
-            raise NonTriangularError("ring is marked for the lattice backend")
-        return self._reduce(x, self._get_rules(), self._nf_memo)
+        """Triangular normal form of x, any degrees, terms above the top dropped.
 
-    def _reduce(self, x: GradedPoly, rules, memo) -> GradedPoly:
-        """sum c * NF(m) over the terms c*m of x, NF memoised in `memo`.
-
-        The memo is read first and a degree computed only on a miss: it
-        holds only monomials of at most the top degree, since
-        `_monomial_nf` is entered only there and homogeneous rules keep
-        each child's degree.
+        A term with an exponent of `radix` or more is above the top and is
+        dropped before it is encoded; the memo is read first, and a degree
+        computed only on a miss, since the memo holds only monomials at or
+        below the top.
         """
-        out: dict[tuple[int, ...], int] = {}
-        top, degrees = self.top_degree, self.degrees
+        rules, memo = self._get_rules(), self._nf_memo
+        radix, top, degrees = self.radix, self.top_degree, self.degrees
+        coded = {}
         for exp, c in x.terms.items():
-            nf = memo.get(exp)
+            if max(exp, default=0) < radix:
+                code = self.encode(exp)
+                if code in memo or sum(map(operator.mul, exp, degrees)) <= top:
+                    coded[code] = c
+        out = self._reduce_codes(coded, rules, memo)
+        return GradedPoly._trusted(degrees, {self.decode(k): c for k, c in out.items()})
+
+    def mul_reduce(self, a: dict, b: dict) -> dict:
+        """Coded normal form of a * b, for coded elements a and b.
+
+        a and b are {code: coefficient} over monomials at or below the top,
+        and every product of a term of a with one of b must stay at or below
+        the top (a and b homogeneous of total degree at most the top), so
+        each product is one addition of codes.
+        """
+        rules = self._rules or self._get_rules()
+        product: dict[int, int] = {}
+        get = product.get
+        for kb, cb in b.items():
+            for ka, ca in a.items():
+                key = ka + kb
+                product[key] = get(key, 0) + ca * cb
+        return self._reduce_codes(product, rules, self._nf_memo)
+
+    def fundamental_code_coefficient(self, reduced: dict) -> int:
+        """`fundamental_coefficient` of a coded, reduced top-degree element."""
+        return _only_fundamental(reduced, self.encode(self.fundamental_monomial))
+
+    def _reduce_codes(self, terms: dict, rules, memo) -> dict:
+        """sum c * NF(m) over the coded terms c*m at or below the top."""
+        out: dict[int, int] = {}
+        get = out.get
+        for code, c in terms.items():
+            if not c:
+                continue
+            nf = memo.get(code)
             if nf is None:
-                if sum(map(operator.mul, exp, degrees)) > top:
-                    continue
-                nf = self._monomial_nf(exp, rules, memo)
-            _accumulate(out, nf, c)
-        return GradedPoly._trusted(degrees, out)
+                nf = self._monomial_nf(code, rules, memo)
+            for e, k in nf.items():
+                out[e] = get(e, 0) + c * k
+        return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
     def _monomial_nf(self, root, rules, memo) -> dict:
-        """Normal form of the monomial `root`, and of each monomial below it.
+        """Normal form of the coded monomial `root`, and of each monomial below it.
 
         Depth first: a monomial's rewrite (under the rule of its highest
         generator with a rule that applies) lists its children, and its
         normal form is stored in `memo` once every child has one.  Rules are
-        homogeneous, so children keep the degree of their parent.  A child
-        already on the current path is a rewrite cycle; one merely waiting
-        in an ancestor's list is not.
+        homogeneous, so children keep the degree of their parent, and their
+        codes stay one-to-one.  A child already on the current path is a
+        rewrite cycle; one merely waiting in an ancestor's list is not.
         """
         path: set = set()
         stack: list[tuple] = []  # (monomial, children, iterator over children)
@@ -275,7 +346,7 @@ class PresentedRing:
             parent, children, waiting = stack[-1]
             mono = next((child for child, _ in waiting if child not in memo), None)
             if mono is None:
-                nf: dict[tuple[int, ...], int] = {}
+                nf: dict[int, int] = {}
                 for child, c in children:
                     _accumulate(nf, memo[child], c)
                 memo[parent] = nf
@@ -284,17 +355,13 @@ class PresentedRing:
             elif mono in path:
                 raise NonTriangularError("rewriting cycles; use the lattice backend")
 
-    @staticmethod
-    def _rewrite(mono, rules):
-        """(child, coefficient) pairs of one rewrite of mono, or None if none applies."""
-        for j in range(len(mono) - 1, -1, -1):
-            rule = rules.get(j)
-            if rule and mono[j] >= rule[0]:
-                d, rhs = rule
-                rem = list(mono)
-                rem[j] -= d
-                return [(tuple(map(operator.add, rem, e)), c)
-                        for e, c in rhs.terms.items()]
+    def _rewrite(self, code: int, rules):
+        """(child, coefficient) pairs of one rewrite of a code, or None if none applies."""
+        radix = self.radix
+        for place, d, shift, rhs in rules:
+            if code // place % radix >= d:
+                base = code - shift
+                return [(base + e, c) for e, c in rhs]
         return None
 
     # -- lattice backend -----------------------------------------------------
@@ -435,8 +502,11 @@ def fundamental_coefficient(ring: PresentedRing, reduced: GradedPoly) -> int:
     Any other monomial left over means the rules do not reduce the top degree
     to the fundamental class.
     """
-    terms = reduced.terms
-    mu = ring.fundamental_monomial
+    return _only_fundamental(reduced.terms, ring.fundamental_monomial)
+
+
+def _only_fundamental(terms: dict, mu) -> int:
+    """terms[mu], refusing any other monomial left in `terms`."""
     if len(terms) > (mu in terms):
         raise PresentationError(
             "reduction left top-degree monomials other than the fundamental one"

@@ -34,13 +34,24 @@ def _json_kind(value, kind: type, what: str):
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict, refusing a key written twice."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"the key {key!r} is given twice in one JSON object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def json_object(data, what: str) -> dict:
     """data as a JSON object: a string is parsed first, and anything but an
     object is refused.  Every malformed input, including a document nested
-    too deeply to parse, raises ValueError."""
+    too deeply to parse or an object with a key written twice, raises
+    ValueError."""
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{what} is nested too deeply") from None
     return _json_kind(data, dict, what)

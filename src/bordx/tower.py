@@ -20,8 +20,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .bordclass import ChernVector, characteristic_numbers
-from .cohomring import PresentedRing, fundamental_coefficient
+from . import bordclass
+from .bordclass import ChernVector
+from .cohomring import PresentedRing, _accumulate
 from .exactalg import (
     GradedPoly,
     IntMatrix,
@@ -205,17 +206,42 @@ def _sign(spec: TowerSpec) -> int:
     return 1
 
 
+def _reduced_chern_classes(spec: TowerSpec, ring: PresentedRing) -> list[dict]:
+    """c_0, ..., c_n of the tower as coded normal forms in its ring.
+
+    (1 + x) is multiplied in once per signed roster summand, the equal
+    summands grouped, and every product is reduced as it is formed.
+    """
+    n = spec.dim
+    classes = [{0: 1}] + [{} for _ in range(n)]
+    for cls, count in Counter(signed_roster(spec)).items():
+        x = ring.coded(cls)
+        for _ in range(count):
+            for i in range(n, 0, -1):
+                if classes[i - 1]:
+                    _accumulate(classes[i], ring.mul_reduce(classes[i - 1], x), 1)
+    return classes
+
+
 def chern_numbers(spec: TowerSpec) -> ChernVector:
     """All Chern numbers of the tower under its orientation convention.
 
-    The walk reduces every prefix product to its normal form in the ring, so
-    a leaf is already reduced and reads the fundamental coefficient.
+    One partition walk over the coded, reduced Chern classes: every prefix
+    product is reduced in the ring as it is formed, so a leaf is already
+    reduced and reads the fundamental coefficient.  The partitions the walk
+    leaves out (a zero prefix product) read 0.
     """
     ring = presented_ring(spec)
     sign = _sign(spec)
-    return characteristic_numbers(
-        spec.dim, ring.reduce(total_chern(spec)),
-        lambda x: sign * fundamental_coefficient(ring, x), reduce=ring.reduce)
+    classes = _reduced_chern_classes(spec, ring)
+
+    def step(terms: dict, part: int, rest: int) -> dict | None:
+        return ring.mul_reduce(terms, classes[part]) or None
+
+    def leaf(terms: dict) -> int:
+        return sign * ring.fundamental_code_coefficient(terms)
+
+    return ChernVector(spec.dim, bordclass._walk(spec.dim, {0: 1}, step, leaf))
 
 
 def s_number(spec: TowerSpec) -> int:
@@ -225,13 +251,14 @@ def s_number(spec: TowerSpec) -> int:
     after every multiply, and counted with its multiplicity.
     """
     ring = presented_ring(spec)
-    total = GradedPoly.zero(ring.degrees)
+    total: dict = {}
     for cls, count in Counter(signed_roster(spec)).items():
-        power = GradedPoly.constant(ring.degrees, count)
+        x = ring.coded(cls)
+        power = {0: count}
         for _ in range(spec.dim):
-            power = ring.reduce(power.mul(cls))
-        total = total + power
-    return _sign(spec) * fundamental_coefficient(ring, total)
+            power = ring.mul_reduce(power, x)
+        _accumulate(total, power, 1)
+    return _sign(spec) * ring.fundamental_code_coefficient(total)
 
 
 # ---------------------------------------------------------------------------

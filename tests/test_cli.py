@@ -134,6 +134,14 @@ class TestChern:
         assert err.startswith("error: a conjugation index is given twice")
         assert err.count("\n") == 1
 
+    def test_repeated_key_in_spec_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"base": [1], "base": [2]}')
+        code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "given twice" in err
+        assert err.count("\n") == 1
+
     def test_unwritable_output(self, tmp_path, capsys):
         path = tmp_path / "missing" / "out.tsv"
         code, out, err = run_cli(

@@ -197,6 +197,56 @@ def _reference_reduce(ring, x, rules):
     return GradedPoly(ring.degrees, result)
 
 
+class TestCodedMonomials:
+    """The normal-form memo is keyed by codes sum e_j R^j; a monomial with an
+    exponent of R or more lies above the top and is dropped, not read as the
+    monomial that shares its code."""
+
+    @pytest.mark.parametrize("name,n1,n2", [("Ltilde", 2, 3), ("Ntilde", 2, 3)])
+    def test_tower_ring_drops_an_exponent_at_the_radix(self, name, n1, n2):
+        ring = tower.presented_ring.__wrapped__(tower.build_family(name, n1, n2))
+        R = ring.radix
+        assert R == ring.top_degree // 2 + 1
+        u, v = ring.gen("u"), ring.gen("v")
+        alias = ring.gen("u", R)  # the code of u^R is the code of v
+        assert ring.encode(next(iter(alias.terms))) == ring.encode(next(iter(v.terms)))
+        expected = ring.reduce(v)
+        assert ring.encode(next(iter(v.terms))) in ring._nf_memo
+        assert ring.reduce(alias).is_zero()
+        assert ring.reduce(alias + v) == expected
+        assert ring.reduce((alias + u).scale(3)) == ring.reduce(u.scale(3))
+
+    def test_grassmann_ring_drops_an_exponent_at_the_radix(self):
+        ring = grassmann_ring()  # degrees 2 and 4, top 8
+        assert ring.radix == 5
+        c1, c2 = ring.gen("c1"), ring.gen("c2")
+        alias = ring.gen("c1", 5)  # degree 10, the code 5 of c2 (degree 4)
+        assert ring.encode((5, 0)) == ring.encode((0, 1))
+        assert ring.reduce(c2) == c2
+        assert ring.reduce(alias).is_zero()
+        assert ring.reduce(alias - c2) == -c2
+        from bordx.genfactory import grassmann_s4
+
+        assert grassmann_s4() == -20
+
+    def test_codes_are_one_to_one_at_or_below_the_top(self):
+        for ring in [grassmann_ring(), ntilde_ring(2, 3), cp_ring(4)]:
+            monos = [m for d in range(0, ring.top_degree + 1, 2)
+                     for m in ring.monomials_of_degree(d)]
+            codes = [ring.encode(m) for m in monos]
+            assert len(set(codes)) == len(codes)
+            assert [ring.decode(c) for c in codes] == monos
+
+    def test_mul_reduce_matches_reduce_of_the_product(self):
+        ring = ntilde_ring(2, 3)
+        u, v, w = (ring.gen(x) for x in "uvw")
+        a = (u * w - v * v.scale(2) + w * w).scale(3)
+        b = w.pow(3) + u * v * w - v.pow(3)
+        got = ring.mul_reduce(ring.coded(a), ring.coded(b))
+        assert got == ring.coded(ring.reduce(a * b))
+        assert ring.mul_reduce({}, ring.coded(b)) == {}
+
+
 class TestEvaluateTop:
     def test_cp3(self):
         ring = cp_ring(3)

@@ -167,6 +167,20 @@ class TestNamedTwice:
         assert spec.conjugations == frozenset({1, 2})
         assert tower.tower_from_json(tower.tower_to_json(spec)) == spec
 
+    @pytest.mark.parametrize("name,text", [
+        ("chern_vector", '{"dim": 1, "numbers": {"1": 2, "1": 3}}'),
+        ("chern_vector", '{"dim": 1, "dim": 1, "numbers": {"1": 2}}'),
+        ("tower", '{"base": [1], "base": [2]}'),
+        ("tower", '{"base": [1], "stages": [{"lines": [[-1], [0]], "lines": [[0], [0]]}]}'),
+        ("char_matrix", '{"simplex_dims": [1], "lambda": [[1, -1]], "lambda": [[1, 1]]}'),
+        ("ring", '{"generators": [{"name": "u", "degree": 2, "name": "v"}], '
+                 '"relations": ["u^2"], "top_degree": 2, "fundamental_monomial": [1]}'),
+    ])
+    def test_repeated_json_key_refused(self, name, text):
+        # a plain json.loads would keep the last value: c_1 = 3, CP^2, ...
+        with pytest.raises(ValueError, match="given twice in one JSON object"):
+            READERS[name](text)
+
     def test_conjugations_in_different_lists_are_read(self):
         spec = tower.tower_from_json({
             "base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2]}],

@@ -1,9 +1,8 @@
 """Differential tests of the Chern-number routes of `bordclass`.
 
 Every operation that reaches characteristic numbers through the partition
-walker `bordclass._walk` (the operation matrices and
-`characteristic_numbers`) is compared with a brute-force reference kept
-here: one partition at a time, the full product rebuilt from 1 for each, no
+walker `bordclass._walk` (the operation matrices and the tower Chern
+numbers) is compared with a brute-force reference kept here: one partition at a time, the full product rebuilt from 1 for each, no
 prefix sharing and no early exit on zero.  `product` (the split
 table) is compared with the same reference over the formal ring of both
 factors, and `s_num` (the Girard-Waring row) with the Newton recurrence.
