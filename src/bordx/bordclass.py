@@ -18,9 +18,13 @@ off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition walker
 of that walk is one int, its exponents the digits of radix n + k + 1; no
 digit carries, since no exponent of a product of degree at most 2(n + k)
 exceeds n + k, so a monomial product is one addition.  A call is then one
-sparse product.  The operations refuse a source or target dimension above
-`OPERATION_MAX_DIM` before any matrix is built, and keep at most
-`MATRIX_CACHE_SIZE` matrices per operation.
+sparse product.  The operations keep at most `MATRIX_CACHE_SIZE` matrices
+per operation.
+
+One bound holds for the whole library: `check_dim` refuses a complex
+dimension above `CHERN_MAX_DIM` where each partition-indexed object starts
+(the basis, a product's split table, an operation's target and, in `tower`,
+a tower's ring), before any partition is listed.
 """
 
 from __future__ import annotations
@@ -44,14 +48,22 @@ from .exactalg import (
     strict_int,
 )
 
-# Largest complex dimension of a Chern vector read from JSON or computed by
-# `bordx chern`: its Chern numbers are indexed by the p(n) partitions of n.
+# Largest complex dimension of any class, table or tower bordx builds: its
+# Chern numbers are indexed by the p(n) partitions of n, p(24) = 1,575.
 CHERN_MAX_DIM = 24
+
+
+def check_dim(n: int) -> None:
+    """Refuse a complex dimension above CHERN_MAX_DIM with ValueError."""
+    if n > CHERN_MAX_DIM:
+        raise ValueError(f"bordx handles complex dimension at most {CHERN_MAX_DIM}, "
+                         f"got {n}")
 
 
 @functools.cache
 def _basis(n: int) -> tuple[tuple[Partition, ...], MappingProxyType]:
     """The partitions of n, largest-first lex order, and the index of each."""
+    check_dim(n)
     basis = tuple(partitions(n))
     return basis, MappingProxyType({omega: i for i, omega in enumerate(basis)})
 
@@ -76,7 +88,8 @@ class ChernVector:
     __slots__ = ("dim", "values")
 
     def __init__(self, dim: int, numbers=None):
-        values = [0] * len(_basis(strict_int(dim, "a dimension"))[0])  # refuses dim < 0
+        # _basis refuses dim < 0 and dim > CHERN_MAX_DIM
+        values = [0] * len(_basis(strict_int(dim, "a dimension"))[0])
         given = set()
         for omega, value in numbers.items() if isinstance(numbers, Mapping) else numbers or ():
             i = _coordinate(dim, omega)
@@ -200,6 +213,7 @@ def _walk(n: int, start, step, evaluate) -> dict:
             prefix.pop()
 
     walk(start, n, n)
+    del walk  # the closure refers to itself: drop the cycle now, not at gc
     return leaves
 
 
@@ -209,7 +223,7 @@ def _walk(n: int, start, step, evaluate) -> dict:
 
 def cp(n: int) -> ChernVector:
     """The class of CP^n: c_omega = prod binomial(n+1, i_j)."""
-    return ChernVector._of_values(  # _basis refuses n < 0
+    return ChernVector._of_values(  # _basis refuses n < 0 and n > CHERN_MAX_DIM
         n, (math.prod(math.comb(n + 1, i) for i in w) for w in _basis(n)[0]))
 
 
@@ -239,6 +253,7 @@ def _split_table(na: int, nb: int):
     addition.  A tail of r ones gives tau its last t = na - |tau| in C(r, t) ways.
     """
     n = na + nb
+    check_dim(n)
     shift = (n + 1) ** na  # every tau code is below it
     unit = [0] + [(n + 1) ** (p - 1) for p in range(1, n + 1)]  # the digit of part p
     tau_index, sigma_index = ({sum(unit[p] for p in w): i for i, w in enumerate(_basis(m)[0])}
@@ -268,6 +283,7 @@ def _split_table(na: int, nb: int):
                            for key, count in row.items()))
 
     walk({0: {0: 1}}, n, n)
+    del walk  # as in `_walk`
     return tuple(table)
 
 
@@ -416,6 +432,7 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     nu = zero + nu(x, c1)  # `zero +` lifts a constant into the ring
     rank = nu.degree() // 2
     m = n + k - rank
+    check_dim(m)  # the source n has passed it as a vector
     cap = 2 * m
     series = (zero + fibre(x, c1)).mul(inverse_one_plus(nu - 1, cap), cap)
     radix = n + k + 1
@@ -488,18 +505,6 @@ def _apply(matrix: tuple, a: ChernVector) -> ChernVector:
 # `_delta_matrix`, 9 of `_pi_matrix`), so a pass evicts nothing.
 MATRIX_CACHE_SIZE = 64
 
-# The operations refuse a source or target of complex dimension above this,
-# before any matrix is built.  22 is what `gens --dim 44 --source
-# quasitoric` needs for its Delta and d checks; the slowest build at the
-# limit, a Psi_(k1,k2) matrix into dimension 22, takes under a second.
-OPERATION_MAX_DIM = 22
-
-
-def _check_operation_dims(source: int, target: int) -> None:
-    if max(source, target) > OPERATION_MAX_DIM:
-        raise ValueError(f"the operations handle complex dimension at most "
-                         f"{OPERATION_MAX_DIM}, got {source} -> {target}")
-
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _boundary_matrix(n: int, k: int) -> tuple:
@@ -531,7 +536,6 @@ def boundary_k(a: ChernVector, k: int) -> ChernVector:
         raise ValueError("k must be positive")
     if a.dim < k:
         raise ValueError(f"need dim >= {k}, got {a.dim}")
-    _check_operation_dims(a.dim, a.dim - k)
     return _apply(_boundary_matrix(a.dim, k), a)
 
 
@@ -544,7 +548,6 @@ def delta(a: ChernVector) -> ChernVector:
     """Delta: the class dual to -c_1^2, nu = 1 - c_1^2."""
     if a.dim < 2:
         raise ValueError(f"Delta needs dim >= 2, got {a.dim}")
-    _check_operation_dims(a.dim, a.dim - 2)
     return _apply(_delta_matrix(a.dim), a)
 
 
@@ -558,7 +561,6 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     """
     if k1 < 0 or k2 < 0 or k1 + k2 < 1:
         raise ValueError("need k1, k2 >= 0 with k1 + k2 >= 1")
-    _check_operation_dims(a.dim, a.dim + k1 + k2)
     return _apply(_psi_matrix(a.dim, k1, k2), a)
 
 
@@ -575,7 +577,6 @@ def psi(a: ChernVector) -> ChernVector:
 def stong_pi(a: ChernVector) -> ChernVector:
     """Stong's projection onto W: the submanifold of CP^1 x M dual to
     (hyperplane bundle) tensor det TM, nu = 1 + x + c_1 with x^2 = 0."""
-    _check_operation_dims(a.dim, a.dim)
     return _apply(_pi_matrix(a.dim), a)
 
 
@@ -661,11 +662,9 @@ def parse_partition(key: str) -> Partition:
 
 def chern_vector_from_json(data) -> ChernVector:
     """The class a JSON object {"dim": n, "numbers": {key: c_omega}} gives;
-    a dimension above CHERN_MAX_DIM is refused before any basis is built."""
+    `ChernVector` refuses a dimension above CHERN_MAX_DIM before any basis
+    is built."""
     data = json_object(data, "a Chern vector")
     dim = json_field(data, "dim", int, "a Chern vector")
-    if dim > CHERN_MAX_DIM:
-        raise ValueError(f"a Chern vector has complex dimension at most {CHERN_MAX_DIM}, "
-                         f"got {dim}")
     numbers = json_field(data, "numbers", dict, "a Chern vector")
     return ChernVector(dim, ((parse_partition(key), v) for key, v in numbers.items()))

@@ -264,19 +264,13 @@ def _partition_key(omega) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _check_chern_dim(dim: int) -> None:
-    if dim > CHERN_MAX_DIM:
-        raise ValueError(f"chern handles complex dimension at most {CHERN_MAX_DIM}, "
-                         f"got {dim}")
-
-
 def cmd_chern(args) -> int:
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
             spec = tower.tower_from_json(fh.read())
         if args.convention:
             spec = spec.with_convention(args.convention)
-        _check_chern_dim(spec.dim)
+        bordclass.check_dim(spec.dim)
     else:
         if not args.family:
             raise ValueError("need --family or --spec")
@@ -284,7 +278,7 @@ def cmd_chern(args) -> int:
             if not args.omega:
                 raise ValueError("CPprod needs --omega")
             omega = bordclass.parse_partition(args.omega)
-            _check_chern_dim(sum(omega))
+            bordclass.check_dim(sum(omega))
             spec = tower.build_family("CPprod", omega,
                                       convention=args.convention or "toric")
         else:
@@ -292,7 +286,7 @@ def cmd_chern(args) -> int:
                 raise ValueError("family needs --n1 and --n2")
             # checked before the spec is built: L and Ltilde have dimension
             # n1 + n2, Ntilde one more
-            _check_chern_dim(args.n1 + args.n2 + (args.family == "Ntilde"))
+            bordclass.check_dim(args.n1 + args.n2 + (args.family == "Ntilde"))
             spec = tower.build_family(args.family, args.n1, args.n2,
                                       convention=args.convention or "toric")
     if spec.cohomology_rank > CHERN_MAX_RANK:  # checked before any ring is built

@@ -262,23 +262,9 @@ class PresentedRing:
         return self._rules
 
     def reduce(self, x: GradedPoly) -> GradedPoly:
-        """Triangular normal form of x, any degrees, terms above the top dropped.
-
-        A term with an exponent of `radix` or more is above the top and is
-        dropped before it is encoded; the memo is read first, and a degree
-        computed only on a miss, since the memo holds only monomials at or
-        below the top.
-        """
-        rules, memo = self._get_rules(), self._nf_memo
-        radix, top, degrees = self.radix, self.top_degree, self.degrees
-        coded = {}
-        for exp, c in x.terms.items():
-            if max(exp, default=0) < radix:
-                code = self.encode(exp)
-                if code in memo or sum(map(operator.mul, exp, degrees)) <= top:
-                    coded[code] = c
-        out = self._reduce_codes(coded, rules, memo)
-        return GradedPoly._trusted(degrees, {self.decode(k): c for k, c in out.items()})
+        """Triangular normal form of x, any degrees, terms above the top dropped."""
+        out = self._reduce_codes(self.coded(x), self._get_rules(), self._nf_memo)
+        return GradedPoly._trusted(self.degrees, {self.decode(k): c for k, c in out.items()})
 
     def mul_reduce(self, a: dict, b: dict) -> dict:
         """Coded normal form of a * b, for coded elements a and b.
@@ -298,8 +284,18 @@ class PresentedRing:
         return self._reduce_codes(product, rules, self._nf_memo)
 
     def fundamental_code_coefficient(self, reduced: dict) -> int:
-        """`fundamental_coefficient` of a coded, reduced top-degree element."""
-        return _only_fundamental(reduced, self.encode(self.fundamental_monomial))
+        """Coefficient of the fundamental monomial in a coded, reduced
+        top-degree element.
+
+        Any other monomial left over means the rules do not reduce the top
+        degree to the fundamental class.
+        """
+        mu = self.encode(self.fundamental_monomial)
+        if len(reduced) > (mu in reduced):
+            raise PresentationError(
+                "reduction left top-degree monomials other than the fundamental one"
+            )
+        return reduced.get(mu, 0)
 
     def _reduce_codes(self, terms: dict, rules, memo) -> dict:
         """sum c * NF(m) over the coded terms c*m at or below the top."""
@@ -493,25 +489,14 @@ def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
         )
     if ring.backend == "lattice":
         return lattice_evaluate(ring, x)
-    return fundamental_coefficient(ring, ring.reduce(x))
+    rules = ring._get_rules()
+    return ring.fundamental_code_coefficient(
+        ring._reduce_codes(ring.coded(x), rules, ring._nf_memo))
 
 
 def fundamental_coefficient(ring: PresentedRing, reduced: GradedPoly) -> int:
-    """Coefficient of the fundamental monomial in a reduced top-degree element.
-
-    Any other monomial left over means the rules do not reduce the top degree
-    to the fundamental class.
-    """
-    return _only_fundamental(reduced.terms, ring.fundamental_monomial)
-
-
-def _only_fundamental(terms: dict, mu) -> int:
-    """terms[mu], refusing any other monomial left in `terms`."""
-    if len(terms) > (mu in terms):
-        raise PresentationError(
-            "reduction left top-degree monomials other than the fundamental one"
-        )
-    return terms.get(mu, 0)
+    """`PresentedRing.fundamental_code_coefficient` of a reduced top-degree element."""
+    return ring.fundamental_code_coefficient(ring.coded(reduced))
 
 
 def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:

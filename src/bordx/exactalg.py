@@ -339,43 +339,34 @@ class GradedPoly:
         """Product, without the terms of degree above `cap` when a cap is given.
 
         This is the hot loop of the whole workbench.  Exponents, degrees and
-        the cap are arbitrary-precision ints.  With no cap (None or negative)
-        no degree is computed.  With a cap, the smaller operand's terms are
-        sorted by degree once, and the inner loop stops at the first of them
-        past cap - deg(a-term).
+        the cap are arbitrary-precision ints; no cap (None or negative) means
+        no degree limit.  The smaller operand's terms are sorted by degree
+        once, and the inner loop stops at the first of them past
+        cap - deg(a-term).
         """
         self._check_compatible(other)
         degrees = self.degrees
         a_terms, b_terms = self.terms, other.terms
         if len(b_terms) > len(a_terms):
             a_terms, b_terms = b_terms, a_terms
+        if cap is None or cap < 0:  # no product term passes this cap
+            cap = (self.degree() or 0) + (other.degree() or 0)
         add, mul = operator.add, operator.mul
         out = {}
         get = out.get
-        if cap is None or cap < 0:
-            b_items = b_terms.items()
-            for ea, ca in a_terms.items():
-                for eb, cb in b_items:
-                    key = tuple(map(add, ea, eb))
-                    c = get(key, 0) + ca * cb
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
-        else:
-            by_degree = sorted((sum(map(mul, eb, degrees)), eb, cb)
-                               for eb, cb in b_terms.items())
-            for ea, ca in a_terms.items():
-                room = cap - sum(map(mul, ea, degrees))
-                for db, eb, cb in by_degree:
-                    if db > room:
-                        break
-                    key = tuple(map(add, ea, eb))
-                    c = get(key, 0) + ca * cb
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
+        by_degree = sorted((sum(map(mul, eb, degrees)), eb, cb)
+                           for eb, cb in b_terms.items())
+        for ea, ca in a_terms.items():
+            room = cap - sum(map(mul, ea, degrees))
+            for db, eb, cb in by_degree:
+                if db > room:
+                    break
+                key = tuple(map(add, ea, eb))
+                c = get(key, 0) + ca * cb
+                if c:
+                    out[key] = c
+                elif key in out:
+                    del out[key]
         return GradedPoly._trusted(degrees, out)
 
     def __mul__(self, other):

@@ -82,6 +82,7 @@ def verify_alpha_gcd(n: int) -> tuple[int, bool]:
             walk(value // factorials[i] * powers[i], remaining - i, i)
 
     walk(math.factorial(n), n, n - 2)
+    del walk  # the closure refers to itself: drop the cycle now, not at gc
     return acc, acc == abs(g(n))
 
 

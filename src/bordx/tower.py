@@ -145,8 +145,10 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
 
     One ring per spec, shared by `chern_numbers`, `s_number` and
     `ring_backend_pair`, so its rewrite rules and memoised normal forms are
-    built once; the 16 most recent specs are kept.
+    built once; the 16 most recent specs are kept.  A spec above
+    `bordclass.CHERN_MAX_DIM` is refused before its ring is built.
     """
+    bordclass.check_dim(spec.dim)
     degrees = (2,) * spec.generator_count
     relations = [GradedPoly.generator(degrees, i, n_i + 1)
                  for i, n_i in enumerate(spec.base)]

@@ -621,7 +621,7 @@ class TestMatrixCacheBound:
 
 
 class TestOperationLimit:
-    """Above `OPERATION_MAX_DIM` the operations refuse before any matrix is built."""
+    """Above `CHERN_MAX_DIM` the operations refuse before any matrix is built."""
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
@@ -634,30 +634,30 @@ class TestOperationLimit:
 
     @pytest.mark.parametrize("call", [
         lambda: psi_k1k2(cp(1), 25, 25),
-        lambda: psi_k1k2(ChernVector(bc.OPERATION_MAX_DIM), 1, 0),
-        lambda: psi(ChernVector(bc.OPERATION_MAX_DIM - 1)),
-        lambda: boundary(ChernVector(bc.OPERATION_MAX_DIM + 1)),
-        lambda: boundary_k(ChernVector(bc.OPERATION_MAX_DIM + 1), bc.OPERATION_MAX_DIM),
-        lambda: delta(ChernVector(bc.OPERATION_MAX_DIM + 1)),
-        lambda: stong_pi(ChernVector(bc.OPERATION_MAX_DIM + 1)),
-        lambda: in_W(ChernVector(bc.OPERATION_MAX_DIM + 1)),
-        lambda: rho(ChernVector(bc.OPERATION_MAX_DIM + 1)),
+        lambda: psi_k1k2(ChernVector(bc.CHERN_MAX_DIM), 1, 0),
+        lambda: psi(ChernVector(bc.CHERN_MAX_DIM - 1)),
+        lambda: boundary(ChernVector(bc.CHERN_MAX_DIM + 1)),
+        lambda: boundary_k(ChernVector(bc.CHERN_MAX_DIM + 1), bc.CHERN_MAX_DIM),
+        lambda: delta(ChernVector(bc.CHERN_MAX_DIM + 1)),
+        lambda: stong_pi(ChernVector(bc.CHERN_MAX_DIM + 1)),
+        lambda: in_W(ChernVector(bc.CHERN_MAX_DIM + 1)),
+        lambda: rho(ChernVector(bc.CHERN_MAX_DIM + 1)),
     ])
     def test_refused_before_any_walk(self, no_walk, call):
-        with pytest.raises(ValueError, match=str(bc.OPERATION_MAX_DIM)):
+        with pytest.raises(ValueError, match=str(bc.CHERN_MAX_DIM)):
             call()
         assert all(cached.cache_info().currsize == 0 for cached in MATRIX_CACHES)
 
     def test_limit_covers_the_quasitoric_gens_checks(self):
         from bordx.cli import GENS_MAX_DIM
-        assert bc.OPERATION_MAX_DIM >= GENS_MAX_DIM["quasitoric"] // 2
+        assert bc.CHERN_MAX_DIM >= GENS_MAX_DIM["quasitoric"] // 2
 
     def test_operations_run_at_the_limit(self):
-        a = ChernVector(bc.OPERATION_MAX_DIM, {(bc.OPERATION_MAX_DIM,): 1})
-        assert delta(a).dim == bc.OPERATION_MAX_DIM - 2
-        assert boundary(a).dim == bc.OPERATION_MAX_DIM - 1
-        assert psi(ChernVector(bc.OPERATION_MAX_DIM - 2, {(bc.OPERATION_MAX_DIM - 2,): 1})
-                   ).dim == bc.OPERATION_MAX_DIM
+        a = ChernVector(bc.CHERN_MAX_DIM, {(bc.CHERN_MAX_DIM,): 1})
+        assert delta(a).dim == bc.CHERN_MAX_DIM - 2
+        assert boundary(a).dim == bc.CHERN_MAX_DIM - 1
+        assert psi(ChernVector(bc.CHERN_MAX_DIM - 2, {(bc.CHERN_MAX_DIM - 2,): 1})
+                   ).dim == bc.CHERN_MAX_DIM
 
 
 class TestJson:

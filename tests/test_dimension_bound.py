@@ -1,0 +1,124 @@
+"""The one dimension bound, `bordclass.CHERN_MAX_DIM`.
+
+`bordclass.check_dim` refuses a larger complex dimension where each
+partition-indexed object starts: the basis (every vector, `cp` and the
+genus tables), a product's split table, an operation's target and a tower's
+ring.  A refused call does no work first, and the operations run up to the
+bound.
+"""
+
+import ast
+import pathlib
+import random
+
+import pytest
+
+from bordx import bordclass as bc
+from bordx import tower
+from bordx.bordclass import ChernVector, cp, delta, psi
+from bordx.exactalg import GradedPoly
+
+SRC = pathlib.Path(bc.__file__).parent
+LARGEST = bc.CHERN_MAX_DIM
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every basis up to the bound built, then every way into more work closed."""
+    for n in range(LARGEST + 1):
+        bc._basis(n)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused dimension started work")
+
+    monkeypatch.setattr(bc, "partitions", fail)
+    monkeypatch.setattr(bc, "_walk", fail)
+    monkeypatch.setattr(tower, "PresentedRing", fail)
+
+
+def cpprod_above_bound():
+    return tower.build_family("CPprod", (LARGEST + 1,))
+
+
+REFUSED = {
+    "ChernVector": lambda: ChernVector(LARGEST + 1),
+    "ChernVector far above": lambda: ChernVector(200),
+    "cp": lambda: cp(LARGEST + 1),
+    "product": lambda: bc.product(cp(12), cp(13)),
+    "psi_k1k2": lambda: bc.psi_k1k2(cp(1), 12, 12),
+    "s_omega table": lambda: bc._monomial_table(LARGEST + 1),
+    "Todd row": lambda: bc._todd_row(LARGEST + 1),
+    "Girard-Waring row": lambda: bc._girard_waring_row(LARGEST + 1),
+    "s_polynomial": lambda: bc.s_polynomial(LARGEST + 1, [GradedPoly.generator((2,), 0)]),
+    "tower chern_numbers": lambda: tower.chern_numbers(cpprod_above_bound()),
+    "tower s_number": lambda: tower.s_number(cpprod_above_bound()),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_before_any_work(no_work, call):
+    with pytest.raises(ValueError, match=f"at most {LARGEST}"):
+        call()
+
+
+def test_refusals_leave_the_basis_cache_bounded():
+    for n in range(LARGEST + 1, LARGEST + 40):
+        for call in (lambda: ChernVector(n), lambda: cp(n),
+                     lambda: bc.product(cp(n - LARGEST), cp(LARGEST))):
+            with pytest.raises(ValueError, match=f"at most {LARGEST}"):
+                call()
+    assert bc._basis.cache_info().currsize <= LARGEST + 1
+
+
+def test_operations_run_up_to_the_bound():
+    top = ChernVector(LARGEST - 2, {(LARGEST - 2,): 1})
+    assert psi(top).dim == LARGEST
+    assert bc.chi(ChernVector(LARGEST - 1, {(LARGEST - 1,): 1})).dim == LARGEST
+    rng = random.Random(LARGEST)
+    a = ChernVector(LARGEST - 2, {omega: rng.randint(-9, 9)
+                                  for omega in bc._basis(LARGEST - 2)[0]})
+    assert delta(psi(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# the one comparison against the bound
+# ---------------------------------------------------------------------------
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def comparisons_outside_check_dim(source: str, module: str) -> list[int]:
+    """Lines of the comparisons with CHERN_MAX_DIM outside `bordclass.check_dim`."""
+    tree = ast.parse(source)
+    allowed = set()
+    if module == "bordclass":
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "check_dim":
+                allowed.update(map(id, ast.walk(node)))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in allowed
+            and "CHERN_MAX_DIM" in _names(node)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_bound_compared_only_in_check_dim(path):
+    assert comparisons_outside_check_dim(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_check_dim_is_the_comparison():
+    source = (SRC / "bordclass.py").read_text(encoding="utf-8")
+    check = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_dim")
+    assert any(isinstance(node, ast.Compare) and "CHERN_MAX_DIM" in _names(node)
+               for node in ast.walk(check))
+
+
+@pytest.mark.parametrize("module, source", [
+    ("bordclass", "def f(n):\n    if n > CHERN_MAX_DIM:\n        raise ValueError\n"),
+    ("cli", "ok = max(a, b) <= bordclass.CHERN_MAX_DIM\n"),
+    ("tower", "def check_dim(n):\n    return n > bordclass.CHERN_MAX_DIM\n"),
+])
+def test_guard_finds_a_second_check(module, source):
+    assert comparisons_outside_check_dim(source, module)

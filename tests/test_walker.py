@@ -9,13 +9,14 @@ factors, and `s_num` (the Girard-Waring row) with the Newton recurrence.
 Exact equality only.
 """
 
+import gc
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from bordx import bordclass, tower
+from bordx import bordclass, numbers, tower
 from bordx.bordclass import ChernVector
 from bordx.cli import sample_classes
 from bordx.cohomring import evaluate_top
@@ -314,3 +315,27 @@ def test_tower_chern_numbers_match_reference_on_cp_products(parts):
     spec = tower.build_family("CPprod", parts, convention="bordism")
     assert tower.chern_numbers(spec) == ref_tower_chern_numbers(spec)
     assert tower.chern_numbers(spec) == ref_cp_product(sorted(parts, reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# the recursive walkers leave no reference cycle behind
+# ---------------------------------------------------------------------------
+
+WALKER_CALLS = {
+    "_walk": lambda: bordclass._walk(
+        8, 1, lambda value, part, rest: value * part or None, lambda value: value),
+    "_split_table": lambda: bordclass._split_table.__wrapped__(4, 5),
+    "verify_alpha_gcd": lambda: numbers.verify_alpha_gcd(12),
+}
+
+
+@pytest.mark.parametrize("call", WALKER_CALLS.values(), ids=WALKER_CALLS.keys())
+def test_walker_leaves_no_cycle(call):
+    call()  # fills the caches it reads, which are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
