@@ -111,9 +111,8 @@ class PresentedRing:
         # the coding of monomials, see the module docstring
         self.radix = top_degree // min(self.degrees) + 1 if self.degrees else 1
         self._places = tuple(self.radix ** j for j in range(len(self.degrees)))
-        self._rules = None
-        self._rules_error = None
-        self._nf_memo: dict[int, dict] = {}  # code -> coded normal form, final rules
+        self._rules = None  # built on first use; a failed build keeps nothing
+        self._nf_memo: dict[int, dict] = {}  # code -> coded normal form
         self._lattice_cache: dict[int, tuple] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -214,7 +213,12 @@ class PresentedRing:
         digit j is at least d, and rewrites it by subtracting d R^j and adding
         each code of the rhs.  A rule whose x_j^d lies above the top never
         applies at or below it, so the rhs terms above the top are dropped.
+        Each rhs is its relation as given: a tower's relations lead with pure
+        powers of distinct generators, a Groebner basis (Buchberger's first
+        criterion), so the order of the rewrites does not change the result.
         """
+        if self.backend != "triangular":
+            raise NonTriangularError("ring is marked for the lattice backend")
         rules: dict[int, tuple[int, dict]] = {}
         for rel in self.relations:
             candidates = []
@@ -236,34 +240,13 @@ class PresentedRing:
                 )
             rest = rel - GradedPoly.monomial(self.degrees, exp, c)
             rules[j] = (d, self.coded(rest.scale(-c)))  # x_j^d = -c * rest, c = +-1
-        # pre-reduce each rhs by the preliminary rules; the normal forms
-        # memoised on the way belong to those rules and are dropped here
-        preliminary = self._rule_table(rules)
-        memo: dict = {}
-        return self._rule_table({j: (d, self._reduce_codes(rhs, preliminary, memo))
-                                 for j, (d, rhs) in rules.items()})
-
-    def _rule_table(self, rules: dict) -> tuple:
-        """{j: (d, coded rhs)} as the rule tuples `_rewrite` reads."""
         places = self._places
         return tuple((places[j], d, d * places[j], tuple(rhs.items()))
                      for j, (d, rhs) in sorted(rules.items(), reverse=True))
 
-    def _get_rules(self):
-        if self.backend != "triangular":
-            raise NonTriangularError("ring is marked for the lattice backend")
-        if self._rules is None and self._rules_error is None:
-            try:
-                self._rules = self._build_rules()
-            except NonTriangularError as exc:
-                self._rules_error = exc
-        if self._rules_error is not None:
-            raise self._rules_error
-        return self._rules
-
     def reduce(self, x: GradedPoly) -> GradedPoly:
         """Triangular normal form of x, any degrees, terms above the top dropped."""
-        out = self._reduce_codes(self.coded(x), self._get_rules(), self._nf_memo)
+        out = self._reduce_codes(self.coded(x))
         return GradedPoly._trusted(self.degrees, {self.decode(k): c for k, c in out.items()})
 
     def mul_reduce(self, a: dict, b: dict) -> dict:
@@ -274,14 +257,13 @@ class PresentedRing:
         the top (a and b homogeneous of total degree at most the top), so
         each product is one addition of codes.
         """
-        rules = self._rules or self._get_rules()
         product: dict[int, int] = {}
         get = product.get
         for kb, cb in b.items():
             for ka, ca in a.items():
                 key = ka + kb
                 product[key] = get(key, 0) + ca * cb
-        return self._reduce_codes(product, rules, self._nf_memo)
+        return self._reduce_codes(product)
 
     def fundamental_code_coefficient(self, reduced: dict) -> int:
         """Coefficient of the fundamental monomial in a coded, reduced
@@ -297,8 +279,12 @@ class PresentedRing:
             )
         return reduced.get(mu, 0)
 
-    def _reduce_codes(self, terms: dict, rules, memo) -> dict:
-        """sum c * NF(m) over the coded terms c*m at or below the top."""
+    def _reduce_codes(self, terms: dict) -> dict:
+        """The one way into the memo: sum c * NF(m) over coded terms c*m at or below the top."""
+        rules = self._rules
+        if rules is None:
+            rules = self._rules = self._build_rules()
+        memo = self._nf_memo
         out: dict[int, int] = {}
         get = out.get
         for code, c in terms.items():
@@ -469,11 +455,9 @@ def _matrix(rows, cols: int) -> IntMatrix:
 def normal_form(ring: PresentedRing, x: GradedPoly) -> GradedPoly:
     """Fixed point of the triangular rewriting rules, top-degree truncated.
 
-    Public API: the checked entry to `PresentedRing.reduce`, which refuses a
-    ring marked for the lattice backend and an inhomogeneous element.
+    Public API: the checked entry to `PresentedRing.reduce`, which refuses an
+    inhomogeneous element (the rules build refuses a lattice-backend ring).
     """
-    if ring.backend != "triangular":
-        raise NonTriangularError("ring is marked for the lattice backend")
     if not x.is_homogeneous():
         raise ValueError("normal_form expects a homogeneous (or zero) element")
     return ring.reduce(x)
@@ -489,9 +473,7 @@ def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
         )
     if ring.backend == "lattice":
         return lattice_evaluate(ring, x)
-    rules = ring._get_rules()
-    return ring.fundamental_code_coefficient(
-        ring._reduce_codes(ring.coded(x), rules, ring._nf_memo))
+    return ring.fundamental_code_coefficient(ring._reduce_codes(ring.coded(x)))
 
 
 def fundamental_coefficient(ring: PresentedRing, reduced: GradedPoly) -> int:

@@ -281,6 +281,8 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
     Ltilde(n1, n2): L(n1, n2) with the SU-amended stably complex structure.
     Ntilde(n1, n2): the 3-generator quasitoric SU family over CP^1 x CP^n1.
     CPprod(omega): the product of projective spaces CP^omega.
+
+    L, Ltilde and Ntilde are refused above CHERN_MAX_DIM before a stage is built.
     """
     if name == "CPprod":
         (omega,) = params
@@ -291,6 +293,7 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
         n1, n2 = params
         if n1 < 0 or n2 < 0:
             raise ValueError("L needs n1, n2 >= 0")
+        bordclass.check_dim(n1 + n2)
         if n1 == 0:
             return build_family("CPprod", (n2,) if n2 else (), convention=convention)
         if n2 == 0:
@@ -301,6 +304,7 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
     if name == "Ltilde":
         n1, n2 = params
         _check_parities("Ltilde", n1, n2)
+        bordclass.check_dim(n1 + n2)
         stage = Stage(((-1,),) + ((0,),) * n2)
         # base summands 0..n1 (class u), stage summands n1+1..n1+n2+1
         conj = set(range(1, n1, 2))  # n1/2 of the u-summands
@@ -312,6 +316,7 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
     if name == "Ntilde":
         n1, n2 = params
         _check_parities("Ntilde", n1, n2)
+        bordclass.check_dim(1 + n1 + n2)
         if n2 == 1:
             # CP(eta^2 + L_v) over CP^1 x CP^n1; relation (w - 2u)(w + v) = 0
             stage = Stage(((-2, 0), (0, 1)))
@@ -377,11 +382,12 @@ class CharMatrix:
 
 
 def char_matrix(name: str, *params) -> CharMatrix:
-    """The explicit characteristic matrix of a named family."""
+    """The characteristic matrix of a named family, refused above CHERN_MAX_DIM first."""
     if name == "CPprod":
         (omega,) = params
         omega = canonical_partition(omega) if omega else ()
         n = sum(omega)
+        bordclass.check_dim(n)
         m = n + len(omega)
         rows = [[0] * m for _ in range(n)]
         r0 = c0 = 0
@@ -398,6 +404,7 @@ def char_matrix(name: str, *params) -> CharMatrix:
         if n1 <= 0 or n2 <= 0:
             raise ValueError("char_matrix('L') needs n1, n2 > 0")
         n = n1 + n2
+        bordclass.check_dim(n)
         m = n + 2
         rows = [[0] * m for _ in range(n)]
         for j in range(n1):
@@ -413,6 +420,7 @@ def char_matrix(name: str, *params) -> CharMatrix:
         n1, n2 = params
         _check_parities("Ltilde", n1, n2)
         n = n1 + n2
+        bordclass.check_dim(n)
         m = n + 2
         rows = [[0] * m for _ in range(n)]
         for j in range(n1):
@@ -428,6 +436,7 @@ def char_matrix(name: str, *params) -> CharMatrix:
         n1, n2 = params
         _check_parities("Ntilde", n1, n2)
         n = 1 + n1 + n2
+        bordclass.check_dim(n)
         m = n + 3
         rows = [[0] * m for _ in range(n)]
         if n2 == 1:

@@ -1,6 +1,9 @@
 """Tests for the presented-ring evaluation backends."""
 
+import ast
+import pathlib
 import random
+import traceback
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,6 +162,42 @@ class TestNormalForm:
                 assert normal_form(ring, x) == expected, exp
                 # a ring that has reduced nothing before
                 assert normal_form(tower.presented_ring(spec), x) == expected, exp
+
+    def test_two_step_rule_chain(self):
+        # z^2 -> y^2 + xz, y^2 -> x^2 + xy and x^2 -> 0: the rhs of z^2 needs
+        # two rewrites before it is final, one more than Ntilde(2, 3)'s u^2 -> 0
+        deg = (2, 2, 2)
+        ring = PresentedRing(("x", "y", "z"), deg, [
+            GradedPoly(deg, {(2, 0, 0): 1}),
+            GradedPoly(deg, {(0, 2, 0): 1, (2, 0, 0): -1, (1, 1, 0): -1}),
+            GradedPoly(deg, {(0, 0, 2): 1, (0, 2, 0): -1, (1, 0, 1): -1}),
+        ], 6, (1, 1, 1))
+        rules = _preliminary_rules(ring)
+        for degree in range(0, ring.top_degree + 1, 2):
+            for exp in ring.monomials_of_degree(degree):
+                x = GradedPoly.monomial(ring.degrees, exp, 3)
+                assert normal_form(ring, x) == _reference_reduce(ring, x, rules), exp
+        for exp in ring.monomials_of_degree(ring.top_degree):
+            x = GradedPoly.monomial(ring.degrees, exp, 3)
+            assert evaluate_top(ring, x) == lattice_evaluate(ring, x), exp
+
+    def test_failed_rules_are_not_kept(self):
+        # the ring of test_non_triangular_relation_detected: each call scans
+        # the relations again and raises a fresh error, so the traceback does
+        # not grow from one call to the next
+        deg = (2, 2)
+        uv = GradedPoly(deg, {(1, 1): 1})
+        ring = PresentedRing(("u", "v"), deg, [uv, GradedPoly(deg, {(2, 0): 1, (0, 2): 2})],
+                             4, (1, 1))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NonTriangularError) as info:
+                normal_form(ring, ring.gen("u"))
+            errors.append(info.value)
+        first, second = errors
+        assert first is not second
+        assert (len(traceback.extract_tb(second.__traceback__))
+                <= len(traceback.extract_tb(first.__traceback__)))
 
 
 def _preliminary_rules(ring):
@@ -649,3 +688,31 @@ class TestLatticeLimits:
         assert (len(monos), matrix.rows) == (120, 185)
         assert 10 * len(monos) <= cohomring.LATTICE_MAX_MONOMIALS
         assert 10 * matrix.rows <= cohomring.LATTICE_MAX_ROWS
+
+
+# ---------------------------------------------------------------------------
+# no stored exception is raised
+# ---------------------------------------------------------------------------
+
+def stored_exception_raises(source: str) -> list[int]:
+    """Lines of the `raise` statements whose exception is an attribute.
+
+    An attribute holds an exception made earlier; raising it again appends
+    to its traceback, so every `raise` in the package makes a fresh one.
+    """
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Attribute)]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(cohomring.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_stored_exception_is_raised(path):
+    assert stored_exception_raises(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(self):\n    raise self._error\n",
+    "try:\n    pass\nexcept ValueError:\n    raise state.error from None\n",
+])
+def test_guard_finds_a_stored_exception(source):
+    assert stored_exception_raises(source)

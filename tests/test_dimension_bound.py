@@ -3,8 +3,9 @@
 `bordclass.check_dim` refuses a larger complex dimension where each
 partition-indexed object starts: the basis (every vector, `cp` and the
 genus tables), a product's split table, an operation's target and a tower's
-ring.  A refused call does no work first, and the operations run up to the
-bound.
+ring; the family constructors and characteristic matrices check it too,
+before they build a stage or a row.  A refused call does no work first, and
+the operations run up to the bound.
 """
 
 import ast
@@ -59,6 +60,43 @@ REFUSED = {
 def test_refused_before_any_work(no_work, call):
     with pytest.raises(ValueError, match=f"at most {LARGEST}"):
         call()
+
+
+def test_families_refused_before_any_stage(monkeypatch):
+    monkeypatch.setattr(tower, "Stage", _fail)
+    for name, n1, n2 in [("L", 2, LARGEST - 1), ("Ltilde", 2, LARGEST - 1),
+                         ("Ntilde", 2, LARGEST - 1)]:
+        with pytest.raises(ValueError, match=f"at most {LARGEST}"):
+            tower.build_family(name, n1, n2)
+
+
+def test_char_matrices_refused_before_any_row(monkeypatch):
+    monkeypatch.setattr(tower, "CharMatrix", _fail)
+    for params in [("CPprod", (LARGEST + 1,)), ("L", 2, LARGEST - 1),
+                   ("Ltilde", 2, LARGEST - 1), ("Ntilde", 2, LARGEST - 1)]:
+        with pytest.raises(ValueError, match=f"at most {LARGEST}"):
+            tower.char_matrix(*params)
+
+
+def test_families_far_above_the_bound_are_refused_at_once():
+    # a stage of 10^12 lines, or a 10^12-row matrix, would never finish
+    for name, n2 in [("L", 10 ** 12), ("Ltilde", 10 ** 12 + 1), ("Ntilde", 10 ** 12 + 1)]:
+        with pytest.raises(ValueError, match=f"at most {LARGEST}"):
+            tower.build_family(name, 2, n2)
+        with pytest.raises(ValueError, match=f"at most {LARGEST}"):
+            tower.char_matrix(name, 2, n2)
+
+
+def test_char_matrices_at_the_bound_are_built():
+    # Ltilde has odd dimension n1 + n2, so its largest is one below the bound
+    for params, dim in [(("CPprod", (LARGEST,)), LARGEST), (("L", 2, LARGEST - 2), LARGEST),
+                        (("Ltilde", 2, LARGEST - 3), LARGEST - 1),
+                        (("Ntilde", 2, LARGEST - 3), LARGEST)]:
+        assert tower.char_matrix(*params).matrix.rows == dim
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("a refused family started work")
 
 
 def test_refusals_leave_the_basis_cache_bounded():
