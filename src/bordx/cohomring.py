@@ -17,15 +17,17 @@ addition of their codes.  A monomial with an exponent of R or more lies
 above the top, and its code would be that of another monomial, so it is
 dropped before it is encoded.
 
-The lattice backend reads everything off one unimodular echelon form of the
-top-degree relation matrix: the rank, and a kernel vector by exact back
-substitution, which is the vector of signed maximal minors of the relation
-lattice.  The content of that vector (the gcd of the maximal minors) is the
-order of the torsion of the quotient (Newman, *Integral Matrices*, II), so
-the quotient is Z exactly when the content is 1, and the vector is then the
-functional itself.  The lattice models are bounded: a degree with more than
-LATTICE_MAX_MONOMIALS monomials or LATTICE_MAX_ROWS relation rows is refused
-before it is enumerated.
+The lattice backend reads everything off one unimodular echelon form
+(`exactalg.sparse_echelon`) of the top-degree relation rows: the rank, and a
+kernel vector by exact back substitution, which is the vector of signed
+maximal minors of the relation lattice.  The content of that vector (the gcd
+of the maximal minors) is the order of the torsion of the quotient (Newman,
+*Integral Matrices*, II), so the quotient is Z exactly when the content is 1,
+and the vector is then the functional itself.  The relation rows are sparse
+and their columns found by monomial code: the lattice backend uses `encode`
+and nothing else of the triangular one.  The lattice models are bounded: a
+degree with more than LATTICE_MAX_MONOMIALS monomials or LATTICE_MAX_ROWS
+relation rows is refused before it is enumerated.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ import keyword
 import math
 import operator
 
-from .exactalg import (GradedPoly, IntMatrix, echelon_form, json_field, json_object,
-                       strict_int)
+from .exactalg import GradedPoly, json_field, json_object, sparse_echelon, strict_int
 
 _REWRITE_STEP_LIMIT = 2_000_000
 
@@ -349,7 +350,12 @@ class PresentedRing:
     # -- lattice backend -----------------------------------------------------
 
     def _lattice_model(self, degree: int):
-        """(monomials, monomial index, relation-row matrix) for a degree."""
+        """(column by monomial code, sparse relation rows) for a degree.
+
+        Columns follow `monomials_of_degree`, the fundamental monomial's last
+        at the top; each relation multiple is one row {column: coefficient},
+        the code of x^e x^m being encode(e) + encode(m) at or below the top.
+        """
         cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
@@ -368,24 +374,24 @@ class PresentedRing:
                         f"degree {degree} has more than {LATTICE_MAX_ROWS} relation "
                         "multiples (lattice model too large)"
                     )
-        monos = self.monomials_of_degree(degree)
+        encode = self.encode
+        codes = [encode(m) for m in self.monomials_of_degree(degree)]
         if degree == self.top_degree:
             # the fundamental monomial's column last, as the evaluator wants
-            monos.remove(self.fundamental_monomial)
-            monos.append(self.fundamental_monomial)
-        index = {m: i for i, m in enumerate(monos)}
+            mu = encode(self.fundamental_monomial)
+            codes.remove(mu)
+            codes.append(mu)
+        index = {code: i for i, code in enumerate(codes)}
         rows = []
         for rel in self.relations:
             shift = degree - rel.degree()
             if shift < 0:
                 continue
+            terms = [(encode(e), c) for e, c in rel.terms.items()]
             for m in self.monomials_of_degree(shift):
-                row = [0] * len(monos)
-                for e, c in rel.terms.items():
-                    key = tuple(a + b for a, b in zip(e, m))
-                    row[index[key]] = c
-                rows.append(row)
-        model = (monos, index, _matrix(rows, len(monos)))
+                k = encode(m)
+                rows.append({index[e + k]: c for e, c in terms})
+        model = (index, rows)
         self._lattice_cache[degree] = model
         return model
 
@@ -393,31 +399,34 @@ class PresentedRing:
         """Primitive functional phi on top-degree monomials with phi(mu) = 1.
 
         The model puts mu's column last, and one unimodular echelon form E
-        of the relation matrix gives the three checks in turn.  The quotient
-        rank is the number of columns without a pivot.  With one free column
-        f, v_f = prod(pivots) and back substitution (every division exact, by
+        of the relation rows gives the three checks in turn.  The quotient
+        rank is the number of columns without a pivot, a row's pivot being
+        its least column.  With one free column f, v_f = prod(pivots) and
+        back substitution over each row's entries (every division exact, by
         Cramer's rule) give the signed maximal minors v of the relation
         lattice; their content is the torsion order of the quotient, and
         when it is 1, mu generates exactly when v_mu = 1, and then phi = v.
+        Returns (column index by monomial code, phi by column).
         """
         key = -1
         cached = self._lattice_cache.get(key)
         if cached is not None:
             return cached
-        monos, index, matrix = self._lattice_model(self.top_degree)
-        m = len(monos)
-        echelon = echelon_form(matrix)
+        index, rows = self._lattice_model(self.top_degree)
+        m = len(index)
+        echelon = sparse_echelon(rows)
         if len(echelon) != m - 1:
             raise PresentationError(
                 f"top-degree quotient has rank {m - len(echelon)}, expected 1 "
                 "(bad presentation)"
             )
-        pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+        pivots = [min(row) for row in echelon]
         (free,) = set(range(m)).difference(pivots)
         v = [0] * m
         v[free] = math.prod(row[p] for row, p in zip(echelon, pivots))
         for row, p in zip(reversed(echelon), reversed(pivots)):
-            v[p] = -sum(map(operator.mul, row[p + 1:], v[p + 1:])) // row[p]
+            # v[p] is still 0
+            v[p] = -sum(c * v[j] for j, c in row.items()) // row[p]
         if math.gcd(*v) != 1:
             raise PresentationError(
                 "top-degree quotient has torsion (bad presentation)"
@@ -441,11 +450,6 @@ def _accumulate(acc: dict, terms: dict, c: int) -> None:
             acc[e] = v
         else:
             del acc[e]
-
-
-def _matrix(rows, cols: int) -> IntMatrix:
-    """An IntMatrix on integer rows built here, without a check per entry."""
-    return IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +496,7 @@ def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
     index, phi = ring._lattice_evaluator()
     total = 0
     for e, c in x.terms.items():
-        total += c * phi[index[e]]
+        total += c * phi[index[ring.encode(e)]]
     return total
 
 
@@ -502,8 +506,8 @@ def graded_rank(ring: PresentedRing, degree: int) -> int:
         raise ValueError("degree exceeds top_degree")
     if degree < 0:
         return 0
-    monos, _, matrix = ring._lattice_model(degree)
-    return len(monos) - len(echelon_form(matrix))
+    index, rows = ring._lattice_model(degree)
+    return len(index) - len(sparse_echelon(rows))
 
 
 # ---------------------------------------------------------------------------

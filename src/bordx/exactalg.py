@@ -7,6 +7,7 @@ module is safe to use from multiple threads.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import operator
@@ -487,45 +488,69 @@ class IntMatrix:
         return cls(len(rows), ncols, tuple(rows))
 
 
-def echelon_form(M: IntMatrix) -> list[list[int]]:
-    """Row echelon basis of the row lattice of M, by unimodular row operations.
+def sparse_echelon(rows) -> list[dict[int, int]]:
+    """Row echelon basis of the lattice of sparse rows {column: nonzero entry},
+    by unimodular row operations (the rows given are not changed).
 
-    Column by column, every remaining row with a nonzero entry there is
-    gcd-combined into one pivot row (pivot made positive) and leftovers that
-    are zero in that column, by a plain subtraction when the pivot divides
-    the entry.  No row is divided by its content, and entries above a pivot
-    are left as they are.  Nonzero rows only, in pivot-column order, so the
-    length is the rank.
+    Rows are filed under their leading column.  Column by column, the rows
+    filed there are gcd-combined into one positive pivot, the least |leading
+    entry| first, so a unit pivot clears the others by plain subtraction, and
+    each leftover is filed under its new leading column.  No row is divided
+    by its content and entries above a pivot are kept.  Output in pivot
+    order: its length is the rank, and each row's least key its pivot.
     """
-    rows = [list(r) for r in M.entries if any(r)]
-    n = M.cols
-    out: list[list[int]] = []
-    col = 0
-    while rows and col < n:
-        live = [r for r in rows if r[col]]
-        rest = [r for r in rows if not r[col]]
-        if not live:
-            col += 1
-            continue
-        base = live[0]
-        for r in live[1:]:
+    filed: dict[int, list[dict]] = {}
+    pending: list[int] = []  # heap of the filed columns
+
+    def file(row):
+        lead = min(row)
+        if lead not in filed:
+            filed[lead] = []
+            heapq.heappush(pending, lead)
+        filed[lead].append(row)
+
+    for row in rows:
+        if row:
+            file(row)
+    out: list[dict[int, int]] = []
+    while pending:
+        col = heapq.heappop(pending)
+        group = filed.pop(col)
+        group.sort(key=lambda r: abs(r[col]))
+        base = group[0]
+        for r in group[1:]:
             if r[col] % base[col] == 0:
-                q = r[col] // base[col]
-                extra = [b - q * a for a, b in zip(base, r)]
+                extra = _combine(r, 1, base, -(r[col] // base[col]))
             else:
-                # [[x, y], [q2, -q1]] has determinant -1: the lattice is kept
+                # [[x, y], [q2, -q1]] has determinant -1: the lattice is kept;
+                # x, y != 0 as |base[col]| < |r[col]|, which it does not divide
                 g, x, y = ext_gcd(base[col], r[col])
                 q1, q2 = base[col] // g, r[col] // g
-                extra = [q2 * a - q1 * b for a, b in zip(base, r)]
-                base = [x * a + y * b for a, b in zip(base, r)]
-            if any(extra):
-                rest.append(extra)
-        if base[col] < 0:
-            base = [-x for x in base]
-        out.append(base)
-        rows = rest
-        col += 1
+                extra = _combine(base, q2, r, -q1)
+                base = _combine(base, x, r, y)
+            if extra:
+                file(extra)
+        out.append(base if base[col] > 0 else {j: -c for j, c in base.items()})
     return out
+
+
+def _combine(a: dict, s: int, b: dict, t: int) -> dict:
+    """The sparse row s*a + t*b for nonzero s and t, without zero entries."""
+    out = dict(a) if s == 1 else {j: s * c for j, c in a.items()}
+    get = out.get
+    for j, c in b.items():
+        v = get(j, 0) + t * c
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return out
+
+
+def echelon_form(M: IntMatrix) -> list[list[int]]:
+    """`sparse_echelon` of the rows of M, as dense rows."""
+    rows = sparse_echelon({j: x for j, x in enumerate(r) if x} for r in M.entries)
+    return [[row.get(j, 0) for j in range(M.cols)] for row in rows]
 
 
 def hermite_normal_form(M: IntMatrix) -> list[list[int]]:

@@ -27,11 +27,11 @@ from .exactalg import (
     GradedPoly,
     IntMatrix,
     canonical_partition,
-    echelon_form,
     hermite_normal_form,
     in_row_span,
     json_field,
     json_object,
+    sparse_echelon,
     strict_int,
 )
 
@@ -349,6 +349,9 @@ class CharMatrix:
     def __post_init__(self):
         object.__setattr__(self, "polytope", tuple(
             strict_int(d, "a simplex dimension") for d in self.polytope))
+        # every entry checked once, not at every vertex
+        object.__setattr__(self, "matrix", IntMatrix.from_rows(self.matrix.entries,
+                                                               self.matrix.cols))
         n = sum(self.polytope)
         m = n + len(self.polytope)
         if self.matrix.rows != n or self.matrix.cols != m:
@@ -375,9 +378,9 @@ class CharMatrix:
         n = self.matrix.rows
         for dropped in itertools.product(*blocks):
             chosen = [j for b in blocks for j in b if j not in dropped]
-            h = echelon_form(IntMatrix.from_rows(
-                [[row[j] for j in chosen] for row in self.matrix.entries], n))
-            if len(h) != n or any(h[k][k] != 1 for k in range(n)):
+            h = sparse_echelon({k: row[j] for k, j in enumerate(chosen) if row[j]}
+                               for row in self.matrix.entries)
+            if len(h) != n or any(row[k] != 1 for k, row in enumerate(h)):
                 raise ValueError(f"vertex columns {chosen} have determinant != +-1")
 
 

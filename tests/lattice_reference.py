@@ -3,7 +3,7 @@
 Fraction-free elimination gives the rank and a primitive kernel vector phi;
 the quotient is torsion-free when the Hermite form of the relation rows
 equals the Hermite form of a Z-basis of {x : phi . x = 0}.  Nothing in
-bordx uses this module; ``bordx.exactalg.echelon_form`` and the evaluator
+bordx uses this module; ``bordx.exactalg.sparse_echelon`` and the evaluator
 in ``bordx.cohomring`` replace it.
 """
 
@@ -174,10 +174,17 @@ def saturation_kernel_basis(phi: list[int]) -> list[list[int]]:
     return [list(u[i]) for i in range(1, m)]
 
 
+def dense_matrix(rows, cols: int) -> IntMatrix:
+    """The IntMatrix of sparse {column: entry} rows, of width cols."""
+    return IntMatrix.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows],
+                               cols=cols)
+
+
 def reference_evaluator(ring):
     """(monomial index, phi) of the top degree by the earlier route, or its error."""
-    monos, index, matrix = ring._lattice_model(ring.top_degree)
-    m = len(monos)
+    index, rows = ring._lattice_model(ring.top_degree)
+    m = len(index)
+    matrix = dense_matrix(rows, m)
     rank, kernel = lattice_rank_kernel(matrix)
     if len(kernel) != 1:
         raise PresentationError(
@@ -189,7 +196,7 @@ def reference_evaluator(ring):
     h_sat = reference_hnf(IntMatrix.from_rows(saturation_kernel_basis(phi), cols=m))
     if h_rel != h_sat:
         raise PresentationError("top-degree quotient has torsion (bad presentation)")
-    val = phi[index[ring.fundamental_monomial]]
+    val = phi[index[ring.encode(ring.fundamental_monomial)]]
     if abs(val) != 1:
         raise PresentationError(
             "fundamental monomial does not generate the top-degree quotient"

@@ -23,7 +23,7 @@ from bordx.cohomring import (
     ring_to_json,
 )
 from bordx.exactalg import GradedPoly
-from lattice_reference import reference_evaluator
+from lattice_reference import dense_matrix, reference_evaluator
 from test_tower import _qt_gens_instances
 
 
@@ -593,8 +593,8 @@ class TestLatticeRoute:
     def test_qt_gens_rings(self, name, n1, n2):
         ring = tower.presented_ring(tower.build_family(name, n1, n2, convention="bordism"))
         phi, error = assert_routes_agree(ring)
-        assert error is None and phi[ring._lattice_model(ring.top_degree)[1][
-            ring.fundamental_monomial]] == 1
+        assert error is None and phi[ring._lattice_model(ring.top_degree)[0][
+            ring.encode(ring.fundamental_monomial)]] == 1
 
     def test_grassmann_and_projective_spaces(self):
         for ring in [grassmann_ring()] + [cp_ring(n) for n in range(1, 7)]:
@@ -624,8 +624,42 @@ class TestLatticeRoute:
 
         for ring in [grassmann_ring(), ntilde_ring(2, 3), _TORSION, _RANK_2]:
             for d in range(0, ring.top_degree + 1, 2):
-                monos, _, matrix = ring._lattice_model(d)
-                assert graded_rank(ring, d) == len(monos) - lattice_rank_kernel(matrix)[0]
+                index, rows = ring._lattice_model(d)
+                matrix = dense_matrix(rows, len(index))
+                assert graded_rank(ring, d) == len(index) - lattice_rank_kernel(matrix)[0]
+
+
+def _poincare(spec):
+    """Graded ranks of a tower by Leray-Hirsch: the product of 1 + t + ... + t^k
+    over the base dimensions and the stage fibre dimensions."""
+    ranks = [1]
+    for k in list(spec.base) + [stage.fiber_dim for stage in spec.stages]:
+        ranks = [sum(ranks[max(0, i - k):i + 1]) for i in range(len(ranks) + k)]
+    return ranks
+
+
+class TestLatticeIndependence:
+    """The lattice route reads nothing of the triangular backend (ROADMAP aim 3)."""
+
+    @pytest.fixture
+    def no_triangular(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice route used the triangular backend")
+
+        for name in ("_build_rules", "_reduce_codes", "_monomial_nf"):
+            monkeypatch.setattr(PresentedRing, name, refuse)
+
+    @pytest.mark.parametrize("name,n1,n2", _qt_gens_instances(30))
+    def test_qt_gens_rings(self, name, n1, n2, no_triangular):
+        spec = tower.build_family(name, n1, n2, convention="bordism")
+        ring = _lattice_copy(tower.presented_ring(spec))
+        del ring._rules, ring._nf_memo  # a read of either raises AttributeError
+        index, phi = reference_evaluator(_lattice_copy(ring))
+        for e in ring.monomials_of_degree(ring.top_degree):
+            x = GradedPoly.monomial(ring.degrees, e, 3)
+            assert lattice_evaluate(ring, x) == 3 * phi[index[ring.encode(e)]]
+        assert [graded_rank(ring, d) for d in range(0, ring.top_degree + 1, 2)] == (
+            _poincare(spec))
 
 
 def _payload(count, top, relations, mu=None):
@@ -684,9 +718,10 @@ class TestLatticeLimits:
     def test_limits_sit_far_above_the_largest_qt_gens_model(self):
         # Ntilde(12, 1): 120 columns x 185 rows, the largest of every qt_gens model
         ring = tower.presented_ring(tower.build_family("Ntilde", 12, 1, convention="bordism"))
-        monos, _, matrix = ring._lattice_model(ring.top_degree)
-        assert (len(monos), matrix.rows) == (120, 185)
-        assert 10 * len(monos) <= cohomring.LATTICE_MAX_MONOMIALS
+        index, rows = ring._lattice_model(ring.top_degree)
+        matrix = dense_matrix(rows, len(index))
+        assert (matrix.cols, matrix.rows) == (120, 185)
+        assert 10 * matrix.cols <= cohomring.LATTICE_MAX_MONOMIALS
         assert 10 * matrix.rows <= cohomring.LATTICE_MAX_ROWS
 
 

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from bordx import exactalg
 from bordx.exactalg import (
     GradedPoly,
     IntMatrix,
     echelon_form,
+    ext_gcd,
     ext_gcd_combo,
     geometric_series,
     hermite_normal_form,
@@ -15,6 +17,7 @@ from bordx.exactalg import (
     inverse_one_plus,
     multinomial,
     partitions,
+    sparse_echelon,
 )
 from lattice_reference import lattice_rank_kernel, reference_hnf, saturation_kernel_basis
 
@@ -408,6 +411,74 @@ class TestLatticeAlgebra:
     def test_hnf_unchanged(self):
         for M in self._random_matrices(12, 400):
             assert hermite_normal_form(M) == reference_hnf(M)
+
+    @staticmethod
+    def _tall_sparse_matrices(seed, count):
+        """Relation-matrix-like shapes up to 60 x 40: unit singletons, zero and
+        duplicate rows, and two leads 4 and 6 in one column, which only an
+        ext-gcd combination turns into one pivot."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            cols = rng.randint(8, 40)
+            rows = []
+            for _ in range(rng.randint(cols, 60) - 2):
+                row = [0] * cols
+                kind = rng.random()
+                if kind < 0.45:
+                    row[rng.randrange(cols)] = rng.choice((1, -1))
+                elif kind < 0.55:
+                    pass
+                elif kind < 0.65 and rows:
+                    row = list(rng.choice(rows))
+                else:
+                    lead = rng.randrange(cols)
+                    for j in rng.sample(range(lead, cols), min(4, cols - lead)):
+                        row[j] = rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))
+                    row[lead] = row[lead] or 1
+                rows.append(row)
+            col = rng.randrange(cols - 1)
+            for lead in (4, 6):
+                row = [0] * cols
+                row[col] = lead
+                row[rng.randrange(col + 1, cols)] = rng.randint(-5, 5)
+                rows.insert(rng.randrange(len(rows) + 1), row)
+            yield IntMatrix.from_rows(rows, cols=cols)
+
+    def test_echelon_form_at_model_scale(self, monkeypatch):
+        combined = []
+        monkeypatch.setattr(exactalg, "ext_gcd",
+                            lambda a, b: combined.append((a, b)) or ext_gcd(a, b))
+        for M in self._tall_sparse_matrices(19, 80):
+            sparse = [{j: x for j, x in enumerate(r) if x} for r in M.entries]
+            given = [dict(r) for r in sparse]
+            e = sparse_echelon(sparse)
+            assert sparse == given  # the rows given are not changed
+            leads = [min(row) for row in e]
+            assert leads == sorted(set(leads))
+            assert all(row[j] > 0 for row, j in zip(e, leads))
+            assert len(e) == lattice_rank_kernel(M)[0]
+            dense = echelon_form(M)
+            assert dense == [[row.get(j, 0) for j in range(M.cols)] for row in e]
+            assert reference_hnf(IntMatrix(len(e), M.cols, tuple(map(tuple, dense)))) == (
+                reference_hnf(M))
+            assert hermite_normal_form(M) == reference_hnf(M)
+        assert combined
+
+    def test_echelon_form_keeps_entries_above_the_pivots(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            cols = rng.randint(2, 30)
+            leads = sorted(rng.sample(range(cols), rng.randint(1, cols)))
+            rows = []
+            for lead in leads:
+                row = [0] * cols
+                row[lead] = rng.randint(1, 9)
+                for j in range(lead + 1, cols):
+                    row[j] = rng.randint(-50, 50) * (rng.random() < 0.5)
+                rows.append(row)
+            shuffled = rows + [[0] * cols] * rng.randint(0, 3)
+            rng.shuffle(shuffled)
+            assert echelon_form(IntMatrix.from_rows(shuffled, cols=cols)) == rows
 
     def test_saturation_kernel(self):
         basis = saturation_kernel_basis([3, -2, 1])

@@ -216,6 +216,12 @@ class TestCharMatrix:
         with pytest.raises(ValueError, match="determinant"):
             M.validate_vertices()
 
+    @pytest.mark.parametrize("entry", [1.0, True, "1"])
+    def test_non_integer_entry_refused(self, entry):
+        # an IntMatrix built without from_rows is checked where the CharMatrix is made
+        with pytest.raises(ValueError, match="integer"):
+            tower.CharMatrix(IntMatrix(2, 3, ((entry, 0, -1), (0, 1, 1))), (2,))
+
     @given(st.lists(st.integers(-2, 2), min_size=8, max_size=8),
            st.sampled_from([(2,), (1, 1)]))
     @settings(max_examples=200, deadline=None)
