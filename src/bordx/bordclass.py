@@ -223,6 +223,7 @@ def _walk(n: int, start, step, evaluate) -> dict:
 
 def cp(n: int) -> ChernVector:
     """The class of CP^n: c_omega = prod binomial(n+1, i_j)."""
+    n = strict_int(n, "n")
     return ChernVector._of_values(  # _basis refuses n < 0 and n > CHERN_MAX_DIM
         n, (math.prod(math.comb(n + 1, i) for i in w) for w in _basis(n)[0]))
 
@@ -532,7 +533,7 @@ def _pi_matrix(n: int) -> tuple:
 
 def boundary_k(a: ChernVector, k: int) -> ChernVector:
     """d_k: the class of the submanifold dual to (det TM)^k, nu = (1+c_1)^k."""
-    if k < 1:
+    if strict_int(k, "k") < 1:
         raise ValueError("k must be positive")
     if a.dim < k:
         raise ValueError(f"need dim >= {k}, got {a.dim}")
@@ -559,7 +560,7 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     conjugated fibre summands flip the orientation; calibrated so that
     Delta Psi = id).
     """
-    if k1 < 0 or k2 < 0 or k1 + k2 < 1:
+    if strict_int(k1, "k1") < 0 or strict_int(k2, "k2") < 0 or k1 + k2 < 1:
         raise ValueError("need k1, k2 >= 0 with k1 + k2 >= 1")
     return _apply(_psi_matrix(a.dim, k1, k2), a)
 

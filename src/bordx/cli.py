@@ -216,15 +216,25 @@ CHERN_MAX_RANK = 1024
 LEMMAS = tuple(_LEMMA_SUITES)
 
 
+def _refuse_unread(given: dict, *read, where: str) -> None:
+    """Refuse every option in `given` that is set but not among `read`."""
+    for name, value in given.items():
+        if value is not None and name not in read:
+            raise ValueError(f"--{name} is not read {where}")
+
+
 def run_lemma(lemma: str, kmax: int | None = None,
               nmax: int | None = None) -> list[dict]:
     if lemma not in _LEMMA_SUITES:
         raise ValueError(f"unknown lemma {lemma!r}")
     suite, size_rule = _LEMMA_SUITES[lemma]
+    sizes = {"kmax": kmax, "nmax": nmax}
+    size_name = size_rule[0] if size_rule else None
+    _refuse_unread(sizes, size_name, where=f"by lemma {lemma!r}")
     if size_rule is None:
         return suite()
-    size_name, default, least, largest = size_rule
-    size = {"kmax": kmax, "nmax": nmax}[size_name]
+    _, default, least, largest = size_rule
+    size = sizes[size_name]
     if size is None:
         size = default
     if not least <= size <= largest:
@@ -265,7 +275,9 @@ def _partition_key(omega) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_chern(args) -> int:
+    given = {"family": args.family, "n1": args.n1, "n2": args.n2, "omega": args.omega}
     if args.spec:
+        _refuse_unread(given, where="with --spec")
         with open(args.spec, encoding="utf-8") as fh:
             spec = tower.tower_from_json(fh.read())
         if args.convention:
@@ -275,6 +287,7 @@ def cmd_chern(args) -> int:
         if not args.family:
             raise ValueError("need --family or --spec")
         if args.family == "CPprod":
+            _refuse_unread(given, "family", "omega", where="by --family CPprod")
             if not args.omega:
                 raise ValueError("CPprod needs --omega")
             omega = bordclass.parse_partition(args.omega)
@@ -282,6 +295,7 @@ def cmd_chern(args) -> int:
             spec = tower.build_family("CPprod", omega,
                                       convention=args.convention or "toric")
         else:
+            _refuse_unread(given, "family", "n1", "n2", where=f"by --family {args.family}")
             if args.n1 is None or args.n2 is None:
                 raise ValueError("family needs --n1 and --n2")
             # checked before the spec is built: L and Ltilde have dimension

@@ -282,29 +282,31 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
     Ntilde(n1, n2): the 3-generator quasitoric SU family over CP^1 x CP^n1.
     CPprod(omega): the product of projective spaces CP^omega.
 
-    L, Ltilde and Ntilde are refused above CHERN_MAX_DIM before a stage is built.
+    L, Ltilde and Ntilde refuse an n1 or n2 that is not an int, and a dimension
+    above CHERN_MAX_DIM, before a stage is built.
     """
     if name == "CPprod":
         (omega,) = params
         omega = canonical_partition(omega) if omega else ()
         return TowerSpec(tuple(omega), (), frozenset(), convention)
 
+    if name not in ("L", "Ltilde", "Ntilde"):
+        raise ValueError(f"unknown family {name!r}")
+    n1, n2 = params
+    n1, n2 = strict_int(n1, f"{name}'s n1"), strict_int(n2, f"{name}'s n2")
+    bordclass.check_dim(n1 + n2 + (name == "Ntilde"))
+
     if name == "L":
-        n1, n2 = params
         if n1 < 0 or n2 < 0:
             raise ValueError("L needs n1, n2 >= 0")
-        bordclass.check_dim(n1 + n2)
-        if n1 == 0:
-            return build_family("CPprod", (n2,) if n2 else (), convention=convention)
-        if n2 == 0:
-            return build_family("CPprod", (n1,), convention=convention)
+        if n1 == 0 or n2 == 0:  # CP^(n1 + n2)
+            return build_family("CPprod", (n1 + n2,) if n1 + n2 else (),
+                                convention=convention)
         stage = Stage(((-1,),) + ((0,),) * n2)
         return TowerSpec((n1,), (stage,), frozenset(), convention)
 
     if name == "Ltilde":
-        n1, n2 = params
         _check_parities("Ltilde", n1, n2)
-        bordclass.check_dim(n1 + n2)
         stage = Stage(((-1,),) + ((0,),) * n2)
         # base summands 0..n1 (class u), stage summands n1+1..n1+n2+1
         conj = set(range(1, n1, 2))  # n1/2 of the u-summands
@@ -313,26 +315,22 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
         conj.add(fiber0 + n2 - 1)  # and the final one
         return TowerSpec((n1,), (stage,), frozenset(conj), convention)
 
-    if name == "Ntilde":
-        n1, n2 = params
-        _check_parities("Ntilde", n1, n2)
-        bordclass.check_dim(1 + n1 + n2)
-        if n2 == 1:
-            # CP(eta^2 + L_v) over CP^1 x CP^n1; relation (w - 2u)(w + v) = 0
-            stage = Stage(((-2, 0), (0, 1)))
-            conj = set(range(3, n1 + 2, 2))  # n1/2 of the v-summands
-            conj.add(2 + n1 + 1 + 1)  # the (w + v) summand
-            return TowerSpec((1, n1), (stage,), frozenset(conj), convention)
-        stage = Stage(((-1, 0), (-1, 0), (0, 1)) + ((0, 0),) * (n2 - 2))
-        conj = {1}  # one u-summand: (1+u)(1-u) = 1 since u^2 = 0
-        conj.update(range(3, n1 + 2, 2))  # n1/2 of the n1+1 v-summands
-        fiber0 = 2 + n1 + 1  # roster index of the first stage summand
-        conj.add(fiber0 + 1)  # one of the two (w - u) summands
-        conj.add(fiber0 + 2)  # the (w + v) summand
-        conj.update(fiber0 + 3 + j for j in range(1, n2 - 2, 2))  # (n2-3)/2 w-summands
+    # Ntilde
+    _check_parities("Ntilde", n1, n2)
+    if n2 == 1:
+        # CP(eta^2 + L_v) over CP^1 x CP^n1; relation (w - 2u)(w + v) = 0
+        stage = Stage(((-2, 0), (0, 1)))
+        conj = set(range(3, n1 + 2, 2))  # n1/2 of the v-summands
+        conj.add(2 + n1 + 1 + 1)  # the (w + v) summand
         return TowerSpec((1, n1), (stage,), frozenset(conj), convention)
-
-    raise ValueError(f"unknown family {name!r}")
+    stage = Stage(((-1, 0), (-1, 0), (0, 1)) + ((0, 0),) * (n2 - 2))
+    conj = {1}  # one u-summand: (1+u)(1-u) = 1 since u^2 = 0
+    conj.update(range(3, n1 + 2, 2))  # n1/2 of the n1+1 v-summands
+    fiber0 = 2 + n1 + 1  # roster index of the first stage summand
+    conj.add(fiber0 + 1)  # one of the two (w - u) summands
+    conj.add(fiber0 + 2)  # the (w + v) summand
+    conj.update(fiber0 + 3 + j for j in range(1, n2 - 2, 2))  # (n2-3)/2 w-summands
+    return TowerSpec((1, n1), (stage,), frozenset(conj), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -384,92 +382,46 @@ class CharMatrix:
                 raise ValueError(f"vertex columns {chosen} have determinant != +-1")
 
 
+def _tower_char_matrix(spec: TowerSpec) -> CharMatrix:
+    """The characteristic matrix of a tower: one column per roster summand.
+
+    The facets are the roster summands in roster order, in blocks: each base
+    factor (n_i + 1 summands of class g_i), then each stage (its lines, of
+    class v + w_l g).  Each generator is written through the last summand of
+    its block, g_i = D_last and v = D_last - w_last g, and every other summand
+    l of a block gives the relation D_l - D_last - (w_l - w_last) g = 0.  The
+    column of a conjugated summand is negated, and each row signed so that
+    its own column reads +1.  Refused above CHERN_MAX_DIM before any row.
+    """
+    bordclass.check_dim(spec.dim)
+    m = spec.roster_size()
+    sign = [-1 if j in spec.conjugations else 1 for j in range(m)]
+    blocks = [((),) * (n_i + 1) for n_i in spec.base] + [s.lines for s in spec.stages]
+    gens: list[list[int]] = []  # each generator through the last summands
+    rows = []
+
+    def minus(w) -> list[int]:
+        """-sum_j w_j g_j as a row over the facets."""
+        return [-sum(wj * g[c] for wj, g in zip(w, gens)) for c in range(m)]
+
+    last = -1
+    for lines in blocks:
+        first, last = last + 1, last + len(lines)
+        for own, w in enumerate(lines[:-1], first):
+            row = minus([a - b for a, b in zip(w, lines[-1])])
+            row[own] += 1
+            row[last] -= 1
+            rows.append([x * s * sign[own] for x, s in zip(row, sign)])
+        g = minus(lines[-1])
+        g[last] += 1
+        gens.append(g)
+    polytope = tuple(spec.base) + tuple(s.fiber_dim for s in spec.stages)
+    return CharMatrix(IntMatrix.from_rows(rows, cols=m), polytope)
+
+
 def char_matrix(name: str, *params) -> CharMatrix:
-    """The characteristic matrix of a named family, refused above CHERN_MAX_DIM first."""
-    if name == "CPprod":
-        (omega,) = params
-        omega = canonical_partition(omega) if omega else ()
-        n = sum(omega)
-        bordclass.check_dim(n)
-        m = n + len(omega)
-        rows = [[0] * m for _ in range(n)]
-        r0 = c0 = 0
-        for d in omega:
-            for j in range(d):
-                rows[r0 + j][c0 + j] = 1
-                rows[r0 + j][c0 + d] = -1
-            r0 += d
-            c0 += d + 1
-        return CharMatrix(IntMatrix.from_rows(rows, cols=m), tuple(omega))
-
-    if name == "L":
-        n1, n2 = params
-        if n1 <= 0 or n2 <= 0:
-            raise ValueError("char_matrix('L') needs n1, n2 > 0")
-        n = n1 + n2
-        bordclass.check_dim(n)
-        m = n + 2
-        rows = [[0] * m for _ in range(n)]
-        for j in range(n1):
-            rows[j][j] = 1
-            rows[j][n1] = -1
-        rows[n1][n1] = 1  # the single eta weight
-        for j in range(n2):
-            rows[n1 + j][n1 + 1 + j] = 1
-            rows[n1 + j][m - 1] = -1
-        return CharMatrix(IntMatrix.from_rows(rows, cols=m), (n1, n2))
-
-    if name == "Ltilde":
-        n1, n2 = params
-        _check_parities("Ltilde", n1, n2)
-        n = n1 + n2
-        bordclass.check_dim(n)
-        m = n + 2
-        rows = [[0] * m for _ in range(n)]
-        for j in range(n1):
-            rows[j][j] = 1
-            rows[j][n1] = 1 if j % 2 == 0 else -1
-        rows[n1][n1] = 1
-        for j in range(n2):
-            rows[n1 + j][n1 + 1 + j] = 1
-            rows[n1 + j][m - 1] = 1 if j % 2 == 0 else -1
-        return CharMatrix(IntMatrix.from_rows(rows, cols=m), (n1, n2))
-
-    if name == "Ntilde":
-        n1, n2 = params
-        _check_parities("Ntilde", n1, n2)
-        n = 1 + n1 + n2
-        bordclass.check_dim(n)
-        m = n + 3
-        rows = [[0] * m for _ in range(n)]
-        if n2 == 1:
-            # facet classes t1 = t2 = u, a_j alternating, b = (w-2u, -(w+v))
-            rows[0][0] = 1
-            rows[0][1] = -1
-            for j in range(n1):
-                rows[1 + j][2 + j] = 1
-                rows[1 + j][2 + n1] = 1 if j % 2 == 0 else -1
-            rows[n - 1][1] = 2
-            rows[n - 1][2 + n1] = 1
-            rows[n - 1][m - 2] = 1
-            rows[n - 1][m - 1] = 1
-            return CharMatrix(IntMatrix.from_rows(rows, cols=m), (1, n1, n2))
-        rows[0][0] = 1
-        rows[0][1] = 1
-        for j in range(n1):
-            rows[1 + j][2 + j] = 1
-            rows[1 + j][2 + n1] = 1 if j % 2 == 0 else -1
-        w0 = 2 + n1 + 1  # first fiber column
-        last = m - 1
-        for j in range(n2):
-            rows[1 + n1 + j][w0 + j] = 1
-            rows[1 + n1 + j][last] = 1 if j % 2 == 0 else -1
-        rows[1 + n1][1] = -1      # b_1 row: -t2
-        rows[1 + n1 + 1][1] = 1   # b_2 row: +t2
-        rows[1 + n1 + 2][2 + n1] = 1  # b_3 row: +a_{n1+1}
-        return CharMatrix(IntMatrix.from_rows(rows, cols=m), (1, n1, n2))
-
-    raise ValueError(f"unknown family {name!r}")
+    """The characteristic matrix of `build_family(name, *params)`, which checks them."""
+    return _tower_char_matrix(build_family(name, *params))
 
 
 def su_check(M: CharMatrix) -> bool:

@@ -731,3 +731,27 @@ def test_json_round_trip_on_drawn_vectors(a):
     text = json.dumps(chern_vector_to_json(a))
     assert chern_vector_from_json(json.loads(text)) == a
     assert chern_vector_from_json(text) == a
+
+
+class TestStrictParameters:
+    """cp and the operations take n, k, k1 and k2 as ints only."""
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.0])
+    def test_cp_refuses_bool_and_float(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cp(bad)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_boundary_k_refuses_bool_and_float(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            boundary_k(cp(2), bad)
+
+    @pytest.mark.parametrize("k1,k2", [(True, 0), (1.0, 0), (0, True), (1, 0.0)])
+    def test_psi_k1k2_refuses_bool_and_float(self, k1, k2):
+        with pytest.raises(ValueError, match="must be an integer"):
+            psi_k1k2(cp(2), k1, k2)
+
+    def test_cp_json_keeps_an_int_dimension(self):
+        data = chern_vector_to_json(cp(1))
+        assert type(data["dim"]) is int and data["dim"] == 1
+        assert chern_vector_from_json(data) == cp(1)

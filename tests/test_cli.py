@@ -542,3 +542,33 @@ class TestEntryPoint:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestUnreadFlags:
+    """A flag the command would not read exits 2 with one error line."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--lemma", "gcddif", "--nmax", "5"],
+         "--nmax is not read by lemma 'gcddif'"),
+        (["verify", "--lemma", "algrel", "--kmax", "5"],
+         "--kmax is not read by lemma 'algrel'"),
+        (["verify", "--lemma", "alphagcd", "--kmax", "5"],
+         "--kmax is not read by lemma 'alphagcd'"),
+        (["chern", "--spec", "spec.json", "--family", "L"],
+         "--family is not read with --spec"),
+        (["chern", "--family", "CPprod", "--omega", "2,1", "--n1", "3"],
+         "--n1 is not read by --family CPprod"),
+        (["chern", "--family", "L", "--n1", "2", "--n2", "3", "--omega", "2"],
+         "--omega is not read by --family L"),
+    ])
+    def test_unread_flag_exits_2(self, argv, message, monkeypatch, capsys):
+        for name in ("verify_gcddif", "verify_alpha_gcd"):
+            monkeypatch.setattr(numbers, name, no_work)
+        monkeypatch.setattr(tower, "chern_numbers", no_work)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_run_lemma_refuses_an_unread_size(self):
+        with pytest.raises(ValueError, match="--nmax is not read"):
+            cli.run_lemma("nmodp", nmax=5)
