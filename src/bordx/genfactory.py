@@ -14,7 +14,7 @@ from . import bordclass, numbers, tower
 # s_omega, the characteristic number of m_omega, is a table of bordclass
 from .bordclass import ChernVector, InconsistencyError, s_omega, s_polynomial
 from .cohomring import PresentedRing, evaluate_top
-from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo
+from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo, strict_int
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +169,10 @@ def construct_b(i: int) -> ChernVector:
 
     b_1 = [CP^1]; for even i, b_i is pi[CP^{2^p} x CP^{2^{p+1} q}] with
     i = 2^p (2q+1) or pi[CP^{2^p} x CP^{2^p}] with i = 2^{p+1}; for odd
-    i >= 3, b_i = boundary(b_{i+1}).  There is no b_2.
+    i >= 3, b_i = boundary(b_{i+1}).  There is no b_2.  An i that is not an
+    int (a bool or float included) is refused.
     """
+    i = strict_int(i, "b's index")
     if i < 1:
         raise ValueError("i must be positive")
     if i == 2:

@@ -61,34 +61,47 @@ def phat(n: int) -> list[Partition]:
     return partitions(n, max_part=n - 2)
 
 
-def verify_alpha_gcd(n: int) -> tuple[int, bool]:
-    """gcd of alpha over phat(n), compared against |g(n)|.
+def _valuation(v: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer v."""
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return e
 
-    alpha(omega) = n! prod (i+1)^i / i! over the parts i of omega, carried
-    as an integer partial quotient down a depth-first walk over the parts
-    2..n-2.  A part 1 contributes 2^1 / 1! = 2, so a prefix with r left is
-    the one member of phat(n) that r ones complete, of alpha value << r.
+
+def verify_alpha_gcd(n: int) -> tuple[int, bool]:
+    """gcd of alpha over phat(n), compared against |g(n)|, one prime at a time.
+
+    alpha(omega) = n! prod (i+1)^i / i! over the parts i of omega, so
+    v_p(alpha(omega)) = v_p(n!) + sum c_p(i) with c_p(i) = i v_p(i+1) - v_p(i!),
+    and the gcd is the product of p^(v_p(n!) + min sum c_p(i)).  The minimum
+    over phat(n) is an unbounded min-plus knapsack over the parts 1..n-2 with
+    exact total n.  Only primes p <= n occur, as alpha(1^n) = n! 2^n.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    powers = [(i + 1) ** i for i in range(n - 1)]
-    factorials = [math.factorial(i) for i in range(n - 1)]
-    acc = 0
-
-    def walk(value: int, remaining: int, largest: int) -> None:
-        nonlocal acc
-        acc = math.gcd(acc, value << remaining)
-        for i in range(min(largest, remaining), 1, -1):
-            walk(value // factorials[i] * powers[i], remaining - i, i)
-
-    walk(math.factorial(n), n, n - 2)
-    del walk  # the closure refers to itself: drop the cycle now, not at gc
+    acc = 1
+    for p in range(2, n + 1):
+        if prime_power_base(p) != p:
+            continue
+        cost = [0]  # cost[i] = c_p(i)
+        fact = 0  # v_p(i!), and v_p(n!) after the loop
+        for i in range(1, n + 1):
+            fact += _valuation(i, p)
+            cost.append(i * _valuation(i + 1, p) - fact)
+        least = [0] * (n + 1)  # least[t]: the minimum over partitions of t
+        for t in range(1, n + 1):
+            least[t] = min(least[t - i] + cost[i] for i in range(1, min(t, n - 2) + 1))
+        acc *= p ** (fact + least[n])
     return acc, acc == abs(g(n))
 
 
 def verify_gcddif(k: int) -> tuple[int, bool]:
-    """gcd{ C(2k+1, 2i) - C(2k+1, 2i-1) : 0 < i <= k } against m_{2k+1} m_{2k}.
+    """gcd{ T_i : 0 < i <= k } against m_{2k+1} m_{2k}, T_i = C(n, 2i) - C(n, 2i-1).
 
+    With n = 2k+1, C(n, j) = C(n, n - j) reflects the terms, T_(k+1-i) = -T_i,
+    so the gcd runs over i <= ceil(k/2) only, and it stops once it reaches 1.
     The binomials are stepped: C(n, j+1) = C(n, j) (n - j) / (j + 1).
     """
     if k <= 1:
@@ -96,9 +109,11 @@ def verify_gcddif(k: int) -> tuple[int, bool]:
     n = 2 * k + 1
     acc = 0
     odd = n  # C(n, 2i - 1)
-    for j in range(1, n - 1, 2):
+    for j in range(1, k + 1, 2):  # j = 2i - 1 for i <= ceil(k/2)
         even = odd * (n - j) // (j + 1)
         acc = math.gcd(acc, even - odd)
+        if acc == 1:
+            break
         odd = even * (n - j - 1) // (j + 2)
     return acc, acc == m(2 * k + 1) * m(2 * k)
 
@@ -121,19 +136,21 @@ def _n_family(k: int) -> tuple[int, ...]:
 
 
 def largest_common_prime_power(values, p: int) -> int:
-    """Largest power of p dividing every value (1 if some value is a p-unit)."""
-    best = None
+    """Largest power of p dividing every value (1 if some value is a p-unit).
+
+    Zeros, which every power divides, are skipped; the scan stops at the
+    first p-unit, since no later value can lower its power 1.
+    """
+    least = None
     for v in values:
-        if v == 0:
-            continue
-        power = 1
-        while v % p == 0:
-            power *= p
-            v //= p
-        best = power if best is None else min(best, power)
-    if best is None:
+        if v:
+            e = _valuation(v, p)
+            if e == 0:
+                return 1
+            least = e if least is None else min(least, e)
+    if least is None:
         raise ValueError("all values are zero")
-    return best
+    return p ** least
 
 
 def verify_nmod(k: int, p: int) -> tuple[int, bool]:

@@ -283,12 +283,15 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
     CPprod(omega): the product of projective spaces CP^omega.
 
     L, Ltilde and Ntilde refuse an n1 or n2 that is not an int, and a dimension
-    above CHERN_MAX_DIM, before a stage is built.
+    above CHERN_MAX_DIM, before a stage is built.  CPprod refuses an omega
+    that is not a list or tuple of ints; () and [] give the point.
     """
     if name == "CPprod":
         (omega,) = params
-        omega = canonical_partition(omega) if omega else ()
-        return TowerSpec(tuple(omega), (), frozenset(), convention)
+        if not isinstance(omega, (list, tuple)):
+            raise ValueError(f"CPprod's omega must be a list or tuple of parts, got {omega!r}")
+        omega = canonical_partition([strict_int(i, "a CPprod part") for i in omega])
+        return TowerSpec(omega, (), frozenset(), convention)
 
     if name not in ("L", "Ltilde", "Ntilde"):
         raise ValueError(f"unknown family {name!r}")

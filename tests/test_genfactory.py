@@ -416,3 +416,9 @@ class TestSBasis:
     def test_weight_must_match(self):
         with pytest.raises(ValueError):
             s_omega(bc.cp(3), (2, 2))
+
+
+@pytest.mark.parametrize("i", [True, False, 3.0, 4.0, "3", None])
+def test_construct_b_refuses_a_non_int_index(i):
+    with pytest.raises(ValueError, match="must be an integer"):
+        construct_b(i)

@@ -605,3 +605,22 @@ def test_grouped_total_chern_on_families(name, n1, n2, convention):
 @given(tower_specs())
 def test_grouped_total_chern_on_drawn_towers(spec):
     assert tower.total_chern(spec) == ref_total_chern(spec)
+
+
+class TestStrictCpProductOmega:
+    @pytest.mark.parametrize("omega", [0, False, None, 3, {2: 1}, "21", (True, 2),
+                                       (2, 1.0), [2.5], (2, "1")])
+    def test_refused(self, omega):
+        with pytest.raises(ValueError):
+            tower.build_family("CPprod", omega)
+        with pytest.raises(ValueError):
+            tower.char_matrix("CPprod", omega)
+
+    @pytest.mark.parametrize("omega", [(), []])
+    def test_empty_is_the_point(self, omega):
+        spec = tower.build_family("CPprod", omega)
+        assert spec.base == () and spec.dim == 0
+
+    def test_list_and_tuple_agree(self):
+        assert tower.build_family("CPprod", [1, 3]) == tower.build_family("CPprod", (3, 1))
+        assert tower.char_matrix("CPprod", [2, 1]) == tower.char_matrix("CPprod", (2, 1))
