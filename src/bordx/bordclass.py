@@ -34,7 +34,6 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Mapping
-from fractions import Fraction
 from types import MappingProxyType
 
 from .exactalg import (
@@ -382,6 +381,8 @@ def s_omega(a: ChernVector, omega) -> int:
 def _todd_row(n: int) -> tuple[Fraction, ...]:
     """Todd in the Chern basis: sum_lambda prod_i q_(lambda_i) m_lambda, where
     sum_k q_k x^k = x / (1 - e^-x) inverts sum_k (-x)^k / (k + 1)!."""
+    from fractions import Fraction  # on first use, so `import bordx` need not load it
+
     q = [Fraction(1)]
     for k in range(1, n + 1):
         q.append(-sum(q[k - j] * Fraction((-1) ** j, math.factorial(j + 1))
@@ -393,6 +394,8 @@ def _todd_row(n: int) -> tuple[Fraction, ...]:
 
 def todd(a: ChernVector) -> Fraction:
     """Todd genus: the Todd row applied to the Chern numbers."""
+    from fractions import Fraction
+
     return sum(map(operator.mul, _todd_row(a.dim), a.values), Fraction(0))
 
 

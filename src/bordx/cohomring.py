@@ -32,7 +32,6 @@ relation rows is refused before it is enumerated.
 
 from __future__ import annotations
 
-import ast
 import keyword
 import math
 import operator
@@ -523,6 +522,8 @@ def parse_poly(src: str, names, degrees) -> GradedPoly:
     refused before it is formed.  Every malformed input, including one
     nested too deeply to parse, raises ValueError.
     """
+    import ast  # on first use, so `import bordx` need not load it
+
     if not isinstance(src, str):
         raise ValueError(f"a polynomial is a string, got {type(src).__name__}")
     if len(src) > PARSE_MAX_CHARS:

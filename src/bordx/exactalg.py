@@ -11,7 +11,7 @@ import heapq
 import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 # GradedPoly.mul is the one polynomial kernel; reports name it by this constant.
 KERNEL_BACKEND = "python"
@@ -468,13 +468,11 @@ def inverse_one_plus(x: GradedPoly, cap: int) -> GradedPoly:
 # integer matrices and lattice linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Rectangular matrix of arbitrary-precision integers."""
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+    """Rectangular matrix of arbitrary-precision integers: rows x cols,
+    entries a tuple of row tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":

@@ -8,7 +8,7 @@ and the low-dimensional special classes with their Hodge-number criteria.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bordclass, numbers, tower
 # s_omega, the characteristic number of m_omega, is a table of bordclass
@@ -21,16 +21,13 @@ from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo, strict_int
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorCertificate:
-    """A certified generator class: combination, s-number and SU checks."""
+class GeneratorCertificate(namedtuple(
+        "GeneratorCertificate",
+        "dimension combination chern_class s_value target su_checks")):
+    """A certified generator class: the combination as (coefficient, source)
+    pairs, its ChernVector, s-number and target, and the SU checks dict."""
 
-    dimension: int
-    combination: tuple[tuple[int, str], ...]
-    chern_class: ChernVector
-    s_value: int
-    target: int
-    su_checks: dict
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

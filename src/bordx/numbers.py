@@ -5,8 +5,7 @@ and the rank tables of the free, torsion and homology pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
 
 from .exactalg import Partition, canonical_partition, multinomial, partitions
 
@@ -118,21 +117,18 @@ def verify_gcddif(k: int) -> tuple[int, bool]:
     return acc, acc == m(2 * k + 1) * m(2 * k)
 
 
-@lru_cache(maxsize=4)
-def _n_family(k: int) -> tuple[int, ...]:
-    """a_i = -C(2k,1) + C(2k,2) - ... + C(2k,2i) - 2i for 0 < i < k.
+def _n_family(k: int):
+    """Yield a_i = -C(2k,1) + C(2k,2) - ... + C(2k,2i) - 2i for 0 < i < k.
 
     The alternating sum telescopes (Graham-Knuth-Patashnik, Concrete
     Mathematics, (5.16)), so a_i = C(2k-1, 2i) - 1 - 2i; the binomials are
-    stepped two places at a time.
+    stepped two places at a time, and only as far as the caller reads.
     """
     n = 2 * k - 1
-    values = []
     c = 1  # C(n, 2i)
     for i in range(1, k):
         c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // ((2 * i - 1) * (2 * i))
-        values.append(c - 1 - 2 * i)
-    return tuple(values)
+        yield c - 1 - 2 * i
 
 
 def largest_common_prime_power(values, p: int) -> int:
@@ -185,19 +181,14 @@ def _count_table(top: int, parts) -> list[int]:
     return table
 
 
-@dataclass(frozen=True)
-class RankRow:
-    dimension: int
-    rank_omega_u: int
-    rank_w: int
-    rank_omega_su: int
-    tors_rank: int
-    hw_rank: int
+RankRow = namedtuple(
+    "RankRow", "dimension rank_omega_u rank_w rank_omega_su tors_rank hw_rank")
 
 
-@dataclass(frozen=True)
-class RankTable:
-    rows: tuple[RankRow, ...]
+class RankTable(namedtuple("RankTable", "rows")):
+    """The RankRow of every even dimension, in increasing order."""
+
+    __slots__ = ()
 
     def row(self, dimension: int) -> RankRow:
         for r in self.rows:
@@ -206,17 +197,7 @@ class RankTable:
         raise KeyError(dimension)
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "dimension": r.dimension,
-                "rank_omega_u": r.rank_omega_u,
-                "rank_w": r.rank_w,
-                "rank_omega_su": r.rank_omega_su,
-                "tors_rank": r.tors_rank,
-                "hw_rank": r.hw_rank,
-            }
-            for r in self.rows
-        ]
+        return [r._asdict() for r in self.rows]
 
 
 def rank_table(max_dim: int) -> RankTable:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from . import bordclass
 from .bordclass import ChernVector
@@ -38,54 +37,53 @@ from .exactalg import (
 _GEN_NAMES = "uvwxyzabcdefgh"
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(namedtuple("Stage", "lines")):
     """One projectivisation stage: a list of line-bundle weight vectors."""
 
-    lines: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(
-            tuple(strict_int(x, "a line weight") for x in w) for w in self.lines))
-        if not self.lines:
+    def __new__(cls, lines):
+        lines = tuple(tuple(strict_int(x, "a line weight") for x in w) for w in lines)
+        if not lines:
             raise ValueError("a stage needs at least one line bundle")
+        return super().__new__(cls, lines)
 
     @property
     def fiber_dim(self) -> int:
         return len(self.lines) - 1
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    base: tuple[int, ...]
-    stages: tuple[Stage, ...] = ()
-    conjugations: frozenset[int] = field(default_factory=frozenset)
-    convention: str = "toric"
+class TowerSpec(namedtuple("TowerSpec", "base stages conjugations convention")):
+    """A base product of projective spaces (a tuple of ints), its stages, the
+    set of conjugated roster indices and the evaluation convention."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(
-            strict_int(x, "a base factor") for x in self.base))
-        object.__setattr__(self, "stages", tuple(self.stages))
-        conjugations = [strict_int(i, "a conjugation index") for i in self.conjugations]
-        object.__setattr__(self, "conjugations", frozenset(conjugations))
-        if len(self.conjugations) < len(conjugations):
-            raise ValueError(f"a conjugation index is given twice in {conjugations}")
-        if any(x < 1 for x in self.base):
+    __slots__ = ()
+
+    def __new__(cls, base, stages=(), conjugations=frozenset(), convention="toric"):
+        base = tuple(strict_int(x, "a base factor") for x in base)
+        stages = tuple(stages)
+        listed = [strict_int(i, "a conjugation index") for i in conjugations]
+        conjugations = frozenset(listed)
+        if len(conjugations) < len(listed):
+            raise ValueError(f"a conjugation index is given twice in {listed}")
+        if any(x < 1 for x in base):
             raise ValueError("base factors must be positive")
-        if self.convention not in ("toric", "bordism"):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        gens = len(self.base)
-        for stage in self.stages:
+        if convention not in ("toric", "bordism"):
+            raise ValueError(f"unknown convention {convention!r}")
+        gens = len(base)
+        for stage in stages:
             for w in stage.lines:
                 if len(w) != gens:
                     raise ValueError(
                         f"weight vector {w} must reference the {gens} prior generators"
                     )
             gens += 1
+        self = super().__new__(cls, base, stages, conjugations, convention)
         size = self.roster_size()
-        for i in self.conjugations:
+        for i in conjugations:
             if not 0 <= i < size:
                 raise ValueError(f"conjugation index {i} outside roster of size {size}")
+        return self
 
     # -- structure -----------------------------------------------------------
 
@@ -340,26 +338,23 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
 # characteristic matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharMatrix:
+class CharMatrix(namedtuple("CharMatrix", "matrix polytope")):
     """Characteristic matrix of a quasitoric manifold over a product of simplices."""
 
-    matrix: IntMatrix
-    polytope: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "polytope", tuple(
-            strict_int(d, "a simplex dimension") for d in self.polytope))
+    def __new__(cls, matrix, polytope):
+        polytope = tuple(strict_int(d, "a simplex dimension") for d in polytope)
         # every entry checked once, not at every vertex
-        object.__setattr__(self, "matrix", IntMatrix.from_rows(self.matrix.entries,
-                                                               self.matrix.cols))
-        n = sum(self.polytope)
-        m = n + len(self.polytope)
-        if self.matrix.rows != n or self.matrix.cols != m:
+        matrix = IntMatrix.from_rows(matrix.entries, matrix.cols)
+        n = sum(polytope)
+        m = n + len(polytope)
+        if matrix.rows != n or matrix.cols != m:
             raise ValueError(
-                f"expected a {n}x{m} matrix over {self.polytope}, "
-                f"got {self.matrix.rows}x{self.matrix.cols}"
+                f"expected a {n}x{m} matrix over {polytope}, "
+                f"got {matrix.rows}x{matrix.cols}"
             )
+        return super().__new__(cls, matrix, polytope)
 
     def facet_blocks(self) -> list[range]:
         out = []

@@ -515,13 +515,14 @@ class TestRanksAndCy:
         assert code == 2
 
 
-def run_child(args):
-    """`python -m bordx.cli args` in a fresh interpreter."""
+def run_child(args, *, python_args=("-m", "bordx.cli")):
+    """`python -m bordx.cli args` (or other interpreter arguments) in a fresh
+    interpreter."""
     # the child imports the same bordx as this process, installed or not
     src = str(Path(bordx.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "bordx.cli"] + args,
+    return subprocess.run([sys.executable, *python_args] + args,
                           capture_output=True, text=True, timeout=120, env=env)
 
 
@@ -530,6 +531,17 @@ class TestEntryPoint:
         proc = run_child(["chern", "--family", "L", "--n1", "1", "--n2", "1"])
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines()[-1].startswith("s\t")
+
+    def test_import_leaves_heavy_stdlib_unloaded(self):
+        # every CLI call and benchmark pass imports these three modules cold;
+        # pytest has loaded the stdlib modules itself, so only a fresh
+        # interpreter (without site, whose hooks are not bordx's) can tell
+        code = "import sys, bordx, bordx.cli, bordx.genfactory; print(*sys.modules)"
+        proc = run_child([], python_args=("-S", "-c", code))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "bordx.genfactory" in loaded
+        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "ast"}
 
     @pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000,
                                       '{"base": ' + "[" * 3000 + "]" * 3000 + "}"],

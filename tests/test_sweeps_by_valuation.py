@@ -34,7 +34,7 @@ def test_gcddif_matches_the_full_range():
 
 def test_nmod_matches_the_full_scan():
     for k in range(3, 121):
-        values = numbers._n_family(k)
+        values = tuple(numbers._n_family(k))
         for p in primes_up_to(2 * k + 1):
             want = reference.largest_common_prime_power(values, p)
             assert numbers.verify_nmod(k, p)[0] == want, (k, p)
