@@ -545,40 +545,17 @@ def _combine(a: dict, s: int, b: dict, t: int) -> dict:
     return out
 
 
-def echelon_form(M: IntMatrix) -> list[list[int]]:
-    """`sparse_echelon` of the rows of M, as dense rows."""
-    rows = sparse_echelon({j: x for j, x in enumerate(r) if x} for r in M.entries)
-    return [[row.get(j, 0) for j in range(M.cols)] for row in rows]
+def in_row_lattice(rows, target: dict) -> bool:
+    """Whether the sparse row target lies in the integer span of the sparse rows.
 
-
-def hermite_normal_form(M: IntMatrix) -> list[list[int]]:
-    """Row-style Hermite normal form (nonzero rows only).
-
-    The echelon form with every entry above a pivot reduced into [0, pivot).
-    The result is the canonical basis of the row lattice of M.
+    The target is reduced by the `sparse_echelon` rows in pivot order, each
+    leaving the remainder of the target's entry at its pivot.  Every row is
+    zero left of its pivot and the pivots increase, so no later row changes
+    that entry: the target is a member exactly when nothing is left.
     """
-    h = echelon_form(M)
-    n = M.cols
-    for k, row in enumerate(h):
-        col = next(j for j in range(n) if row[j])
-        for prev in h[:k]:
-            q = prev[col] // row[col]
-            if q:
-                for j in range(col, n):
-                    prev[j] -= q * row[j]
-    return h
-
-
-def in_row_span(hnf_rows: list[list[int]], target) -> bool:
-    """Whether target lies in the integer row span given by a Hermite basis."""
-    v = [int(x) for x in target]
-    n = len(v)
-    for row in hnf_rows:
-        lead = next(j for j in range(n) if row[j])
-        if v[lead]:
-            if v[lead] % row[lead]:
-                return False
-            q = v[lead] // row[lead]
-            for j in range(n):
-                v[j] -= q * row[j]
-    return not any(v)
+    for row in sparse_echelon(rows):
+        col = min(row)
+        q = target.get(col, 0) // row[col]
+        if q:
+            target = _combine(target, 1, row, -q)
+    return not target

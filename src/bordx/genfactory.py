@@ -8,6 +8,7 @@ and the low-dimensional special classes with their Hodge-number criteria.
 from __future__ import annotations
 
 import functools
+import types
 from collections import namedtuple
 
 from . import bordclass, numbers, tower
@@ -25,7 +26,8 @@ class GeneratorCertificate(namedtuple(
         "GeneratorCertificate",
         "dimension combination chern_class s_value target su_checks")):
     """A certified generator class: the combination as (coefficient, source)
-    pairs, its ChernVector, s-number and target, and the SU checks dict."""
+    pairs, its ChernVector, s-number and target, and the SU checks as a
+    read-only mapping."""
 
     __slots__ = ()
 
@@ -82,7 +84,7 @@ def _certify(dimension, combination, cls, target) -> GeneratorCertificate:
         chern_class=cls,
         s_value=s_value,
         target=target,
-        su_checks=checks,
+        su_checks=types.MappingProxyType(checks),
     )
 
 
@@ -230,6 +232,7 @@ def grassmann_s4() -> int:
 
 def cy3_criterion(h11: int, h21: int) -> dict:
     """Euler characteristic and generator tag of a Batyrev Calabi-Yau 3-fold."""
+    h11, h21 = (strict_int(h, "a Hodge number") for h in (h11, h21))
     if h11 < 0 or h21 < 0:
         raise ValueError("Hodge numbers must be nonnegative")
     chi = 2 * (h11 - h21)
@@ -244,6 +247,7 @@ def cy4_invariants(h11: int, h21: int, h31: int) -> dict:
     With chi_0 = 2: 720 chi_0 = -c_4 + 3 c_2^2 and 180 chi_1 = -31 c_4 + 3 c_2^2
     give c_4 = 48 - 6 chi_1 and c_2^2 = (1440 + c_4)/3; then s_4 = 2 c_2^2 - 4 c_4.
     """
+    h11, h21, h31 = (strict_int(h, "a Hodge number") for h in (h11, h21, h31))
     if min(h11, h21, h31) < 0:
         raise ValueError("Hodge numbers must be nonnegative")
     chi1_neg = h11 - h21 + h31

@@ -26,8 +26,7 @@ from .exactalg import (
     GradedPoly,
     IntMatrix,
     canonical_partition,
-    hermite_normal_form,
-    in_row_span,
+    in_row_lattice,
     json_field,
     json_object,
     sparse_echelon,
@@ -37,7 +36,18 @@ from .exactalg import (
 _GEN_NAMES = "uvwxyzabcdefgh"
 
 
-class Stage(namedtuple("Stage", "lines")):
+class _Checked:
+    """Mixin of the records that check their fields in `__new__`: `_make`,
+    and with it `_replace`, goes through those checks too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
+
+
+class Stage(_Checked, namedtuple("Stage", "lines")):
     """One projectivisation stage: a list of line-bundle weight vectors."""
 
     __slots__ = ()
@@ -53,7 +63,7 @@ class Stage(namedtuple("Stage", "lines")):
         return len(self.lines) - 1
 
 
-class TowerSpec(namedtuple("TowerSpec", "base stages conjugations convention")):
+class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations convention")):
     """A base product of projective spaces (a tuple of ints), its stages, the
     set of conjugated roster indices and the evaluation convention."""
 
@@ -338,7 +348,7 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
 # characteristic matrices
 # ---------------------------------------------------------------------------
 
-class CharMatrix(namedtuple("CharMatrix", "matrix polytope")):
+class CharMatrix(_Checked, namedtuple("CharMatrix", "matrix polytope")):
     """Characteristic matrix of a quasitoric manifold over a product of simplices."""
 
     __slots__ = ()
@@ -423,9 +433,10 @@ def char_matrix(name: str, *params) -> CharMatrix:
 
 
 def su_check(M: CharMatrix) -> bool:
-    """True iff an integer functional takes value 1 on every column."""
-    h = hermite_normal_form(M.matrix)
-    return in_row_span(h, [1] * M.matrix.cols)
+    """True iff an integer functional takes value 1 on every column: the
+    all-ones row lies in the row lattice of the matrix."""
+    return in_row_lattice(({j: x for j, x in enumerate(r) if x} for r in M.matrix.entries),
+                          dict.fromkeys(range(M.matrix.cols), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,22 @@ from bordx import exactalg
 from bordx.exactalg import (
     GradedPoly,
     IntMatrix,
-    echelon_form,
     ext_gcd,
     ext_gcd_combo,
     geometric_series,
-    hermite_normal_form,
-    in_row_span,
+    in_row_lattice,
     inverse_one_plus,
     multinomial,
     partitions,
     sparse_echelon,
 )
-from lattice_reference import lattice_rank_kernel, reference_hnf, saturation_kernel_basis
+from lattice_reference import (
+    dense_matrix,
+    in_row_span,
+    lattice_rank_kernel,
+    reference_hnf,
+    saturation_kernel_basis,
+)
 
 
 def partition_count_recurrence(n):
@@ -367,25 +371,28 @@ class TestLatticeAlgebra:
                 for row in M.entries:
                     assert sum(a * b for a, b in zip(row, vec)) == 0
 
+    @staticmethod
+    def _sparse(rows):
+        return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
     def test_hnf_membership(self):
-        M = IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]])
-        h = hermite_normal_form(M)
-        assert in_row_span(h, [2, 3, 2])
-        assert not in_row_span(h, [1, 0, 0])
+        rows = self._sparse([[2, 0, 1], [0, 3, 1]])
+        assert in_row_lattice(rows, {0: 2, 1: 3, 2: 2})
+        assert not in_row_lattice(rows, {0: 1})
 
     def test_hnf_canonical(self):
         rng = random.Random(5)
         for _ in range(50):
             rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
-            h1 = hermite_normal_form(IntMatrix.from_rows(rows))
+            h1 = reference_hnf(dense_matrix(sparse_echelon(self._sparse(rows)), 4))
             # a different generating set of the same lattice
             rows2 = [
                 [a + b for a, b in zip(rows[0], rows[1])],
                 rows[1],
                 [a - 2 * b for a, b in zip(rows[2], rows[0])],
             ]
-            h2 = hermite_normal_form(IntMatrix.from_rows(rows2))
-            assert h1 == h2
+            h2 = reference_hnf(dense_matrix(sparse_echelon(self._sparse(rows2)), 4))
+            assert h1 == h2 == reference_hnf(IntMatrix.from_rows(rows))
 
     @staticmethod
     def _random_matrices(seed, count):
@@ -399,18 +406,36 @@ class TestLatticeAlgebra:
 
     def test_echelon_form_against_reference(self):
         for M in self._random_matrices(11, 400):
-            e = echelon_form(M)
+            dense = dense_matrix(sparse_echelon(self._sparse(M.entries)), M.cols)
+            e = dense.entries
             leads = [next(j for j, x in enumerate(row) if x) for row in e]
             assert leads == sorted(set(leads))
             assert all(row[j] > 0 for row, j in zip(e, leads))
             assert len(e) == lattice_rank_kernel(M)[0]
             # unimodular: the echelon rows span the row lattice of M itself
-            assert reference_hnf(IntMatrix(len(e), M.cols, tuple(map(tuple, e)))) == (
-                reference_hnf(M))
+            assert reference_hnf(dense) == reference_hnf(M)
 
     def test_hnf_unchanged(self):
+        # six targets per matrix: three integer combinations of the rows, which
+        # are members, and three random vectors
+        rng = random.Random(13)
+        cases = members = 0
         for M in self._random_matrices(12, 400):
-            assert hermite_normal_form(M) == reference_hnf(M)
+            rows = self._sparse(M.entries)
+            h = reference_hnf(M)
+            for combine in (True,) * 3 + (False,) * 3:
+                if combine:
+                    coeffs = [rng.randint(-3, 3) for _ in range(M.rows)]
+                    t = [sum(c * r[j] for c, r in zip(coeffs, M.entries))
+                         for j in range(M.cols)]
+                else:
+                    t = [rng.randint(-4, 4) for _ in range(M.cols)]
+                member = in_row_lattice(rows, {j: x for j, x in enumerate(t) if x})
+                assert member == in_row_span(h, t)
+                assert member or not combine
+                cases += 1
+                members += member
+        assert cases == 2400 and 1200 <= members < cases
 
     @staticmethod
     def _tall_sparse_matrices(seed, count):
@@ -457,11 +482,7 @@ class TestLatticeAlgebra:
             assert leads == sorted(set(leads))
             assert all(row[j] > 0 for row, j in zip(e, leads))
             assert len(e) == lattice_rank_kernel(M)[0]
-            dense = echelon_form(M)
-            assert dense == [[row.get(j, 0) for j in range(M.cols)] for row in e]
-            assert reference_hnf(IntMatrix(len(e), M.cols, tuple(map(tuple, dense)))) == (
-                reference_hnf(M))
-            assert hermite_normal_form(M) == reference_hnf(M)
+            assert reference_hnf(dense_matrix(e, M.cols)) == reference_hnf(M)
         assert combined
 
     def test_echelon_form_keeps_entries_above_the_pivots(self):
@@ -478,7 +499,7 @@ class TestLatticeAlgebra:
                 rows.append(row)
             shuffled = rows + [[0] * cols] * rng.randint(0, 3)
             rng.shuffle(shuffled)
-            assert echelon_form(IntMatrix.from_rows(shuffled, cols=cols)) == rows
+            assert sparse_echelon(self._sparse(shuffled)) == self._sparse(rows)
 
     def test_saturation_kernel(self):
         basis = saturation_kernel_basis([3, -2, 1])

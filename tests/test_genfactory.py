@@ -273,6 +273,12 @@ class TestCy3:
         with pytest.raises(ValueError):
             cy3_criterion(-1, 0)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, "1", None])
+    def test_non_integer_input(self, bad):
+        for args in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="a Hodge number must be an integer"):
+                cy3_criterion(*args)
+
 
 class TestCy4:
     def test_y4(self):
@@ -287,6 +293,12 @@ class TestCy4:
     def test_interpolated_other(self):
         out = cy4_invariants(17, 30, 53)  # h11 - h21 + h31 = 40
         assert out["s4"] == 0 and out["tag"] == "other"
+
+    @pytest.mark.parametrize("bad", [True, 1.5, 2.0, "1", None])
+    def test_non_integer_input(self, bad):
+        for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(ValueError, match="a Hodge number must be an integer"):
+                cy4_invariants(*args)
 
     def test_consistency_check_exists(self):
         # for integer Hodge input with chi_0 = 2 the divisibility always holds
@@ -312,6 +324,13 @@ class TestCertificateJson:
         assert data["target"] == 6
         assert all(data["su_checks"].values())
         assert isinstance(data["combination"], list)
+
+    def test_su_checks_are_read_only(self):
+        cert = cy_generator_combo(3)
+        with pytest.raises(TypeError):
+            cert.su_checks["in_w"] = False
+        assert cert.to_json()["su_checks"] == {
+            "c1_numbers_vanish": True, "in_w": True, "in_ker_boundary": True}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ RECORDS = {
                 ("dimension", "rank_omega_u", "rank_w", "rank_omega_su", "tors_rank",
                  "hw_rank"), True),
     "RankTable": (lambda: numbers.rank_table(10), ("rows",), True),
-    # its su_checks is a dict, so a certificate has never been hashable
+    # its su_checks is a read-only mapping, not hashable, so neither is a certificate
     "GeneratorCertificate": (lambda: genfactory.cy_generator_combo(3),
                              ("dimension", "combination", "chern_class", "s_value",
                               "target", "su_checks"), False),
@@ -55,3 +55,24 @@ def test_tower_spec_repr_and_ring_cache():
     assert repr(a) == ("TowerSpec(base=(1, 2), stages=(Stage(lines=((-1, 0), (0, 1))),), "
                        "conjugations=frozenset({0, 3}), convention='bordism')")
     assert tower.presented_ring(a) is tower.presented_ring(b)
+
+
+def test_replace_keeps_the_checks():
+    spec = tower.build_family("L", 1, 2)
+    with pytest.raises(ValueError, match="base factors must be positive"):
+        spec._replace(base=(-1,))
+    assert spec._replace(convention="bordism") == spec.with_convention("bordism")
+    with pytest.raises(ValueError, match="a stage needs at least one line bundle"):
+        Stage([[1]])._replace(lines=())
+    matrix = tower.char_matrix("L", 1, 2)
+    with pytest.raises(ValueError, match=r"expected a 1x2 matrix over \(1,\), got 3x5"):
+        matrix._replace(polytope=(1,))
+
+
+@pytest.mark.parametrize("name", ["Stage", "TowerSpec", "CharMatrix"])
+def test_make_round_trips(name):
+    record = RECORDS[name][0]()
+    made = type(record)._make(iter(record))
+    assert made == record and type(made) is type(record) and hash(made) == hash(record)
+    with pytest.raises(TypeError, match="Expected"):
+        type(record)._make(tuple(record)[:-1] + (None, None))
