@@ -113,10 +113,7 @@ def _suite_wring() -> list[dict]:
     for i in range(3, 9):
         b = genfactory.construct_b(i)
         s = bordclass.s_num(b)
-        if i in (3, 7):       # i = 2^k - 1
-            ok = s % 4 == 2
-            want = "2 mod 4"
-        elif i in (4, 8):     # i = 2^(p+1)
+        if i in (3, 4, 7, 8):  # i = 2^k - 1 or 2^(p+1)
             ok = s % 4 == 2
             want = "2 mod 4"
         else:
@@ -210,8 +207,8 @@ RANKS_MAX_DIM = 4000
 GENS_MAX_DIM = {"cy": 30, "quasitoric": 44}
 # largest complex dimension of a `chern` manifold (bordclass owns it)
 CHERN_MAX_DIM = bordclass.CHERN_MAX_DIM
-# largest cohomology rank of a `chern` tower, which the dimension does not bound
-CHERN_MAX_RANK = 1024
+# largest cohomology rank of a `chern` tower (tower owns it)
+CHERN_MAX_RANK = tower.CHERN_MAX_RANK
 
 LEMMAS = tuple(_LEMMA_SUITES)
 
@@ -282,7 +279,6 @@ def cmd_chern(args) -> int:
             spec = tower.tower_from_json(fh.read())
         if args.convention:
             spec = spec.with_convention(args.convention)
-        bordclass.check_dim(spec.dim)
     else:
         if not args.family:
             raise ValueError("need --family or --spec")
@@ -290,22 +286,14 @@ def cmd_chern(args) -> int:
             _refuse_unread(given, "family", "omega", where="by --family CPprod")
             if not args.omega:
                 raise ValueError("CPprod needs --omega")
-            omega = bordclass.parse_partition(args.omega)
-            bordclass.check_dim(sum(omega))
-            spec = tower.build_family("CPprod", omega,
+            spec = tower.build_family("CPprod", bordclass.parse_partition(args.omega),
                                       convention=args.convention or "toric")
         else:
             _refuse_unread(given, "family", "n1", "n2", where=f"by --family {args.family}")
             if args.n1 is None or args.n2 is None:
                 raise ValueError("family needs --n1 and --n2")
-            # checked before the spec is built: L and Ltilde have dimension
-            # n1 + n2, Ntilde one more
-            bordclass.check_dim(args.n1 + args.n2 + (args.family == "Ntilde"))
             spec = tower.build_family(args.family, args.n1, args.n2,
                                       convention=args.convention or "toric")
-    if spec.cohomology_rank > CHERN_MAX_RANK:  # checked before any ring is built
-        raise ValueError(f"chern handles towers of cohomology rank at most "
-                         f"{CHERN_MAX_RANK}, got {spec.cohomology_rank}")
     vec = tower.chern_numbers(spec)
     s = tower.s_number(spec)
     if args.format == "json":

@@ -27,7 +27,8 @@ and the vector is then the functional itself.  The relation rows are sparse
 and their columns found by monomial code: the lattice backend uses `encode`
 and nothing else of the triangular one.  The lattice models are bounded: a
 degree with more than LATTICE_MAX_MONOMIALS monomials or LATTICE_MAX_ROWS
-relation rows is refused before it is enumerated.
+relation rows is refused, and the walk that lists it stops after limit + 1
+monomials.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .exactalg import GradedPoly, json_field, json_object, sparse_echelon, stric
 _REWRITE_STEP_LIMIT = 2_000_000
 
 # a lattice model has one column per monomial of its degree and one row per
-# relation multiple; a larger one is refused before it is enumerated
+# relation multiple; a larger one is refused once its walk passes the limit
 LATTICE_MAX_MONOMIALS = 2_000
 LATTICE_MAX_ROWS = 4_000
 _DEAD_END_LIMIT = 100_000
@@ -158,18 +159,19 @@ class PresentedRing:
             exp[i] += 1
             remaining -= head[i]
 
-    def _monomial_count(self, degree: int, limit: int) -> int:
-        """Number of monomials of `degree`, or limit + 1 once it is past limit.
+    def _bounded_monomials(self, degree: int, limit: int) -> list[tuple[int, ...]]:
+        """The monomials of `degree` in walk order, stopping at limit + 1 of them.
 
         Dead ends come only from generator degrees that do not divide one
         another; past _DEAD_END_LIMIT of them the degree is refused, so the
-        count takes a bounded number of steps whatever the degrees.
+        walk takes a bounded number of steps whatever the degrees.
         """
-        found = dead = 0
+        found = []
+        dead = 0
         for mono in self._monomial_walk(degree):
             if mono is not None:
-                found += 1
-                if found > limit:
+                found.append(mono)
+                if len(found) > limit:
                     break
             else:
                 dead += 1
@@ -354,27 +356,32 @@ class PresentedRing:
         Columns follow `monomials_of_degree`, the fundamental monomial's last
         at the top; each relation multiple is one row {column: coefficient},
         the code of x^e x^m being encode(e) + encode(m) at or below the top.
+        Each walk stops one monomial past what is left of its limit.
         """
         cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
-        if self._monomial_count(degree, LATTICE_MAX_MONOMIALS) > LATTICE_MAX_MONOMIALS:
+        monomials = self._bounded_monomials(degree, LATTICE_MAX_MONOMIALS)
+        if len(monomials) > LATTICE_MAX_MONOMIALS:
             raise PresentationError(
                 f"degree {degree} has more than {LATTICE_MAX_MONOMIALS} monomials "
                 "(lattice model too large)"
             )
         rows_left = LATTICE_MAX_ROWS
+        multiples = []
         for rel in self.relations:
             shift = degree - rel.degree()
             if shift >= 0:
-                rows_left -= self._monomial_count(shift, rows_left)
+                multipliers = self._bounded_monomials(shift, rows_left)
+                rows_left -= len(multipliers)
                 if rows_left < 0:
                     raise PresentationError(
                         f"degree {degree} has more than {LATTICE_MAX_ROWS} relation "
                         "multiples (lattice model too large)"
                     )
+                multiples.append((rel, multipliers))
         encode = self.encode
-        codes = [encode(m) for m in self.monomials_of_degree(degree)]
+        codes = [encode(m) for m in monomials]
         if degree == self.top_degree:
             # the fundamental monomial's column last, as the evaluator wants
             mu = encode(self.fundamental_monomial)
@@ -382,12 +389,9 @@ class PresentedRing:
             codes.append(mu)
         index = {code: i for i, code in enumerate(codes)}
         rows = []
-        for rel in self.relations:
-            shift = degree - rel.degree()
-            if shift < 0:
-                continue
+        for rel, multipliers in multiples:
             terms = [(encode(e), c) for e, c in rel.terms.items()]
-            for m in self.monomials_of_degree(shift):
+            for m in multipliers:
                 k = encode(m)
                 rows.append({index[e + k]: c for e, c in terms})
         model = (index, rows)

@@ -174,10 +174,6 @@ def ext_gcd_combo(values) -> tuple[int, list[int]]:
         if g and v % g == 0:
             coeffs.append(0)
             continue
-        if g == 0:
-            g = abs(v)
-            coeffs.append(1 if v > 0 else -1 if v < 0 else 0)
-            continue
         g, x, y = ext_gcd(g, v)
         coeffs = [c * x for c in coeffs]
         coeffs.append(y)

@@ -147,6 +147,10 @@ def _stage_lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
     return out
 
 
+# largest cohomology rank of a tower, which the dimension does not bound
+CHERN_MAX_RANK = 1024
+
+
 @functools.lru_cache(maxsize=16)
 def presented_ring(spec: TowerSpec) -> PresentedRing:
     """Cohomology presentation of the tower (triangular by construction).
@@ -154,9 +158,13 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
     One ring per spec, shared by `chern_numbers`, `s_number` and
     `ring_backend_pair`, so its rewrite rules and memoised normal forms are
     built once; the 16 most recent specs are kept.  A spec above
-    `bordclass.CHERN_MAX_DIM` is refused before its ring is built.
+    `bordclass.CHERN_MAX_DIM` or of cohomology rank above CHERN_MAX_RANK is
+    refused before its ring is built.
     """
     bordclass.check_dim(spec.dim)
+    if spec.cohomology_rank > CHERN_MAX_RANK:
+        raise ValueError(f"bordx handles towers of cohomology rank at most "
+                         f"{CHERN_MAX_RANK}, got {spec.cohomology_rank}")
     degrees = (2,) * spec.generator_count
     relations = [GradedPoly.generator(degrees, i, n_i + 1)
                  for i, n_i in enumerate(spec.base)]

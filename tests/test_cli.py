@@ -24,6 +24,12 @@ def no_work(*args):
     raise AssertionError("a refused size started work")
 
 
+@pytest.fixture
+def no_stage(monkeypatch):
+    """The family path refuses before a stage is built."""
+    monkeypatch.setattr(tower, "Stage", no_work)
+
+
 class TestChern:
     def test_ltilde_table_ends_with_s(self, capsys):
         code, out, _ = run_cli(
@@ -166,9 +172,8 @@ class TestDimensionLimits:
 
     @pytest.fixture
     def no_chern_work(self, monkeypatch):
-        for target, name in [(bordclass, "_walk"), (tower, "chern_numbers"),
-                             (tower, "s_number"), (tower, "build_family"),
-                             (tower, "presented_ring")]:
+        # where a tower's work starts: its ring, and the partition walk
+        for target, name in [(bordclass, "_walk"), (tower, "PresentedRing")]:
             monkeypatch.setattr(target, name, no_work)
 
     @staticmethod
@@ -202,7 +207,7 @@ class TestDimensionLimits:
         ["--family", "Ntilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 2)],
         ["--family", "L", "--n1", "10", "--n2", str(10**12)],
     ])
-    def test_family_above_largest(self, argv, no_chern_work, capsys):
+    def test_family_above_largest(self, argv, no_chern_work, no_stage, capsys):
         code, out, err = run_cli(["chern"] + argv, capsys)
         self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
 
@@ -250,14 +255,13 @@ class TestRankLimit:
 
     @pytest.fixture
     def no_ring(self, monkeypatch):
-        for target, name in [(bordclass, "_walk"), (tower, "presented_ring"),
-                             (tower, "chern_numbers"), (tower, "s_number")]:
+        for target, name in [(bordclass, "_walk"), (tower, "PresentedRing")]:
             monkeypatch.setattr(target, name, no_work)
 
     @pytest.mark.parametrize("omega", [
         [1] * 11, [2] * 10, [3] * 8, [1] * 24, [2] * 6 + [1] * 4, [8, 8, 7, 1],
     ])
-    def test_omega_above_largest(self, omega, no_ring, capsys):
+    def test_omega_above_largest(self, omega, no_ring, no_stage, capsys):
         code, out, err = run_cli(["chern", "--family", "CPprod", "--omega",
                                   ",".join(map(str, omega))], capsys)
         TestDimensionLimits.assert_refused(code, out, err, cli.CHERN_MAX_RANK)

@@ -674,16 +674,29 @@ def _payload(count, top, relations, mu=None):
 
 
 class TestLatticeLimits:
-    """Lattice models over the documented limits are refused before enumeration."""
+    """Lattice models over the documented limits are refused once a walk passes them."""
 
     @pytest.fixture
-    def no_model(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the lattice model was enumerated")
+    def walked(self, monkeypatch):
+        """The monomials each walk yields; none yields past the larger limit + 1."""
+        walk = PresentedRing._monomial_walk
+        cap = max(cohomring.LATTICE_MAX_MONOMIALS, cohomring.LATTICE_MAX_ROWS) + 1
+        counts = []
 
-        monkeypatch.setattr(PresentedRing, "monomials_of_degree", refuse)
+        def bounded(ring, degree):
+            counts.append(0)
+            for mono in walk(ring, degree):
+                if mono is not None:
+                    counts[-1] += 1
+                    if counts[-1] > cap:
+                        raise AssertionError("the lattice model was enumerated")
+                yield mono
 
-    def test_too_many_monomials(self, no_model):
+        monkeypatch.setattr(PresentedRing, "_monomial_walk", bounded)
+        yield counts
+        assert counts, "no lattice model was walked"
+
+    def test_too_many_monomials(self, walked):
         # C(27, 7) = 888,030 top-degree monomials
         ring = ring_from_json(_payload(8, 40, ["g0^2"]))
         x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
@@ -691,18 +704,22 @@ class TestLatticeLimits:
             evaluate_top(ring, x)
         with pytest.raises(PresentationError, match="monomials"):
             graded_rank(ring, 40)
+        assert walked == [cohomring.LATTICE_MAX_MONOMIALS + 1] * 2
 
-    def test_too_many_relation_rows(self, no_model):
-        # 1,001 columns, but 5 relations of degree 2 give 5,000 rows
+    def test_too_many_relation_rows(self, walked):
+        # 1,001 columns, but 5 quadratic relations give 5 x 999 = 4,995 rows
         top = 2 * 1000
         ring = ring_from_json(_payload(2, top, ["g0^2", "g1^2", "g0*g1", "g0^2 - g1^2",
                                                 "g0^2 + g0*g1"]))
-        assert ring._monomial_count(top, cohomring.LATTICE_MAX_MONOMIALS) == 1001
+        assert len(ring._bounded_monomials(top, cohomring.LATTICE_MAX_MONOMIALS)) == 1001
         x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
         with pytest.raises(PresentationError, match="relation multiples"):
             lattice_evaluate(ring, x)
+        # the columns, then each relation's 999 multiples against the rows left:
+        # the fifth walk stops at 4 + 1
+        assert walked == [1001, 1001, 999, 999, 999, 999, 5]
 
-    def test_too_many_dead_ends(self, no_model):
+    def test_too_many_dead_ends(self, walked):
         # degrees 2 and 1,000,002: a million exponents of the first are tried
         # and almost none leaves a multiple of the second
         ring = PresentedRing(("x", "y"), (2, 1_000_002), [], 2_000_000, (1_000_000, 0),

@@ -1,14 +1,17 @@
-"""The one dimension bound, `bordclass.CHERN_MAX_DIM`.
+"""The one dimension bound, `bordclass.CHERN_MAX_DIM`, and the tower rank bound.
 
 `bordclass.check_dim` refuses a larger complex dimension where each
 partition-indexed object starts: the basis (every vector, `cp` and the
 genus tables), a product's split table, an operation's target and a tower's
 ring; the family constructors and characteristic matrices check it too,
-before they build a stage or a row.  A refused call does no work first, and
-the operations run up to the bound.
+before they build a stage or a row.  `tower.presented_ring` refuses a tower
+of cohomology rank above `tower.CHERN_MAX_RANK` next, for every caller of its
+ring.  A refused call does no work first, and the operations run up to the
+bound.
 """
 
 import ast
+import json
 import pathlib
 import random
 
@@ -99,6 +102,37 @@ def _fail(*args, **kwargs):
     raise AssertionError("a refused family started work")
 
 
+RANK = tower.CHERN_MAX_RANK
+
+# towers within the dimension bound whose cohomology rank passes the rank bound
+ABOVE_RANK = {
+    "CPprod 1^11": lambda: tower.build_family("CPprod", [1] * 11),
+    "CPprod 2^7": lambda: tower.build_family("CPprod", [2] * 7),
+    "stages": lambda: tower.tower_from_json(json.dumps(
+        {"base": [1], "stages": [{"lines": [[0]] * 2}] + [
+            {"lines": [[0] * (i + 2)] * 2} for i in range(10)]})),
+}
+
+
+@pytest.mark.parametrize("build", ABOVE_RANK.values(), ids=ABOVE_RANK.keys())
+@pytest.mark.parametrize("call", [tower.chern_numbers, tower.s_number,
+                                  tower.ring_backend_pair],
+                         ids=lambda f: f.__name__)
+def test_rank_refused_before_any_ring(no_work, build, call):
+    spec = build()
+    assert spec.dim <= LARGEST and spec.cohomology_rank > RANK
+    with pytest.raises(ValueError, match=f"cohomology rank at most {RANK}, "
+                                         f"got {spec.cohomology_rank}"):
+        call(spec)
+
+
+@pytest.mark.parametrize("omega", [[1] * 10, [3] * 5])
+def test_largest_rank_is_built(omega):
+    spec = tower.build_family("CPprod", omega)
+    assert spec.cohomology_rank == RANK
+    assert tower.presented_ring(spec).top_degree == 2 * spec.dim
+
+
 def test_refusals_leave_the_basis_cache_bounded():
     for n in range(LARGEST + 1, LARGEST + 40):
         for call in (lambda: ChernVector(n), lambda: cp(n),
@@ -127,22 +161,35 @@ def _names(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def comparisons_outside_check_dim(source: str, module: str) -> list[int]:
-    """Lines of the comparisons with CHERN_MAX_DIM outside `bordclass.check_dim`."""
+# each bound -> the (module, function) that holds its one comparison
+OWNERS = {"CHERN_MAX_DIM": ("bordclass", "check_dim"),
+          "CHERN_MAX_RANK": ("tower", "presented_ring")}
+
+
+def comparisons_outside_owner(source: str, module: str,
+                              bound: str = "CHERN_MAX_DIM") -> list[int]:
+    """Lines of the comparisons with `bound` outside the function that owns it."""
+    owner_module, owner = OWNERS[bound]
     tree = ast.parse(source)
     allowed = set()
-    if module == "bordclass":
+    if module == owner_module:
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "check_dim":
+            if isinstance(node, ast.FunctionDef) and node.name == owner:
                 allowed.update(map(id, ast.walk(node)))
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Compare) and id(node) not in allowed
-            and "CHERN_MAX_DIM" in _names(node)]
+            and bound in _names(node)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_bound_compared_only_in_check_dim(path):
-    assert comparisons_outside_check_dim(path.read_text(encoding="utf-8"), path.stem) == []
+    assert comparisons_outside_owner(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_rank_bound_compared_only_in_presented_ring(path):
+    assert comparisons_outside_owner(path.read_text(encoding="utf-8"), path.stem,
+                                     "CHERN_MAX_RANK") == []
 
 
 def test_check_dim_is_the_comparison():
@@ -159,4 +206,21 @@ def test_check_dim_is_the_comparison():
     ("tower", "def check_dim(n):\n    return n > bordclass.CHERN_MAX_DIM\n"),
 ])
 def test_guard_finds_a_second_check(module, source):
-    assert comparisons_outside_check_dim(source, module)
+    assert comparisons_outside_owner(source, module)
+
+
+def test_presented_ring_is_the_rank_comparison():
+    source = (SRC / "tower.py").read_text(encoding="utf-8")
+    ring = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == "presented_ring")
+    assert any(isinstance(node, ast.Compare) and "CHERN_MAX_RANK" in _names(node)
+               for node in ast.walk(ring))
+
+
+@pytest.mark.parametrize("module, source", [
+    ("cli", "if spec.cohomology_rank > CHERN_MAX_RANK:\n    raise ValueError\n"),
+    ("tower", "def chern_numbers(spec):\n    assert spec.cohomology_rank <= CHERN_MAX_RANK\n"),
+    ("tower", "def f(spec):\n    return tower.CHERN_MAX_RANK < spec.cohomology_rank\n"),
+])
+def test_rank_guard_finds_a_second_check(module, source):
+    assert comparisons_outside_owner(source, module, "CHERN_MAX_RANK")

@@ -106,6 +106,10 @@ class TestExtGcdCombo:
         assert g == 6
         assert sum(c * v for c, v in zip(coeffs, [486, 432, 384])) == 6
         assert ext_gcd_combo([7]) == (7, [1])
+        # leading zeros and a negative first value take the general step
+        assert ext_gcd_combo([0, -6, 4]) == (2, [0, -1, -1])
+        assert ext_gcd_combo([-9, 6]) == (3, [-1, -1])
+        assert ext_gcd_combo([0, 0, -5]) == (5, [0, 0, -1])
 
     def test_all_zero(self):
         with pytest.raises(ValueError):
