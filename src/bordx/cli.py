@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bordclass, genfactory, numbers, tower
+# the closed s-number forms of the two tower families (numbers owns them)
+from .numbers import snl_closed_form, snn_closed_form
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -129,16 +130,6 @@ def _suite_wring() -> list[dict]:
                - bordclass.twisted_mul(x1, bordclass.twisted_mul(da, db)))
         rows.append(_row("wring", f"d(a*b) Leibniz on ({la}, {lb})", lhs == rhs))
     return rows
-
-
-def snl_closed_form(n1: int, n2: int) -> int:
-    n = n1 + n2
-    return sum((-1) ** j * math.comb(n, j) for j in range(1, n1 + 1))
-
-
-def snn_closed_form(n1: int, n2: int) -> int:
-    n = n1 + n2 + 1
-    return 2 * (sum((-1) ** j * math.comb(n, j) for j in range(1, n1 + 1)) - n1)
 
 
 _GRID = [(n1, n2) for n1 in (2, 4, 6, 8, 10) for n2 in (1, 3, 5, 7, 9)]

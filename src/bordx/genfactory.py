@@ -53,15 +53,25 @@ def _su_checks(a: ChernVector) -> dict:
     }
 
 
-def _gcd_certificate(dimension, labels, classes, target) -> GeneratorCertificate:
-    """Certify the combination of the classes whose s-number is their gcd."""
-    _, coeffs = ext_gcd_combo([bordclass.s_num(c) for c in classes])
+def _gcd_certificate(dimension, labels, s_values, build, target) -> GeneratorCertificate:
+    """Certify the combination of the candidates whose s-number is their gcd.
+
+    The Bezout coefficients come from the candidates' s-values alone, so only
+    a candidate with a nonzero coefficient has its ChernVector built, as
+    build(i); the s-number of each built class must equal its s-value.
+    """
+    _, coeffs = ext_gcd_combo(s_values)
     cls = ChernVector(dimension // 2)
     combination = []
-    for coeff, label, c in zip(coeffs, labels, classes):
+    for i, coeff in enumerate(coeffs):
         if coeff:
+            c = build(i)
+            if bordclass.s_num(c) != s_values[i]:
+                raise InconsistencyError(
+                    f"{labels[i]} has s-number {bordclass.s_num(c)}, "
+                    f"its closed form gives {s_values[i]}")
             cls = cls + c.scale(coeff)
-            combination.append((coeff, label))
+            combination.append((coeff, labels[i]))
     return _certify(dimension, combination, cls, target)
 
 
@@ -118,29 +128,49 @@ def _omega_label(omega) -> str:
 
 
 def cy_generator_combo(n: int) -> GeneratorCertificate:
-    """Integer combination of the N_omega, omega in phat(n), with |s| = |g(n)|."""
+    """Integer combination of the N_omega, omega in phat(n), with |s| = |g(n)|.
+
+    s_{n-1}[N_omega] = -alpha(omega) picks the combination; only its members
+    are built.  An n that is not an int, or above CHERN_MAX_DIM, is refused
+    before phat(n) is listed.
+    """
+    n = strict_int(n, "n")
     if n < 3:
         raise ValueError("n must be >= 3")
+    bordclass.check_dim(n)
     omegas = numbers.phat(n)
     return _gcd_certificate(2 * (n - 1), [_omega_label(w) for w in omegas],
-                            [cy_hypersurface(w) for w in omegas], numbers.g(n))
+                            [-numbers.alpha(w) for w in omegas],
+                            lambda i: cy_hypersurface(omegas[i]), numbers.g(n))
 
 
 # ---------------------------------------------------------------------------
 # quasitoric generators
 # ---------------------------------------------------------------------------
 
+# the toric-convention s-number of each family, in closed form
+_CLOSED_FORMS = {"Ltilde": numbers.snl_closed_form, "Ntilde": numbers.snn_closed_form}
+
+
 def _tower_certificate(name: str, instances, target) -> GeneratorCertificate:
-    """Certify a gcd combination of the family's bordism-convention exports."""
+    """Certify a gcd combination of the family's bordism-convention exports.
+
+    The closed forms, signed by (-1)^(#conjugations) as the bordism
+    convention is, pick the combination; only its towers are evaluated.
+    """
     specs = [tower.build_family(name, n1, n2, convention="bordism")
              for n1, n2 in instances]
+    closed_form = _CLOSED_FORMS[name]
     return _gcd_certificate(2 * specs[0].dim,
                             [f"{name}({n1},{n2})" for n1, n2 in instances],
-                            [tower.chern_numbers(spec) for spec in specs], target)
+                            [(-1) ** len(spec.conjugations) * closed_form(n1, n2)
+                             for spec, (n1, n2) in zip(specs, instances)],
+                            lambda i: tower.chern_numbers(specs[i]), target)
 
 
 def quasitoric_generator_odd(k: int) -> GeneratorCertificate:
     """Combination of the odd-dimensional towers with |s| = m_{2k+1} m_{2k}."""
+    k = strict_int(k, "k")
     if k <= 1:
         raise ValueError("quasitoric SU-manifolds of dimension < 10 are null-bordant, "
                          f"got dimension {4 * k + 2}")
@@ -151,6 +181,7 @@ def quasitoric_generator_odd(k: int) -> GeneratorCertificate:
 
 def quasitoric_generator_even(k: int) -> GeneratorCertificate:
     """Combination of the even-dimensional towers with |s| = 2 m_{2k} m_{2k-1}."""
+    k = strict_int(k, "k")
     if k <= 2:
         raise ValueError("quasitoric SU-manifolds of dimension < 10 are null-bordant, "
                          f"got dimension {4 * k}")

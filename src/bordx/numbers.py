@@ -53,6 +53,20 @@ def alpha(omega) -> int:
     return value
 
 
+def snl_closed_form(n1: int, n2: int) -> int:
+    """s-number of Ltilde(n1, n2) in the toric convention: the sum of
+    (-1)^j C(n, j) over 0 < j <= n1, with n = n1 + n2."""
+    n = n1 + n2
+    return sum((-1) ** j * math.comb(n, j) for j in range(1, n1 + 1))
+
+
+def snn_closed_form(n1: int, n2: int) -> int:
+    """s-number of Ntilde(n1, n2) in the toric convention: twice the sum of
+    (-1)^j C(n, j) over 0 < j <= n1, less n1, with n = n1 + n2 + 1."""
+    n = n1 + n2 + 1
+    return 2 * (sum((-1) ** j * math.comb(n, j) for j in range(1, n1 + 1)) - n1)
+
+
 def phat(n: int) -> list[Partition]:
     """Partitions of n with all parts <= n-2 (i.e. excluding (n) and (n-1,1))."""
     if n < 3:
