@@ -647,10 +647,13 @@ def twisted_mul(a: ChernVector, b: ChernVector) -> ChernVector:
 def chern_vector_to_json(a: ChernVector) -> dict:
     return {
         "dim": a.dim,
-        "numbers": {
-            ",".join(str(p) for p in w): v for w, v in a.numbers.items() if v
-        },
+        "numbers": {_partition_key(w): v for w, v in a.numbers.items() if v},
     }
+
+
+def _partition_key(omega) -> str:
+    """omega written as `parse_partition` reads it: "" or "3,1,1"."""
+    return ",".join(map(str, omega))
 
 
 def parse_partition(key: str) -> Partition:

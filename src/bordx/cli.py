@@ -254,10 +254,6 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str,
     _emit("\n".join(lines) + "\n", output)
 
 
-def _partition_key(omega) -> str:
-    return ",".join(str(p) for p in omega)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -293,7 +289,7 @@ def cmd_chern(args) -> int:
         payload["convention"] = spec.convention
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        rows = [{"key": f"c_{_partition_key(w)}", "value": v}
+        rows = [{"key": f"c_{bordclass._partition_key(w)}", "value": v}
                 for w, v in sorted(vec.numbers.items())]
         rows.append({"key": "s", "value": s})
         _render_rows(rows, ["key", "value"], "tsv", args.output)

@@ -119,9 +119,9 @@ def partitions(n: int, max_part: int | None = None) -> list[Partition]:
 
 
 def canonical_partition(parts) -> Partition:
-    """Sort parts weakly decreasing and validate positivity."""
-    p = tuple(sorted(parts, reverse=True))
-    if any(x < 1 for x in p):
+    """Sort parts weakly decreasing; every part must be an int >= 1."""
+    p = tuple(sorted([strict_int(x, "a partition part") for x in parts], reverse=True))
+    if p and p[-1] < 1:  # the least part is the last
         raise ValueError(f"partition parts must be >= 1, got {parts}")
     return p
 
@@ -383,6 +383,11 @@ class GradedPoly:
             return GradedPoly.constant(self.degrees, 1)
         base = self if cap is None or cap < 0 else GradedPoly._trusted(self.degrees, {
             e: c for e, c in self.terms.items() if self.term_degree(e) <= cap})
+        if len(base.terms) == 1:  # one term: its power is one term, or above the cap
+            ((e, c),) = base.terms.items()
+            e = tuple(k * x for x in e)
+            below = cap is None or cap < 0 or self.term_degree(e) <= cap
+            return GradedPoly._trusted(self.degrees, {e: c ** k} if below else {})
         result = None  # the base at the first set bit: no 1 * base multiply
         while True:
             if k & 1:

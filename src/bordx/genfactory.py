@@ -155,15 +155,15 @@ _CLOSED_FORMS = {"Ltilde": numbers.snl_closed_form, "Ntilde": numbers.snn_closed
 def _tower_certificate(name: str, instances, target) -> GeneratorCertificate:
     """Certify a gcd combination of the family's bordism-convention exports.
 
-    The closed forms, signed by (-1)^(#conjugations) as the bordism
-    convention is, pick the combination; only its towers are evaluated.
+    The closed forms, signed by `tower._sign` as each export is, pick the
+    combination; only its towers are evaluated.
     """
     specs = [tower.build_family(name, n1, n2, convention="bordism")
              for n1, n2 in instances]
     closed_form = _CLOSED_FORMS[name]
     return _gcd_certificate(2 * specs[0].dim,
                             [f"{name}({n1},{n2})" for n1, n2 in instances],
-                            [(-1) ** len(spec.conjugations) * closed_form(n1, n2)
+                            [tower._sign(spec) * closed_form(n1, n2)
                              for spec, (n1, n2) in zip(specs, instances)],
                             lambda i: tower.chern_numbers(specs[i]), target)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .exactalg import Partition, canonical_partition, multinomial, partitions
+from .exactalg import Partition, canonical_partition, multinomial, partitions, strict_int
 
 
 def prime_power_base(n: int) -> int | None:
@@ -146,11 +146,14 @@ def _n_family(k: int):
 
 
 def largest_common_prime_power(values, p: int) -> int:
-    """Largest power of p dividing every value (1 if some value is a p-unit).
+    """Largest power of the prime p dividing every value (1 if some value is a p-unit).
 
-    Zeros, which every power divides, are skipped; the scan stops at the
-    first p-unit, since no later value can lower its power 1.
+    p is checked before any value is read.  Zeros, which every power divides,
+    are skipped; the scan stops at the first p-unit, since no later value can
+    lower its power 1.
     """
+    if prime_power_base(strict_int(p, "p")) != p:
+        raise ValueError(f"{p} is not prime")
     least = None
     for v in values:
         if v:
@@ -171,8 +174,6 @@ def verify_nmod(k: int, p: int) -> tuple[int, bool]:
     """
     if k <= 2:
         raise ValueError("k must be > 2")
-    if prime_power_base(p) != p:
-        raise ValueError(f"{p} is not prime")
     power = largest_common_prime_power(_n_family(k), p)
     if p == 2:
         expected = 2 if prime_power_base(2 * k) == 2 else 1

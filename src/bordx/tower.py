@@ -2,9 +2,12 @@
 
 A TowerSpec records a product of projective spaces (the base) and a sequence
 of projectivisation stages, each stage a sum of line bundles given by weight
-vectors over the generators defined so far.  The stable tangent bundle splits
-as a roster of line summands; conjugating a summand negates its first Chern
-class in the total Chern class and flips the induced orientation.
+vectors over the generators defined so far.  It is read as one list of
+blocks, `_blocks`, as a generalized Bott tower: each step projectivises a sum
+of lines over the step before, starting from a point, and a base factor
+CP^(n_i) is CP(C^(n_i + 1)).  The stable tangent bundle splits as a roster of
+line summands, the lines of every block; conjugating a summand negates its
+first Chern class in the total Chern class and flips the induced orientation.
 
 Two evaluation conventions are carried explicitly: "toric" pairs against the
 fundamental class of the underlying toric manifold (the convention of the
@@ -80,14 +83,12 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
             raise ValueError("base factors must be positive")
         if convention not in ("toric", "bordism"):
             raise ValueError(f"unknown convention {convention!r}")
-        gens = len(base)
-        for stage in stages:
+        for gens, stage in enumerate(stages, len(base)):
             for w in stage.lines:
                 if len(w) != gens:
                     raise ValueError(
                         f"weight vector {w} must reference the {gens} prior generators"
                     )
-            gens += 1
         self = super().__new__(cls, base, stages, conjugations, convention)
         size = self.roster_size()
         for i in conjugations:
@@ -114,13 +115,12 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
         return tuple(f"g{i}" for i in range(k))
 
     def roster_size(self) -> int:
-        return sum(x + 1 for x in self.base) + sum(len(s.lines) for s in self.stages)
+        return sum(map(len, _blocks(self)))
 
     @property
     def cohomology_rank(self) -> int:
-        """Rank of H*(M) by Leray-Hirsch: prod (n_i + 1) times the line counts."""
-        return math.prod(x + 1 for x in self.base) * math.prod(
-            len(s.lines) for s in self.stages)
+        """Rank of H*(M) by Leray-Hirsch: the product of the block sizes."""
+        return math.prod(map(len, _blocks(self)))
 
     def with_convention(self, convention: str) -> "TowerSpec":
         return TowerSpec(self.base, self.stages, self.conjugations, convention)
@@ -130,21 +130,21 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
 # derived data
 # ---------------------------------------------------------------------------
 
-def _stage_lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
-    """First Chern classes v + sum_j w_j g_j of each stage's line bundles."""
+def _blocks(spec: TowerSpec) -> list[tuple[tuple[int, ...], ...]]:
+    """The weight vectors of each step's lines, over the generators before it.
+
+    Base factor i is the block of n_i + 1 lines of weight 0 over the i
+    generators before it; each stage is its own lines.
+    """
+    return [((0,) * i,) * (n_i + 1) for i, n_i in enumerate(spec.base)] + [
+        s.lines for s in spec.stages]
+
+
+def _lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
+    """First Chern classes g_i + sum_j w_j g_j of the lines of each block i."""
     gens = [GradedPoly.generator(degrees, j) for j in range(spec.generator_count)]
-    out = []
-    for s, stage in enumerate(spec.stages):
-        v = gens[len(spec.base) + s]
-        lines = []
-        for w in stage.lines:
-            line = v
-            for j, wj in enumerate(w):
-                if wj:
-                    line = line + gens[j].scale(wj)
-            lines.append(line)
-        out.append(lines)
-    return out
+    return [[sum((gens[j].scale(wj) for j, wj in enumerate(w) if wj), g) for w in block]
+            for g, block in zip(gens, _blocks(spec))]
 
 
 # largest cohomology rank of a tower, which the dimension does not bound
@@ -166,27 +166,17 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
         raise ValueError(f"bordx handles towers of cohomology rank at most "
                          f"{CHERN_MAX_RANK}, got {spec.cohomology_rank}")
     degrees = (2,) * spec.generator_count
-    relations = [GradedPoly.generator(degrees, i, n_i + 1)
-                 for i, n_i in enumerate(spec.base)]
-    for lines in _stage_lines(spec, degrees):
-        rel = GradedPoly.constant(degrees, 1)
-        for line in lines:
-            rel = rel * line
-        relations.append(rel)
-    fundamental = list(spec.base) + [stage.fiber_dim for stage in spec.stages]
+    # one relation per block, the product of its lines, each distinct line
+    # raised once: a base block gives g_i^(n_i + 1)
+    relations = [functools.reduce(GradedPoly.mul, [x.pow(k) for x, k in Counter(lines).items()])
+                 for lines in _lines(spec, degrees)]
     return PresentedRing(spec.generator_names, degrees, relations, 2 * spec.dim,
-                         fundamental)
+                         [len(block) - 1 for block in _blocks(spec)])
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:
     """First Chern classes of the stable-tangent line summands, unconjugated."""
-    degrees = (2,) * spec.generator_count
-    out = []
-    for i, n_i in enumerate(spec.base):
-        out.extend([GradedPoly.generator(degrees, i)] * (n_i + 1))
-    for lines in _stage_lines(spec, degrees):
-        out.extend(lines)
-    return out
+    return [line for lines in _lines(spec, (2,) * spec.generator_count) for line in lines]
 
 
 def signed_roster(spec: TowerSpec) -> list[GradedPoly]:
@@ -259,7 +249,9 @@ def chern_numbers(spec: TowerSpec) -> ChernVector:
     def leaf(terms: dict) -> int:
         return sign * ring.fundamental_code_coefficient(terms)
 
-    return ChernVector(spec.dim, bordclass._walk(spec.dim, {0: 1}, step, leaf))
+    leaves = bordclass._walk(spec.dim, {0: 1}, step, leaf)
+    return ChernVector._of_values(
+        spec.dim, [leaves.get(omega, 0) for omega in bordclass._basis(spec.dim)[0]])
 
 
 def s_number(spec: TowerSpec) -> int:
@@ -306,8 +298,7 @@ def build_family(name: str, *params, convention: str = "toric") -> TowerSpec:
         (omega,) = params
         if not isinstance(omega, (list, tuple)):
             raise ValueError(f"CPprod's omega must be a list or tuple of parts, got {omega!r}")
-        omega = canonical_partition([strict_int(i, "a CPprod part") for i in omega])
-        return TowerSpec(omega, (), frozenset(), convention)
+        return TowerSpec(canonical_partition(omega), (), frozenset(), convention)
 
     if name not in ("L", "Ltilde", "Ntilde"):
         raise ValueError(f"unknown family {name!r}")
@@ -401,18 +392,18 @@ class CharMatrix(_Checked, namedtuple("CharMatrix", "matrix polytope")):
 def _tower_char_matrix(spec: TowerSpec) -> CharMatrix:
     """The characteristic matrix of a tower: one column per roster summand.
 
-    The facets are the roster summands in roster order, in blocks: each base
-    factor (n_i + 1 summands of class g_i), then each stage (its lines, of
-    class v + w_l g).  Each generator is written through the last summand of
-    its block, g_i = D_last and v = D_last - w_last g, and every other summand
-    l of a block gives the relation D_l - D_last - (w_l - w_last) g = 0.  The
+    The facets are the roster summands in roster order, in the `_blocks` of
+    the tower: block i holds its lines, of class g_i + w_l g (w_l = 0 in a
+    base factor).  Each generator is written through the last summand of its
+    block, g_i = D_last - w_last g, and every other summand l of a block
+    gives the relation D_l - D_last - (w_l - w_last) g = 0.  The
     column of a conjugated summand is negated, and each row signed so that
     its own column reads +1.  Refused above CHERN_MAX_DIM before any row.
     """
     bordclass.check_dim(spec.dim)
     m = spec.roster_size()
     sign = [-1 if j in spec.conjugations else 1 for j in range(m)]
-    blocks = [((),) * (n_i + 1) for n_i in spec.base] + [s.lines for s in spec.stages]
+    blocks = _blocks(spec)
     gens: list[list[int]] = []  # each generator through the last summands
     rows = []
 
@@ -431,8 +422,7 @@ def _tower_char_matrix(spec: TowerSpec) -> CharMatrix:
         g = minus(lines[-1])
         g[last] += 1
         gens.append(g)
-    polytope = tuple(spec.base) + tuple(s.fiber_dim for s in spec.stages)
-    return CharMatrix(IntMatrix.from_rows(rows, cols=m), polytope)
+    return CharMatrix(IntMatrix.from_rows(rows, cols=m), [len(b) - 1 for b in blocks])
 
 
 def char_matrix(name: str, *params) -> CharMatrix:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from bordx import bordclass as bc
+from bordx import bordclass as bc, cli
 from bordx.bordclass import (
     ChernVector,
     boundary,
@@ -22,6 +22,7 @@ from bordx.bordclass import (
     delta,
     in_W,
     in_ker_boundary,
+    parse_partition,
     product,
     psi,
     psi_k1k2,
@@ -77,6 +78,20 @@ class TestCoordinates:
         for k in (1.5, 0.0, True, "2"):
             with pytest.raises(ValueError):
                 cp(2).scale(k)
+
+    @pytest.mark.parametrize("dim,omega", [
+        (3, (1.5, 1.5)), (3, ("3",)), (1, (True,)), (2, (1, 1.0)), (0, (None,)),
+    ])
+    def test_partition_parts_are_ints(self, dim, omega):
+        # (1.5, 1.5) was a KeyError, ("3",) a TypeError and (True,) was read as (1,)
+        with pytest.raises(ValueError, match="a partition part must be an integer"):
+            ChernVector(dim, {omega: 1})
+        with pytest.raises(ValueError, match="a partition part must be an integer"):
+            ChernVector(dim, [(omega, 1)])
+
+    def test_number_of_a_string_part(self):
+        with pytest.raises(ValueError, match="a partition part must be an integer"):
+            cp(3).number(("3",))
 
 
 class TestProduct:
@@ -707,6 +722,19 @@ class TestJson:
     def test_from_json_refuses_bad_shapes(self, data):
         with pytest.raises(ValueError):
             chern_vector_from_json(data)
+
+    def test_key_is_what_parse_partition_reads(self):
+        for n in range(7):
+            for omega in partitions(n):
+                assert parse_partition(bc._partition_key(omega)) == omega
+
+    def test_chern_tsv_writes_the_json_keys(self, capsys):
+        a = cp(1) * cp(2)
+        assert cli.main(["chern", "--family", "CPprod", "--omega", "2,1",
+                         "--format", "tsv"]) == 0
+        keys = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert keys == [f"c_{key}" for key in sorted(
+            chern_vector_to_json(a)["numbers"], key=parse_partition)] + ["s"]
 
     def test_keys_in_any_part_order(self):
         assert chern_vector_from_json({"dim": 3, "numbers": {"1,2": 5}}) == ChernVector(

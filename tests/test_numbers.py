@@ -127,6 +127,16 @@ class TestGcdLemmas:
         with pytest.raises(ValueError):
             verify_nmod(5, 6)
 
+    @pytest.mark.parametrize("p", [6, 4, 1, 0, -2])
+    def test_nmod_says_p_is_not_prime(self, p):
+        with pytest.raises(ValueError, match="is not prime"):
+            verify_nmod(5, p)
+
+    @pytest.mark.parametrize("p", [True, 2.0, "2"])
+    def test_nmod_rejects_a_non_integer_p(self, p):
+        with pytest.raises(ValueError, match="must be an integer"):
+            verify_nmod(5, p)
+
 
 class TestRankTable:
     def test_omega_u(self):

@@ -70,6 +70,18 @@ class TestLargestCommonPrimePower:
     def test_a_unit_gives_one(self, values, p):
         assert largest_common_prime_power(values, p) == 1
 
+    @pytest.mark.parametrize("p", [1, 0, -2, 4, True, 2.0])
+    def test_p_that_is_not_a_prime_is_refused_before_any_value(self, p):
+        # p = 1 looped forever, 0 divided by zero, 4 and -2 gave 4 for [4, 8]
+        def values():
+            raise AssertionError("a value was read")
+            yield
+
+        with pytest.raises(ValueError):
+            largest_common_prime_power(values(), p)
+        with pytest.raises(ValueError):
+            largest_common_prime_power([4, 8], p)
+
     def test_negative_values(self):
         assert largest_common_prime_power([-8, 24, -16], 2) == 8
         assert largest_common_prime_power([-27, -9], 3) == 9
