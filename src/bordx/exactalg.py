@@ -383,11 +383,6 @@ class GradedPoly:
             return GradedPoly.constant(self.degrees, 1)
         base = self if cap is None or cap < 0 else GradedPoly._trusted(self.degrees, {
             e: c for e, c in self.terms.items() if self.term_degree(e) <= cap})
-        if len(base.terms) == 1:  # one term: its power is one term, or above the cap
-            ((e, c),) = base.terms.items()
-            e = tuple(k * x for x in e)
-            below = cap is None or cap < 0 or self.term_degree(e) <= cap
-            return GradedPoly._trusted(self.degrees, {e: c ** k} if below else {})
         result = None  # the base at the first set bit: no 1 * base multiply
         while True:
             if k & 1:

@@ -100,8 +100,9 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
 
     @property
     def dim(self) -> int:
-        """Complex dimension n of the manifold."""
-        return sum(self.base) + sum(s.fiber_dim for s in self.stages)
+        """Complex dimension n of the manifold: each block adds its size - 1."""
+        sizes = _block_sizes(self)
+        return sum(sizes) - len(sizes)
 
     @property
     def generator_count(self) -> int:
@@ -115,12 +116,12 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
         return tuple(f"g{i}" for i in range(k))
 
     def roster_size(self) -> int:
-        return sum(map(len, _blocks(self)))
+        return sum(_block_sizes(self))
 
     @property
     def cohomology_rank(self) -> int:
         """Rank of H*(M) by Leray-Hirsch: the product of the block sizes."""
-        return math.prod(map(len, _blocks(self)))
+        return math.prod(_block_sizes(self))
 
     def with_convention(self, convention: str) -> "TowerSpec":
         return TowerSpec(self.base, self.stages, self.conjugations, convention)
@@ -138,6 +139,12 @@ def _blocks(spec: TowerSpec) -> list[tuple[tuple[int, ...], ...]]:
     """
     return [((0,) * i,) * (n_i + 1) for i, n_i in enumerate(spec.base)] + [
         s.lines for s in spec.stages]
+
+
+def _block_sizes(spec: TowerSpec) -> list[int]:
+    """The number of lines in each of the `_blocks`, read without building them,
+    so a size check does no work in proportion to a base factor."""
+    return [n_i + 1 for n_i in spec.base] + [len(s.lines) for s in spec.stages]
 
 
 def _lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
@@ -171,7 +178,7 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
     relations = [functools.reduce(GradedPoly.mul, [x.pow(k) for x, k in Counter(lines).items()])
                  for lines in _lines(spec, degrees)]
     return PresentedRing(spec.generator_names, degrees, relations, 2 * spec.dim,
-                         [len(block) - 1 for block in _blocks(spec)])
+                         [size - 1 for size in _block_sizes(spec)])
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:

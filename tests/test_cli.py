@@ -172,8 +172,9 @@ class TestDimensionLimits:
 
     @pytest.fixture
     def no_chern_work(self, monkeypatch):
-        # where a tower's work starts: its ring, and the partition walk
-        for target, name in [(bordclass, "_walk"), (tower, "PresentedRing")]:
+        # where a tower's work starts: its blocks, its ring, and the partition walk
+        for target, name in [(bordclass, "_walk"), (tower, "PresentedRing"),
+                             (tower, "_blocks")]:
             monkeypatch.setattr(target, name, no_work)
 
     @staticmethod
@@ -183,7 +184,7 @@ class TestDimensionLimits:
         assert str(largest) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("base", [[200], [cli.CHERN_MAX_DIM + 1],
-                                      [cli.CHERN_MAX_DIM, 1]])
+                                      [cli.CHERN_MAX_DIM, 1], [10**9], [10**12]])
     def test_spec_above_largest(self, base, no_chern_work, tmp_path, capsys):
         # p(200) is about 4e12: only the limit check may run
         spec = tmp_path / "big.json"
@@ -202,6 +203,8 @@ class TestDimensionLimits:
     @pytest.mark.parametrize("argv", [
         ["--family", "CPprod", "--omega", "200"],
         ["--family", "CPprod", "--omega", f"{cli.CHERN_MAX_DIM},1"],
+        ["--family", "CPprod", "--omega", str(10**9)],
+        ["--family", "CPprod", "--omega", str(10**12)],
         ["--family", "L", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 1)],
         ["--family", "Ltilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 1)],
         ["--family", "Ntilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 2)],

@@ -1,6 +1,5 @@
 """Tests for partitions, gcd combinations, graded polynomials and lattice algebra."""
 
-import itertools
 import random
 
 import pytest
@@ -318,16 +317,6 @@ class TestKernelAgainstReference:
                 for k in range(5):
                     assert base.pow(k, cap).terms == want, (base, k, cap)
                     want = _reference_mul(GradedPoly(self.DEGREES, want), base, cap)
-
-    def test_pow_of_a_monomial_matches_repeated_reference(self):
-        for exp in itertools.product(range(3), repeat=3):
-            for c in (-2, -1, 1, 3):
-                base = GradedPoly(self.DEGREES, {exp: c})
-                for cap in (None, -1, 0, 4, 7, 12, 30):
-                    want = {(0, 0, 0): 1}
-                    for k in range(6):
-                        assert base.pow(k, cap).terms == want, (base, k, cap)
-                        want = _reference_mul(GradedPoly(self.DEGREES, want), base, cap)
 
 
 class TestSeriesCap:

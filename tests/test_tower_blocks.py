@@ -45,6 +45,7 @@ EXTRA = {
 
 
 def assert_as_the_reference(spec):
+    assert tower._block_sizes(spec) == list(map(len, tower._blocks(spec)))
     assert spec.dim == reference.dim(spec)
     assert spec.roster_size() == reference.roster_size(spec)
     assert spec.cohomology_rank == reference.cohomology_rank(spec)
@@ -111,3 +112,20 @@ def test_a_one_line_stage_adds_no_dimension():
     # stage's own summand v - u is 0, conjugated or not
     assert tower.chern_numbers(spec) == tower.chern_numbers(TowerSpec(
         (2,), (Stage(((3,), (0,))),), frozenset({1})))
+
+
+def no_blocks(spec):
+    raise AssertionError("a refused size built its blocks")
+
+
+@pytest.mark.parametrize("base", [(10**9,), (10**12,), (3, 10**12), (10**9, 10**9)])
+def test_a_huge_base_factor_is_refused_before_its_blocks(base, monkeypatch):
+    # a base block of n_i + 1 lines would take memory in proportion to n_i
+    monkeypatch.setattr(tower, "_blocks", no_blocks)
+    spec = TowerSpec(base, (), frozenset({0, sum(base)}))
+    assert spec.dim == sum(base) and spec.roster_size() == sum(base) + len(base)
+    for work in (tower.presented_ring, tower.chern_numbers, tower._tower_char_matrix):
+        with pytest.raises(ValueError, match="dimension"):
+            work(spec)
+    with pytest.raises(ValueError, match="dimension"):
+        tower.chern_numbers(tower.build_family("CPprod", list(base)))
