@@ -288,7 +288,13 @@ def _split_table(na: int, nb: int):
 
 
 def product(a: ChernVector, b: ChernVector) -> ChernVector:
-    """Chern numbers of the product manifold: the split table applied to a and b."""
+    """Chern numbers of the product manifold: the split table applied to a and b.
+
+    M x N = N x M, so the larger dimension goes first and one table serves
+    both orders.
+    """
+    if a.dim < b.dim:
+        a, b = b, a
     av, bv = a.values, b.values
     return ChernVector._of_values(a.dim + b.dim, [
         sum(count * av[i] * bv[j] for count, i, j in row)

@@ -17,18 +17,24 @@ addition of their codes.  A monomial with an exponent of R or more lies
 above the top, and its code would be that of another monomial, so it is
 dropped before it is encoded.
 
-The lattice backend reads everything off one unimodular echelon form
-(`exactalg.sparse_echelon`) of the top-degree relation rows: the rank, and a
+The lattice backend first eliminates the unit monomial relations, those
+that are one monomial with coefficient +-1 (a face ring's Stanley-Reisner
+monomials, a tower's base relations g_i^(n_i+1)): each of their multiples is
+a unit row, so the quotient is free on the standard monomials, those no such
+relation divides, modulo the other relation multiples restricted to them
+(Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, 2.9 and 5.3).
+It reads everything off one unimodular echelon form
+(`exactalg.sparse_echelon`) of those top-degree rows: the rank, and a
 kernel vector by exact back substitution, which is the vector of signed
 maximal minors of the relation lattice.  The content of that vector (the gcd
 of the maximal minors) is the order of the torsion of the quotient (Newman,
 *Integral Matrices*, II), so the quotient is Z exactly when the content is 1,
-and the vector is then the functional itself.  The relation rows are sparse
-and their columns found by monomial code: the lattice backend uses `encode`
-and nothing else of the triangular one.  The lattice models are bounded: a
-degree with more than LATTICE_MAX_MONOMIALS monomials or LATTICE_MAX_ROWS
-relation rows is refused, and the walk that lists it stops after limit + 1
-monomials.
+and the vector is then the functional itself, 0 on every killed monomial.
+The relation rows are sparse and their columns found by monomial code: the
+lattice backend uses `encode` and nothing else of the triangular one.  The
+lattice models are bounded: a degree with more than LATTICE_MAX_MONOMIALS
+standard monomials or LATTICE_MAX_ROWS multiples of the other relations is
+refused, and the walk that lists them stops after limit + 1 of them.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from .exactalg import GradedPoly, json_field, json_object, sparse_echelon, stric
 
 _REWRITE_STEP_LIMIT = 2_000_000
 
-# a lattice model has one column per monomial of its degree and one row per
-# relation multiple; a larger one is refused once its walk passes the limit
+# a lattice model has one column per standard monomial of its degree and one
+# row per multiple of a relation that is not a unit monomial; a larger one is
+# refused once its walk passes the limit
 LATTICE_MAX_MONOMIALS = 2_000
 LATTICE_MAX_ROWS = 4_000
 _DEAD_END_LIMIT = 100_000
@@ -130,27 +137,45 @@ class PresentedRing:
     def monomials_of_degree(self, degree: int) -> list[tuple[int, ...]]:
         return [m for m in self._monomial_walk(degree) if m is not None]
 
-    def _monomial_walk(self, degree: int):
+    def _monomial_walk(self, degree: int, units=()):
         """Monomials of `degree` in lexicographic order, and None for each dead end.
 
         An odometer runs over the exponents of every generator but the last,
         whose exponent is read off by division; a dead end is a setting that
-        leaves a remainder the last degree does not divide.
+        leaves a remainder the last degree does not divide.  Given `units`,
+        the exponents of the unit monomial relations, it yields only the
+        standard monomials: a pure power x_j^d caps exponent j at d - 1 (a
+        last exponent past its cap is a dead end), and a monomial another
+        unit divides is a dead end.
         """
+        caps = [None] * len(self.degrees)
+        kills = []
+        for u in units:
+            powers = [(j, d) for j, d in enumerate(u) if d]
+            if len(powers) == 1:
+                (j, d), = powers
+                caps[j] = d - 1 if caps[j] is None else min(caps[j], d - 1)
+            else:
+                kills.append(u)
+
+        def standard(mono):
+            return not any(all(map(operator.ge, mono, u)) for u in kills)
+
         if not self.degrees:
             if degree == 0:
-                yield ()
+                yield () if standard(()) else None
             return
         *head, last = self.degrees
         exp = [0] * len(head)
         remaining = degree
         while True:
-            if remaining % last:
+            if remaining % last or caps[-1] is not None and remaining // last > caps[-1]:
                 yield None
             else:
-                yield (*exp, remaining // last)
+                mono = (*exp, remaining // last)
+                yield mono if standard(mono) else None
             i = len(head) - 1
-            while i >= 0 and remaining < head[i]:
+            while i >= 0 and (remaining < head[i] or exp[i] == caps[i]):
                 remaining += exp[i] * head[i]
                 exp[i] = 0
                 i -= 1
@@ -159,23 +184,26 @@ class PresentedRing:
             exp[i] += 1
             remaining -= head[i]
 
-    def _bounded_monomials(self, degree: int, limit: int) -> list[tuple[int, ...]]:
+    def _bounded_monomials(self, degree: int, limit: int, units=()) -> list[tuple[int, ...]]:
         """The monomials of `degree` in walk order, stopping at limit + 1 of them.
 
-        Dead ends come only from generator degrees that do not divide one
-        another; past _DEAD_END_LIMIT of them the degree is refused, so the
-        walk takes a bounded number of steps whatever the degrees.
+        Dead ends come from generator degrees that do not divide one another
+        and, given `units`, from the caps and the monomials the units kill; a
+        capped walk takes a subset of the steps of the uncapped one, whose
+        monomials were at most `limit`.  Past _DEAD_END_LIMIT + limit dead
+        ends the degree is refused, so the walk takes a bounded number of
+        steps whatever the degrees and units.
         """
         found = []
         dead = 0
-        for mono in self._monomial_walk(degree):
+        for mono in self._monomial_walk(degree, units):
             if mono is not None:
                 found.append(mono)
                 if len(found) > limit:
                     break
             else:
                 dead += 1
-                if dead > _DEAD_END_LIMIT:
+                if dead > _DEAD_END_LIMIT + limit:
                     raise PresentationError(
                         f"degree {degree} takes more than {_DEAD_END_LIMIT} dead ends "
                         "to count its monomials (lattice model too large)"
@@ -353,26 +381,32 @@ class PresentedRing:
     def _lattice_model(self, degree: int):
         """(column by monomial code, sparse relation rows) for a degree.
 
-        Columns follow `monomials_of_degree`, the fundamental monomial's last
-        at the top; each relation multiple is one row {column: coefficient},
-        the code of x^e x^m being encode(e) + encode(m) at or below the top.
-        Each walk stops one monomial past what is left of its limit.
+        A relation that is one monomial with coefficient +-1, a unit monomial
+        relation, makes every multiple of it a unit row e_c; these are
+        eliminated first, a unimodular step.  So the columns are the standard
+        monomials of the degree, those no unit divides, in walk order with
+        the fundamental monomial's last at the top (unless a unit kills it);
+        each multiple of another relation by a standard monomial is one row
+        {column: coefficient} over its standard terms, the code of x^e x^m
+        being encode(e) + encode(m) at or below the top, and an empty row is
+        dropped.  Each walk stops one monomial past what is left of its limit.
         """
         cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
-        monomials = self._bounded_monomials(degree, LATTICE_MAX_MONOMIALS)
+        units = [e for e in map(_unit_exponent, self.relations) if e is not None]
+        monomials = self._bounded_monomials(degree, LATTICE_MAX_MONOMIALS, units)
         if len(monomials) > LATTICE_MAX_MONOMIALS:
             raise PresentationError(
-                f"degree {degree} has more than {LATTICE_MAX_MONOMIALS} monomials "
+                f"degree {degree} has more than {LATTICE_MAX_MONOMIALS} standard monomials "
                 "(lattice model too large)"
             )
         rows_left = LATTICE_MAX_ROWS
         multiples = []
         for rel in self.relations:
             shift = degree - rel.degree()
-            if shift >= 0:
-                multipliers = self._bounded_monomials(shift, rows_left)
+            if shift >= 0 and _unit_exponent(rel) is None:
+                multipliers = self._bounded_monomials(shift, rows_left, units)
                 rows_left -= len(multipliers)
                 if rows_left < 0:
                     raise PresentationError(
@@ -382,9 +416,9 @@ class PresentedRing:
                 multiples.append((rel, multipliers))
         encode = self.encode
         codes = [encode(m) for m in monomials]
-        if degree == self.top_degree:
+        mu = encode(self.fundamental_monomial)
+        if degree == self.top_degree and mu in codes:
             # the fundamental monomial's column last, as the evaluator wants
-            mu = encode(self.fundamental_monomial)
             codes.remove(mu)
             codes.append(mu)
         index = {code: i for i, code in enumerate(codes)}
@@ -393,7 +427,9 @@ class PresentedRing:
             terms = [(encode(e), c) for e, c in rel.terms.items()]
             for m in multipliers:
                 k = encode(m)
-                rows.append({index[e + k]: c for e, c in terms})
+                row = {index[e + k]: c for e, c in terms if e + k in index}
+                if row:
+                    rows.append(row)
         model = (index, rows)
         self._lattice_cache[degree] = model
         return model
@@ -435,14 +471,23 @@ class PresentedRing:
                 "top-degree quotient has torsion (bad presentation)"
             )
         # v_mu is 0 when mu's column has a pivot, else the product of the
-        # (positive) pivots, so no sign is left to fix
-        if v[-1] != 1:
+        # (positive) pivots, so no sign is left to fix; a killed mu has no column
+        if v[-1] != 1 or self.encode(self.fundamental_monomial) not in index:
             raise PresentationError(
                 "fundamental monomial does not generate the top-degree quotient"
             )
         result = (index, v)
         self._lattice_cache[key] = result
         return result
+
+
+def _unit_exponent(rel: GradedPoly):
+    """The exponent of a relation that is one monomial with coefficient +-1, else None."""
+    if len(rel.terms) == 1:
+        ((exp, c),) = rel.terms.items()
+        if abs(c) == 1:
+            return exp
+    return None
 
 
 def _accumulate(acc: dict, terms: dict, c: int) -> None:
@@ -499,7 +544,9 @@ def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
     index, phi = ring._lattice_evaluator()
     total = 0
     for e, c in x.terms.items():
-        total += c * phi[index[ring.encode(e)]]
+        i = index.get(ring.encode(e))
+        if i is not None:  # a monomial a unit relation kills pairs to 0
+            total += c * phi[i]
     return total
 
 

@@ -124,7 +124,7 @@ def cy_hypersurface(omega) -> ChernVector:
 
 
 def _omega_label(omega) -> str:
-    return "N(" + ",".join(str(i) for i in omega) + ")"
+    return f"N({bordclass._partition_key(omega)})"
 
 
 def cy_generator_combo(n: int) -> GeneratorCertificate:

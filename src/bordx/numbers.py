@@ -69,7 +69,7 @@ def snn_closed_form(n1: int, n2: int) -> int:
 
 def phat(n: int) -> list[Partition]:
     """Partitions of n with all parts <= n-2 (i.e. excluding (n) and (n-1,1))."""
-    if n < 3:
+    if strict_int(n, "n") < 3:
         raise ValueError("phat(n) is defined for n >= 3")
     return partitions(n, max_part=n - 2)
 
@@ -92,7 +92,7 @@ def verify_alpha_gcd(n: int) -> tuple[int, bool]:
     over phat(n) is an unbounded min-plus knapsack over the parts 1..n-2 with
     exact total n.  Only primes p <= n occur, as alpha(1^n) = n! 2^n.
     """
-    if n < 3:
+    if strict_int(n, "n") < 3:
         raise ValueError("n must be >= 3")
     acc = 1
     for p in range(2, n + 1):
@@ -117,7 +117,7 @@ def verify_gcddif(k: int) -> tuple[int, bool]:
     so the gcd runs over i <= ceil(k/2) only, and it stops once it reaches 1.
     The binomials are stepped: C(n, j+1) = C(n, j) (n - j) / (j + 1).
     """
-    if k <= 1:
+    if strict_int(k, "k") <= 1:
         raise ValueError("k must be > 1")
     n = 2 * k + 1
     acc = 0
@@ -172,7 +172,7 @@ def verify_nmod(k: int, p: int) -> tuple[int, bool]:
     The expected answer is p exactly when 2k = 2^s (for p = 2) or
     2k + 1 = p^s (for odd p), and 1 otherwise.
     """
-    if k <= 2:
+    if strict_int(k, "k") <= 2:
         raise ValueError("k must be > 2")
     power = largest_common_prime_power(_n_family(k), p)
     if p == 2:
@@ -224,7 +224,7 @@ def rank_table(max_dim: int) -> RankTable:
     table); hw_rank is the rank of H(W, d) in that dimension.  All columns
     come from two count tables built once per call.
     """
-    if max_dim < 0:
+    if strict_int(max_dim, "max_dim") < 0:
         raise ValueError("max_dim must be nonnegative")
     top = max_dim // 2
     p = _count_table(top, range(1, top + 1))

@@ -2,9 +2,11 @@
 
 Fraction-free elimination gives the rank and a primitive kernel vector phi;
 the quotient is torsion-free when the Hermite form of the relation rows
-equals the Hermite form of a Z-basis of {x : phi . x = 0}.  Nothing in
+equals the Hermite form of a Z-basis of {x : phi . x = 0}.  The rows are
+those of the full model, one column per monomial and one row per relation
+multiple, built here without reading ``bordx``'s own model.  Nothing in
 bordx uses this module; ``bordx.exactalg.sparse_echelon`` and the evaluator
-in ``bordx.cohomring`` replace it.
+in ``bordx.cohomring``, over the standard monomials, replace it.
 """
 
 from __future__ import annotations
@@ -180,9 +182,35 @@ def dense_matrix(rows, cols: int) -> IntMatrix:
                                cols=cols)
 
 
+def full_lattice_model(ring, degree):
+    """(column by monomial code, relation rows) of a degree with nothing eliminated.
+
+    Every monomial of the degree is a column, the fundamental monomial's last
+    at the top, and every relation multiple r * m is a row, unit monomial
+    relations included: the model before bordx dropped the columns and rows
+    those relations account for.
+    """
+    encode = ring.encode
+    codes = [encode(m) for m in ring.monomials_of_degree(degree)]
+    if degree == ring.top_degree:
+        mu = encode(ring.fundamental_monomial)
+        codes.remove(mu)
+        codes.append(mu)
+    index = {code: i for i, code in enumerate(codes)}
+    rows = []
+    for rel in ring.relations:
+        shift = degree - rel.degree()
+        if shift >= 0:
+            terms = [(encode(e), c) for e, c in rel.terms.items()]
+            for m in ring.monomials_of_degree(shift):
+                k = encode(m)
+                rows.append({index[e + k]: c for e, c in terms})
+    return index, rows
+
+
 def reference_evaluator(ring):
     """(monomial index, phi) of the top degree by the earlier route, or its error."""
-    index, rows = ring._lattice_model(ring.top_degree)
+    index, rows = full_lattice_model(ring, ring.top_degree)
     m = len(index)
     matrix = dense_matrix(rows, m)
     rank, kernel = lattice_rank_kernel(matrix)

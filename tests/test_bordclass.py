@@ -147,6 +147,11 @@ def reference_split_table(na, nb):
 
 
 class TestSplitTable:
+    def test_one_table_serves_both_orders(self):
+        bc._split_table.cache_clear()
+        assert bc.product(bc.cp(2), bc.cp(9)) == bc.product(bc.cp(9), bc.cp(2))
+        assert bc._split_table.cache_info().currsize == 1
+
     @pytest.mark.parametrize("n", range(0, 15))
     def test_matches_per_omega_reference(self, n):
         for na in range(n + 1):

@@ -23,7 +23,7 @@ from bordx.cohomring import (
     ring_to_json,
 )
 from bordx.exactalg import GradedPoly
-from lattice_reference import dense_matrix, reference_evaluator
+from lattice_reference import dense_matrix, full_lattice_model, reference_evaluator
 from test_tower import _qt_gens_instances
 
 
@@ -531,11 +531,17 @@ class TestParseLimits:
 
 
 def _lattice_outcome(route, ring):
-    """(phi, None) from a lattice route, or (None, (error class, message))."""
+    """({top-degree monomial: phi}, None) from a lattice route, or (None, (error
+    class, message)); a monomial the route has no column for reads 0."""
     try:
-        return route(ring)[1], None
+        index, phi = route(ring)
     except PresentationError as exc:
         return None, (type(exc), str(exc))
+    values = {}
+    for e in ring.monomials_of_degree(ring.top_degree):
+        i = index.get(ring.encode(e))
+        values[e] = 0 if i is None else phi[i]
+    return values, None
 
 
 def _lattice_copy(ring):
@@ -584,6 +590,13 @@ _RANK_0 = _ring((2,), [{(2,): 1}], 4, (2,))
 _RANK_2 = _ring((2, 2), [], 2, (1, 0))
 _TORSION = _ring((2, 2), [{(1, 0): 2}], 2, (0, 1))
 _NOT_A_GENERATOR = _ring((2, 2), [{(1, 0): 1, (0, 1): -2}], 2, (1, 0))
+# unit monomial relations, which the evaluator eliminates before the echelon:
+# CP^1 x CP^1 by pure unit powers; x*y killed and y^2 = -x^2; 2x beside the
+# unit y^3, whose torsion must still show; and a fundamental monomial x^2 killed
+_UNIT_POWERS = _ring((2, 2), [{(2, 0): 1}, {(0, 2): -1}], 4, (1, 1))
+_UNIT_MIXED = _ring((2, 2), [{(1, 1): 1}, {(2, 0): 1, (0, 2): 1}], 4, (2, 0))
+_TORSION_BESIDE_A_UNIT = _ring((2, 2), [{(1, 0): 2}, {(0, 3): 1}], 4, (0, 2))
+_KILLED_FUNDAMENTAL = _ring((2, 2), [{(2, 0): 1}, {(1, 1): 1, (0, 2): -1}], 4, (2, 0))
 
 
 class TestLatticeRoute:
@@ -593,8 +606,7 @@ class TestLatticeRoute:
     def test_qt_gens_rings(self, name, n1, n2):
         ring = tower.presented_ring(tower.build_family(name, n1, n2, convention="bordism"))
         phi, error = assert_routes_agree(ring)
-        assert error is None and phi[ring._lattice_model(ring.top_degree)[0][
-            ring.encode(ring.fundamental_monomial)]] == 1
+        assert error is None and phi[ring.fundamental_monomial] == 1
 
     def test_grassmann_and_projective_spaces(self):
         for ring in [grassmann_ring()] + [cp_ring(n) for n in range(1, 7)]:
@@ -606,6 +618,10 @@ class TestLatticeRoute:
         (_RANK_2, "rank 2"),
         (_TORSION, "torsion"),
         (_NOT_A_GENERATOR, "does not generate"),
+        (_UNIT_POWERS, None),
+        (_UNIT_MIXED, None),
+        (_TORSION_BESIDE_A_UNIT, "torsion"),
+        (_KILLED_FUNDAMENTAL, "does not generate"),
     ])
     def test_each_outcome(self, ring, message):
         _, error = assert_routes_agree(ring)
@@ -616,15 +632,31 @@ class TestLatticeRoute:
     @example(_RANK_0)
     @example(_TORSION)
     @example(_NOT_A_GENERATOR)
+    @example(_UNIT_POWERS)
+    @example(_UNIT_MIXED)
+    @example(_TORSION_BESIDE_A_UNIT)
+    @example(_KILLED_FUNDAMENTAL)
     def test_small_presentations(self, ring):
         assert_routes_agree(ring)
+
+    def test_unit_relations_give_no_rows(self):
+        index, rows = _UNIT_MIXED._lattice_model(4)
+        x_squared, y_squared = (_UNIT_MIXED.encode(e) for e in [(2, 0), (0, 2)])
+        assert sorted(index) == sorted([x_squared, y_squared])
+        assert rows == [{index[x_squared]: 1, index[y_squared]: 1}]
+        # the fundamental monomial x^2 is killed, so it has no column
+        index, rows = _KILLED_FUNDAMENTAL._lattice_model(4)
+        xy, y_squared = (_KILLED_FUNDAMENTAL.encode(e) for e in [(1, 1), (0, 2)])
+        assert sorted(index) == sorted([xy, y_squared])
+        assert rows == [{index[xy]: 1, index[y_squared]: -1}]
 
     def test_graded_rank_reads_the_echelon_rank(self):
         from lattice_reference import lattice_rank_kernel
 
-        for ring in [grassmann_ring(), ntilde_ring(2, 3), _TORSION, _RANK_2]:
+        for ring in [grassmann_ring(), ntilde_ring(2, 3), _TORSION, _RANK_2, _UNIT_POWERS,
+                     _UNIT_MIXED, _TORSION_BESIDE_A_UNIT, _KILLED_FUNDAMENTAL]:
             for d in range(0, ring.top_degree + 1, 2):
-                index, rows = ring._lattice_model(d)
+                index, rows = full_lattice_model(ring, d)
                 matrix = dense_matrix(rows, len(index))
                 assert graded_rank(ring, d) == len(index) - lattice_rank_kernel(matrix)[0]
 
@@ -683,9 +715,9 @@ class TestLatticeLimits:
         cap = max(cohomring.LATTICE_MAX_MONOMIALS, cohomring.LATTICE_MAX_ROWS) + 1
         counts = []
 
-        def bounded(ring, degree):
+        def bounded(ring, degree, units=()):
             counts.append(0)
-            for mono in walk(ring, degree):
+            for mono in walk(ring, degree, units):
                 if mono is not None:
                     counts[-1] += 1
                     if counts[-1] > cap:
@@ -707,10 +739,11 @@ class TestLatticeLimits:
         assert walked == [cohomring.LATTICE_MAX_MONOMIALS + 1] * 2
 
     def test_too_many_relation_rows(self, walked):
-        # 1,001 columns, but 5 quadratic relations give 5 x 999 = 4,995 rows
+        # 1,001 columns, but 5 quadratic relations give 5 x 999 = 4,995 rows;
+        # none is a unit monomial, which would give no rows
         top = 2 * 1000
-        ring = ring_from_json(_payload(2, top, ["g0^2", "g1^2", "g0*g1", "g0^2 - g1^2",
-                                                "g0^2 + g0*g1"]))
+        ring = ring_from_json(_payload(2, top, ["g0^2 + g1^2", "2*g1^2", "g0*g1 + g1^2",
+                                                "g0^2 - g1^2", "g0^2 + g0*g1"]))
         assert len(ring._bounded_monomials(top, cohomring.LATTICE_MAX_MONOMIALS)) == 1001
         x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
         with pytest.raises(PresentationError, match="relation multiples"):
@@ -732,12 +765,48 @@ class TestLatticeLimits:
         assert ring.monomials_of_degree(2 * 10 ** 12) == [(10 ** 12,)]
         assert lattice_evaluate(ring, GradedPoly.monomial((2,), (10 ** 12,), 3)) == 3
 
+    @pytest.fixture
+    def steps(self, walked, monkeypatch):
+        """Every setting the walk tries, monomial or dead end (inside `walked`)."""
+        tried = []
+        walk = PresentedRing._monomial_walk
+        monkeypatch.setattr(PresentedRing, "_monomial_walk",
+                            lambda ring, degree, units=(): (tried.append(m) or m
+                                                            for m in walk(ring, degree, units)))
+        return tried
+
+    def test_caps_bound_the_walk_at_any_degree(self, walked, steps):
+        # x^2 = y^3 = 0: in degree 2 * 10^12 the walk tries x^0 and x^1, and
+        # y's cap makes both dead ends; uncapped, it would try 10^12 + 1
+        ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g0^2", "g1^3"]))
+        assert graded_rank(ring, 2 * 10 ** 12) == 0
+        assert walked == [0] and steps == [None, None]
+
+    def test_a_capped_last_generator_walks_within_the_dead_end_budget(self, walked, steps):
+        # y^2 = 0 leaves x^(N-1) y and x^N in degree 2N, N = 10^12, but the
+        # walk tries x^0, x^1, ... first: each a dead end, so it is refused
+        ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g1^2"]))
+        with pytest.raises(PresentationError, match="dead ends"):
+            graded_rank(ring, 2 * 10 ** 12)
+        assert walked == [0]
+        assert len(steps) == cohomring._DEAD_END_LIMIT + cohomring.LATTICE_MAX_MONOMIALS + 1
+
+    def test_a_mixed_unit_kills_within_the_dead_end_budget(self, walked, steps):
+        # x*y = 0 kills every monomial of degree 2N but y^N and x^N: each
+        # killed one is a dead end, so the walk is refused
+        ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g0*g1"]))
+        with pytest.raises(PresentationError, match="dead ends"):
+            graded_rank(ring, 2 * 10 ** 12)
+        assert walked == [1]
+        assert len(steps) == cohomring._DEAD_END_LIMIT + cohomring.LATTICE_MAX_MONOMIALS + 2
+
     def test_limits_sit_far_above_the_largest_qt_gens_model(self):
-        # Ntilde(12, 1): 120 columns x 185 rows, the largest of every qt_gens model
+        # Ntilde(12, 1): 26 standard monomials x 25 rows, the largest of every
+        # qt_gens model (120 x 185 before the unit relations were eliminated)
         ring = tower.presented_ring(tower.build_family("Ntilde", 12, 1, convention="bordism"))
         index, rows = ring._lattice_model(ring.top_degree)
         matrix = dense_matrix(rows, len(index))
-        assert (matrix.cols, matrix.rows) == (120, 185)
+        assert (matrix.cols, matrix.rows) == (26, 25)
         assert 10 * matrix.cols <= cohomring.LATTICE_MAX_MONOMIALS
         assert 10 * matrix.rows <= cohomring.LATTICE_MAX_ROWS
 

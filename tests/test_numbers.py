@@ -138,6 +138,19 @@ class TestGcdLemmas:
             verify_nmod(5, p)
 
 
+@pytest.mark.parametrize("size", [5.0, True, "5"])
+@pytest.mark.parametrize("call", [
+    lambda size: verify_nmod(size, 2),
+    verify_alpha_gcd,
+    verify_gcddif,
+    rank_table,
+    phat,
+], ids=["verify_nmod", "verify_alpha_gcd", "verify_gcddif", "rank_table", "phat"])
+def test_size_argument_must_be_an_int(call, size):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(size)
+
+
 class TestRankTable:
     def test_omega_u(self):
         table = rank_table(16)
