@@ -14,7 +14,8 @@ and d_k, Delta, Psi_(k1,k2) and pi a sparse matrix each, built by one routine,
 dual to a bundle nu inside a projective bundle P over M (P = M for d_k and
 Delta, CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi)
 off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition walker
-`_walk`, with one matrix row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n
+`_walk`, which closes each tail of ones in one product, with one matrix
+row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n
 of that walk is one int, its exponents the digits of radix n + k + 1; no
 digit carries, since no exponent of a product of degree at most 2(n + k)
 exceeds n + k, so a monomial product is one addition.  A call is then one
@@ -186,30 +187,34 @@ def _exp_to_partition(exp) -> Partition:
     return tuple(i + 1 for i in reversed(range(len(exp))) for _ in range(exp[i]))
 
 
-def _walk(n: int, start, step, evaluate) -> dict:
+def _walk(n: int, start, step, ones, evaluate) -> dict:
     """{omega: evaluate(start * prod_{i in omega} piece_i)} over the partitions
     omega of n whose product is nonzero.
 
-    `step(value, part, rest)` returns value * piece_part, or None when that
-    product is zero; `rest` is what the partition still has to take after
-    `part`.  Partitions are walked depth-first in `_basis(n)` order, so
-    partitions sharing a prefix share its product, a zero prefix leaves its
-    whole subtree out, and only the products on the current path are held.
+    `step(value, part, rest)` returns value * piece_part for a part of 2 or
+    more, or None when that product is zero; `rest` is what the partition
+    still has to take after `part`.  `ones(value, r)` closes a tail of r ones
+    in one call: it returns value * piece_1^r, or None when that is zero.
+    Partitions are walked depth-first in `_basis(n)` order, so partitions
+    sharing a prefix share its product, a zero prefix leaves its whole
+    subtree out, and only the products on the current path are held.
     """
     leaves = {}
     prefix: list[int] = []
 
     def walk(value, remaining: int, largest: int) -> None:
-        if remaining == 0:
-            leaves[tuple(prefix)] = evaluate(value)
-            return
-        for part in range(min(largest, remaining), 0, -1):
+        for part in range(min(largest, remaining), 1, -1):
             child = step(value, part, remaining - part)
             if child is None:
                 continue
             prefix.append(part)
             walk(child, remaining - part, part)
             prefix.pop()
+        if remaining:  # the prefix and `remaining` ones
+            value = ones(value, remaining)
+            if value is None:
+                return
+        leaves[(*prefix, *(1,) * remaining)] = evaluate(value)
 
     walk(start, n, n)
     del walk  # the closure refers to itself: drop the cycle now, not at gc
@@ -430,9 +435,12 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     product is reduced by x^(k+j) = (eps c_1)^j x^k, which moves j from digit
     0 to digit 1, so the x^k layer pairs with a and the lower powers of x
     pair to zero; a term whose x exponent cannot reach k in the parts still
-    to come is dropped.  So a leaf holds the x^k layer alone, and one dict
-    takes its codes to the indices of `_basis(n)`, giving the row {index of
-    tau: coefficient of c_tau[M]}.  The matrix is (dimension of N, rows in
+    to come is dropped.  A tail of r ones is one product by piece_1^r, coded
+    once per r from the binomial power of piece_1 = a x + b c_1, and one
+    reduction; it stays within degree 2(n + k), so no digit carries there
+    either.  So a leaf holds the x^k layer alone, and one dict takes its
+    codes to the indices of `_basis(n)`, giving the row {index of tau:
+    coefficient of c_tau[M]}.  The matrix is (dimension of N, rows in
     `_basis` order), each row a pair (indices, coefficients).
     """
     degrees = (2, 2)  # x and c_1
@@ -472,8 +480,8 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
         return out or None
 
     parts = {d // 2: coded(p) for d, p in series.graded_parts().items()}
-    pieces = [None]
-    for i in range(1, m + 1):
+    pieces = [None, None]  # the walk takes part 1 from `ones` alone
+    for i in range(2, m + 1):
         piece: dict = {}
         for j in range(min(i, n) + 1):
             for key, coeff in parts.get(i - j, {}).items():
@@ -481,14 +489,25 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
                 piece[key] = piece.get(key, 0) + coeff
         pieces.append({key: c for key, c in piece.items() if c})
 
-    def step(terms: dict, part: int, rest: int) -> dict | None:
+    def times(terms: dict, piece: dict) -> dict:
         out: dict = {}
         get = out.get
-        for kb, cb in pieces[part].items():
+        for kb, cb in piece.items():
             for ka, ca in terms.items():
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
-        return reduce(out, rest)
+        return out
+
+    def step(terms: dict, part: int, rest: int) -> dict | None:
+        return reduce(times(terms, pieces[part]), rest)
+
+    line = series.graded_part(2) + c1.scale(series.constant_term())  # piece_1
+    tails: dict = {}  # r -> piece_1^r, coded
+
+    def ones(terms: dict, r: int) -> dict | None:
+        if r not in tails:
+            tails[r] = coded(line.pow(r))
+        return reduce(times(terms, tails[r]), 0)
 
     index = {k + sum(map(digit.__getitem__, tau)): i
              for i, tau in enumerate(_basis(n)[0])}
@@ -497,7 +516,7 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
         return tuple(map(index.__getitem__, terms)), tuple(sign * c for c in terms.values())
 
     start = reduce(coded(nu.graded_part(2 * rank)), m)
-    rows = _walk(m, start, step, row) if start else {}
+    rows = _walk(m, start, step, ones, row) if start else {}
     return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])
 
 

@@ -146,7 +146,10 @@ class PresentedRing:
         the exponents of the unit monomial relations, it yields only the
         standard monomials: a pure power x_j^d caps exponent j at d - 1 (a
         last exponent past its cap is a dead end), and a monomial another
-        unit divides is a dead end.
+        unit divides is a dead end.  When every generator after one is
+        capped, its exponent starts at the least value that leaves them room
+        for the remainder, and a generator no value of which fits is one
+        dead end.
         """
         caps = [None] * len(self.degrees)
         kills = []
@@ -166,15 +169,32 @@ class PresentedRing:
                 yield () if standard(()) else None
             return
         *head, last = self.degrees
+        # room[i]: the largest degree the generators after i can take, None
+        # when one of them is uncapped
+        room = [None] * len(head)
+        after = None if caps[-1] is None else caps[-1] * last
+        for i in reversed(range(len(head))):
+            room[i] = after
+            after = None if after is None or caps[i] is None else after + caps[i] * head[i]
         exp = [0] * len(head)
         remaining = degree
+        i = 0  # exp[i:] are 0 and still to be set
         while True:
-            if remaining % last or caps[-1] is not None and remaining // last > caps[-1]:
+            while i < len(head):
+                least = 0 if room[i] is None else max(0, -((room[i] - remaining) // head[i]))
+                if least * head[i] > remaining or caps[i] is not None and least > caps[i]:
+                    break
+                exp[i] = least
+                remaining -= least * head[i]
+                i += 1
+            if i < len(head):
+                yield None  # no exponent of generator i fits
+            elif remaining % last or caps[-1] is not None and remaining // last > caps[-1]:
                 yield None
             else:
                 mono = (*exp, remaining // last)
                 yield mono if standard(mono) else None
-            i = len(head) - 1
+            i -= 1
             while i >= 0 and (remaining < head[i] or exp[i] == caps[i]):
                 remaining += exp[i] * head[i]
                 exp[i] = 0
@@ -183,13 +203,14 @@ class PresentedRing:
                 return
             exp[i] += 1
             remaining -= head[i]
+            i += 1
 
     def _bounded_monomials(self, degree: int, limit: int, units=()) -> list[tuple[int, ...]]:
         """The monomials of `degree` in walk order, stopping at limit + 1 of them.
 
         Dead ends come from generator degrees that do not divide one another
         and, given `units`, from the caps and the monomials the units kill; a
-        capped walk takes a subset of the steps of the uncapped one, whose
+        capped walk takes no more steps than the uncapped one, whose
         monomials were at most `limit`.  Past _DEAD_END_LIMIT + limit dead
         ends the degree is refused, so the walk takes a bounded number of
         steps whatever the degrees and units.

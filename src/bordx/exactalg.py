@@ -8,6 +8,7 @@ module is safe to use from multiple threads.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import operator
@@ -377,20 +378,66 @@ class GradedPoly:
         return NotImplemented
 
     def pow(self, k: int, cap: int | None = None) -> "GradedPoly":
-        if k < 0:
+        """The k-th power, without the terms of degree above `cap` as in `mul`.
+
+        By the binomial theorem over the base's term h of largest degree:
+        P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h, T^j by repeated
+        `mul` (Fateman, "On the computation of powers of sparse
+        polynomials", 1974).  The power of a monomial is one term and
+        multiplies nothing; a binomial's takes k - 1 monomial products.
+        """
+        if strict_int(k, "a power") < 0:
             raise ValueError("negative power")
+        if cap is not None and strict_int(cap, "a degree cap") < 0:
+            cap = None
+        degrees = self.degrees
         if not k:
-            return GradedPoly.constant(self.degrees, 1)
-        base = self if cap is None or cap < 0 else GradedPoly._trusted(self.degrees, {
-            e: c for e, c in self.terms.items() if self.term_degree(e) <= cap})
-        result = None  # the base at the first set bit: no 1 * base multiply
-        while True:
-            if k & 1:
-                result = base if result is None else result.mul(base, cap)
-            k >>= 1
-            if not k:
-                return result
-            base = base.mul(base, cap)
+            return GradedPoly.constant(degrees, 1)
+        mul, add = operator.mul, operator.add
+        top, tail = -1, {}
+        for e, c in self.terms.items():
+            d = sum(map(mul, e, degrees))
+            if cap is not None and d > cap:
+                continue  # every other factor has degree >= 0
+            if d > top:
+                if top >= 0:
+                    tail[head] = lead
+                head, lead, top = e, c, d
+            else:
+                tail[e] = c
+        if top < 0:
+            return GradedPoly._trusted(degrees, {})
+        # deg(h^(k-j) T^j) <= k deg(h), so below the cap nothing is dropped
+        if cap is not None and k * top <= cap:
+            cap = None
+        out = {tuple(e * k for e in head): lead ** k} if cap is None else {}
+        get = out.get
+        if len(tail) <= 1:  # a monomial or a binomial: T^j has at most one term
+            powers = ({tuple(x * j for x in e): c ** j for e, c in tail.items()}
+                      for j in range(1, k + 1))
+        else:  # no term of T^j lies above k deg(h): a cap for `mul` to stop at
+            bound = k * top if cap is None else cap
+            tail = GradedPoly._trusted(degrees, tail)
+            powers = (p.terms for p in itertools.accumulate(
+                itertools.repeat(tail, k - 1), lambda p, t: p.mul(t, bound), initial=tail))
+        for j, power in enumerate(powers, 1):  # power = T^j
+            if not power:
+                break
+            room = None if cap is None else cap - (k - j) * top
+            if room is not None and room < 0:
+                continue
+            scale = math.comb(k, j) * lead ** (k - j)
+            shift = tuple(e * (k - j) for e in head)
+            for e, c in power.items():
+                if room is not None and sum(map(mul, e, degrees)) > room:
+                    continue
+                key = tuple(map(add, e, shift))
+                c = get(key, 0) + scale * c
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return GradedPoly._trusted(degrees, out)
 
     def __pow__(self, k: int):
         return self.pow(k)

@@ -243,8 +243,9 @@ def chern_numbers(spec: TowerSpec) -> ChernVector:
 
     One partition walk over the coded, reduced Chern classes: every prefix
     product is reduced in the ring as it is formed, so a leaf is already
-    reduced and reads the fundamental coefficient.  The partitions the walk
-    leaves out (a zero prefix product) read 0.
+    reduced and reads the fundamental coefficient.  A tail of ones takes
+    c_1 once per one, and stops at the first zero product.  The partitions
+    the walk leaves out (a zero prefix product) read 0.
     """
     ring = presented_ring(spec)
     sign = _sign(spec)
@@ -253,10 +254,17 @@ def chern_numbers(spec: TowerSpec) -> ChernVector:
     def step(terms: dict, part: int, rest: int) -> dict | None:
         return ring.mul_reduce(terms, classes[part]) or None
 
+    def ones(terms: dict, r: int) -> dict | None:
+        for _ in range(r):  # c_1 = 0 on an SU tower ends this at once
+            terms = ring.mul_reduce(terms, classes[1])
+            if not terms:
+                return None
+        return terms
+
     def leaf(terms: dict) -> int:
         return sign * ring.fundamental_code_coefficient(terms)
 
-    leaves = bordclass._walk(spec.dim, {0: 1}, step, leaf)
+    leaves = bordclass._walk(spec.dim, {0: 1}, step, ones, leaf)
     return ChernVector._of_values(
         spec.dim, [leaves.get(omega, 0) for omega in bordclass._basis(spec.dim)[0]])
 

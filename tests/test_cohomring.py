@@ -776,20 +776,38 @@ class TestLatticeLimits:
         return tried
 
     def test_caps_bound_the_walk_at_any_degree(self, walked, steps):
-        # x^2 = y^3 = 0: in degree 2 * 10^12 the walk tries x^0 and x^1, and
-        # y's cap makes both dead ends; uncapped, it would try 10^12 + 1
+        # x^2 = y^3 = 0: in degree 2 * 10^12, y can take at most degree 4, so
+        # x would have to start near 10^12, past its cap: one dead end, where
+        # an uncapped walk would try 10^12 + 1 settings
         ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g0^2", "g1^3"]))
         assert graded_rank(ring, 2 * 10 ** 12) == 0
-        assert walked == [0] and steps == [None, None]
+        assert walked == [0] and steps == [None]
 
     def test_a_capped_last_generator_walks_within_the_dead_end_budget(self, walked, steps):
-        # y^2 = 0 leaves x^(N-1) y and x^N in degree 2N, N = 10^12, but the
-        # walk tries x^0, x^1, ... first: each a dead end, so it is refused
-        ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g1^2"]))
-        with pytest.raises(PresentationError, match="dead ends"):
-            graded_rank(ring, 2 * 10 ** 12)
-        assert walked == [0]
-        assert len(steps) == cohomring._DEAD_END_LIMIT + cohomring.LATTICE_MAX_MONOMIALS + 1
+        # y^2 = 0 leaves x^(N-1) y and x^N in degree 2N, N = 10^12: x starts
+        # at N - 1, the least exponent that leaves y room, so the walk takes
+        # two steps and no dead end
+        N = 10 ** 12
+        ring = ring_from_json(_payload(2, 2 * N, ["g1^2"]))
+        assert graded_rank(ring, 2 * N) == 2
+        assert walked == [2] and steps == [(N - 1, 1), (N, 0)]
+
+    def test_capped_generators_start_where_they_leave_room(self):
+        # y^3 = z^2 = 0: y and z take at most degree 6, so x starts at N - 3,
+        # and each step is one of the six standard monomials of degree 2N
+        N = 10 ** 6
+        ring = PresentedRing(("x", "y", "z"), (2, 2, 2), [], 2 * N, (N, 0, 0),
+                             backend="lattice")
+        assert list(ring._monomial_walk(2 * N, [(0, 3, 0), (0, 0, 2)])) == [
+            (N - 3, 2, 1), (N - 2, 1, 1), (N - 2, 2, 0),
+            (N - 1, 0, 1), (N - 1, 1, 0), (N, 0, 0)]
+
+    @pytest.mark.parametrize("degree,want", [(6, [None]), (8, [(2, 0)])])
+    def test_no_fitting_exponent_is_one_dead_end(self, degree, want):
+        # y = 0 leaves x of degree 4 alone: its least exponent fits degree 8
+        # exactly and overshoots degree 6
+        ring = PresentedRing(("x", "y"), (4, 2), [], 8, (2, 0), backend="lattice")
+        assert list(ring._monomial_walk(degree, [(0, 1)])) == want
 
     def test_a_mixed_unit_kills_within_the_dead_end_budget(self, walked, steps):
         # x*y = 0 kills every monomial of degree 2N but y^N and x^N: each

@@ -308,15 +308,53 @@ class TestKernelAgainstReference:
                 assert b.mul(a, cap).terms == want, (b, a, cap)
         assert cancelled  # the sweep did reach terms that cancel
 
+    POW_CAPS = (None, -1, 0, 4, 7, 12)
+
+    # (terms of a sparse base, its most `mul` calls for the k-th power)
+    SPARSE_BASES = [
+        ({(1, 0, 2): -3}, lambda k: 0),  # a monomial
+        ({(0, 0, 0): 2}, lambda k: 0),  # constants and zero
+        ({(0, 0, 0): -1}, lambda k: 0),
+        ({}, lambda k: 0),
+        ({(1, 0, 0): 1, (0, 1, 0): -1}, lambda k: k),  # binomials
+        ({(0, 0, 0): 1, (0, 0, 1): 2}, lambda k: k),
+        ({(2, 0, 0): 1, (0, 1, 0): 1}, lambda k: k),  # both terms of one degree
+        ({(1, 1, 0): -2, (0, 0, 0): 3}, lambda k: k),
+    ]
+
+    def _bases(self, rng):
+        yield from (self._operands(rng)[0] for _ in range(40))
+        yield from (GradedPoly(self.DEGREES, terms) for terms, _ in self.SPARSE_BASES)
+        # the largest term, of degree 18, lies above every cap but None
+        yield GradedPoly(self.DEGREES, {(0, 0, 3): 1, (1, 0, 0): 2, (0, 0, 0): 1})
+
     def test_pow_matches_repeated_reference(self):
         rng = random.Random(29)
-        for _ in range(40):
-            base, _ = self._operands(rng)
-            for cap in (None, -1, 0, 4, 7, 12):
+        for base in self._bases(rng):
+            for cap in self.POW_CAPS:
                 want = {(0, 0, 0): 1}
-                for k in range(5):
+                for k in range(13):
                     assert base.pow(k, cap).terms == want, (base, k, cap)
                     want = _reference_mul(GradedPoly(self.DEGREES, want), base, cap)
+
+    @pytest.mark.parametrize("terms,most", SPARSE_BASES)
+    def test_pow_of_a_sparse_base_multiplies_little(self, monkeypatch, terms, most):
+        base = GradedPoly(self.DEGREES, terms)
+        calls = []
+        real = GradedPoly.mul
+        monkeypatch.setattr(GradedPoly, "mul",
+                            lambda a, b, cap=None: calls.append(1) or real(a, b, cap))
+        for cap in self.POW_CAPS:
+            for k in range(13):
+                calls.clear()
+                base.pow(k, cap)
+                assert len(calls) <= most(k), (base, k, cap)
+
+    @pytest.mark.parametrize("k,cap", [(True, None), (2.0, None), ("2", None),
+                                       (2, 2.5), (2, True), (2, "4")])
+    def test_pow_refuses_a_power_or_cap_that_is_no_int(self, k, cap):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GradedPoly.generator(self.DEGREES, 0).pow(k, cap)
 
 
 class TestSeriesCap:

@@ -347,8 +347,15 @@ def characteristic_numbers(n, total, evaluate):
         child = poly.mul(pieces[part])
         return None if child.is_zero() else child
 
+    def ones(poly, r):  # one part 1 at a time, as `step` would
+        for _ in range(r):
+            poly = step(poly, 1, None)
+            if poly is None:
+                return None
+        return poly
+
     return bordclass.ChernVector(n, bordclass._walk(
-        n, GradedPoly.constant(total.degrees, 1), step, evaluate))
+        n, GradedPoly.constant(total.degrees, 1), step, ones, evaluate))
 
 
 def ref_chern_numbers(spec, evaluate=cohomring.evaluate_top, ring=None):

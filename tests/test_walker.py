@@ -10,7 +10,9 @@ Exact equality only.
 """
 
 import gc
+import math
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from bordx.bordclass import ChernVector
 from bordx.cli import sample_classes
 from bordx.cohomring import evaluate_top
 from bordx.exactalg import GradedPoly, inverse_one_plus, partitions
+from projective_dual_reference import projective_dual
 
 SAMPLES = sample_classes()
 PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
@@ -318,12 +321,90 @@ def test_tower_chern_numbers_match_reference_on_cp_products(parts):
 
 
 # ---------------------------------------------------------------------------
+# the walker closes every tail of ones in one `ones` call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(9))
+def test_walk_reaches_every_partition_in_basis_order(n):
+    leaves = bordclass._walk(n, 1, lambda value, part, rest: value * part,
+                             _ones_by_steps, lambda value: value)
+    assert list(leaves) == list(bordclass._basis(n)[0])
+    assert all(value == math.prod(omega) for omega, value in leaves.items())
+
+
+def test_walk_leaves_out_a_zero_tail_of_ones():
+    leaves = bordclass._walk(6, 1, lambda value, part, rest: value * part,
+                             lambda value, r: None, lambda value: value)
+    assert list(leaves) == [omega for omega in partitions(6) if 1 not in omega]
+
+
+@pytest.fixture
+def walk_parts(monkeypatch):
+    """The parts every `step` call takes and the tails every `ones` call closes."""
+    seen = {"step": [], "ones": []}
+    real = bordclass._walk
+
+    def recording(n, start, step, ones, evaluate):
+        def step_seen(value, part, rest):
+            seen["step"].append(part)
+            return step(value, part, rest)
+
+        def ones_seen(value, r):
+            seen["ones"].append(r)
+            return ones(value, r)
+
+        return real(n, start, step_seen, ones_seen, evaluate)
+
+    monkeypatch.setattr(bordclass, "_walk", recording)
+    return seen
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bordclass._boundary_matrix.__wrapped__(7, 2),
+    lambda: bordclass._delta_matrix.__wrapped__(7),
+    lambda: bordclass._psi_matrix.__wrapped__(7, 2, 1),
+    lambda: bordclass._pi_matrix.__wrapped__(7),
+    lambda: tower.chern_numbers(tower.build_family("CPprod", [3, 2, 1])),
+    lambda: tower.chern_numbers(tower.build_family("Ntilde", 2, 3)),
+], ids=["d_2", "Delta", "Psi_(2,1)", "pi", "CPprod", "Ntilde"])
+def test_no_step_takes_a_part_of_one(walk_parts, build):
+    build()
+    assert walk_parts["step"] and min(walk_parts["step"]) >= 2
+    assert walk_parts["ones"] and min(walk_parts["ones"]) >= 1
+
+
+# k1 + k2 = 3 and 4: piece_1^r reaches the largest exponents the radix holds
+PSI_WIDE_PARAMS = [(k1, k - k1) for k in (3, 4) for k1 in range(k + 1)]
+
+
+@pytest.mark.parametrize("k1,k2", PSI_WIDE_PARAMS)
+@pytest.mark.parametrize("n", range(13))
+def test_psi_with_a_wide_fibre_matches_the_step_by_step_walk(n, k1, k2):
+    bundle = dict(fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
+                  eps=1, sign=-1 if k2 % 2 else 1)
+    m, rows = bordclass._psi_matrix(n, k1, k2)
+    want_m, want_rows = projective_dual(n, k1 + k2, **bundle)
+    assert m == want_m
+    assert [Counter(zip(*row)) for row in rows] == [Counter(zip(*row)) for row in want_rows]
+
+
+# ---------------------------------------------------------------------------
 # the recursive walkers leave no reference cycle behind
 # ---------------------------------------------------------------------------
 
+def _ones_by_steps(value, r):
+    """value * 1^r, one part at a time: the walker's test `ones`."""
+    for _ in range(r):
+        value = value * 1 or None
+        if value is None:
+            return None
+    return value
+
+
 WALKER_CALLS = {
     "_walk": lambda: bordclass._walk(
-        8, 1, lambda value, part, rest: value * part or None, lambda value: value),
+        8, 1, lambda value, part, rest: value * part or None, _ones_by_steps,
+        lambda value: value),
     "_split_table": lambda: bordclass._split_table.__wrapped__(4, 5),
     "verify_alpha_gcd": lambda: numbers.verify_alpha_gcd(12),
 }
