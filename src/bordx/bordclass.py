@@ -15,10 +15,10 @@ dual to a bundle nu inside a projective bundle P over M (P = M for d_k and
 Delta, CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi)
 off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition walker
 `_walk`, which closes each tail of ones in one product, with one matrix
-row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n
-of that walk is one int, its exponents the digits of radix n + k + 1; no
-digit carries, since no exponent of a product of degree at most 2(n + k)
-exceeds n + k, so a monomial product is one addition.  A call is then one
+row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n of that walk is one
+int, its exponents the digits of radix n + k + 1; no digit carries, since
+no exponent of a product of degree at most 2(n + k) exceeds n + k, so a
+monomial product is one addition.  A call is then one
 sparse product.  The operations keep at most `MATRIX_CACHE_SIZE` matrices
 per operation.
 
@@ -435,13 +435,14 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     product is reduced by x^(k+j) = (eps c_1)^j x^k, which moves j from digit
     0 to digit 1, so the x^k layer pairs with a and the lower powers of x
     pair to zero; a term whose x exponent cannot reach k in the parts still
-    to come is dropped.  A tail of r ones is one product by piece_1^r, coded
-    once per r from the binomial power of piece_1 = a x + b c_1, and one
-    reduction; it stays within degree 2(n + k), so no digit carries there
-    either.  So a leaf holds the x^k layer alone, and one dict takes its
-    codes to the indices of `_basis(n)`, giving the row {index of tau:
-    coefficient of c_tau[M]}.  The matrix is (dimension of N, rows in
-    `_basis` order), each row a pair (indices, coefficients).
+    to come is dropped.  A tail of r ones is one product by piece_1^r and
+    one reduction.  piece_1 is linear in x and c_1, and its powers are built
+    once per matrix and kept reduced, so each has at most k + 1 terms; the
+    product stays within degree 2(n + k), so no digit carries there either.
+    So a leaf holds the x^k layer alone, and one dict takes its codes to the
+    indices of `_basis(n)`, giving the row {index of tau: coefficient of
+    c_tau[M]}.  The matrix is (dimension of N, rows in `_basis` order), each
+    row a pair (indices, coefficients).
     """
     degrees = (2, 2)  # x and c_1
     zero = GradedPoly.zero(degrees)
@@ -480,8 +481,8 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
         return out or None
 
     parts = {d // 2: coded(p) for d, p in series.graded_parts().items()}
-    pieces = [None, None]  # the walk takes part 1 from `ones` alone
-    for i in range(2, m + 1):
+    pieces = [None]
+    for i in range(1, m + 1):
         piece: dict = {}
         for j in range(min(i, n) + 1):
             for key, coeff in parts.get(i - j, {}).items():
@@ -501,12 +502,13 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     def step(terms: dict, part: int, rest: int) -> dict | None:
         return reduce(times(terms, pieces[part]), rest)
 
-    line = series.graded_part(2) + c1.scale(series.constant_term())  # piece_1
-    tails: dict = {}  # r -> piece_1^r, coded
+    tails = [{0: 1}]  # piece_1^r in normal form, x exponents at most k
 
     def ones(terms: dict, r: int) -> dict | None:
-        if r not in tails:
-            tails[r] = coded(line.pow(r))
+        if not pieces[1]:  # as for d_1, where c_1 + s_2 = 0
+            return None
+        while len(tails) <= r:
+            tails.append(reduce(times(tails[-1], pieces[1]), k) or {})
         return reduce(times(terms, tails[r]), 0)
 
     index = {k + sum(map(digit.__getitem__, tau)): i

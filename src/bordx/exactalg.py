@@ -383,8 +383,8 @@ class GradedPoly:
         By the binomial theorem over the base's term h of largest degree:
         P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h, T^j by repeated
         `mul` (Fateman, "On the computation of powers of sparse
-        polynomials", 1974).  The power of a monomial is one term and
-        multiplies nothing; a binomial's takes k - 1 monomial products.
+        polynomials", 1974).  The power of a monomial is one term and that
+        of a binomial k + 1 terms; neither calls `mul`.
         """
         if strict_int(k, "a power") < 0:
             raise ValueError("negative power")
