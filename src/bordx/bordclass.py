@@ -41,7 +41,6 @@ from .exactalg import (
     GradedPoly,
     Partition,
     canonical_partition,
-    inverse_one_plus,
     json_field,
     json_object,
     partitions,
@@ -414,53 +413,79 @@ def todd(a: ChernVector) -> Fraction:
 # the operations d_k, Delta, Psi, chi, pi
 # ---------------------------------------------------------------------------
 
-def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
-                     nu=lambda x, c1: 1, eps: int = 0, sign: int = 1) -> tuple:
+def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
+                     sign: int = 1) -> tuple:
     """The matrix of M -> N, N the submanifold dual to a bundle nu in a
     projective bundle P over M of dimension n.
 
     H*(P) = H*(M)[x]/(x^k (x - eps c_1)), c(TP) = c(M) * fibre and
-    <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` map the
-    formal classes x and c_1 to total Chern classes; e(nu) is the top graded
-    part of nu, its rank is half its degree, and
-    c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.
+    <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` are
+    tuples of linear factors (alpha, beta, e), each the total Chern class
+    (1 + alpha x + beta c_1)^e; beta is dropped when n = 0, as c_1 is 0 on a
+    point.  e(nu) is the product of the linear parts (alpha x + beta c_1)^e,
+    its rank is the sum of their e, and c_omega[N] = sign * <e(nu)
+    c_omega(TP - nu), [P]>; a rank above n + k is refused with ValueError.
+
+    The series s = fibre * nu^-1 is one integer table S[d][a], the
+    coefficient of x^a c_1^(d-a) for d <= m = n + k - rank and a <= k, with
+    x^(k+j) folded to (eps c_1)^j x^k as each entry is formed: a factor
+    multiplies the table degree by degree from the top down and divides it
+    from the bottom up, each in O(m k).  e(nu) is one row of the same kind.
 
     The walk runs over coded monomials: x^a c_1^e_1 ... c_n^e_n is the int
     with digits a, e_1, ..., e_n in radix R = n + k + 1, x at digit 0 and
     c_i at digit i, so multiplying two monomials is one addition.  No digit
     carries: every walk product has degree at most 2(n + k) and every
     generator degree at least 2, so no exponent exceeds n + k.  The degree-2i
-    pieces of c(TP - nu) are sum_j c_j s_(2(i-j)), built from c(M) = 1 + c_1
-    + ... + c_n and the series s = fibre * nu^-1 in x and c_1 alone.  Every
-    product is reduced by x^(k+j) = (eps c_1)^j x^k, which moves j from digit
-    0 to digit 1, so the x^k layer pairs with a and the lower powers of x
-    pair to zero; a term whose x exponent cannot reach k in the parts still
-    to come is dropped.  A tail of r ones is one product by piece_1^r and
-    one reduction.  piece_1 is linear in x and c_1, and its powers are built
-    once per matrix and kept reduced, so each has at most k + 1 terms; the
-    product stays within degree 2(n + k), so no digit carries there either.
-    So a leaf holds the x^k layer alone, and one dict takes its codes to the
-    indices of `_basis(n)`, giving the row {index of tau: coefficient of
-    c_tau[M]}.  The matrix is (dimension of N, rows in `_basis` order), each
-    row a pair (indices, coefficients).
+    piece of c(TP - nu) is sum_j c_j S_(i-j), the entry S[i-j][a] at code
+    digit(c_j) + a + (i - j - a) R.  Every product is reduced by x^(k+j) =
+    (eps c_1)^j x^k, which moves j from digit 0 to digit 1, so the x^k layer
+    pairs with a and the lower powers of x pair to zero; a term whose x
+    exponent cannot reach k in the parts still to come is dropped.  A tail
+    of r ones is one product by piece_1^r and one reduction.  piece_1 is
+    linear in x and c_1, and its powers are built once per matrix and kept
+    reduced, so each has at most k + 1 terms; the product stays within
+    degree 2(n + k), so no digit carries there either.  So a leaf holds the
+    x^k layer alone, and one dict takes its codes to the indices of
+    `_basis(n)`, giving the row {index of tau: coefficient of c_tau[M]}.
+    The matrix is (dimension of N, rows in `_basis` order), each row a pair
+    (indices, coefficients).
     """
-    degrees = (2, 2)  # x and c_1
-    zero = GradedPoly.zero(degrees)
-    x = GradedPoly.generator(degrees, 0)
-    c1 = GradedPoly.generator(degrees, 1) if n else zero  # c_1 is 0 when M is a point
-    nu = zero + nu(x, c1)  # `zero +` lifts a constant into the ring
-    rank = nu.degree() // 2
+    if not n:  # c_1 is 0 on a point, so beta adds nothing to the rank
+        nu = [(alpha, 0, e) for alpha, _, e in nu]
+    rank = sum(e for alpha, beta, e in nu if alpha or beta)
+    if rank > n + k:
+        raise ValueError(f"nu of rank {rank} exceeds the dimension {n + k} of P")
     m = n + k - rank
     check_dim(m)  # the source n has passed it as a vector
-    cap = 2 * m
-    series = (zero + fibre(x, c1)).mul(inverse_one_plus(nu - 1, cap), cap)
+    lift = eps if n else 0
+
+    def raised(row: list, alpha: int, beta: int) -> list:
+        """row * (alpha x + beta c_1), one degree up, x^(k+1) folded to eps c_1 x^k."""
+        out = [beta * c for c in row]
+        for a in range(k):
+            out[a + 1] += alpha * row[a]
+        out[k] += alpha * lift * row[k]
+        return out
+
+    series = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(m)]
+    for alpha, beta, e in fibre:  # times (1 + alpha x + beta c_1)^e, from the top
+        for _ in range(e):
+            for d in range(m, 0, -1):
+                series[d] = list(map(operator.add, series[d],
+                                     raised(series[d - 1], alpha, beta)))
+    euler = [1] + [0] * k  # e(nu)
+    for alpha, beta, e in nu:  # divided by (1 + alpha x + beta c_1)^e, from the bottom
+        for _ in range(e):
+            for d in range(1, m + 1):
+                series[d] = list(map(operator.sub, series[d],
+                                     raised(series[d - 1], alpha, beta)))
+            if alpha or beta:
+                euler = raised(euler, alpha, beta)
+
     radix = n + k + 1
     digit = [0] + [radix ** i for i in range(1, n + 1)]  # the code of c_i, c_0 = 1
-    lift = eps if n else 0
     shift = radix - 1  # x^j -> c_1^j: digit 0 down by j, digit 1 up by j
-
-    def coded(poly: GradedPoly) -> dict:
-        return {a + b * radix: coeff for (a, b), coeff in poly.terms.items()}
 
     def reduce(terms: dict, rest: int) -> dict | None:
         """The nonzero terms in normal form whose x exponent can still reach k."""
@@ -480,14 +505,15 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
                     del out[key]
         return out or None
 
-    parts = {d // 2: coded(p) for d, p in series.graded_parts().items()}
-    pieces = [None]
+    pieces = [None]  # x^a c_1^(d-a) has the code d R - a (R - 1)
     for i in range(1, m + 1):
         piece: dict = {}
         for j in range(min(i, n) + 1):
-            for key, coeff in parts.get(i - j, {}).items():
-                key += digit[j]
-                piece[key] = piece.get(key, 0) + coeff
+            base = digit[j] + (i - j) * radix
+            for a, coeff in enumerate(series[i - j]):
+                if coeff:
+                    key = base - a * shift
+                    piece[key] = piece.get(key, 0) + coeff
         pieces.append({key: c for key, c in piece.items() if c})
 
     def times(terms: dict, piece: dict) -> dict:
@@ -517,7 +543,7 @@ def _projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     def row(terms: dict) -> tuple:
         return tuple(map(index.__getitem__, terms)), tuple(sign * c for c in terms.values())
 
-    start = reduce(coded(nu.graded_part(2 * rank)), m)
+    start = reduce({rank * radix - a * shift: c for a, c in enumerate(euler) if c}, m)
     rows = _walk(m, start, step, ones, row) if start else {}
     return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])
 
@@ -539,26 +565,23 @@ MATRIX_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _boundary_matrix(n: int, k: int) -> tuple:
-    return _projective_dual(n, nu=lambda x, c1: (1 + c1).pow(k))
+    return _projective_dual(n, nu=((0, 1, k),))
 
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _delta_matrix(n: int) -> tuple:
-    return _projective_dual(n, nu=lambda x, c1: 1 - c1 * c1)
+    return _projective_dual(n, nu=((0, 1, 1), (0, -1, 1)))
 
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _psi_matrix(n: int, k1: int, k2: int) -> tuple:
-    return _projective_dual(
-        n, k1 + k2,
-        fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
-        eps=1, sign=-1 if k2 % 2 else 1)
+    return _projective_dual(n, k1 + k2, fibre=((1, -1, 1), (1, 0, k1), (-1, 0, k2)),
+                            eps=1, sign=-1 if k2 % 2 else 1)
 
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _pi_matrix(n: int) -> tuple:
-    return _projective_dual(n, 1, fibre=lambda x, c1: (1 + x).pow(2),
-                            nu=lambda x, c1: 1 + x + c1)
+    return _projective_dual(n, 1, fibre=((1, 0, 2),), nu=((1, 1, 1),))
 
 
 def boundary_k(a: ChernVector, k: int) -> ChernVector:

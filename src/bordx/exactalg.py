@@ -384,7 +384,8 @@ class GradedPoly:
         P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h, T^j by repeated
         `mul` (Fateman, "On the computation of powers of sparse
         polynomials", 1974).  The power of a monomial is one term and that
-        of a binomial k + 1 terms; neither calls `mul`.
+        of a binomial k + 1 terms; neither calls `mul`, and the first power
+        is the base itself without its terms above the cap.
         """
         if strict_int(k, "a power") < 0:
             raise ValueError("negative power")
@@ -394,6 +395,9 @@ class GradedPoly:
         if not k:
             return GradedPoly.constant(degrees, 1)
         mul, add = operator.mul, operator.add
+        if k == 1:
+            return self if cap is None else GradedPoly._trusted(degrees, {
+                e: c for e, c in self.terms.items() if sum(map(mul, e, degrees)) <= cap})
         top, tail = -1, {}
         for e, c in self.terms.items():
             d = sum(map(mul, e, degrees))
@@ -480,31 +484,6 @@ class GradedPoly:
 
     def __repr__(self):
         return f"GradedPoly(degrees={self.degrees}, terms={self.terms})"
-
-
-def geometric_series(x: GradedPoly, cap: int) -> GradedPoly:
-    """1 + x + x^2 + ... truncated at degree cap; x must have zero constant term.
-
-    The cap must be a nonnegative int: without one, x^k never vanishes and
-    the series never ends, so None or a negative cap is refused up front.
-    """
-    if strict_int(cap, "a series cap") < 0:
-        raise ValueError(f"a series cap must be nonnegative, got {cap}")
-    if x.constant_term():
-        raise ValueError("series inverse needs zero constant term")
-    one = GradedPoly.constant(x.degrees, 1)
-    result = one
-    power = one
-    while True:
-        power = power.mul(x, cap)
-        if power.is_zero():
-            return result
-        result = result + power
-
-
-def inverse_one_plus(x: GradedPoly, cap: int) -> GradedPoly:
-    """(1 + x)^(-1) truncated at degree cap (a nonnegative int, as for the series)."""
-    return geometric_series(-x, cap)
 
 
 # ---------------------------------------------------------------------------

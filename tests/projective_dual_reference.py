@@ -12,7 +12,8 @@ replaces it.
 from __future__ import annotations
 
 from bordx.bordclass import _basis
-from bordx.exactalg import GradedPoly, Partition, inverse_one_plus
+from bordx.exactalg import GradedPoly, Partition
+from series_reference import inverse_one_plus
 
 
 def _exp_to_partition(exp) -> Partition:

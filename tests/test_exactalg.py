@@ -10,9 +10,7 @@ from bordx.exactalg import (
     IntMatrix,
     ext_gcd,
     ext_gcd_combo,
-    geometric_series,
     in_row_lattice,
-    inverse_one_plus,
     multinomial,
     partitions,
     sparse_echelon,
@@ -24,6 +22,7 @@ from lattice_reference import (
     reference_hnf,
     saturation_kernel_basis,
 )
+from series_reference import geometric_series, inverse_one_plus
 
 
 def partition_count_recurrence(n):
@@ -349,6 +348,20 @@ class TestKernelAgainstReference:
                 calls.clear()
                 base.pow(k, cap)
                 assert len(calls) <= most(k), (base, k, cap)
+
+    def test_first_power_is_the_capped_base_without_a_multiply(self, monkeypatch):
+        bases = list(self._bases(random.Random(29)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a multiply ran")
+
+        monkeypatch.setattr(GradedPoly, "mul", refuse)
+        for base in bases:
+            for cap in self.POW_CAPS:
+                want = {e: c for e, c in base.terms.items()
+                        if cap is None or cap < 0
+                        or sum(x * d for x, d in zip(e, self.DEGREES)) <= cap}
+                assert base.pow(1, cap).terms == want, (base, cap)
 
     @pytest.mark.parametrize("k,cap", [(True, None), (2.0, None), ("2", None),
                                        (2, 2.5), (2, True), (2, "4")])

@@ -22,8 +22,9 @@ from bordx import bordclass, numbers, tower
 from bordx.bordclass import ChernVector
 from bordx.cli import sample_classes
 from bordx.cohomring import evaluate_top
-from bordx.exactalg import GradedPoly, inverse_one_plus, partitions
+from bordx.exactalg import GradedPoly, partitions
 from projective_dual_reference import projective_dual
+from series_reference import inverse_one_plus
 
 SAMPLES = sample_classes()
 PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
