@@ -43,7 +43,8 @@ import keyword
 import math
 import operator
 
-from .exactalg import GradedPoly, json_field, json_object, sparse_echelon, strict_int
+from .exactalg import (
+    GradedPoly, _accumulate, json_field, json_object, sparse_echelon, strict_int)
 
 _REWRITE_STEP_LIMIT = 2_000_000
 
@@ -119,9 +120,11 @@ class PresentedRing:
         # the coding of monomials, see the module docstring
         self.radix = top_degree // min(self.degrees) + 1 if self.degrees else 1
         self._places = tuple(self.radix ** j for j in range(len(self.degrees)))
+        self._mu = self.encode(self.fundamental_monomial)  # its code, once per ring
         self._rules = None  # built on first use; a failed build keeps nothing
         self._nf_memo: dict[int, dict] = {}  # code -> coded normal form
-        self._lattice_cache: dict[int, tuple] = {}
+        self._lattice_cache: dict[int, tuple] = {}  # degree -> lattice model
+        self._lattice_phi = None  # the top-degree functional, built on first use
 
     # -- helpers -------------------------------------------------------------
 
@@ -323,12 +326,11 @@ class PresentedRing:
         Any other monomial left over means the rules do not reduce the top
         degree to the fundamental class.
         """
-        mu = self.encode(self.fundamental_monomial)
-        if len(reduced) > (mu in reduced):
+        if len(reduced) > (self._mu in reduced):
             raise PresentationError(
                 "reduction left top-degree monomials other than the fundamental one"
             )
-        return reduced.get(mu, 0)
+        return reduced.get(self._mu, 0)
 
     def _reduce_codes(self, terms: dict) -> dict:
         """The one way into the memo: sum c * NF(m) over coded terms c*m at or below the top."""
@@ -437,11 +439,10 @@ class PresentedRing:
                 multiples.append((rel, multipliers))
         encode = self.encode
         codes = [encode(m) for m in monomials]
-        mu = encode(self.fundamental_monomial)
-        if degree == self.top_degree and mu in codes:
+        if degree == self.top_degree and self._mu in codes:
             # the fundamental monomial's column last, as the evaluator wants
-            codes.remove(mu)
-            codes.append(mu)
+            codes.remove(self._mu)
+            codes.append(self._mu)
         index = {code: i for i, code in enumerate(codes)}
         rows = []
         for rel, multipliers in multiples:
@@ -468,10 +469,8 @@ class PresentedRing:
         when it is 1, mu generates exactly when v_mu = 1, and then phi = v.
         Returns (column index by monomial code, phi by column).
         """
-        key = -1
-        cached = self._lattice_cache.get(key)
-        if cached is not None:
-            return cached
+        if self._lattice_phi is not None:
+            return self._lattice_phi
         index, rows = self._lattice_model(self.top_degree)
         m = len(index)
         echelon = sparse_echelon(rows)
@@ -493,13 +492,12 @@ class PresentedRing:
             )
         # v_mu is 0 when mu's column has a pivot, else the product of the
         # (positive) pivots, so no sign is left to fix; a killed mu has no column
-        if v[-1] != 1 or self.encode(self.fundamental_monomial) not in index:
+        if v[-1] != 1 or self._mu not in index:
             raise PresentationError(
                 "fundamental monomial does not generate the top-degree quotient"
             )
-        result = (index, v)
-        self._lattice_cache[key] = result
-        return result
+        self._lattice_phi = (index, v)
+        return self._lattice_phi
 
 
 def _unit_exponent(rel: GradedPoly):
@@ -509,16 +507,6 @@ def _unit_exponent(rel: GradedPoly):
         if abs(c) == 1:
             return exp
     return None
-
-
-def _accumulate(acc: dict, terms: dict, c: int) -> None:
-    """acc += c * terms, keeping no zero coefficient."""
-    for e, k in terms.items():
-        v = acc.get(e, 0) + c * k
-        if v:
-            acc[e] = v
-        else:
-            del acc[e]
 
 
 # ---------------------------------------------------------------------------
@@ -536,32 +524,29 @@ def normal_form(ring: PresentedRing, x: GradedPoly) -> GradedPoly:
     return ring.reduce(x)
 
 
+def _nonzero_top(ring: PresentedRing, x: GradedPoly, name: str) -> bool:
+    """Whether x is nonzero; any other x not homogeneous of the top degree is
+    refused in the words of `name`."""
+    if x.is_zero():
+        return False
+    if not x.is_homogeneous() or x.degree() != ring.top_degree:
+        raise ValueError(f"{name} expects a homogeneous element of degree {ring.top_degree}")
+    return True
+
+
 def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
     """Pairing of a top-degree element against the fundamental class."""
-    if x.is_zero():
+    if not _nonzero_top(ring, x, "evaluate_top"):
         return 0
-    if not x.is_homogeneous() or x.degree() != ring.top_degree:
-        raise ValueError(
-            f"evaluate_top expects a homogeneous element of degree {ring.top_degree}"
-        )
     if ring.backend == "lattice":
         return lattice_evaluate(ring, x)
     return ring.fundamental_code_coefficient(ring._reduce_codes(ring.coded(x)))
 
 
-def fundamental_coefficient(ring: PresentedRing, reduced: GradedPoly) -> int:
-    """`PresentedRing.fundamental_code_coefficient` of a reduced top-degree element."""
-    return ring.fundamental_code_coefficient(ring.coded(reduced))
-
-
 def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
     """Pairing via the quotient of the free abelian group on top-degree monomials."""
-    if x.is_zero():
+    if not _nonzero_top(ring, x, "lattice_evaluate"):
         return 0
-    if not x.is_homogeneous() or x.degree() != ring.top_degree:
-        raise ValueError(
-            f"lattice_evaluate expects a homogeneous element of degree {ring.top_degree}"
-        )
     index, phi = ring._lattice_evaluator()
     total = 0
     for e, c in x.terms.items():

@@ -185,6 +185,17 @@ def ext_gcd_combo(values) -> tuple[int, list[int]]:
 # graded polynomials
 # ---------------------------------------------------------------------------
 
+def _accumulate(acc: dict, terms: dict, c: int) -> None:
+    """acc += c * terms for sparse {key: nonzero coefficient} and c != 0, keeping no zero."""
+    get = acc.get
+    for e, k in terms.items():
+        v = get(e, 0) + c * k
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+
+
 class GradedPoly:
     """Multivariate polynomial with integer coefficients and even generator degrees.
 
@@ -277,22 +288,11 @@ class GradedPoly:
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.degrees), 0)
-
     def graded_part(self, degree: int) -> "GradedPoly":
         return GradedPoly._trusted(
             self.degrees,
             {e: c for e, c in self.terms.items() if self.term_degree(e) == degree},
         )
-
-    def graded_parts(self) -> dict[int, "GradedPoly"]:
-        """{degree: graded_part(degree)} over the degrees that occur, in one pass."""
-        split: dict[int, dict] = {}
-        degrees = self.degrees
-        for e, c in self.terms.items():
-            split.setdefault(sum(map(operator.mul, e, degrees)), {})[e] = c
-        return {d: GradedPoly._trusted(degrees, t) for d, t in split.items()}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -307,12 +307,7 @@ class GradedPoly:
             other = GradedPoly.constant(self.degrees, other)
         self._check_compatible(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = terms.get(e, 0) + c
-            if nc:
-                terms[e] = nc
-            elif e in terms:
-                del terms[e]
+        _accumulate(terms, other.terms, 1)
         return GradedPoly._trusted(self.degrees, terms)
 
     __radd__ = __add__
@@ -384,8 +379,9 @@ class GradedPoly:
         P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h, T^j by repeated
         `mul` (Fateman, "On the computation of powers of sparse
         polynomials", 1974).  The power of a monomial is one term and that
-        of a binomial k + 1 terms; neither calls `mul`, and the first power
-        is the base itself without its terms above the cap.
+        of a binomial k + 1 terms; neither calls `mul`.  No term lies above
+        k deg(h), so the cap is applied once, as a final filter, and only
+        when it is below that.
         """
         if strict_int(k, "a power") < 0:
             raise ValueError("negative power")
@@ -395,14 +391,9 @@ class GradedPoly:
         if not k:
             return GradedPoly.constant(degrees, 1)
         mul, add = operator.mul, operator.add
-        if k == 1:
-            return self if cap is None else GradedPoly._trusted(degrees, {
-                e: c for e, c in self.terms.items() if sum(map(mul, e, degrees)) <= cap})
         top, tail = -1, {}
         for e, c in self.terms.items():
             d = sum(map(mul, e, degrees))
-            if cap is not None and d > cap:
-                continue  # every other factor has degree >= 0
             if d > top:
                 if top >= 0:
                     tail[head] = lead
@@ -411,15 +402,14 @@ class GradedPoly:
                 tail[e] = c
         if top < 0:
             return GradedPoly._trusted(degrees, {})
-        # deg(h^(k-j) T^j) <= k deg(h), so below the cap nothing is dropped
         if cap is not None and k * top <= cap:
             cap = None
-        out = {tuple(e * k for e in head): lead ** k} if cap is None else {}
+        out = {tuple(e * k for e in head): lead ** k}
         get = out.get
         if len(tail) <= 1:  # a monomial or a binomial: T^j has at most one term
             powers = ({tuple(x * j for x in e): c ** j for e, c in tail.items()}
                       for j in range(1, k + 1))
-        else:  # no term of T^j lies above k deg(h): a cap for `mul` to stop at
+        else:  # T^j stops at k deg(h), and a term above the cap feeds only terms above it
             bound = k * top if cap is None else cap
             tail = GradedPoly._trusted(degrees, tail)
             powers = (p.terms for p in itertools.accumulate(
@@ -427,20 +417,17 @@ class GradedPoly:
         for j, power in enumerate(powers, 1):  # power = T^j
             if not power:
                 break
-            room = None if cap is None else cap - (k - j) * top
-            if room is not None and room < 0:
-                continue
             scale = math.comb(k, j) * lead ** (k - j)
             shift = tuple(e * (k - j) for e in head)
             for e, c in power.items():
-                if room is not None and sum(map(mul, e, degrees)) > room:
-                    continue
                 key = tuple(map(add, e, shift))
                 c = get(key, 0) + scale * c
                 if c:
                     out[key] = c
                 else:
                     del out[key]
+        if cap is not None:
+            out = {e: c for e, c in out.items() if sum(map(mul, e, degrees)) <= cap}
         return GradedPoly._trusted(degrees, out)
 
     def __pow__(self, k: int):
@@ -557,13 +544,7 @@ def sparse_echelon(rows) -> list[dict[int, int]]:
 def _combine(a: dict, s: int, b: dict, t: int) -> dict:
     """The sparse row s*a + t*b for nonzero s and t, without zero entries."""
     out = dict(a) if s == 1 else {j: s * c for j, c in a.items()}
-    get = out.get
-    for j, c in b.items():
-        v = get(j, 0) + t * c
-        if v:
-            out[j] = v
-        else:
-            del out[j]
+    _accumulate(out, b, t)
     return out
 
 

@@ -12,8 +12,7 @@ import types
 from collections import namedtuple
 
 from . import bordclass, numbers, tower
-# s_omega, the characteristic number of m_omega, is a table of bordclass
-from .bordclass import ChernVector, InconsistencyError, s_omega, s_polynomial
+from .bordclass import ChernVector, InconsistencyError, s_polynomial
 from .cohomring import PresentedRing, evaluate_top
 from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo, strict_int
 

@@ -24,10 +24,11 @@ from collections import Counter, namedtuple
 
 from . import bordclass
 from .bordclass import ChernVector
-from .cohomring import PresentedRing, _accumulate
+from .cohomring import PresentedRing
 from .exactalg import (
     GradedPoly,
     IntMatrix,
+    _accumulate,
     canonical_partition,
     in_row_lattice,
     json_field,

@@ -35,9 +35,7 @@ def _walk(n: int, total: GradedPoly, evaluate, start=None, reduce=None) -> dict:
     """
     if start is None:
         start = GradedPoly.constant(total.degrees, 1)
-    parts = total.graded_parts()
-    zero = GradedPoly.zero(total.degrees)
-    pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
+    pieces = [None] + [total.graded_part(2 * i) for i in range(1, n + 1)]
     leaves = {}
     prefix: list[int] = []
 
@@ -68,9 +66,10 @@ def projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     <x^k c_tau, [P]> = c_tau[M] for M of class a.  `fibre` and `nu` map the
     formal classes x and c_1 to total Chern classes; e(nu) is the top graded
     part of nu, its rank is half its degree, and
-    c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.  Every product is
-    reduced by x^(k+j) = (eps c_1)^j x^k, so the x^k layer pairs with a and
-    the lower powers of x pair to zero.  The walk emits, for each omega, the
+    c_omega[N] = sign * <e(nu) c_omega(TP - nu), [P]>.  At every k, k = 0
+    included, e(nu), the total class and every product are reduced by
+    x^(k+j) = (eps c_1)^j x^k, so the x^k layer pairs with a and the lower
+    powers of x pair to zero.  The walk emits, for each omega, the
     row {index of tau in `_basis(n)`: coefficient of c_tau[M]}; the matrix
     is (dimension of N, rows in `_basis` order), each row a pair (indices,
     coefficients).
@@ -117,8 +116,6 @@ def projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     m = n + k - rank
     cap = 2 * m
     total = chern.mul(zero + fibre(x, c1), cap).mul(inverse_one_plus(nu - 1, cap), cap)
-    if k:
-        total = reduce(total)
-    rows = _walk(m, total, row, start=nu.graded_part(2 * rank),
-                 reduce=reduce if k else None)
+    rows = _walk(m, reduce(total), row, start=reduce(nu.graded_part(2 * rank)),
+                 reduce=reduce)
     return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])

@@ -20,7 +20,7 @@ def geometric_series(x: GradedPoly, cap: int) -> GradedPoly:
     """
     if strict_int(cap, "a series cap") < 0:
         raise ValueError(f"a series cap must be nonnegative, got {cap}")
-    if x.constant_term():
+    if x.coefficient((0,) * len(x.degrees)):
         raise ValueError("series inverse needs zero constant term")
     one = GradedPoly.constant(x.degrees, 1)
     result = one

@@ -352,6 +352,22 @@ class TestLatticeEvaluate:
             lattice_evaluate(ring, ring.gen("u"))
 
 
+@pytest.mark.parametrize("backend", ["triangular", "lattice"])
+@pytest.mark.parametrize("route", [evaluate_top, lattice_evaluate])
+def test_pairing_takes_only_the_top_degree(route, backend):
+    ring = cp_ring(3)
+    if backend == "lattice":
+        ring = _lattice_copy(ring)
+    u = ring.gen("u")
+    for x in (u.pow(3) + u, u.pow(2)):  # inhomogeneous, then of degree 4
+        with pytest.raises(ValueError) as refused:
+            route(ring, x)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == \
+            f"{route.__name__} expects a homogeneous element of degree 6"
+    assert route(ring, GradedPoly.zero(ring.degrees)) == 0
+
+
 class TestGradedRank:
     def test_cp3_degree4(self):
         assert graded_rank(cp_ring(3), 4) == 1

@@ -187,26 +187,6 @@ class TestGradedPoly:
         p = (one + u).pow(3)
         assert p.graded_part(4) == (u * u).scale(3)
 
-    def test_graded_parts_equal_graded_part(self):
-        rng = random.Random(17)
-        deg = (2, 2, 4, 6)
-        cases = [GradedPoly.zero(deg), GradedPoly.constant(deg, 5)]
-        cases += [_random_poly(rng, deg) for _ in range(30)]
-        one = GradedPoly.constant(deg, 1)
-        chern = one + sum((GradedPoly.generator(deg, i) for i in range(4)),
-                          GradedPoly.zero(deg))
-        cases.append(chern.pow(5))
-        for p in cases:
-            parts = p.graded_parts()
-            top = p.degree() or 0
-            for d in range(0, top + 1, 2):
-                assert parts.get(d, GradedPoly.zero(deg)) == p.graded_part(d)
-            assert all(not part.is_zero() for part in parts.values())
-            assert sum(parts.values(), GradedPoly.zero(deg)) == p
-            for d, part in parts.items():
-                assert part == GradedPoly(deg, part.terms)
-                assert part.is_homogeneous() and part.degree() == d
-
     def test_mul_input_domain(self):
         # exponents and caps are arbitrary-precision ints, past any machine word
         deg = (2, 4)

@@ -10,6 +10,7 @@ import pytest
 
 from bordx import bordclass as bc
 from bordx import numbers, tower
+from bordx.bordclass import s_omega
 from bordx.exactalg import GradedPoly, partitions
 
 from test_walker import random_class
@@ -26,7 +27,6 @@ from bordx.genfactory import (
     quasitoric_generator_even,
     quasitoric_generator_odd,
     s6_class,
-    s_omega,
     y2_class,
 )
 

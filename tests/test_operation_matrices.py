@@ -96,10 +96,8 @@ MIXED_NU = ((1, 1, 1), (-2, 1, 1))
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("eps", [-1, 0, 1, 2])
 def test_mixed_factors_match_reference(n, eps):
-    # nu has rank 2.  The reference reduces only products and only for
-    # k >= 1, so it is taken where the target dimension n + k - 2 is positive
-    # and k >= 1; the unreduced cases are checked by hand below.
-    for k in range(max(1, 3 - n), 4):
+    # nu has rank 2: every k whose target dimension n + k - 2 is nonnegative
+    for k in range(max(0, 2 - n), 4):
         assert_same(bc._projective_dual(n, k, MIXED_FIBRE, MIXED_NU, eps),
                     reference(n, k, lambda x, c1: expand(MIXED_FIBRE, x, c1),
                               lambda x, c1: expand(MIXED_NU, x, c1), eps))

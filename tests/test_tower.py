@@ -339,9 +339,7 @@ def characteristic_numbers(n, total, evaluate):
     free ring: one walk of `bordclass._walk`, each product homogeneous of
     degree 2|prefix|, and the partitions the walk leaves out read 0.
     """
-    parts = total.graded_parts()
-    zero = GradedPoly.zero(total.degrees)
-    pieces = [None] + [parts.get(2 * i, zero) for i in range(1, n + 1)]
+    pieces = [None] + [total.graded_part(2 * i) for i in range(1, n + 1)]
 
     def step(poly, part, rest):
         child = poly.mul(pieces[part])
@@ -577,7 +575,7 @@ def test_normal_form_same_on_memo_miss_and_hit(monkeypatch, name, n1, n2):
     # the top part against the lattice route, which never reads the memo
     _, lattice = tower.ring_backend_pair(spec)
     top = ring.top_degree
-    assert cohomring.fundamental_coefficient(ring, first.graded_part(top)) == \
+    assert ring.fundamental_code_coefficient(ring.coded(first.graded_part(top))) == \
         cohomring.lattice_evaluate(lattice, below.graded_part(top))
 
 
