@@ -123,7 +123,6 @@ class PresentedRing:
         self._mu = self.encode(self.fundamental_monomial)  # its code, once per ring
         self._rules = None  # built on first use; a failed build keeps nothing
         self._nf_memo: dict[int, dict] = {}  # code -> coded normal form
-        self._lattice_cache: dict[int, tuple] = {}  # degree -> lattice model
         self._lattice_phi = None  # the top-degree functional, built on first use
 
     # -- helpers -------------------------------------------------------------
@@ -414,9 +413,6 @@ class PresentedRing:
         being encode(e) + encode(m) at or below the top, and an empty row is
         dropped.  Each walk stops one monomial past what is left of its limit.
         """
-        cached = self._lattice_cache.get(degree)
-        if cached is not None:
-            return cached
         units = [e for e in map(_unit_exponent, self.relations) if e is not None]
         monomials = self._bounded_monomials(degree, LATTICE_MAX_MONOMIALS, units)
         if len(monomials) > LATTICE_MAX_MONOMIALS:
@@ -424,8 +420,15 @@ class PresentedRing:
                 f"degree {degree} has more than {LATTICE_MAX_MONOMIALS} standard monomials "
                 "(lattice model too large)"
             )
+        encode = self.encode
+        codes = [encode(m) for m in monomials]
+        if degree == self.top_degree and self._mu in codes:
+            # the fundamental monomial's column last, as the evaluator wants
+            codes.remove(self._mu)
+            codes.append(self._mu)
+        index = {code: i for i, code in enumerate(codes)}
         rows_left = LATTICE_MAX_ROWS
-        multiples = []
+        rows = []
         for rel in self.relations:
             shift = degree - rel.degree()
             if shift >= 0 and _unit_exponent(rel) is None:
@@ -436,25 +439,13 @@ class PresentedRing:
                         f"degree {degree} has more than {LATTICE_MAX_ROWS} relation "
                         "multiples (lattice model too large)"
                     )
-                multiples.append((rel, multipliers))
-        encode = self.encode
-        codes = [encode(m) for m in monomials]
-        if degree == self.top_degree and self._mu in codes:
-            # the fundamental monomial's column last, as the evaluator wants
-            codes.remove(self._mu)
-            codes.append(self._mu)
-        index = {code: i for i, code in enumerate(codes)}
-        rows = []
-        for rel, multipliers in multiples:
-            terms = [(encode(e), c) for e, c in rel.terms.items()]
-            for m in multipliers:
-                k = encode(m)
-                row = {index[e + k]: c for e, c in terms if e + k in index}
-                if row:
-                    rows.append(row)
-        model = (index, rows)
-        self._lattice_cache[degree] = model
-        return model
+                terms = [(encode(e), c) for e, c in rel.terms.items()]
+                for m in multipliers:
+                    k = encode(m)
+                    row = {index[e + k]: c for e, c in terms if e + k in index}
+                    if row:
+                        rows.append(row)
+        return index, rows
 
     def _lattice_evaluator(self):
         """Primitive functional phi on top-degree monomials with phi(mu) = 1.
@@ -513,25 +504,35 @@ def _unit_exponent(rel: GradedPoly):
 # module-level operations
 # ---------------------------------------------------------------------------
 
+def _check_degrees(ring: PresentedRing, x: GradedPoly, name: str) -> None:
+    if x.degrees != ring.degrees:
+        raise ValueError(f"{name} expects an element over the generator degrees "
+                         f"{ring.degrees}, got {x.degrees}")
+
+
 def normal_form(ring: PresentedRing, x: GradedPoly) -> GradedPoly:
     """Fixed point of the triangular rewriting rules, top-degree truncated.
 
     Public API: the checked entry to `PresentedRing.reduce`, which refuses an
-    inhomogeneous element (the rules build refuses a lattice-backend ring).
+    element over other generator degrees or an inhomogeneous one (the rules
+    build refuses a lattice-backend ring).
     """
+    _check_degrees(ring, x, "normal_form")
     if not x.is_homogeneous():
         raise ValueError("normal_form expects a homogeneous (or zero) element")
     return ring.reduce(x)
 
 
 def _nonzero_top(ring: PresentedRing, x: GradedPoly, name: str) -> bool:
-    """Whether x is nonzero; any other x not homogeneous of the top degree is
-    refused in the words of `name`."""
-    if x.is_zero():
-        return False
-    if not x.is_homogeneous() or x.degree() != ring.top_degree:
-        raise ValueError(f"{name} expects a homogeneous element of degree {ring.top_degree}")
-    return True
+    """Whether x is nonzero; any other x not homogeneous of the top degree
+    over the ring's generator degrees is refused in the words of `name`.
+    Nothing of the ring is built, so zero pairs to 0 on any ring."""
+    _check_degrees(ring, x, name)
+    top, degrees = ring.top_degree, ring.degrees
+    for e in x.terms:
+        if sum(map(operator.mul, e, degrees)) != top:
+            raise ValueError(f"{name} expects a homogeneous element of degree {top}")
+    return bool(x.terms)
 
 
 def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
@@ -539,7 +540,7 @@ def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
     if not _nonzero_top(ring, x, "evaluate_top"):
         return 0
     if ring.backend == "lattice":
-        return lattice_evaluate(ring, x)
+        return _lattice_pair(ring, x)
     return ring.fundamental_code_coefficient(ring._reduce_codes(ring.coded(x)))
 
 
@@ -547,6 +548,11 @@ def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
     """Pairing via the quotient of the free abelian group on top-degree monomials."""
     if not _nonzero_top(ring, x, "lattice_evaluate"):
         return 0
+    return _lattice_pair(ring, x)
+
+
+def _lattice_pair(ring: PresentedRing, x: GradedPoly) -> int:
+    """The lattice pairing of a checked top-degree element."""
     index, phi = ring._lattice_evaluator()
     total = 0
     for e, c in x.terms.items():
@@ -558,7 +564,7 @@ def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
 
 def graded_rank(ring: PresentedRing, degree: int) -> int:
     """Rank of the graded piece as an abelian group."""
-    if degree > ring.top_degree:
+    if strict_int(degree, "the degree") > ring.top_degree:
         raise ValueError("degree exceeds top_degree")
     if degree < 0:
         return 0

@@ -333,33 +333,24 @@ class GradedPoly:
 
         This is the hot loop of the whole workbench.  Exponents, degrees and
         the cap are arbitrary-precision ints; no cap (None or negative) means
-        no degree limit.  The smaller operand's terms are sorted by degree
-        once, and the inner loop stops at the first of them past
-        cap - deg(a-term).
+        no degree limit.  The cap is applied once, as a final filter.
         """
         self._check_compatible(other)
         degrees = self.degrees
-        a_terms, b_terms = self.terms, other.terms
-        if len(b_terms) > len(a_terms):
-            a_terms, b_terms = b_terms, a_terms
-        if cap is None or cap < 0:  # no product term passes this cap
-            cap = (self.degree() or 0) + (other.degree() or 0)
         add, mul = operator.add, operator.mul
         out = {}
         get = out.get
-        by_degree = sorted((sum(map(mul, eb, degrees)), eb, cb)
-                           for eb, cb in b_terms.items())
-        for ea, ca in a_terms.items():
-            room = cap - sum(map(mul, ea, degrees))
-            for db, eb, cb in by_degree:
-                if db > room:
-                    break
+        b_terms = other.terms.items()
+        for ea, ca in self.terms.items():
+            for eb, cb in b_terms:
                 key = tuple(map(add, ea, eb))
                 c = get(key, 0) + ca * cb
                 if c:
                     out[key] = c
-                elif key in out:
+                else:
                     del out[key]
+        if cap is not None and cap >= 0:
+            out = {e: c for e, c in out.items() if sum(map(mul, e, degrees)) <= cap}
         return GradedPoly._trusted(degrees, out)
 
     def __mul__(self, other):
@@ -377,11 +368,11 @@ class GradedPoly:
 
         By the binomial theorem over the base's term h of largest degree:
         P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h, T^j by repeated
-        `mul` (Fateman, "On the computation of powers of sparse
-        polynomials", 1974).  The power of a monomial is one term and that
-        of a binomial k + 1 terms; neither calls `mul`.  No term lies above
-        k deg(h), so the cap is applied once, as a final filter, and only
-        when it is below that.
+        `mul` under the same cap (Fateman, "On the computation of powers of
+        sparse polynomials", 1974).  The power of a monomial is one term and
+        that of a binomial k + 1 terms; neither calls `mul`.  No term lies
+        above k deg(h), so the cap is applied once, as a final filter, and
+        only when it is below that.
         """
         if strict_int(k, "a power") < 0:
             raise ValueError("negative power")
@@ -409,11 +400,10 @@ class GradedPoly:
         if len(tail) <= 1:  # a monomial or a binomial: T^j has at most one term
             powers = ({tuple(x * j for x in e): c ** j for e, c in tail.items()}
                       for j in range(1, k + 1))
-        else:  # T^j stops at k deg(h), and a term above the cap feeds only terms above it
-            bound = k * top if cap is None else cap
+        else:  # a term above the cap feeds only terms above it
             tail = GradedPoly._trusted(degrees, tail)
             powers = (p.terms for p in itertools.accumulate(
-                itertools.repeat(tail, k - 1), lambda p, t: p.mul(t, bound), initial=tail))
+                itertools.repeat(tail, k - 1), lambda p, t: p.mul(t, cap), initial=tail))
         for j, power in enumerate(powers, 1):  # power = T^j
             if not power:
                 break

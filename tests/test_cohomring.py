@@ -50,6 +50,13 @@ class TestNormalForm:
         u5 = GradedPoly.generator(ring.degrees, 0, 5)
         assert normal_form(ring, u5).is_zero()
 
+    def test_an_element_over_other_generators_is_refused(self):
+        for x in (GradedPoly((2, 2), {(3, 0): 5}), GradedPoly((6,), {(1,): 7})):
+            with pytest.raises(ValueError) as refused:
+                normal_form(cp_ring(3), x)
+            assert str(refused.value) == ("normal_form expects an element over "
+                                          f"the generator degrees (2,), got {x.degrees}")
+
     def test_ntilde_rule_single_application(self):
         n1, n2 = 2, 3
         ring = ntilde_ring(n1, n2)
@@ -365,12 +372,62 @@ def test_pairing_takes_only_the_top_degree(route, backend):
         assert type(refused.value) is ValueError
         assert str(refused.value) == \
             f"{route.__name__} expects a homogeneous element of degree 6"
+    # over other generators: (2, 2) truncated to u^3, and (6,) read as u
+    for x in (GradedPoly((2, 2), {(3, 0): 5}), GradedPoly((6,), {(1,): 7})):
+        with pytest.raises(ValueError) as refused:
+            route(ring, x)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == (f"{route.__name__} expects an element over "
+                                      f"the generator degrees (2,), got {x.degrees}")
     assert route(ring, GradedPoly.zero(ring.degrees)) == 0
+
+
+def _unbuildable_ring(backend):
+    """x y = 2 x^2 in degree 4: no monic pure power to rewrite by, and a
+    top-degree quotient of rank 2, so neither route can build its model."""
+    deg = (2, 2)
+    rel = GradedPoly(deg, {(1, 1): 1, (2, 0): -2})
+    return PresentedRing(("x", "y"), deg, [rel], 4, (0, 2), backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["triangular", "lattice"])
+def test_zero_pairs_to_0_before_anything_is_built(backend):
+    ring = _unbuildable_ring(backend)
+    zero = GradedPoly.zero(ring.degrees)
+    assert evaluate_top(ring, zero) == 0
+    assert lattice_evaluate(ring, zero) == 0
+    assert ring._rules is None and ring._lattice_phi is None
+    y2 = ring.gen("y", 2)
+    with pytest.raises(NonTriangularError if backend == "triangular" else PresentationError):
+        evaluate_top(ring, y2)
+    with pytest.raises(PresentationError, match="rank 2, expected 1"):
+        lattice_evaluate(ring, y2)
+
+
+def test_a_lattice_marked_ring_checks_its_element_once(monkeypatch):
+    ring = _lattice_copy(ntilde_ring(2, 3))
+    x = ring.gen("u") * ring.gen("v", 2) * ring.gen("w", 3)
+    calls = []
+    check = cohomring._nonzero_top
+
+    def counted(*args):
+        calls.append(args[2])
+        return check(*args)
+
+    monkeypatch.setattr(cohomring, "_nonzero_top", counted)
+    assert evaluate_top(ring, x) == lattice_evaluate(ring, x) == 1
+    assert calls == ["evaluate_top", "lattice_evaluate"]
 
 
 class TestGradedRank:
     def test_cp3_degree4(self):
         assert graded_rank(cp_ring(3), 4) == 1
+
+    @pytest.mark.parametrize("degree", [4.0, True])
+    def test_degree_must_be_an_int(self, degree):
+        for ring in (cp_ring(3), _lattice_copy(cp_ring(3))):
+            with pytest.raises(ValueError, match=f"^the degree must be an integer, got {degree}$"):
+                graded_rank(ring, degree)
 
     def test_grassmann_profile(self):
         ring = grassmann_ring()
