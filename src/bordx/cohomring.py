@@ -23,10 +23,10 @@ monomials, a tower's base relations g_i^(n_i+1)): each of their multiples is
 a unit row, so the quotient is free on the standard monomials, those no such
 relation divides, modulo the other relation multiples restricted to them
 (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, 2.9 and 5.3).
-It reads everything off one unimodular echelon form
-(`exactalg.sparse_echelon`) of those top-degree rows: the rank, and a
-kernel vector by exact back substitution, which is the vector of signed
-maximal minors of the relation lattice.  The content of that vector (the gcd
+It reads everything off the Hermite form (`exactalg.hermite_form`) of
+those top-degree rows: the rank, and a kernel vector by exact back
+substitution, which is the vector of signed maximal minors of the
+relation lattice.  The content of that vector (the gcd
 of the maximal minors) is the order of the torsion of the quotient (Newman,
 *Integral Matrices*, II), so the quotient is Z exactly when the content is 1,
 and the vector is then the functional itself, 0 on every killed monomial.
@@ -44,7 +44,7 @@ import math
 import operator
 
 from .exactalg import (
-    GradedPoly, _accumulate, json_field, json_object, sparse_echelon, strict_int)
+    GradedPoly, _accumulate, hermite_form, json_field, json_object, strict_int)
 
 _REWRITE_STEP_LIMIT = 2_000_000
 
@@ -298,7 +298,8 @@ class PresentedRing:
                      for j, (d, rhs) in sorted(rules.items(), reverse=True))
 
     def reduce(self, x: GradedPoly) -> GradedPoly:
-        """Triangular normal form of x, any degrees, terms above the top dropped."""
+        """Triangular normal form of x over the ring's degrees, terms above the top dropped."""
+        _check_degrees(self, x, "reduce")
         out = self._reduce_codes(self.coded(x))
         return GradedPoly._trusted(self.degrees, {self.decode(k): c for k, c in out.items()})
 
@@ -450,8 +451,8 @@ class PresentedRing:
     def _lattice_evaluator(self):
         """Primitive functional phi on top-degree monomials with phi(mu) = 1.
 
-        The model puts mu's column last, and one unimodular echelon form E
-        of the relation rows gives the three checks in turn.  The quotient
+        The model puts mu's column last, and the Hermite form of the
+        relation rows gives the three checks in turn.  The quotient
         rank is the number of columns without a pivot, a row's pivot being
         its least column.  With one free column f, v_f = prod(pivots) and
         back substitution over each row's entries (every division exact, by
@@ -464,17 +465,17 @@ class PresentedRing:
             return self._lattice_phi
         index, rows = self._lattice_model(self.top_degree)
         m = len(index)
-        echelon = sparse_echelon(rows)
-        if len(echelon) != m - 1:
+        form = hermite_form(rows)
+        if len(form) != m - 1:
             raise PresentationError(
-                f"top-degree quotient has rank {m - len(echelon)}, expected 1 "
+                f"top-degree quotient has rank {m - len(form)}, expected 1 "
                 "(bad presentation)"
             )
-        pivots = [min(row) for row in echelon]
+        pivots = [min(row) for row in form]
         (free,) = set(range(m)).difference(pivots)
         v = [0] * m
-        v[free] = math.prod(row[p] for row, p in zip(echelon, pivots))
-        for row, p in zip(reversed(echelon), reversed(pivots)):
+        v[free] = math.prod(row[p] for row, p in zip(form, pivots))
+        for row, p in zip(reversed(form), reversed(pivots)):
             # v[p] is still 0
             v[p] = -sum(c * v[j] for j, c in row.items()) // row[p]
         if math.gcd(*v) != 1:
@@ -569,7 +570,7 @@ def graded_rank(ring: PresentedRing, degree: int) -> int:
     if degree < 0:
         return 0
     index, rows = ring._lattice_model(degree)
-    return len(index) - len(sparse_echelon(rows))
+    return len(index) - len(hermite_form(rows))
 
 
 # ---------------------------------------------------------------------------

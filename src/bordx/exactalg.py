@@ -7,7 +7,6 @@ module is safe to use from multiple threads.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -335,6 +334,8 @@ class GradedPoly:
         the cap are arbitrary-precision ints; no cap (None or negative) means
         no degree limit.  The cap is applied once, as a final filter.
         """
+        if cap is not None and strict_int(cap, "a degree cap") < 0:
+            cap = None
         self._check_compatible(other)
         degrees = self.degrees
         add, mul = operator.add, operator.mul
@@ -349,7 +350,7 @@ class GradedPoly:
                     out[key] = c
                 else:
                     del out[key]
-        if cap is not None and cap >= 0:
+        if cap is not None:
             out = {e: c for e, c in out.items() if sum(map(mul, e, degrees)) <= cap}
         return GradedPoly._trusted(degrees, out)
 
@@ -485,50 +486,51 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return cls(len(rows), ncols, tuple(rows))
 
 
-def sparse_echelon(rows) -> list[dict[int, int]]:
-    """Row echelon basis of the lattice of sparse rows {column: nonzero entry},
-    by unimodular row operations (the rows given are not changed).
+def hermite_form(rows) -> list[dict[int, int]]:
+    """The reduced row Hermite form of the lattice of sparse rows {column:
+    nonzero entry}, by unimodular row operations, the rows given unchanged
+    (Kannan and Bachem, 1979; Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4): pivots are positive, each row's least key is its
+    pivot, every entry above a pivot lies in [0, pivot), rows come in pivot
+    order.  So the form is unique to the lattice and its length is the rank.
 
-    Rows are filed under their leading column.  Column by column, the rows
-    filed there are gcd-combined into one positive pivot, the least |leading
-    entry| first, so a unit pivot clears the others by plain subtraction, and
-    each leftover is filed under its new leading column.  No row is divided
-    by its content and entries above a pivot are kept.  Output in pivot
-    order: its length is the rank, and each row's least key its pivot.
+    Rows go in one at a time; a row that becomes a pivot is reduced by the
+    later pivots, and a last pass, bottom-up, by the final ones.
     """
-    filed: dict[int, list[dict]] = {}
-    pending: list[int] = []  # heap of the filed columns
-
-    def file(row):
-        lead = min(row)
-        if lead not in filed:
-            filed[lead] = []
-            heapq.heappush(pending, lead)
-        filed[lead].append(row)
-
+    basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        if row:
-            file(row)
-    out: list[dict[int, int]] = []
-    while pending:
-        col = heapq.heappop(pending)
-        group = filed.pop(col)
-        group.sort(key=lambda r: abs(r[col]))
-        base = group[0]
-        for r in group[1:]:
-            if r[col] % base[col] == 0:
-                extra = _combine(r, 1, base, -(r[col] // base[col]))
+        while row:
+            col = min(row)
+            pivot = basis.get(col)
+            if pivot is not None and row[col] % pivot[col] == 0:  # first: equal leads never swap
+                row = _combine(row, 1, pivot, -(row[col] // pivot[col]))
+                continue
+            if pivot is None or pivot[col] % row[col] == 0:
+                new, row = row, pivot  # the old pivot row, if any, goes on
             else:
-                # [[x, y], [q2, -q1]] has determinant -1: the lattice is kept;
-                # x, y != 0 as |base[col]| < |r[col]|, which it does not divide
-                g, x, y = ext_gcd(base[col], r[col])
-                q1, q2 = base[col] // g, r[col] // g
-                extra = _combine(base, q2, r, -q1)
-                base = _combine(base, x, r, y)
-            if extra:
-                file(extra)
-        out.append(base if base[col] > 0 else {j: -c for j, c in base.items()})
-    return out
+                # [[x, y], [b/g, -a/g]] has determinant -1: the lattice is kept;
+                # x, y != 0 as neither of a, b divides the other
+                a, b = pivot[col], row[col]
+                g, x, y = ext_gcd(a, b)
+                new, row = _combine(pivot, x, row, y), _combine(pivot, b // g, row, -(a // g))
+            if new[col] < 0:
+                new = {j: -c for j, c in new.items()}
+            basis[col] = _reduced(new, basis, col)
+    for col in sorted(basis, reverse=True):
+        basis[col] = _reduced(basis[col], basis, col)
+    return [basis[col] for col in sorted(basis)]
+
+
+def _reduced(row: dict, basis: dict, after: float) -> dict:
+    """row with its entry at each pivot column of basis right of `after`
+    reduced into [0, pivot), the pivots taken left to right: a pivot row is
+    zero left of its pivot, so no later step changes an entry reduced."""
+    for col in sorted(basis):
+        if col > after and col in row:
+            q = row[col] // basis[col][col]
+            if q:
+                row = _combine(row, 1, basis[col], -q)
+    return row
 
 
 def _combine(a: dict, s: int, b: dict, t: int) -> dict:
@@ -541,14 +543,8 @@ def _combine(a: dict, s: int, b: dict, t: int) -> dict:
 def in_row_lattice(rows, target: dict) -> bool:
     """Whether the sparse row target lies in the integer span of the sparse rows.
 
-    The target is reduced by the `sparse_echelon` rows in pivot order, each
-    leaving the remainder of the target's entry at its pivot.  Every row is
-    zero left of its pivot and the pivots increase, so no later row changes
-    that entry: the target is a member exactly when nothing is left.
+    The target's entry at each pivot column of the rows' `hermite_form` is
+    reduced into [0, pivot): it is a member exactly when nothing is left.
     """
-    for row in sparse_echelon(rows):
-        col = min(row)
-        q = target.get(col, 0) // row[col]
-        if q:
-            target = _combine(target, 1, row, -q)
-    return not target
+    basis = {min(row): row for row in hermite_form(rows)}
+    return not _reduced(target, basis, -math.inf)

@@ -30,10 +30,10 @@ from .exactalg import (
     IntMatrix,
     _accumulate,
     canonical_partition,
+    hermite_form,
     in_row_lattice,
     json_field,
     json_object,
-    sparse_echelon,
     strict_int,
 )
 
@@ -392,16 +392,16 @@ class CharMatrix(_Checked, namedtuple("CharMatrix", "matrix polytope")):
     def validate_vertices(self) -> None:
         """det = +-1 for the n columns at every vertex of the polytope.
 
-        The echelon form keeps |det| and is upper triangular with positive
-        pivots, so |det| = 1 exactly when it has n pivots, all of them 1.
+        The n x n matrix of those columns has det +-1 exactly when its rows
+        span Z^n, that is when their Hermite form is the n x n identity.
         """
         blocks = self.facet_blocks()
         n = self.matrix.rows
         for dropped in itertools.product(*blocks):
             chosen = [j for b in blocks for j in b if j not in dropped]
-            h = sparse_echelon({k: row[j] for k, j in enumerate(chosen) if row[j]}
-                               for row in self.matrix.entries)
-            if len(h) != n or any(row[k] != 1 for k, row in enumerate(h)):
+            h = hermite_form({k: row[j] for k, j in enumerate(chosen) if row[j]}
+                             for row in self.matrix.entries)
+            if h != [{k: 1} for k in range(n)]:
                 raise ValueError(f"vertex columns {chosen} have determinant != +-1")
 
 

@@ -5,8 +5,10 @@ the quotient is torsion-free when the Hermite form of the relation rows
 equals the Hermite form of a Z-basis of {x : phi . x = 0}.  The rows are
 those of the full model, one column per monomial and one row per relation
 multiple, built here without reading ``bordx``'s own model.  Nothing in
-bordx uses this module; ``bordx.exactalg.sparse_echelon`` and the evaluator
-in ``bordx.cohomring``, over the standard monomials, replace it.
+bordx uses this module; the Hermite form ``bordx.exactalg.hermite_form``
+and the evaluator in ``bordx.cohomring``, over the standard monomials,
+replace it, and ``reference_hnf`` is the oracle the Hermite form must equal
+exactly.
 """
 
 from __future__ import annotations
@@ -174,6 +176,23 @@ def saturation_kernel_basis(phi: list[int]) -> list[list[int]]:
         psi[0] = -psi[0]
     # now psi = g*e_1 with g = 1; kernel of phi is spanned by rows 2..m of u
     return [list(u[i]) for i in range(1, m)]
+
+
+def bareiss_abs_det(rows) -> int:
+    """|det| of a square integer matrix by fraction-free Bareiss elimination:
+    every division is exact, and a zero pivot is swapped for a row below."""
+    a = [list(r) for r in rows]
+    n, prev = len(a), 1
+    for k in range(n - 1):
+        swap = next((i for i in range(k, n) if a[i][k]), None)
+        if swap is None:
+            return 0
+        a[k], a[swap] = a[swap], a[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return abs(a[-1][-1]) if n else 1
 
 
 def dense_matrix(rows, cols: int) -> IntMatrix:

@@ -1,8 +1,10 @@
 """Tests for the presented-ring evaluation backends."""
 
 import ast
+import itertools
 import pathlib
 import random
+import time
 import traceback
 
 import pytest
@@ -56,6 +58,16 @@ class TestNormalForm:
                 normal_form(cp_ring(3), x)
             assert str(refused.value) == ("normal_form expects an element over "
                                           f"the generator degrees (2,), got {x.degrees}")
+
+    def test_reduce_refuses_an_element_over_other_generators(self):
+        # (2, 2) used to be truncated to the CPprod [2] ring's one generator
+        ring = tower.presented_ring(tower.build_family("CPprod", [2]))
+        x = GradedPoly((2, 2), {(2, 0): 5})
+        with pytest.raises(ValueError) as refused:
+            ring.reduce(x)
+        assert str(refused.value) == ("reduce expects an element over "
+                                      "the generator degrees (2,), got (2, 2)")
+        assert ring.reduce(GradedPoly((2,), {(2,): 5})) == GradedPoly((2,), {(2,): 5})
 
     def test_ntilde_rule_single_application(self):
         n1, n2 = 2, 3
@@ -623,7 +635,7 @@ def _lattice_copy(ring):
 
 
 def assert_routes_agree(ring):
-    """The echelon evaluator gives the earlier route's phi or its error, exactly."""
+    """The Hermite-form evaluator gives the earlier route's phi or its error, exactly."""
     new = _lattice_outcome(lambda r: r._lattice_evaluator(), _lattice_copy(ring))
     old = _lattice_outcome(reference_evaluator, _lattice_copy(ring))
     assert new == old
@@ -663,7 +675,7 @@ _RANK_0 = _ring((2,), [{(2,): 1}], 4, (2,))
 _RANK_2 = _ring((2, 2), [], 2, (1, 0))
 _TORSION = _ring((2, 2), [{(1, 0): 2}], 2, (0, 1))
 _NOT_A_GENERATOR = _ring((2, 2), [{(1, 0): 1, (0, 1): -2}], 2, (1, 0))
-# unit monomial relations, which the evaluator eliminates before the echelon:
+# unit monomial relations, which the evaluator eliminates before the Hermite form:
 # CP^1 x CP^1 by pure unit powers; x*y killed and y^2 = -x^2; 2x beside the
 # unit y^3, whose torsion must still show; and a fundamental monomial x^2 killed
 _UNIT_POWERS = _ring((2, 2), [{(2, 0): 1}, {(0, 2): -1}], 4, (1, 1))
@@ -673,7 +685,7 @@ _KILLED_FUNDAMENTAL = _ring((2, 2), [{(2, 0): 1}, {(1, 1): 1, (0, 2): -1}], 4, (
 
 
 class TestLatticeRoute:
-    """The echelon evaluator against the earlier route in tests/lattice_reference.py."""
+    """The Hermite-form evaluator against the earlier route in tests/lattice_reference.py."""
 
     @pytest.mark.parametrize("name,n1,n2", _qt_gens_instances(30))
     def test_qt_gens_rings(self, name, n1, n2):
@@ -732,6 +744,23 @@ class TestLatticeRoute:
                 index, rows = full_lattice_model(ring, d)
                 matrix = dense_matrix(rows, len(index))
                 assert graded_rank(ring, d) == len(index) - lattice_rank_kernel(matrix)[0]
+
+    def test_five_quadric_ring_is_bounded_by_the_lattice(self):
+        # five random quadrics in five generators of degree 2: a 175 x 126
+        # model at the top, inside the limits, whose unreduced elimination
+        # ran past 60 s; a complete intersection, so its Hilbert function is
+        # (1 + t)^5, whatever bordx computes
+        rng = random.Random(4)
+        monos = [e for e in itertools.product(range(3), repeat=5) if sum(e) == 2]
+        deg = (2,) * 5
+        relations = [GradedPoly(deg, {m: rng.randint(-9, 9) for m in monos})
+                     for _ in range(5)]
+        ring = PresentedRing("abcde", deg, relations, 10, (5, 0, 0, 0, 0),
+                             backend="lattice")
+        start = time.perf_counter()
+        ranks = [graded_rank(ring, d) for d in range(0, 11, 2)]
+        assert time.perf_counter() - start < 5.0
+        assert ranks == [1, 5, 10, 10, 5, 1]
 
 
 def _poincare(spec):

@@ -1,6 +1,8 @@
 """Tests for partitions, gcd combinations, graded polynomials and lattice algebra."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -10,12 +12,14 @@ from bordx.exactalg import (
     IntMatrix,
     ext_gcd,
     ext_gcd_combo,
+    hermite_form,
     in_row_lattice,
     multinomial,
     partitions,
-    sparse_echelon,
 )
+from bordx.genfactory import cp_product_class
 from lattice_reference import (
+    bareiss_abs_det,
     dense_matrix,
     in_row_span,
     lattice_rank_kernel,
@@ -199,6 +203,12 @@ class TestGradedPoly:
         # x^(2^69) has degree exactly 2^70 and stays; its products with x and
         # with itself are above the cap and go
         assert c.mul(c, 2**70).terms == {(2**69,): 2, (2,): 4, (1,): 4, (0,): 1}
+        # a cap is an int: a bool or a float is refused, as `pow` refuses it
+        x = GradedPoly((2,), {(0,): 1, (1,): 1})
+        for cap in (True, 2.5):
+            with pytest.raises(ValueError) as refused:
+                x.mul(x, cap)
+            assert str(refused.value) == f"a degree cap must be an integer, got {cap!r}"
 
 
     @pytest.mark.parametrize("degrees,terms", [
@@ -410,6 +420,10 @@ class TestLatticeAlgebra:
     def _sparse(rows):
         return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
+    @staticmethod
+    def _dense(rows, cols):
+        return [list(r) for r in dense_matrix(rows, cols).entries]
+
     def test_hnf_membership(self):
         rows = self._sparse([[2, 0, 1], [0, 3, 1]])
         assert in_row_lattice(rows, {0: 2, 1: 3, 2: 2})
@@ -419,15 +433,15 @@ class TestLatticeAlgebra:
         rng = random.Random(5)
         for _ in range(50):
             rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
-            h1 = reference_hnf(dense_matrix(sparse_echelon(self._sparse(rows)), 4))
+            h1 = hermite_form(self._sparse(rows))
             # a different generating set of the same lattice
             rows2 = [
                 [a + b for a, b in zip(rows[0], rows[1])],
                 rows[1],
                 [a - 2 * b for a, b in zip(rows[2], rows[0])],
             ]
-            h2 = reference_hnf(dense_matrix(sparse_echelon(self._sparse(rows2)), 4))
-            assert h1 == h2 == reference_hnf(IntMatrix.from_rows(rows))
+            assert hermite_form(self._sparse(rows2)) == h1
+            assert self._dense(h1, 4) == reference_hnf(IntMatrix.from_rows(rows))
 
     @staticmethod
     def _random_matrices(seed, count):
@@ -441,14 +455,10 @@ class TestLatticeAlgebra:
 
     def test_echelon_form_against_reference(self):
         for M in self._random_matrices(11, 400):
-            dense = dense_matrix(sparse_echelon(self._sparse(M.entries)), M.cols)
-            e = dense.entries
-            leads = [next(j for j, x in enumerate(row) if x) for row in e]
-            assert leads == sorted(set(leads))
-            assert all(row[j] > 0 for row, j in zip(e, leads))
+            e = hermite_form(self._sparse(M.entries))
             assert len(e) == lattice_rank_kernel(M)[0]
-            # unimodular: the echelon rows span the row lattice of M itself
-            assert reference_hnf(dense) == reference_hnf(M)
+            # the unique reduced form of the row lattice of M itself
+            assert self._dense(e, M.cols) == reference_hnf(M)
 
     def test_hnf_unchanged(self):
         # six targets per matrix: three integer combinations of the rows, which
@@ -511,16 +521,15 @@ class TestLatticeAlgebra:
         for M in self._tall_sparse_matrices(19, 80):
             sparse = [{j: x for j, x in enumerate(r) if x} for r in M.entries]
             given = [dict(r) for r in sparse]
-            e = sparse_echelon(sparse)
+            e = hermite_form(sparse)
             assert sparse == given  # the rows given are not changed
-            leads = [min(row) for row in e]
-            assert leads == sorted(set(leads))
-            assert all(row[j] > 0 for row, j in zip(e, leads))
             assert len(e) == lattice_rank_kernel(M)[0]
-            assert reference_hnf(dense_matrix(e, M.cols)) == reference_hnf(M)
+            assert self._dense(e, M.cols) == reference_hnf(M)
         assert combined
 
-    def test_echelon_form_keeps_entries_above_the_pivots(self):
+    def test_hermite_form_is_reduced_whatever_the_row_order(self):
+        # echelon rows with entries above their pivots far outside [0, pivot),
+        # shuffled among zero rows: the form is the reference's, in any order
         rng = random.Random(23)
         for _ in range(50):
             cols = rng.randint(2, 30)
@@ -534,7 +543,28 @@ class TestLatticeAlgebra:
                 rows.append(row)
             shuffled = rows + [[0] * cols] * rng.randint(0, 3)
             rng.shuffle(shuffled)
-            assert sparse_echelon(self._sparse(shuffled)) == self._sparse(rows)
+            form = hermite_form(self._sparse(shuffled))
+            assert self._dense(form, cols) == reference_hnf(IntMatrix.from_rows(shuffled))
+            rng.shuffle(shuffled)
+            assert hermite_form(self._sparse(shuffled)) == form
+            assert hermite_form(self._sparse(rows[::-1])) == form
+
+    def test_cp_product_lattice_is_bounded_by_the_lattice(self):
+        # the rows [CP^lambda], lambda a partition of 8: 22 x 22 with entries
+        # of at most 26 bits, whose unreduced elimination took 10 s
+        rows = [cp_product_class(lam).values for lam in partitions(8)]
+        start = time.perf_counter()
+        form = hermite_form(self._sparse(rows))
+        assert time.perf_counter() - start < 1.0
+        h = self._dense(form, len(rows))
+        # index equal to |det| and every row a member: the lattices are equal
+        det = bareiss_abs_det(rows)
+        assert det > 0
+        assert len(form) == len(rows)
+        assert math.prod(row[min(row)] for row in form) == det
+        assert all(in_row_span(h, row) for row in rows)
+        for k, row in enumerate(form):  # reduced above each pivot
+            assert all(0 <= r.get(min(row), 0) < row[min(row)] for r in form[:k])
 
     def test_saturation_kernel(self):
         basis = saturation_kernel_basis([3, -2, 1])
