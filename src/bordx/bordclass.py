@@ -8,17 +8,17 @@ exact transforms of Chern-number vectors.
 
 Vectors and operations are coordinates and integer tables over one cached
 basis, `_basis(n)`: the product the Whitney split table, the s-number the
-Girard-Waring row, s_omega the e -> m transition and Todd a row over it,
-and d_k, Delta, Psi_(k1,k2) and pi a sparse matrix each, built by one routine,
-`_projective_dual`.  It reads the characteristic numbers of the submanifold
-dual to a bundle nu inside a projective bundle P over M (P = M for d_k and
-Delta, CP^1 x M for pi, the projectivisation CP(conj det TM + C^k) for Psi)
-off H*(M)[x]/(x^k (x - eps c_1)) in one walk of the partition walker
-`_walk`, which closes each tail of ones in one product, with one matrix
-row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n of that walk is one
-int, its exponents the digits of radix n + k + 1; no digit carries, since
-no exponent of a product of degree at most 2(n + k) exceeds n + k, so a
-monomial product is one addition.  A call is then one
+Girard-Waring row, Todd a row built from those rows by Newton's identity on
+its logarithm, and d_k, Delta, Psi_(k1,k2) and pi a sparse matrix each,
+built by one routine, `_projective_dual`.  It reads the characteristic
+numbers of the submanifold dual to a bundle nu inside a projective bundle P
+over M (P = M for d_k and Delta, CP^1 x M for pi, the projectivisation
+CP(conj det TM + C^k) for Psi) off H*(M)[x]/(x^k (x - eps c_1)) in one
+walk of the partition walker `_walk`, which closes each tail of ones in one
+product, with one matrix row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n
+of that walk is one int, its exponents the digits of radix n + k + 1; no
+digit carries, since no exponent of a product of degree at most 2(n + k)
+exceeds n + k, so a monomial product is one addition.  A call is then one
 sparse product.  The operations keep at most `MATRIX_CACHE_SIZE` matrices
 per operation.
 
@@ -349,57 +349,34 @@ def s_num(a: ChernVector) -> int:
 
 
 @functools.cache
-def _monomial_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """m_omega in the Chern basis (e_lambda pairs to c_lambda), one row per omega.
-
-    From the power sums: with k the last part of omega and mu the rest,
-    p_k m_mu = a m_omega + sum_nu a_nu m_nu, a the multiplicity of k in omega,
-    nu each mu with k added to one distinct part v and a_nu the multiplicity
-    of v + k in nu.  Each nu dominates omega, so its row comes first in
-    `_basis` order; p_k is the Girard-Waring row, and e_lambda e_kappa =
-    e_(lambda u kappa) joins it to row mu of `_monomial_table(n - k)`.
-    """
-    if n == 0:
-        return ((1,),)
-    basis, index = _basis(n)
-    rows = []
-    for omega in basis:
-        k, mu = omega[-1], omega[:-1]
-        lower, lower_index = _basis(n - k)
-        m_mu = _monomial_table(n - k)[lower_index[mu]]
-        row = [0] * len(basis)
-        for lam, g in zip(_basis(k)[0], _girard_waring_row(k)):
-            for kappa, m in zip(lower, m_mu):
-                if m:
-                    row[index[tuple(sorted(lam + kappa, reverse=True))]] += g * m
-        for v in set(mu):
-            nu = list(mu)
-            nu.remove(v)
-            nu = canonical_partition(nu + [v + k])
-            row = [x - nu.count(v + k) * y for x, y in zip(row, rows[index[nu]])]
-        rows.append(tuple(x // omega.count(k) for x in row))
-    return tuple(rows)
-
-
-def s_omega(a: ChernVector, omega) -> int:
-    """Characteristic number of the monomial symmetric function m_omega."""
-    row = _monomial_table(a.dim)[_coordinate(a.dim, omega)]
-    return sum(map(operator.mul, row, a.values))
-
-
-@functools.cache
 def _todd_row(n: int) -> tuple[Fraction, ...]:
-    """Todd in the Chern basis: sum_lambda prod_i q_(lambda_i) m_lambda, where
-    sum_k q_k x^k = x / (1 - e^-x) inverts sum_k (-x)^k / (k + 1)!."""
+    """Todd in the Chern basis: K_n of K = exp(sum_k a_k s_k), by Newton's identity.
+
+    sum_k q_k x^k = x / (1 - e^-x) inverts sum_k (-x)^k / (k + 1)!, and its
+    logarithm sum_k a_k x^k has k a_k = k q_k - sum_(j<k) j a_j q_(k-j) (x d/dx
+    of log Q).  Then n K_n = sum_k k a_k s_k K_(n-k), s_k the Girard-Waring row
+    and c_lambda c_kappa = c_(lambda u kappa) (Hirzebruch, *Topological Methods
+    in Algebraic Geometry*, 1).
+    """
+    basis, index = _basis(n)  # refuses n above CHERN_MAX_DIM before any series
     from fractions import Fraction  # on first use, so `import bordx` need not load it
 
-    q = [Fraction(1)]
+    if n == 0:
+        return (Fraction(1),)
+    q, ka = [Fraction(1)], [Fraction(0)]  # ka[k] = k a_k
     for k in range(1, n + 1):
         q.append(-sum(q[k - j] * Fraction((-1) ** j, math.factorial(j + 1))
                       for j in range(1, k + 1)))
-    terms = [(math.prod(q[i] for i in lam), row)
-             for lam, row in zip(_basis(n)[0], _monomial_table(n))]
-    return tuple(sum(w * row[i] for w, row in terms if w) for i in range(len(terms)))
+        ka.append(k * q[k] - sum(ka[j] * q[k - j] for j in range(1, k)))
+    row = [Fraction(0)] * len(basis)
+    for k in range(1, n + 1):
+        if ka[k]:  # a_k = 0 for odd k >= 3
+            for kappa, t in zip(_basis(n - k)[0], _todd_row(n - k)):
+                if t:
+                    w = ka[k] * t / n
+                    for lam, g in zip(_basis(k)[0], _girard_waring_row(k)):
+                        row[index[tuple(sorted(lam + kappa, reverse=True))]] += g * w
+    return tuple(row)
 
 
 def todd(a: ChernVector) -> Fraction:

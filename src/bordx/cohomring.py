@@ -254,7 +254,9 @@ class PresentedRing:
         return tuple(exp)
 
     def coded(self, x: GradedPoly) -> dict:
-        """{code: coefficient} over the terms of x at or below the top."""
+        """{code: coefficient} over the terms of x at or below the top; an x
+        over other generator degrees is refused."""
+        _check_degrees(self, x, "coded")
         top, degrees = self.top_degree, self.degrees
         return {self.encode(exp): c for exp, c in x.terms.items()
                 if sum(map(operator.mul, exp, degrees)) <= top}

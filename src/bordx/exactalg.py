@@ -525,8 +525,8 @@ def _reduced(row: dict, basis: dict, after: float) -> dict:
     """row with its entry at each pivot column of basis right of `after`
     reduced into [0, pivot), the pivots taken left to right: a pivot row is
     zero left of its pivot, so no later step changes an entry reduced."""
-    for col in sorted(basis):
-        if col > after and col in row:
+    for col in sorted(c for c in basis if c > after):
+        if col in row:
             q = row[col] // basis[col][col]
             if q:
                 row = _combine(row, 1, basis[col], -q)

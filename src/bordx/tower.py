@@ -159,6 +159,13 @@ def _lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
 CHERN_MAX_RANK = 1024
 
 
+def _check_rank(rank: int) -> None:
+    """Refuse a cohomology rank above CHERN_MAX_RANK with ValueError."""
+    if rank > CHERN_MAX_RANK:
+        raise ValueError(f"bordx handles cohomology rank at most {CHERN_MAX_RANK}, "
+                         f"got {rank}")
+
+
 @functools.lru_cache(maxsize=16)
 def presented_ring(spec: TowerSpec) -> PresentedRing:
     """Cohomology presentation of the tower (triangular by construction).
@@ -170,9 +177,7 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
     refused before its ring is built.
     """
     bordclass.check_dim(spec.dim)
-    if spec.cohomology_rank > CHERN_MAX_RANK:
-        raise ValueError(f"bordx handles towers of cohomology rank at most "
-                         f"{CHERN_MAX_RANK}, got {spec.cohomology_rank}")
+    _check_rank(spec.cohomology_rank)
     degrees = (2,) * spec.generator_count
     # one relation per block, the product of its lines, each distinct line
     # raised once: a base block gives g_i^(n_i + 1)
@@ -370,6 +375,8 @@ class CharMatrix(_Checked, namedtuple("CharMatrix", "matrix polytope")):
 
     def __new__(cls, matrix, polytope):
         polytope = tuple(strict_int(d, "a simplex dimension") for d in polytope)
+        if any(d < 0 for d in polytope):
+            raise ValueError(f"simplex dimensions must be non-negative, got {polytope}")
         # every entry checked once, not at every vertex
         matrix = IntMatrix.from_rows(matrix.entries, matrix.cols)
         n = sum(polytope)
@@ -504,12 +511,20 @@ def char_matrix_to_json(M: CharMatrix) -> dict:
 
 
 def char_matrix_from_json(data) -> CharMatrix:
+    """The CharMatrix a JSON object gives, refused with ValueError unless it
+    is of a quasitoric manifold within the bounds: after the shape, the
+    dimension sum d_i and the vertex count prod (d_i + 1), its cohomology
+    rank, are checked before `validate_vertices` takes a vertex."""
     data = json_object(data, "a characteristic matrix")
-    return CharMatrix(
+    M = CharMatrix(
         IntMatrix.from_rows(
             json_field(data, "lambda", list, "a characteristic matrix", each=list)),
         tuple(json_field(data, "simplex_dims", list, "a characteristic matrix")),
     )
+    bordclass.check_dim(sum(M.polytope))
+    _check_rank(math.prod(d + 1 for d in M.polytope))
+    M.validate_vertices()
+    return M
 
 
 def ring_backend_pair(spec: TowerSpec):

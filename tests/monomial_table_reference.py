@@ -1,9 +1,11 @@
-"""The earlier e -> m transition, kept as the reference the tests compare against.
+"""The e -> m transition, and the s-numbers and Todd row read off it.
 
-It counts 0-1 matrices with given row and column sums and inverts the
-unitriangular count matrix by one forward substitution.  Nothing in bordx
-uses this module; ``bordx.bordclass._monomial_table`` builds the same table
-from the power sums.
+The table counts 0-1 matrices with given row and column sums and inverts
+the unitriangular count matrix by one forward substitution.  `s_omega`
+applies one row of it, and `_todd_row` is the Todd row as it was first
+built, sum_lambda q_lambda m_lambda over the whole table.  Nothing in bordx
+uses this module; ``bordx.bordclass._todd_row`` builds the same Todd row
+from the power sums by Newton's identity, with no e -> m table.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
+from fractions import Fraction
 
-from bordx.bordclass import _basis
+from bordx.bordclass import ChernVector, _basis, _coordinate
 from bordx.exactalg import Partition
 
 
@@ -63,3 +67,22 @@ def _monomial_table(n: int) -> tuple[tuple[int, ...], ...]:
         f.append(row)
     return tuple(tuple(f[index[_conjugate(omega)]]) for omega in basis)
 
+
+
+def s_omega(a: ChernVector, omega) -> int:
+    """Characteristic number of the monomial symmetric function m_omega."""
+    row = _monomial_table(a.dim)[_coordinate(a.dim, omega)]
+    return sum(map(operator.mul, row, a.values))
+
+
+@functools.cache
+def _todd_row(n: int) -> tuple[Fraction, ...]:
+    """Todd in the Chern basis: sum_lambda prod_i q_(lambda_i) m_lambda, where
+    sum_k q_k x^k = x / (1 - e^-x) inverts sum_k (-x)^k / (k + 1)!."""
+    q = [Fraction(1)]
+    for k in range(1, n + 1):
+        q.append(-sum(q[k - j] * Fraction((-1) ** j, math.factorial(j + 1))
+                      for j in range(1, k + 1)))
+    terms = [(math.prod(q[i] for i in lam), row)
+             for lam, row in zip(_basis(n)[0], _monomial_table(n))]
+    return tuple(sum(w * row[i] for w, row in terms if w) for i in range(len(terms)))

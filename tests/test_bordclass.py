@@ -224,12 +224,24 @@ class TestTodd:
     def test_returns_exact_fraction(self):
         assert todd(cp(1) * 3) == Fraction(3)
 
-
-class TestMonomialTable:
     @pytest.mark.parametrize("n", range(15))
-    def test_matches_the_0_1_matrix_counts(self, n):
-        # the e -> m transition by counting 0-1 matrices, row for row
-        assert bc._monomial_table(n) == monomial_table_reference._monomial_table(n)
+    def test_row_matches_the_e_to_m_table(self, n):
+        # sum_lambda q_lambda m_lambda over the 0-1 matrix table, row for row
+        assert bc._todd_row(n) == monomial_table_reference._todd_row(n)
+
+    def test_projective_spaces_up_to_the_bound(self):
+        for n in range(bc.CHERN_MAX_DIM + 1):
+            assert todd(cp(n)) == 1, n
+
+    def test_multiplicative_on_products(self):
+        # through the Whitney split table, a route that does not read the row
+        rng = random.Random(33)
+        for total in range(13):
+            for da in range(total + 1):
+                a = ChernVector(da, {w: rng.randint(-99, 99) for w in partitions(da)})
+                b = ChernVector(total - da, {w: rng.randint(-99, 99)
+                                             for w in partitions(total - da)})
+                assert todd(product(a, b)) == todd(a) * todd(b), (da, total - da)
 
 
 class TestBoundary:

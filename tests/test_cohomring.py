@@ -69,6 +69,15 @@ class TestNormalForm:
                                       "the generator degrees (2,), got (2, 2)")
         assert ring.reduce(GradedPoly((2,), {(2,): 5})) == GradedPoly((2,), {(2,): 5})
 
+    def test_coded_refuses_an_element_over_other_generators(self):
+        # (2, 2) used to be truncated to {2: 5}, the code of u^2
+        ring = tower.presented_ring(tower.build_family("CPprod", [2]))
+        with pytest.raises(ValueError) as refused:
+            ring.coded(GradedPoly((2, 2), {(2, 0): 5}))
+        assert str(refused.value) == ("coded expects an element over "
+                                      "the generator degrees (2,), got (2, 2)")
+        assert ring.coded(GradedPoly((2,), {(2,): 5})) == {ring.encode((2,)): 5}
+
     def test_ntilde_rule_single_application(self):
         n1, n2 = 2, 3
         ring = ntilde_ring(n1, n2)

@@ -322,9 +322,38 @@ class TestJson:
         {"simplex_dims": [1], "lambda": [1, -1]},
         {"simplex_dims": [1], "lambda": {"1": [1, -1]}},
         {"simplex_dims": [1], "lambda": ["1-1"]},
+        # a simplex of dimension -1 has no vertex, so no vertex check could fail
+        {"simplex_dims": [2, -1], "lambda": [[1, 5, 7]]},
     ])
     def test_char_matrix_refuses_bad_shapes(self, data):
         with pytest.raises(ValueError):
+            tower.char_matrix_from_json(data)
+
+    def test_char_matrix_refuses_a_vertex_of_determinant_two(self):
+        with pytest.raises(ValueError, match="determinant"):
+            tower.char_matrix_from_json({"simplex_dims": [1], "lambda": [[1, 2]]})
+
+    @pytest.mark.parametrize("dims, bound", [
+        ([1] * 11, "cohomology rank at most 1024, got 2048"),
+        ([2] * 7, "cohomology rank at most 1024, got 2187"),
+        ([25], "dimension at most 24, got 25"),
+    ])
+    def test_char_matrix_above_a_bound_is_refused_before_any_vertex(
+            self, monkeypatch, dims, bound):
+        # CP^d_1 x ... x CP^d_k: row i is e_i - e_last over the columns of its factor
+        n, lam, col = sum(dims), [], 0
+        for d in dims:
+            for i in range(d):
+                lam.append([0] * (n + len(dims)))
+                lam[-1][col + i], lam[-1][col + d] = 1, -1
+            col += d + 1
+        data = {"simplex_dims": dims, "lambda": lam}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a vertex was taken")
+
+        monkeypatch.setattr(tower, "hermite_form", fail)
+        with pytest.raises(ValueError, match=bound):
             tower.char_matrix_from_json(data)
 
 
@@ -499,6 +528,23 @@ def test_json_round_trip_on_drawn_towers(spec):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(char_matrices())
 def test_json_round_trip_on_drawn_char_matrices(M):
+    # the reader keeps a matrix unimodular at every vertex and refuses any other
+    text = json.dumps(tower.char_matrix_to_json(M))
+    try:
+        M.validate_vertices()
+    except ValueError:
+        for data in (json.loads(text), text):
+            with pytest.raises(ValueError, match="determinant"):
+                tower.char_matrix_from_json(data)
+        return
+    assert tower.char_matrix_from_json(json.loads(text)) == M
+    assert tower.char_matrix_from_json(text) == M
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tower_specs())
+def test_json_round_trip_on_drawn_tower_char_matrices(spec):
+    M = tower._tower_char_matrix(spec)
     text = json.dumps(tower.char_matrix_to_json(M))
     assert tower.char_matrix_from_json(json.loads(text)) == M
     assert tower.char_matrix_from_json(text) == M
