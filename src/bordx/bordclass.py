@@ -41,8 +41,6 @@ from .exactalg import (
     GradedPoly,
     Partition,
     canonical_partition,
-    json_field,
-    json_object,
     partitions,
     strict_int,
 )
@@ -692,13 +690,3 @@ def parse_partition(key: str) -> Partition:
         raise ValueError(f"a partition is written as comma-separated decimal parts, "
                          f"got {key!r}")
     return canonical_partition(tuple(map(int, parts)))
-
-
-def chern_vector_from_json(data) -> ChernVector:
-    """The class a JSON object {"dim": n, "numbers": {key: c_omega}} gives;
-    `ChernVector` refuses a dimension above CHERN_MAX_DIM before any basis
-    is built."""
-    data = json_object(data, "a Chern vector")
-    dim = json_field(data, "dim", int, "a Chern vector")
-    numbers = json_field(data, "numbers", dict, "a Chern vector")
-    return ChernVector(dim, ((parse_partition(key), v) for key, v in numbers.items()))

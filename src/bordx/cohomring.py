@@ -1,7 +1,9 @@
 """Evaluation against the fundamental class of a presented graded ring.
 
 A PresentedRing is a graded ring given by generators, homogeneous relations,
-a top degree 2n and a fundamental monomial pairing to +1.  Two backends
+a top degree 2n and a fundamental monomial pairing to +1.  It is built in
+Python from GradedPoly relations (`tower.presented_ring`,
+`genfactory.grassmann_ring`); bordx reads no ring from text.  Two backends
 compute the pairing: a triangular rewriting backend (fast path, needs every
 relation to be monic in a pure generator power) and a lattice backend that
 quotients the free abelian group on top-degree monomials by all relation
@@ -43,8 +45,7 @@ import keyword
 import math
 import operator
 
-from .exactalg import (
-    GradedPoly, _accumulate, hermite_form, json_field, json_object, strict_int)
+from .exactalg import GradedPoly, _accumulate, hermite_form, strict_int
 
 _REWRITE_STEP_LIMIT = 2_000_000
 
@@ -54,13 +55,6 @@ _REWRITE_STEP_LIMIT = 2_000_000
 LATTICE_MAX_MONOMIALS = 2_000
 LATTICE_MAX_ROWS = 4_000
 _DEAD_END_LIMIT = 100_000
-
-# parse_poly refuses longer sources, larger exponents, and powers or products
-# of higher degree or larger coefficients, before it forms them
-PARSE_MAX_CHARS = 10_000
-PARSE_MAX_EXPONENT = 256
-PARSE_MAX_DEGREE = 512
-PARSE_MAX_COEFF_BITS = 4096
 
 
 class PresentationError(ValueError):
@@ -86,7 +80,7 @@ class PresentedRing:
         self.names = tuple(names)
         if not all(isinstance(x, str) and x.isidentifier() and not keyword.iskeyword(x)
                    for x in self.names) or len(set(self.names)) < len(self.names):
-            raise PresentationError(  # the names `parse_poly` can resolve
+            raise PresentationError(  # one generator per name, as `gen` and `pretty` read them
                 f"generator names must be distinct identifiers, not keywords: {self.names}")
         self.degrees = GradedPoly.zero(degrees).degrees  # strict, positive, even
         if len(self.names) != len(self.degrees):
@@ -573,107 +567,3 @@ def graded_rank(ring: PresentedRing, degree: int) -> int:
         return 0
     index, rows = ring._lattice_model(degree)
     return len(index) - len(hermite_form(rows))
-
-
-# ---------------------------------------------------------------------------
-# polynomial strings and JSON
-# ---------------------------------------------------------------------------
-
-def parse_poly(src: str, names, degrees) -> GradedPoly:
-    """Parse a polynomial expression in named generators (+, -, *, ^ or **).
-
-    Bounded work: a source longer than PARSE_MAX_CHARS, an exponent above
-    PARSE_MAX_EXPONENT, a power or product of degree above PARSE_MAX_DEGREE,
-    or a power whose coefficients could pass PARSE_MAX_COEFF_BITS bits is
-    refused before it is formed.  Every malformed input, including one
-    nested too deeply to parse, raises ValueError.
-    """
-    import ast  # on first use, so `import bordx` need not load it
-
-    if not isinstance(src, str):
-        raise ValueError(f"a polynomial is a string, got {type(src).__name__}")
-    if len(src) > PARSE_MAX_CHARS:
-        raise ValueError(f"polynomial source longer than {PARSE_MAX_CHARS} characters")
-    names = tuple(names)
-    degrees = tuple(degrees)
-
-    def bounded(degree: int) -> None:
-        if degree > PARSE_MAX_DEGREE:
-            raise ValueError(f"{src!r} reaches degree {degree} > {PARSE_MAX_DEGREE}")
-
-    def ev(n) -> GradedPoly:
-        if isinstance(n, ast.BinOp):
-            if isinstance(n.op, ast.Add):
-                return ev(n.left) + ev(n.right)
-            if isinstance(n.op, ast.Sub):
-                return ev(n.left) - ev(n.right)
-            if isinstance(n.op, ast.Mult):
-                left, right = ev(n.left), ev(n.right)
-                bounded((left.degree() or 0) + (right.degree() or 0))
-                return left * right
-            if isinstance(n.op, ast.Pow):
-                k = n.right.value if isinstance(n.right, ast.Constant) else None
-                if isinstance(k, bool) or not isinstance(k, int):
-                    raise ValueError("exponents must be integer literals")
-                if k > PARSE_MAX_EXPONENT:
-                    raise ValueError(f"exponent {k} > {PARSE_MAX_EXPONENT}")
-                base = ev(n.left)
-                bounded((base.degree() or 0) * k)
-                norm = sum(abs(c) for c in base.terms.values())  # |coeffs| <= norm^k
-                if k * norm.bit_length() > PARSE_MAX_COEFF_BITS:
-                    raise ValueError(
-                        f"{src!r} may reach coefficients above {PARSE_MAX_COEFF_BITS} bits")
-                return base.pow(k)
-            raise ValueError(f"unsupported operator in {src!r}")
-        if isinstance(n, ast.UnaryOp):
-            if isinstance(n.op, ast.USub):
-                return -ev(n.operand)
-            if isinstance(n.op, ast.UAdd):
-                return ev(n.operand)
-            raise ValueError(f"unsupported operator in {src!r}")
-        if isinstance(n, ast.Constant):
-            if isinstance(n.value, bool) or not isinstance(n.value, int):
-                raise ValueError("coefficients must be integers")
-            return GradedPoly.constant(degrees, n.value)
-        if isinstance(n, ast.Name):
-            if n.id not in names:
-                raise ValueError(f"unknown generator {n.id!r}")
-            return GradedPoly.generator(degrees, names.index(n.id))
-        raise ValueError(f"cannot parse {src!r}")
-
-    try:
-        return ev(ast.parse(src.replace("^", "**"), mode="eval").body)
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse {src!r}: {exc.msg}") from None
-    except RecursionError:
-        raise ValueError("polynomial source nested too deeply") from None
-
-
-def ring_to_json(ring: PresentedRing) -> dict:
-    return {
-        "generators": [
-            {"name": n, "degree": d} for n, d in zip(ring.names, ring.degrees)
-        ],
-        "relations": [r.pretty(ring.names) for r in ring.relations],
-        "top_degree": ring.top_degree,
-        "fundamental_monomial": list(ring.fundamental_monomial),
-        "backend": ring.backend,
-    }
-
-
-def ring_from_json(data) -> PresentedRing:
-    """The ring a JSON object gives; every malformed input raises ValueError."""
-    data = json_object(data, "a ring")
-    generators = json_field(data, "generators", list, "a ring", each=dict)
-    names = [json_field(g, "name", str, "a generator") for g in generators]
-    degrees = [json_field(g, "degree", int, "a generator") for g in generators]
-    relations = [parse_poly(src, names, degrees)
-                 for src in json_field(data, "relations", list, "a ring", each=str)]
-    return PresentedRing(
-        names,
-        degrees,
-        relations,
-        json_field(data, "top_degree", int, "a ring"),
-        json_field(data, "fundamental_monomial", list, "a ring"),
-        backend=json_field(data, "backend", str, "a ring", "triangular"),
-    )

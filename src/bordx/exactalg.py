@@ -26,11 +26,11 @@ def strict_int(x, what: str) -> int:
     return x
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
 def _json_kind(value, kind: type, what: str):
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind):
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
@@ -59,7 +59,7 @@ def json_object(data, what: str) -> dict:
 
 
 def json_field(obj: dict, key: str, kind: type, what: str, default=None, each=None):
-    """obj[key] if it is a `kind` (dict, list, str or int), and for an array
+    """obj[key] if it is a `kind` (dict, list or str), and for an array
     every item an `each` if given; a missing key gives `default`, and is
     refused when that is None."""
     if key not in obj:

@@ -62,10 +62,6 @@ class Stage(_Checked, namedtuple("Stage", "lines")):
             raise ValueError("a stage needs at least one line bundle")
         return super().__new__(cls, lines)
 
-    @property
-    def fiber_dim(self) -> int:
-        return len(self.lines) - 1
-
 
 class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations convention")):
     """A base product of projective spaces (a tuple of ints), its stages, the
@@ -211,14 +207,6 @@ def total_chern(spec: TowerSpec) -> GradedPoly:
     for cls, count in Counter(signed_roster(spec)).items():
         c = c.mul((cls + 1).pow(count, cap), cap)
     return c
-
-
-def first_chern(spec: TowerSpec) -> GradedPoly:
-    degrees = (2,) * spec.generator_count
-    c1 = GradedPoly.zero(degrees)
-    for cls in signed_roster(spec):
-        c1 = c1 + cls
-    return c1
 
 
 def _sign(spec: TowerSpec) -> int:
@@ -464,28 +452,6 @@ def su_check(M: CharMatrix) -> bool:
 # JSON
 # ---------------------------------------------------------------------------
 
-def tower_to_json(spec: TowerSpec) -> dict:
-    base_size = sum(x + 1 for x in spec.base)
-    stage_objs = []
-    start = base_size
-    claimed = set()
-    for stage in spec.stages:
-        size = len(stage.lines)
-        conj = sorted(i for i in spec.conjugations if start <= i < start + size)
-        claimed.update(conj)
-        stage_objs.append({"lines": [list(w) for w in stage.lines], "conjugate": conj})
-        start += size
-    data = {
-        "base": list(spec.base),
-        "stages": stage_objs,
-        "convention": spec.convention,
-    }
-    base_conj = sorted(set(spec.conjugations) - claimed)
-    if base_conj:
-        data["conjugate"] = base_conj
-    return data
-
-
 def tower_from_json(data) -> TowerSpec:
     """The TowerSpec a JSON object gives; every malformed input raises ValueError."""
     data = json_object(data, "a tower spec")
@@ -501,13 +467,6 @@ def tower_from_json(data) -> TowerSpec:
         conj,
         json_field(data, "convention", str, "a tower spec", "toric"),
     )
-
-
-def char_matrix_to_json(M: CharMatrix) -> dict:
-    return {
-        "simplex_dims": list(M.polytope),
-        "lambda": [list(r) for r in M.matrix.entries],
-    }
 
 
 def char_matrix_from_json(data) -> CharMatrix:

@@ -15,7 +15,6 @@ from bordx.bordclass import (
     ChernVector,
     boundary,
     boundary_k,
-    chern_vector_from_json,
     chern_vector_to_json,
     chi,
     cp,
@@ -88,6 +87,14 @@ class TestCoordinates:
             ChernVector(dim, {omega: 1})
         with pytest.raises(ValueError, match="a partition part must be an integer"):
             ChernVector(dim, [(omega, 1)])
+
+    @pytest.mark.parametrize("dim,numbers", [
+        (1, {(1,): 2.7}), (1, {(1,): 2.0}), (1, {(1,): True}), (1, {(1,): "2"}),
+        (1.0, {(1,): 2}), (True, {(1,): 2}), ("1", {(1,): 2}), (2, {(1,): 2}),
+    ])
+    def test_dimension_numbers_and_weights_are_checked(self, dim, numbers):
+        with pytest.raises(ValueError):
+            ChernVector(dim, numbers)
 
     def test_number_of_a_string_part(self):
         with pytest.raises(ValueError, match="a partition part must be an integer"):
@@ -692,53 +699,40 @@ class TestOperationLimit:
                    ).dim == bc.CHERN_MAX_DIM
 
 
+def _written_numbers(data) -> dict:
+    """The Chern numbers a written Chern-vector document lists, keys read by
+    `parse_partition`."""
+    return {parse_partition(key): v for key, v in data["numbers"].items()}
+
+
+def _nonzero_numbers(a: ChernVector) -> dict:
+    return {omega: v for omega, v in a.numbers.items() if v}
+
+
 class TestJson:
     def test_round_trip(self):
         a = bc.k_class()
-        assert chern_vector_from_json(chern_vector_to_json(a)) == a
+        data = chern_vector_to_json(a)
+        assert data["dim"] == a.dim and _written_numbers(data) == _nonzero_numbers(a)
 
     def test_dim_zero(self):
         a = ChernVector.unit(5)
         data = chern_vector_to_json(a)
         assert data == {"dim": 0, "numbers": {"": 5}}
-        assert chern_vector_from_json(data) == a
+        assert _written_numbers(data) == _nonzero_numbers(a)
 
     def test_key_format(self):
         a = cp(3)
         data = chern_vector_to_json(a)
         assert set(data["numbers"]) == {"3", "2,1", "1,1,1"}
 
-    @pytest.mark.parametrize("data", [
-        {"dim": 1, "numbers": {"1": 2.7}},
-        {"dim": 1, "numbers": {"1": 2.0}},
-        {"dim": 1, "numbers": {"1": True}},
-        {"dim": 1, "numbers": {"1": "2"}},
-        {"dim": 1.0, "numbers": {"1": 2}},
-        {"dim": True, "numbers": {"1": 2}},
-        {"dim": "1", "numbers": {"1": 2}},
+    @pytest.mark.parametrize("key", [
+        "1_0", " 1", "1 ", "+1", "\u0661", "2, 1", "-1", "0", "1,", ",1", "1,,1", "1;1", "a",
+        "1.0", "0x1",
     ])
-    def test_from_json_refuses_non_integers(self, data):
+    def test_parse_partition_refuses_bad_keys(self, key):
         with pytest.raises(ValueError):
-            chern_vector_from_json(data)
-
-    @pytest.mark.parametrize("key,dim", [
-        ("1_0", 10), (" 1", 1), ("1 ", 1), ("+1", 1), ("\u0661", 1), ("2, 1", 3),
-        ("-1", 1), ("0", 0), ("1,", 1), (",1", 1), ("1,,1", 2), ("1;1", 2), ("a", 1),
-        ("1.0", 1), ("0x1", 1),
-    ])
-    def test_from_json_refuses_bad_keys(self, key, dim):
-        # dim is the weight a lax reading of the key would give
-        with pytest.raises(ValueError):
-            chern_vector_from_json({"dim": dim, "numbers": {key: 2}})
-
-    @pytest.mark.parametrize("data", [
-        [1, 2], "[1, 2]", 5, None, {"dim": 1, "numbers": [["1", 2]]},
-        {"dim": 1, "numbers": "1"}, {"dim": 1}, {"numbers": {"1": 2}},
-        {"dim": 2, "numbers": {"1": 2}},
-    ])
-    def test_from_json_refuses_bad_shapes(self, data):
-        with pytest.raises(ValueError):
-            chern_vector_from_json(data)
+            parse_partition(key)
 
     def test_key_is_what_parse_partition_reads(self):
         for n in range(7):
@@ -754,8 +748,7 @@ class TestJson:
             chern_vector_to_json(a)["numbers"], key=parse_partition)] + ["s"]
 
     def test_keys_in_any_part_order(self):
-        assert chern_vector_from_json({"dim": 3, "numbers": {"1,2": 5}}) == ChernVector(
-            3, {(2, 1): 5})
+        assert parse_partition("1,2") == parse_partition("2,1") == (2, 1)
 
 
 COORDINATES = st.one_of(st.just(0), st.integers(-300, 300),
@@ -772,10 +765,10 @@ def chern_vectors(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(chern_vectors())
-def test_json_round_trip_on_drawn_vectors(a):
-    text = json.dumps(chern_vector_to_json(a))
-    assert chern_vector_from_json(json.loads(text)) == a
-    assert chern_vector_from_json(text) == a
+def test_json_writer_on_drawn_vectors(a):
+    data = json.loads(json.dumps(chern_vector_to_json(a)))
+    assert data["dim"] == a.dim
+    assert _written_numbers(data) == _nonzero_numbers(a)
 
 
 class TestStrictParameters:
@@ -799,4 +792,4 @@ class TestStrictParameters:
     def test_cp_json_keeps_an_int_dimension(self):
         data = chern_vector_to_json(cp(1))
         assert type(data["dim"]) is int and data["dim"] == 1
-        assert chern_vector_from_json(data) == cp(1)
+        assert _written_numbers(data) == _nonzero_numbers(cp(1))

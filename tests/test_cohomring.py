@@ -20,9 +20,6 @@ from bordx.cohomring import (
     graded_rank,
     lattice_evaluate,
     normal_form,
-    parse_poly,
-    ring_from_json,
-    ring_to_json,
 )
 from bordx.exactalg import GradedPoly
 from lattice_reference import dense_matrix, full_lattice_model, reference_evaluator
@@ -514,71 +511,33 @@ class TestThreadSafety:
         assert set(results) == {(7, 7)}
 
 
-class TestJson:
-    def test_round_trip(self):
-        ring = grassmann_ring()
-        data = ring_to_json(ring)
-        back = ring_from_json(data)
-        assert back.names == ring.names
-        assert back.degrees == ring.degrees
-        assert back.top_degree == ring.top_degree
-        assert back.fundamental_monomial == ring.fundamental_monomial
-        assert set(back.relations) == set(ring.relations)
-        c1 = back.gen("c1")
-        assert evaluate_top(back, c1.pow(4)) == 2
-
-    def test_parse_poly(self):
-        p = parse_poly("u^2 - 2*u*v + 3", ("u", "v"), (2, 2))
-        assert p.coefficient((2, 0)) == 1
-        assert p.coefficient((1, 1)) == -2
-        assert p.coefficient((0, 0)) == 3
-
-    def test_parse_python_power(self):
-        p = parse_poly("v**3 - u", ("u", "v"), (2, 2))
-        assert p.coefficient((0, 3)) == 1
-        assert p.coefficient((1, 0)) == -1
-
-    def test_round_trip_of_generated_rings(self):
-        for spec in [tower.build_family("Ntilde", 2, 3), tower.build_family("L", 2, 2)]:
-            ring = tower.presented_ring(spec)
-            back = ring_from_json(ring_to_json(ring))
-            assert back.relations == ring.relations
-            assert back.fundamental_monomial == ring.fundamental_monomial
-
-
-_GOOD_RING = {"generators": [{"name": "u", "degree": 2}], "relations": ["u^3"],
-              "top_degree": 4, "fundamental_monomial": [2]}
+def _good_ring_arguments():
+    u = GradedPoly.generator((2,), 0)
+    return {"names": ("u",), "degrees": (2,), "relations": [u ** 3], "top_degree": 4,
+            "fundamental_monomial": (2,)}
 
 
 class TestStrictRingInput:
     def test_good_payload(self):
-        ring = ring_from_json(_GOOD_RING)
+        ring = PresentedRing(**_good_ring_arguments())
         assert evaluate_top(ring, ring.gen("u", 2)) == 1
 
     @pytest.mark.parametrize("change", [
-        {"generators": [{"name": "u", "degree": 2.0}], "top_degree": 4.0,
-         "fundamental_monomial": [2.0]},
-        {"generators": [{"name": "u", "degree": 2.0}]},
-        {"generators": [{"name": "u", "degree": True}]},
-        {"generators": [{"name": "u", "degree": "2"}]},
-        {"generators": [{"name": "u", "degree": 3}]},
+        {"degrees": (2.0,), "top_degree": 4.0, "fundamental_monomial": (2.0,)},
+        {"degrees": (2.0,)},
+        {"degrees": (True,)},
+        {"degrees": ("2",)},
+        {"degrees": (3,)},
         {"top_degree": 4.0},
         {"top_degree": "4"},
         {"top_degree": True},
-        {"fundamental_monomial": [2.0]},
-        {"fundamental_monomial": [True]},
-        {"fundamental_monomial": ["2"]},
-        {"relations": [3]},
-        {"relations": ["u^"]},
-        {"relations": ["u^2.5"]},
+        {"fundamental_monomial": (2.0,)},
+        {"fundamental_monomial": (True,)},
+        {"fundamental_monomial": ("2",)},
     ])
     def test_payload_refused(self, change):
         with pytest.raises(ValueError):
-            ring_from_json({**_GOOD_RING, **change})
-
-    def test_non_object_refused(self):
-        with pytest.raises(ValueError):
-            ring_from_json("[1, 2]")
+            PresentedRing(**{**_good_ring_arguments(), **change})
 
     @pytest.mark.parametrize("degrees,top,mu", [
         ((2.0,), 4, (2,)), ((2,), 4.0, (2,)), ((2,), 4, (2.0,)), ((2,), 4, (-1,)),
@@ -586,42 +545,6 @@ class TestStrictRingInput:
     def test_constructor_refuses(self, degrees, top, mu):
         with pytest.raises(ValueError):
             PresentedRing(("u",), degrees, [], top, mu)
-
-
-class TestParseLimits:
-    @pytest.mark.parametrize("src", [
-        "u+",
-        "-" * 3000 + "u",
-        "+".join(["u"] * 5000),
-        "u^" + str(cohomring.PARSE_MAX_EXPONENT + 1),
-        "(1+u)^100000",
-        "u^-1",
-        "u^True",
-        "u^(2^3)",
-        " " * cohomring.PARSE_MAX_CHARS + "u",
-        3,
-    ])
-    def test_refused_before_any_power(self, src, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("pow ran before the limit check")
-
-        monkeypatch.setattr(GradedPoly, "pow", refuse)
-        with pytest.raises(ValueError):
-            parse_poly(src, ("u",), (2,))
-
-    @pytest.mark.parametrize("src", [
-        "u^256 * u^256 * u",  # a product above PARSE_MAX_DEGREE
-        "u^200 * u^200",
-        "((9^256)^256)^256",  # coefficients above PARSE_MAX_COEFF_BITS
-    ])
-    def test_refused_before_the_large_result(self, src):
-        with pytest.raises(ValueError):
-            parse_poly(src, ("u",), (2,))
-
-    def test_at_the_limits(self):
-        p = parse_poly("u^256" + " " * (cohomring.PARSE_MAX_CHARS - 5), ("u",), (2,))
-        assert p.degree() == cohomring.PARSE_MAX_DEGREE
-        assert parse_poly("(1+u)^256", ("u",), (2,)).coefficient((128,)) > 2 ** 250
 
 
 def _lattice_outcome(route, ring):
@@ -776,7 +699,7 @@ def _poincare(spec):
     """Graded ranks of a tower by Leray-Hirsch: the product of 1 + t + ... + t^k
     over the base dimensions and the stage fibre dimensions."""
     ranks = [1]
-    for k in list(spec.base) + [stage.fiber_dim for stage in spec.stages]:
+    for k in list(spec.base) + [len(stage.lines) - 1 for stage in spec.stages]:
         ranks = [sum(ranks[max(0, i - k):i + 1]) for i in range(len(ranks) + k)]
     return ranks
 
@@ -805,15 +728,14 @@ class TestLatticeIndependence:
             _poincare(spec))
 
 
-def _payload(count, top, relations, mu=None):
-    names = [f"g{i}" for i in range(count)]
-    return {
-        "generators": [{"name": n, "degree": 2} for n in names],
-        "relations": relations,
-        "top_degree": top,
-        "fundamental_monomial": mu or [top // 2] + [0] * (count - 1),
-        "backend": "lattice",
-    }
+def _lattice_ring(count, top, relations):
+    """A lattice-marked ring on `count` generators g0, g1, ... of degree 2,
+    with fundamental monomial g0^(top / 2); `relations` maps the generators,
+    as GradedPolys, to the relations."""
+    degrees = (2,) * count
+    gens = [GradedPoly.generator(degrees, i) for i in range(count)]
+    return PresentedRing([f"g{i}" for i in range(count)], degrees, relations(*gens), top,
+                         [top // 2] + [0] * (count - 1), backend="lattice")
 
 
 class TestLatticeLimits:
@@ -841,7 +763,7 @@ class TestLatticeLimits:
 
     def test_too_many_monomials(self, walked):
         # C(27, 7) = 888,030 top-degree monomials
-        ring = ring_from_json(_payload(8, 40, ["g0^2"]))
+        ring = _lattice_ring(8, 40, lambda g0, *_: [g0 ** 2])
         x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
         with pytest.raises(PresentationError, match="monomials"):
             evaluate_top(ring, x)
@@ -853,8 +775,9 @@ class TestLatticeLimits:
         # 1,001 columns, but 5 quadratic relations give 5 x 999 = 4,995 rows;
         # none is a unit monomial, which would give no rows
         top = 2 * 1000
-        ring = ring_from_json(_payload(2, top, ["g0^2 + g1^2", "2*g1^2", "g0*g1 + g1^2",
-                                                "g0^2 - g1^2", "g0^2 + g0*g1"]))
+        ring = _lattice_ring(2, top, lambda g0, g1: [
+            g0 ** 2 + g1 ** 2, (g1 ** 2).scale(2), g0 * g1 + g1 ** 2,
+            g0 ** 2 - g1 ** 2, g0 ** 2 + g0 * g1])
         assert len(ring._bounded_monomials(top, cohomring.LATTICE_MAX_MONOMIALS)) == 1001
         x = GradedPoly.monomial(ring.degrees, ring.fundamental_monomial)
         with pytest.raises(PresentationError, match="relation multiples"):
@@ -890,7 +813,7 @@ class TestLatticeLimits:
         # x^2 = y^3 = 0: in degree 2 * 10^12, y can take at most degree 4, so
         # x would have to start near 10^12, past its cap: one dead end, where
         # an uncapped walk would try 10^12 + 1 settings
-        ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g0^2", "g1^3"]))
+        ring = _lattice_ring(2, 2 * 10 ** 12, lambda g0, g1: [g0 ** 2, g1 ** 3])
         assert graded_rank(ring, 2 * 10 ** 12) == 0
         assert walked == [0] and steps == [None]
 
@@ -899,7 +822,7 @@ class TestLatticeLimits:
         # at N - 1, the least exponent that leaves y room, so the walk takes
         # two steps and no dead end
         N = 10 ** 12
-        ring = ring_from_json(_payload(2, 2 * N, ["g1^2"]))
+        ring = _lattice_ring(2, 2 * N, lambda g0, g1: [g1 ** 2])
         assert graded_rank(ring, 2 * N) == 2
         assert walked == [2] and steps == [(N - 1, 1), (N, 0)]
 
@@ -923,7 +846,7 @@ class TestLatticeLimits:
     def test_a_mixed_unit_kills_within_the_dead_end_budget(self, walked, steps):
         # x*y = 0 kills every monomial of degree 2N but y^N and x^N: each
         # killed one is a dead end, so the walk is refused
-        ring = ring_from_json(_payload(2, 2 * 10 ** 12, ["g0*g1"]))
+        ring = _lattice_ring(2, 2 * 10 ** 12, lambda g0, g1: [g0 * g1])
         with pytest.raises(PresentationError, match="dead ends"):
             graded_rank(ring, 2 * 10 ** 12)
         assert walked == [1]

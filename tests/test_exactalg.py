@@ -360,6 +360,24 @@ class TestKernelAgainstReference:
             GradedPoly.generator(self.DEGREES, 0).pow(k, cap)
 
 
+class TestPowerAtScale:
+    """`pow` at exponent 256, with coefficients of hundreds of bits."""
+
+    def test_binomial_coefficients_pass_2_to_the_250(self):
+        p = (1 + GradedPoly.generator((2,), 0)).pow(256)
+        assert len(p.terms) == 257
+        assert p.coefficient((128,)) == math.comb(256, 128) > 2 ** 250
+
+    def test_trinomial_is_multinomial_within_two_seconds(self):
+        u, v = (GradedPoly.generator((2, 2), i) for i in range(2))
+        start = time.perf_counter()
+        p = (1 + u + v).pow(256)
+        assert time.perf_counter() - start < 2.0
+        f = math.factorial
+        for a, b in [(0, 0), (1, 0), (0, 256), (128, 0), (85, 85), (100, 56), (3, 250)]:
+            assert p.coefficient((a, b)) == f(256) // (f(a) * f(b) * f(256 - a - b)), (a, b)
+
+
 class TestSeriesCap:
     @pytest.mark.parametrize("series", [geometric_series, inverse_one_plus])
     @pytest.mark.parametrize("cap", [-1, None, -8, 2.0, True, "4"])

@@ -1,16 +1,19 @@
-"""The four JSON readers share one strict input edge: every malformed input
-raises ValueError, never KeyError, TypeError or RecursionError, and an input
-that names one thing twice is refused rather than collapsed."""
+"""The two JSON readers, the tower spec `chern --spec` reads and the
+characteristic matrix, share one strict input edge: every malformed input
+raises ValueError, never KeyError, TypeError or RecursionError.  An input
+that names one thing twice is refused rather than collapsed, by the readers
+and by the constructors behind them (`ChernVector`, `TowerSpec` and the
+generator names of `PresentedRing`)."""
 
 import pytest
 
 from bordx import bordclass, cohomring, tower
 
+from test_tower import tower_document
+
 READERS = {
-    "chern_vector": bordclass.chern_vector_from_json,
     "tower": tower.tower_from_json,
     "char_matrix": tower.char_matrix_from_json,
-    "ring": cohomring.ring_from_json,
 }
 
 DEEP_ARRAY = "[" * 3000 + "]" * 3000
@@ -21,11 +24,6 @@ COMMON = [DEEP_ARRAY, DEEP_OBJECT, "{", "", "[]", "5", "null", '"text"', [], 5, 
 
 # malformed for one reader: missing and mistyped fields
 SPECIFIC = {
-    "chern_vector": [
-        {}, {"dim": 1}, {"numbers": {}}, {"dim": [1], "numbers": {}},
-        {"dim": 1, "numbers": {1: 2}}, {"dim": 1, "numbers": {None: 2}},
-        {"dim": 1, "numbers": {(1,): 2}},
-    ],
     "tower": [
         {}, {"stages": []}, {"base": 2}, {"base": None}, {"base": {"0": 2}},
         {"base": [[2]]}, {"base": [2], "stages": 1}, {"base": [2], "stages": [1]},
@@ -43,32 +41,6 @@ SPECIFIC = {
         {"simplex_dims": None, "lambda": [[1, -1]]},
         {"simplex_dims": [1], "lambda": [[1, [-1]]]},
         {"simplex_dims": [[1]], "lambda": [[1, -1]]},
-    ],
-    "ring": [
-        {}, {"generators": []}, {"relations": []},
-        {"generators": 1, "relations": [], "top_degree": 0, "fundamental_monomial": []},
-        {"generators": [1], "relations": [], "top_degree": 2, "fundamental_monomial": [1]},
-        {"generators": [{}], "relations": [], "top_degree": 2, "fundamental_monomial": [1]},
-        {"generators": [{"name": "u"}], "relations": [], "top_degree": 2,
-         "fundamental_monomial": [1]},
-        {"generators": [{"degree": 2}], "relations": [], "top_degree": 2,
-         "fundamental_monomial": [1]},
-        {"generators": [{"name": 1, "degree": 2}], "relations": [], "top_degree": 2,
-         "fundamental_monomial": [1]},
-        {"generators": [{"name": "u", "degree": [2]}], "relations": [], "top_degree": 2,
-         "fundamental_monomial": [1]},
-        {"generators": [{"name": "u", "degree": 2}], "top_degree": 2,
-         "fundamental_monomial": [1]},
-        {"generators": [{"name": "u", "degree": 2}], "relations": "u^2",
-         "top_degree": 2, "fundamental_monomial": [1]},
-        {"generators": [{"name": "u", "degree": 2}], "relations": ["u^2"],
-         "fundamental_monomial": [1]},
-        {"generators": [{"name": "u", "degree": 2}], "relations": ["u^2"],
-         "top_degree": 2},
-        {"generators": [{"name": "u", "degree": 2}], "relations": ["u^2"],
-         "top_degree": 2, "fundamental_monomial": 1},
-        {"generators": [{"name": "u", "degree": 2}], "relations": ["u^2"],
-         "top_degree": 2, "fundamental_monomial": [1], "backend": ["lattice"]},
     ],
 }
 
@@ -89,8 +61,6 @@ def test_deep_nesting_is_named(name):
 
 
 GOOD = {
-    "chern_vector": ('{"dim": 2, "numbers": {"2": 3, "1,1": 9}}',
-                     bordclass.cp(2)),
     "tower": ('{"base": [2], "stages": [{"lines": [[0], [1]], "conjugate": [3]}]}',
               tower.TowerSpec((2,), (tower.Stage(((0,), (1,))),), frozenset({3}))),
     "char_matrix": ('{"simplex_dims": [1], "lambda": [[1, -1]]}',
@@ -104,37 +74,12 @@ def test_well_formed_string_is_read(name):
     assert READERS[name](text) == want
 
 
-class TestChernVectorDimension:
-    def test_largest_dimension_is_read(self):
-        a = bordclass.chern_vector_from_json({"dim": 24, "numbers": {"24": 25}})
-        assert a.dim == bordclass.CHERN_MAX_DIM == 24
-        assert a.numbers[(24,)] == 25
-
-    @pytest.mark.parametrize("dim", [25, 200, 10**12])
-    def test_larger_dimension_refused_before_any_basis(self, dim, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("a refused dimension started work")
-
-        # p(200) is about 4e12: only the limit check may run
-        monkeypatch.setattr(bordclass, "partitions", no_work)
-        with pytest.raises(ValueError, match="at most 24"):
-            bordclass.chern_vector_from_json({"dim": dim, "numbers": {}})
-
-
 class TestNamedTwice:
-    @pytest.mark.parametrize("dim, numbers", [
-        (3, {"1,2": 3, "2,1": 4}),
-        (3, {"1,2": 0, "2,1": 0}),
-        (4, {"2,1,1": 1, "1,2,1": 1, "4": 1}),
-    ])
-    def test_chern_number_refused_from_json(self, dim, numbers):
-        with pytest.raises(ValueError, match="given twice"):
-            bordclass.chern_vector_from_json({"dim": dim, "numbers": numbers})
-
     @pytest.mark.parametrize("numbers", [
         {(1, 2): 3, (2, 1): 4},
         [((2, 1), 3), ((2, 1), 3)],
         [((1, 1, 1), 1), ((2, 1), 1), ((1, 2), 1)],
+        {(1, 2): 0, (2, 1): 0},
     ])
     def test_chern_number_refused(self, numbers):
         with pytest.raises(ValueError, match="given twice"):
@@ -142,10 +87,8 @@ class TestNamedTwice:
 
     def test_pairs_and_mapping_agree(self):
         numbers = {(2, 1): 3, (1, 1, 1): -4}
-        assert (bordclass.ChernVector(3, numbers)
-                == bordclass.ChernVector(3, list(numbers.items()))
-                == bordclass.chern_vector_from_json(
-                    {"dim": 3, "numbers": {"1,2": 3, "1,1,1": -4}}))
+        assert bordclass.ChernVector(3, numbers) == bordclass.ChernVector(
+            3, list(numbers.items()))
 
     @pytest.mark.parametrize("data", [
         {"base": [1], "conjugate": [0, 0]},
@@ -165,19 +108,15 @@ class TestNamedTwice:
             tower.TowerSpec((1, 1), (), [1, 1])
         spec = tower.TowerSpec((1, 1), (), [1, 2])
         assert spec.conjugations == frozenset({1, 2})
-        assert tower.tower_from_json(tower.tower_to_json(spec)) == spec
+        assert tower.tower_from_json(tower_document(spec)) == spec
 
     @pytest.mark.parametrize("name,text", [
-        ("chern_vector", '{"dim": 1, "numbers": {"1": 2, "1": 3}}'),
-        ("chern_vector", '{"dim": 1, "dim": 1, "numbers": {"1": 2}}'),
         ("tower", '{"base": [1], "base": [2]}'),
         ("tower", '{"base": [1], "stages": [{"lines": [[-1], [0]], "lines": [[0], [0]]}]}'),
         ("char_matrix", '{"simplex_dims": [1], "lambda": [[1, -1]], "lambda": [[1, 1]]}'),
-        ("ring", '{"generators": [{"name": "u", "degree": 2, "name": "v"}], '
-                 '"relations": ["u^2"], "top_degree": 2, "fundamental_monomial": [1]}'),
     ])
     def test_repeated_json_key_refused(self, name, text):
-        # a plain json.loads would keep the last value: c_1 = 3, CP^2, ...
+        # a plain json.loads would keep the last value: CP^2, ...
         with pytest.raises(ValueError, match="given twice in one JSON object"):
             READERS[name](text)
 
@@ -188,25 +127,17 @@ class TestNamedTwice:
         assert spec.conjugations == frozenset({0, 2})
 
 
-def ring(names, relations=()):
-    return {"generators": [{"name": name, "degree": 2} for name in names],
-            "relations": list(relations), "top_degree": 2,
-            "fundamental_monomial": [1] + [0] * (len(names) - 1)}
-
-
 class TestGeneratorNames:
+    """`PresentedRing` takes distinct identifiers, not keywords, as generator names."""
+
     @pytest.mark.parametrize("names", [("u", "u"), ("u", "v", "u")])
     def test_repeated_name_refused(self, names):
-        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
-            cohomring.ring_from_json(ring(names, ["u^2"]))
         with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
             cohomring.PresentedRing(names, [2] * len(names), [], 2,
                                     [1] + [0] * (len(names) - 1))
 
     @pytest.mark.parametrize("name", ["1x", "", "a-b", "x y", "u^2", "if", "None", "True"])
     def test_name_that_is_not_an_identifier_refused(self, name):
-        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
-            cohomring.ring_from_json(ring(("u", name), ["u^2"]))
         with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
             cohomring.PresentedRing((name,), (2,), [], 2, (1,))
 
@@ -215,5 +146,5 @@ class TestGeneratorNames:
             cohomring.PresentedRing((1,), (2,), [], 2, (1,))
 
     def test_identifiers_are_read(self):
-        r = cohomring.ring_from_json(ring(("u_1", "x2", "c"), ["u_1^2 - x2*c"]))
+        r = cohomring.PresentedRing(("u_1", "x2", "c"), (2, 2, 2), [], 2, (1, 0, 0))
         assert r.names == ("u_1", "x2", "c")

@@ -21,6 +21,19 @@ def gens(ring):
     return [ring.gen(name) for name in ring.names]
 
 
+def tower_document(spec):
+    """The JSON object `tower.tower_from_json` reads as spec, every
+    conjugation under the top-level "conjugate" key."""
+    return {"base": list(spec.base), "conjugate": sorted(spec.conjugations),
+            "stages": [{"lines": [list(w) for w in s.lines]} for s in spec.stages],
+            "convention": spec.convention}
+
+
+def char_matrix_document(M):
+    """The JSON object `tower.char_matrix_from_json` reads as M."""
+    return {"simplex_dims": list(M.polytope), "lambda": [list(r) for r in M.matrix.entries]}
+
+
 class TestBuildFamily:
     def test_l11_presentation(self):
         ring = tower.presented_ring(tower.build_family("L", 1, 1))
@@ -110,7 +123,7 @@ class TestTotalChern:
                              ("Ntilde", 2, 3), ("Ntilde", 4, 5)]:
             spec = tower.build_family(name, n1, n2)
             ring = tower.presented_ring(spec)
-            c1 = tower.first_chern(spec)
+            c1 = sum(tower.signed_roster(spec), GradedPoly.zero(ring.degrees))
             assert cohomring.normal_form(ring, c1).is_zero()
 
     def test_cpprod_degree_two_part(self):
@@ -288,19 +301,19 @@ class TestBackendEquivalence:
 class TestJson:
     def test_tower_round_trip(self):
         spec = tower.build_family("Ntilde", 2, 3, convention="bordism")
-        back = tower.tower_from_json(tower.tower_to_json(spec))
+        back = tower.tower_from_json(tower_document(spec))
         assert back == spec
 
     def test_base_conjugations_round_trip(self):
         spec = tower.TowerSpec(base=(2,), conjugations=frozenset({0}),
                                convention="bordism")
-        data = tower.tower_to_json(spec)
+        data = tower_document(spec)
         assert data["conjugate"] == [0]
         assert tower.tower_from_json(data) == spec
 
     def test_char_matrix_round_trip(self):
         M = tower.char_matrix("Ltilde", 2, 3)
-        back = tower.char_matrix_from_json(tower.char_matrix_to_json(M))
+        back = tower.char_matrix_from_json(char_matrix_document(M))
         assert back == M
 
     @pytest.mark.parametrize("data", [
@@ -520,7 +533,7 @@ def char_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(tower_specs())
 def test_json_round_trip_on_drawn_towers(spec):
-    text = json.dumps(tower.tower_to_json(spec))
+    text = json.dumps(tower_document(spec))
     assert tower.tower_from_json(json.loads(text)) == spec
     assert tower.tower_from_json(text) == spec
 
@@ -529,7 +542,7 @@ def test_json_round_trip_on_drawn_towers(spec):
 @given(char_matrices())
 def test_json_round_trip_on_drawn_char_matrices(M):
     # the reader keeps a matrix unimodular at every vertex and refuses any other
-    text = json.dumps(tower.char_matrix_to_json(M))
+    text = json.dumps(char_matrix_document(M))
     try:
         M.validate_vertices()
     except ValueError:
@@ -545,7 +558,7 @@ def test_json_round_trip_on_drawn_char_matrices(M):
 @given(tower_specs())
 def test_json_round_trip_on_drawn_tower_char_matrices(spec):
     M = tower._tower_char_matrix(spec)
-    text = json.dumps(tower.char_matrix_to_json(M))
+    text = json.dumps(char_matrix_document(M))
     assert tower.char_matrix_from_json(json.loads(text)) == M
     assert tower.char_matrix_from_json(text) == M
 

@@ -11,7 +11,7 @@ and on a three-factor base and a one-line stage.
 from hypothesis import given, settings
 import pytest
 
-from bordx import cohomring, tower
+from bordx import tower
 from bordx.exactalg import GradedPoly, partitions
 from bordx.tower import Stage, TowerSpec
 
@@ -44,6 +44,10 @@ EXTRA = {
 }
 
 
+def _presentation(ring):
+    return ring.names, ring.degrees, ring.relations, ring.top_degree, ring.fundamental_monomial
+
+
 def assert_as_the_reference(spec):
     assert tower._block_sizes(spec) == list(map(len, tower._blocks(spec)))
     assert spec.dim == reference.dim(spec)
@@ -58,10 +62,7 @@ def assert_as_the_reference(spec):
         with pytest.raises(ValueError, match="cohomology rank"):
             tower.presented_ring(spec)
         return
-    ring = tower.presented_ring(spec)
-    assert ring.relations == want.relations
-    assert ring.fundamental_monomial == want.fundamental_monomial
-    assert cohomring.ring_to_json(ring) == cohomring.ring_to_json(want)
+    assert _presentation(tower.presented_ring(spec)) == _presentation(want)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -22,7 +22,7 @@ from bordx.tower import CHERN_MAX_RANK, CharMatrix, TowerSpec
 
 def dim(spec: TowerSpec) -> int:
     """Complex dimension n of the manifold."""
-    return sum(spec.base) + sum(s.fiber_dim for s in spec.stages)
+    return sum(spec.base) + sum(len(s.lines) - 1 for s in spec.stages)
 
 
 def roster_size(spec: TowerSpec) -> int:
@@ -66,7 +66,7 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
         for line in lines:
             rel = rel * line
         relations.append(rel)
-    fundamental = list(spec.base) + [stage.fiber_dim for stage in spec.stages]
+    fundamental = list(spec.base) + [len(stage.lines) - 1 for stage in spec.stages]
     return PresentedRing(spec.generator_names, degrees, relations, 2 * dim(spec),
                          fundamental)
 
@@ -115,5 +115,5 @@ def _tower_char_matrix(spec: TowerSpec) -> CharMatrix:
         g = minus(lines[-1])
         g[last] += 1
         gens.append(g)
-    polytope = tuple(spec.base) + tuple(s.fiber_dim for s in spec.stages)
+    polytope = tuple(spec.base) + tuple(len(s.lines) - 1 for s in spec.stages)
     return CharMatrix(IntMatrix.from_rows(rows, cols=m), polytope)
