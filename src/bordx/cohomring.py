@@ -41,7 +41,6 @@ refused, and the walk that lists them stops after limit + 1 of them.
 
 from __future__ import annotations
 
-import keyword
 import math
 import operator
 
@@ -70,21 +69,13 @@ class PresentedRing:
 
     def __init__(
         self,
-        names,
         degrees,
         relations,
         top_degree: int,
         fundamental_monomial,
         backend: str = "triangular",
     ):
-        self.names = tuple(names)
-        if not all(isinstance(x, str) and x.isidentifier() and not keyword.iskeyword(x)
-                   for x in self.names) or len(set(self.names)) < len(self.names):
-            raise PresentationError(  # one generator per name, as `gen` and `pretty` read them
-                f"generator names must be distinct identifiers, not keywords: {self.names}")
         self.degrees = GradedPoly.zero(degrees).degrees  # strict, positive, even
-        if len(self.names) != len(self.degrees):
-            raise PresentationError("names and degrees must have equal length")
         if backend not in ("triangular", "lattice"):
             raise PresentationError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -93,6 +84,8 @@ class PresentedRing:
         self.top_degree = top_degree
         rels = []
         for r in relations:
+            if not isinstance(r, GradedPoly):
+                raise PresentationError(f"a relation must be a GradedPoly, got {type(r).__name__}")
             if r.degrees != self.degrees:
                 raise PresentationError("relation degrees do not match generators")
             if not r.is_homogeneous():
@@ -102,7 +95,7 @@ class PresentedRing:
         self.relations = tuple(rels)
         self.fundamental_monomial = tuple(
             strict_int(e, "a fundamental-monomial exponent") for e in fundamental_monomial)
-        if len(self.fundamental_monomial) != len(self.names):
+        if len(self.fundamental_monomial) != len(self.degrees):
             raise PresentationError("fundamental monomial length mismatch")
         if any(e < 0 for e in self.fundamental_monomial):
             raise PresentationError("negative exponent in the fundamental monomial")
@@ -124,8 +117,8 @@ class PresentedRing:
     def poly(self, terms) -> GradedPoly:
         return GradedPoly(self.degrees, terms)
 
-    def gen(self, name: str, power: int = 1) -> GradedPoly:
-        return GradedPoly.generator(self.degrees, self.names.index(name), power)
+    def gen(self, j: int, power: int = 1) -> GradedPoly:
+        return GradedPoly.generator(self.degrees, j, power)
 
     def one(self) -> GradedPoly:
         return GradedPoly.constant(self.degrees, 1)
@@ -229,7 +222,7 @@ class PresentedRing:
 
     def __repr__(self):
         return (
-            f"PresentedRing(names={self.names}, top_degree={self.top_degree}, "
+            f"PresentedRing(degrees={self.degrees}, top_degree={self.top_degree}, "
             f"{len(self.relations)} relations)"
         )
 
@@ -277,14 +270,14 @@ class PresentedRing:
                     candidates.append((nz[0][0], nz[0][1], c, exp))
             if not candidates:
                 raise NonTriangularError(
-                    f"relation {rel.pretty(self.names)} has no monic pure-power term; "
+                    f"relation {rel.terms} has no monic pure-power term; "
                     "use the lattice backend"
                 )
             candidates.sort(reverse=True)
             j, d, c, exp = candidates[0]
             if j in rules:
                 raise NonTriangularError(
-                    f"two relations lead on generator {self.names[j]}; "
+                    f"two relations lead on generator {j}; "
                     "use the lattice backend"
                 )
             rest = rel - GradedPoly.monomial(self.degrees, exp, c)

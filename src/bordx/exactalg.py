@@ -263,6 +263,8 @@ class GradedPoly:
     @classmethod
     def generator(cls, degrees, index: int, power: int = 1) -> "GradedPoly":
         exp = [0] * len(tuple(degrees))
+        if not 0 <= strict_int(index, "a generator index") < len(exp):
+            raise ValueError(f"generator index {index} outside 0..{len(exp) - 1}")
         exp[index] = power
         return cls(degrees, {tuple(exp): 1})
 
@@ -437,28 +439,6 @@ class GradedPoly:
 
     def __hash__(self):
         return hash((self.degrees, frozenset(self.terms.items())))
-
-    def pretty(self, names) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exp in sorted(self.terms, key=lambda e: (self.term_degree(e), e)):
-            c = self.terms[exp]
-            mono = "*".join(
-                name if p == 1 else f"{name}^{p}"
-                for name, p in zip(names, exp)
-                if p
-            )
-            if not mono:
-                bits.append(f"{c:+d}")
-            elif c == 1:
-                bits.append(f"+{mono}")
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c:+d}*{mono}")
-        s = " ".join(bits)
-        return s[1:] if s.startswith("+") else s
 
     def __repr__(self):
         return f"GradedPoly(degrees={self.degrees}, terms={self.terms})"

@@ -238,19 +238,17 @@ def s6_class() -> ChernVector:
 
 def grassmann_ring() -> PresentedRing:
     """H*(Gr_2(C^4)) = Z[c1, c2] / (c1^3 - 2 c1 c2, c2^2 - c1^2 c2)."""
-    names = ("c1", "c2")
     degrees = (2, 4)
     c1 = GradedPoly.generator(degrees, 0)
     c2 = GradedPoly.generator(degrees, 1)
     relations = [c1.pow(3) - (c1 * c2).scale(2), c2 * c2 - c1 * c1 * c2]
-    return PresentedRing(names, degrees, relations, 8, (2, 1))
+    return PresentedRing(degrees, relations, 8, (2, 1))
 
 
 def grassmann_s4() -> int:
     """s_4 of the Grassmannian Gr_2(C^4) with the SU-amended structure 2 conj(g) + 2 g - conj(g) g."""
     ring = grassmann_ring()
-    c1 = ring.gen("c1")
-    c2 = ring.gen("c2")
+    c1, c2 = ring.gen(0), ring.gen(1)
     # rank-2 tautological bundle and its conjugate
     s4_gamma = s_polynomial(4, [c1, c2])
     s4_gamma_bar = s_polynomial(4, [-c1, c2])

@@ -12,7 +12,7 @@ from .exactalg import Partition, canonical_partition, multinomial, partitions, s
 
 def prime_power_base(n: int) -> int | None:
     """p if n = p^k for a prime p and k >= 1, else None (trial division)."""
-    if n < 2:
+    if strict_int(n, "n") < 2:
         return None
     for p in range(2, math.isqrt(n) + 1):
         if n % p == 0:
@@ -24,7 +24,7 @@ def prime_power_base(n: int) -> int | None:
 
 def m(i: int) -> int:
     """m_i = p when i+1 is a prime power p^k, else 1."""
-    if i < 1:
+    if strict_int(i, "i") < 1:
         raise ValueError("i must be positive")
     p = prime_power_base(i + 1)
     return p if p is not None else 1
@@ -32,7 +32,7 @@ def m(i: int) -> int:
 
 def g(n: int) -> int:
     """Minimal s-number of an SU generator in dimension 2(n-1)."""
-    if n < 3:
+    if strict_int(n, "n") < 3:
         raise ValueError("g(n) is defined for n >= 3")
     if n == 3:
         return -48
@@ -56,14 +56,14 @@ def alpha(omega) -> int:
 def snl_closed_form(n1: int, n2: int) -> int:
     """s-number of Ltilde(n1, n2) in the toric convention: the sum of
     (-1)^j C(n, j) over 0 < j <= n1, with n = n1 + n2."""
-    n = n1 + n2
+    n = strict_int(n1, "n1") + strict_int(n2, "n2")
     return sum((-1) ** j * math.comb(n, j) for j in range(1, n1 + 1))
 
 
 def snn_closed_form(n1: int, n2: int) -> int:
     """s-number of Ntilde(n1, n2) in the toric convention: twice the sum of
     (-1)^j C(n, j) over 0 < j <= n1, less n1, with n = n1 + n2 + 1."""
-    n = n1 + n2 + 1
+    n = strict_int(n1, "n1") + strict_int(n2, "n2") + 1
     return 2 * (sum((-1) ** j * math.comb(n, j) for j in range(1, n1 + 1)) - n1)
 
 

@@ -37,9 +37,6 @@ from .exactalg import (
     strict_int,
 )
 
-_GEN_NAMES = "uvwxyzabcdefgh"
-
-
 class _Checked:
     """Mixin of the records that check their fields in `__new__`: `_make`,
     and with it `_replace`, goes through those checks too."""
@@ -72,6 +69,8 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
     def __new__(cls, base, stages=(), conjugations=frozenset(), convention="toric"):
         base = tuple(strict_int(x, "a base factor") for x in base)
         stages = tuple(stages)
+        if not all(isinstance(s, Stage) for s in stages):
+            raise ValueError("each stage must be a Stage")
         listed = [strict_int(i, "a conjugation index") for i in conjugations]
         conjugations = frozenset(listed)
         if len(conjugations) < len(listed):
@@ -104,13 +103,6 @@ class TowerSpec(_Checked, namedtuple("TowerSpec", "base stages conjugations conv
     @property
     def generator_count(self) -> int:
         return len(self.base) + len(self.stages)
-
-    @property
-    def generator_names(self) -> tuple[str, ...]:
-        k = self.generator_count
-        if k <= len(_GEN_NAMES):
-            return tuple(_GEN_NAMES[:k])
-        return tuple(f"g{i}" for i in range(k))
 
     def roster_size(self) -> int:
         return sum(_block_sizes(self))
@@ -179,7 +171,7 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
     # raised once: a base block gives g_i^(n_i + 1)
     relations = [functools.reduce(GradedPoly.mul, [x.pow(k) for x, k in Counter(lines).items()])
                  for lines in _lines(spec, degrees)]
-    return PresentedRing(spec.generator_names, degrees, relations, 2 * spec.dim,
+    return PresentedRing(degrees, relations, 2 * spec.dim,
                          [size - 1 for size in _block_sizes(spec)])
 
 
@@ -489,8 +481,6 @@ def char_matrix_from_json(data) -> CharMatrix:
 def ring_backend_pair(spec: TowerSpec):
     """The presentation twice, hinted at each backend (for cross-validation)."""
     ring = presented_ring(spec)
-    alt = PresentedRing(
-        ring.names, ring.degrees, ring.relations, ring.top_degree,
-        ring.fundamental_monomial, backend="lattice",
-    )
+    alt = PresentedRing(ring.degrees, ring.relations, ring.top_degree,
+                        ring.fundamental_monomial, backend="lattice")
     return ring, alt

@@ -95,7 +95,6 @@ def quasitoric_chern_numbers(M):
             rel = rel.mul(classes[j], cap)
         relations.append(rel)
     # fundamental monomial: maximal powers of the free generators
-    names = tuple(f"v{j}" for j in free)
     exponents = [0] * len(free)
     remaining = n
     for i, j in enumerate(free):
@@ -104,8 +103,7 @@ def quasitoric_chern_numbers(M):
         exponents[i] = len(block) - 1
         remaining -= exponents[i]
     assert remaining == 0
-    ring = PresentedRing(names, degrees, relations, cap, tuple(exponents),
-                         backend="lattice")
+    ring = PresentedRing(degrees, relations, cap, tuple(exponents), backend="lattice")
     total = GradedPoly.constant(degrees, 1)
     for cls in classes:
         total = total.mul(GradedPoly.constant(degrees, 1) + cls, cap)

@@ -252,7 +252,7 @@ class TestLowDimensional:
 
         ring = grassmann_ring()
         zero = ring.one().scale(0)
-        c1, c2 = ring.gen("c1"), ring.gen("c2")
+        c1, c2 = ring.gen(0), ring.gen(1)
         s4_gamma = s_polynomial(4, [c1, c2])
         assert evaluate_top(ring, s4_gamma.graded_part(8)) == 0
         s4_gg = s_polynomial(4, [zero, c2.scale(4) - c1 * c1, zero, zero])

@@ -2,12 +2,11 @@
 characteristic matrix, share one strict input edge: every malformed input
 raises ValueError, never KeyError, TypeError or RecursionError.  An input
 that names one thing twice is refused rather than collapsed, by the readers
-and by the constructors behind them (`ChernVector`, `TowerSpec` and the
-generator names of `PresentedRing`)."""
+and by the constructors behind them (`ChernVector` and `TowerSpec`)."""
 
 import pytest
 
-from bordx import bordclass, cohomring, tower
+from bordx import bordclass, tower
 
 from test_tower import tower_document
 
@@ -131,26 +130,3 @@ class TestNamedTwice:
             "base": [1], "stages": [{"lines": [[-1], [0]], "conjugate": [2]}],
             "conjugate": [0]})
         assert spec.conjugations == frozenset({0, 2})
-
-
-class TestGeneratorNames:
-    """`PresentedRing` takes distinct identifiers, not keywords, as generator names."""
-
-    @pytest.mark.parametrize("names", [("u", "u"), ("u", "v", "u")])
-    def test_repeated_name_refused(self, names):
-        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
-            cohomring.PresentedRing(names, [2] * len(names), [], 2,
-                                    [1] + [0] * (len(names) - 1))
-
-    @pytest.mark.parametrize("name", ["1x", "", "a-b", "x y", "u^2", "if", "None", "True"])
-    def test_name_that_is_not_an_identifier_refused(self, name):
-        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
-            cohomring.PresentedRing((name,), (2,), [], 2, (1,))
-
-    def test_name_that_is_not_a_string_refused(self):
-        with pytest.raises(cohomring.PresentationError, match="distinct identifiers"):
-            cohomring.PresentedRing((1,), (2,), [], 2, (1,))
-
-    def test_identifiers_are_read(self):
-        r = cohomring.PresentedRing(("u_1", "x2", "c"), (2, 2, 2), [], 2, (1, 0, 0))
-        assert r.names == ("u_1", "x2", "c")

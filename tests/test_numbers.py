@@ -151,6 +151,22 @@ def test_size_argument_must_be_an_int(call, size):
         call(size)
 
 
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "3"])
+@pytest.mark.parametrize("call", [
+    m,
+    g,
+    prime_power_base,
+    lambda value: numbers.snl_closed_form(value, 3),
+    lambda value: numbers.snl_closed_form(3, value),
+    lambda value: numbers.snn_closed_form(value, 3),
+    lambda value: numbers.snn_closed_form(3, value),
+], ids=["m", "g", "prime_power_base", "snl_n1", "snl_n2", "snn_n1", "snn_n2"])
+def test_entry_argument_must_be_an_int(call, value):
+    # m(True) used to read as m(1) = 2, and 2.5 reached math.isqrt or range
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(value)
+
+
 class TestRankTable:
     def test_omega_u(self):
         table = rank_table(16)

@@ -64,6 +64,8 @@ def test_replace_keeps_the_checks():
     assert spec._replace(convention="bordism") == spec.with_convention("bordism")
     with pytest.raises(ValueError, match="a stage needs at least one line bundle"):
         Stage([[1]])._replace(lines=())
+    with pytest.raises(ValueError, match="each stage must be a Stage"):
+        spec._replace(stages=[((0,), (1,))])
     matrix = tower.char_matrix("L", 1, 2)
     with pytest.raises(ValueError, match=r"expected a 1x2 matrix over \(1,\), got 3x5"):
         matrix._replace(polytope=(1,))

@@ -18,7 +18,7 @@ from test_charmatrix_consistency import CASES as CHARMATRIX_CASES
 
 
 def gens(ring):
-    return [ring.gen(name) for name in ring.names]
+    return [ring.gen(j) for j in range(len(ring.degrees))]
 
 
 def tower_document(spec):
@@ -52,8 +52,8 @@ class TestBuildFamily:
         spec = tower.build_family("CPprod", (3,))
         assert spec.dim == 3
         ring = tower.presented_ring(spec)
-        assert len(ring.names) == 1
-        assert ring.relations[0] == ring.gen(ring.names[0], 4)
+        assert len(ring.degrees) == 1
+        assert ring.relations[0] == ring.gen(0, 4)
 
     def test_parity_errors(self):
         with pytest.raises(ValueError):
@@ -467,6 +467,12 @@ def test_reduced_walk_matches_unreduced_route_at_qt_gens(name, n1, n2):
     assert tower.s_number(spec) == ref_s_number(spec)
 
 
+def test_a_stage_that_is_not_a_stage_is_refused():
+    # a bare tuple of lines used to raise AttributeError on its missing .lines
+    with pytest.raises(ValueError, match="each stage must be a Stage"):
+        tower.TowerSpec((1,), [((0,),)])
+
+
 def test_leaf_refuses_leftover_monomials(monkeypatch):
     # the fundamental monomial moved from u^2 v^3 to v^5, which the rules
     # rewrite: a nonzero top-degree element keeps u^2 v^3 and must be
@@ -474,8 +480,7 @@ def test_leaf_refuses_leftover_monomials(monkeypatch):
     spec = tower.build_family("Ltilde", 2, 3)
     ring = tower.presented_ring(spec)
     assert ring.fundamental_monomial == (2, 3)
-    bad = cohomring.PresentedRing(ring.names, ring.degrees, ring.relations,
-                                  ring.top_degree, (0, 5))
+    bad = cohomring.PresentedRing(ring.degrees, ring.relations, ring.top_degree, (0, 5))
     monkeypatch.setattr(tower, "presented_ring", lambda _: bad)
     with pytest.raises(cohomring.PresentationError):
         tower.chern_numbers(spec)

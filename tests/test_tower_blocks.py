@@ -45,7 +45,7 @@ EXTRA = {
 
 
 def _presentation(ring):
-    return ring.names, ring.degrees, ring.relations, ring.top_degree, ring.fundamental_monomial
+    return ring.degrees, ring.relations, ring.top_degree, ring.fundamental_monomial
 
 
 def assert_as_the_reference(spec):

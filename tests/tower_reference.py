@@ -67,8 +67,7 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
             rel = rel * line
         relations.append(rel)
     fundamental = list(spec.base) + [len(stage.lines) - 1 for stage in spec.stages]
-    return PresentedRing(spec.generator_names, degrees, relations, 2 * dim(spec),
-                         fundamental)
+    return PresentedRing(degrees, relations, 2 * dim(spec), fundamental)
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:
