@@ -8,6 +8,7 @@ input error, 3 mathematical inconsistency.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
 
@@ -170,12 +171,12 @@ def _suite_nmod2(kmax: int) -> list[dict]:
 
 
 def _suite_nmodp(kmax: int) -> list[dict]:
+    primes = [p for p in range(3, 2 * kmax + 2, 2) if numbers.prime_power_base(p) == p]
     rows = []
     for k in range(3, kmax + 1):
-        for p in range(3, 2 * k + 2, 2):
-            if numbers.prime_power_base(p) == p:
-                power, ok = numbers.verify_nmod(k, p)
-                rows.append(_row("nmodp", f"k={k} p={p}", ok, f"power={power}"))
+        for p in primes[:bisect.bisect(primes, 2 * k + 1)]:
+            power, ok = numbers.verify_nmod(k, p)
+            rows.append(_row("nmodp", f"k={k} p={p}", ok, f"power={power}"))
     return rows
 
 
@@ -271,7 +272,7 @@ def cmd_chern(args) -> int:
             raise ValueError("need --family or --spec")
         if args.family == "CPprod":
             _refuse_unread(given, "family", "omega", where="by --family CPprod")
-            if not args.omega:
+            if args.omega is None:
                 raise ValueError("CPprod needs --omega")
             spec = tower.build_family("CPprod", bordclass.parse_partition(args.omega),
                                       convention=args.convention or "toric")

@@ -11,13 +11,14 @@ multiples (ground truth).
 
 The triangular backend memoises the normal form of every monomial it
 rewrites, once per ring, so evaluating many products in one ring rewrites
-each monomial only once.  It works on coded monomials: x^e is the int
-sum e_j R^j with R = top_degree // min(degrees) + 1.  At or below the top
-degree every exponent is below R, so the code is one-to-one there and the
-product of two monomials whose product stays at or below the top is one
-addition of their codes.  A monomial with an exponent of R or more lies
-above the top, and its code would be that of another monomial, so it is
-dropped before it is encoded.
+each monomial only once.  It works on coded monomials, private to this
+module: x^e is the int sum e_j R^j with R = top_degree // min(degrees) + 1.
+At or below the top degree every exponent is below R, so the code is
+one-to-one there and the product of two monomials whose product stays at or
+below the top is one addition of their codes.  A monomial with an exponent
+of R or more lies above the top, and its code would be that of another
+monomial, so it is dropped before it is encoded.  The Chern numbers of a sum
+of line bundles (`line_bundle_numbers`) are read through them too.
 
 The lattice backend first eliminates the unit monomial relations, those
 that are one monomial with coefficient +-1 (a face ring's Stanley-Reisner
@@ -43,7 +44,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 
+from . import bordclass
+from .bordclass import ChernVector
 from .exactalg import GradedPoly, _accumulate, hermite_form, strict_int
 
 _REWRITE_STEP_LIMIT = 2_000_000
@@ -240,10 +244,10 @@ class PresentedRing:
             exp.append(e)
         return tuple(exp)
 
-    def coded(self, x: GradedPoly) -> dict:
+    def _coded(self, x: GradedPoly) -> dict:
         """{code: coefficient} over the terms of x at or below the top; an x
         over other generator degrees is refused."""
-        _check_degrees(self, x, "coded")
+        _check_degrees(self, x, "_coded")
         top, degrees = self.top_degree, self.degrees
         return {self.encode(exp): c for exp, c in x.terms.items()
                 if sum(map(operator.mul, exp, degrees)) <= top}
@@ -281,7 +285,7 @@ class PresentedRing:
                     "use the lattice backend"
                 )
             rest = rel - GradedPoly.monomial(self.degrees, exp, c)
-            rules[j] = (d, self.coded(rest.scale(-c)))  # x_j^d = -c * rest, c = +-1
+            rules[j] = (d, self._coded(rest.scale(-c)))  # x_j^d = -c * rest, c = +-1
         places = self._places
         return tuple((places[j], d, d * places[j], tuple(rhs.items()))
                      for j, (d, rhs) in sorted(rules.items(), reverse=True))
@@ -289,10 +293,10 @@ class PresentedRing:
     def reduce(self, x: GradedPoly) -> GradedPoly:
         """Triangular normal form of x over the ring's degrees, terms above the top dropped."""
         _check_degrees(self, x, "reduce")
-        out = self._reduce_codes(self.coded(x))
+        out = self._reduce_codes(self._coded(x))
         return GradedPoly._trusted(self.degrees, {self.decode(k): c for k, c in out.items()})
 
-    def mul_reduce(self, a: dict, b: dict) -> dict:
+    def _mul_reduce(self, a: dict, b: dict) -> dict:
         """Coded normal form of a * b, for coded elements a and b.
 
         a and b are {code: coefficient} over monomials at or below the top,
@@ -308,13 +312,9 @@ class PresentedRing:
                 product[key] = get(key, 0) + ca * cb
         return self._reduce_codes(product)
 
-    def fundamental_code_coefficient(self, reduced: dict) -> int:
-        """Coefficient of the fundamental monomial in a coded, reduced
-        top-degree element.
-
-        Any other monomial left over means the rules do not reduce the top
-        degree to the fundamental class.
-        """
+    def _fundamental_coefficient(self, reduced: dict) -> int:
+        """Coefficient of the fundamental monomial in a coded, reduced top-degree
+        element; any other monomial left means the rules do not reduce to it."""
         if len(reduced) > (self._mu in reduced):
             raise PresentationError(
                 "reduction left top-degree monomials other than the fundamental one"
@@ -495,6 +495,8 @@ def _unit_exponent(rel: GradedPoly):
 # ---------------------------------------------------------------------------
 
 def _check_degrees(ring: PresentedRing, x: GradedPoly, name: str) -> None:
+    if not isinstance(x, GradedPoly):
+        raise ValueError(f"{name} expects a GradedPoly, got {type(x).__name__}")
     if x.degrees != ring.degrees:
         raise ValueError(f"{name} expects an element over the generator degrees "
                          f"{ring.degrees}, got {x.degrees}")
@@ -513,30 +515,30 @@ def normal_form(ring: PresentedRing, x: GradedPoly) -> GradedPoly:
     return ring.reduce(x)
 
 
-def _nonzero_top(ring: PresentedRing, x: GradedPoly, name: str) -> bool:
-    """Whether x is nonzero; any other x not homogeneous of the top degree
-    over the ring's generator degrees is refused in the words of `name`.
-    Nothing of the ring is built, so zero pairs to 0 on any ring."""
+def _nonzero_of_degree(ring: PresentedRing, x: GradedPoly, degree: int, name: str) -> bool:
+    """Whether x is nonzero; any other x not homogeneous of `degree` over the
+    ring's generator degrees is refused in the words of `name`.  Nothing of
+    the ring is built, so zero pairs to 0 on any ring."""
     _check_degrees(ring, x, name)
-    top, degrees = ring.top_degree, ring.degrees
+    degrees = ring.degrees
     for e in x.terms:
-        if sum(map(operator.mul, e, degrees)) != top:
-            raise ValueError(f"{name} expects a homogeneous element of degree {top}")
+        if sum(map(operator.mul, e, degrees)) != degree:
+            raise ValueError(f"{name} expects a homogeneous element of degree {degree}")
     return bool(x.terms)
 
 
 def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
     """Pairing of a top-degree element against the fundamental class."""
-    if not _nonzero_top(ring, x, "evaluate_top"):
+    if not _nonzero_of_degree(ring, x, ring.top_degree, "evaluate_top"):
         return 0
     if ring.backend == "lattice":
         return _lattice_pair(ring, x)
-    return ring.fundamental_code_coefficient(ring._reduce_codes(ring.coded(x)))
+    return ring._fundamental_coefficient(ring._reduce_codes(ring._coded(x)))
 
 
 def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
     """Pairing via the quotient of the free abelian group on top-degree monomials."""
-    if not _nonzero_top(ring, x, "lattice_evaluate"):
+    if not _nonzero_of_degree(ring, x, ring.top_degree, "lattice_evaluate"):
         return 0
     return _lattice_pair(ring, x)
 
@@ -550,6 +552,62 @@ def _lattice_pair(ring: PresentedRing, x: GradedPoly) -> int:
         if i is not None:  # a monomial a unit relation kills pairs to 0
             total += c * phi[i]
     return total
+
+
+def _coded_lines(ring: PresentedRing, lines, name: str) -> list[tuple[dict, int]]:
+    """(coded class, count) of each distinct line; a line not of degree 2 (or
+    zero) is refused, as its products could pass the top, where codes clash."""
+    for x in lines:
+        _nonzero_of_degree(ring, x, 2, name)
+    return [(ring._coded(x), count) for x, count in Counter(lines).items()]
+
+
+def line_bundle_numbers(ring: PresentedRing, lines) -> ChernVector:
+    """All Chern numbers of the sum of line bundles with first Chern classes
+    `lines` over the ring's manifold, of complex dimension top_degree / 2.
+
+    c_0, ..., c_n: (1 + x) multiplied in once per line, the equal lines
+    grouped, each product reduced as it is formed.  Then one partition walk
+    over them, reducing every prefix product, so a leaf reads the fundamental
+    coefficient; a tail of ones takes c_1 once per one, and a zero prefix
+    product leaves its partitions out, at 0.
+    """
+    coded = _coded_lines(ring, lines, "line_bundle_numbers")
+    n = ring.top_degree // 2
+    bordclass.check_dim(n)
+    classes = [{0: 1}] + [{} for _ in range(n)]
+    for x, count in coded:
+        for _ in range(count):
+            for i in range(n, 0, -1):
+                if classes[i - 1]:
+                    _accumulate(classes[i], ring._mul_reduce(classes[i - 1], x), 1)
+
+    def step(terms: dict, part: int, rest: int) -> dict | None:
+        return ring._mul_reduce(terms, classes[part]) or None
+
+    def ones(terms: dict, r: int) -> dict | None:
+        for _ in range(r):  # c_1 = 0 on an SU manifold ends this at once
+            terms = ring._mul_reduce(terms, classes[1])
+            if not terms:
+                return None
+        return terms
+
+    leaves = bordclass._walk(n, {0: 1}, step, ones, ring._fundamental_coefficient)
+    return ChernVector._of_values(n, [leaves.get(omega, 0) for omega in bordclass._basis(n)[0]])
+
+
+def line_bundle_s_number(ring: PresentedRing, lines) -> int:
+    """Milnor s-number of the sum of line bundles: the sum of x^n over the
+    `lines`, each distinct x raised once, reducing after every multiply.  In
+    dimension 0 it is 0, as in `bordclass.s_num`, not the count of lines."""
+    total: dict = {}
+    n = ring.top_degree // 2
+    for x, count in _coded_lines(ring, lines, "line_bundle_s_number"):
+        power = {0: count}
+        for _ in range(n):
+            power = ring._mul_reduce(power, x)
+        _accumulate(total, power, 1)
+    return ring._fundamental_coefficient(total) if n else 0
 
 
 def graded_rank(ring: PresentedRing, degree: int) -> int:

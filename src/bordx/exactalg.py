@@ -76,8 +76,8 @@ def json_field(obj: dict, key: str, kind: type, what: str, default=None, each=No
 # partitions and multinomials
 # ---------------------------------------------------------------------------
 
-def partitions(n: int, max_part: int | None = None) -> list[Partition]:
-    """All partitions of n (parts <= max_part if given), largest-first lex order.
+def partitions(n: int) -> list[Partition]:
+    """All partitions of n, largest-first lex order.
 
     The iterative ZS1 generator (Zoghbi-Stojmenovic 1998): x[:m] is the
     current partition, its first h parts exceed 1 and every later entry of x
@@ -88,15 +88,9 @@ def partitions(n: int, max_part: int | None = None) -> list[Partition]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return [()]
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return []
-    q, rest = divmod(n, cap)  # the first partition: q parts cap, then rest
-    x = [cap] * q + [rest] * (rest > 0)
-    m = len(x)
-    h = q + (rest > 1) if cap > 1 else 0
-    x += [1] * (n - m)
-    out: list[Partition] = [tuple(x[:m])]
+    x = [n] + [1] * (n - 1)  # the first partition, (n)
+    m, h = 1, int(n > 1)
+    out: list[Partition] = [(n,)]
     while h:
         if x[h - 1] == 2:
             x[h - 1] = 1

@@ -68,10 +68,10 @@ def snn_closed_form(n1: int, n2: int) -> int:
 
 
 def phat(n: int) -> list[Partition]:
-    """Partitions of n with all parts <= n-2 (i.e. excluding (n) and (n-1,1))."""
+    """Partitions of n with all parts <= n-2: all but (n) and (n-1,1), the first two."""
     if strict_int(n, "n") < 3:
         raise ValueError("phat(n) is defined for n >= 3")
-    return partitions(n, max_part=n - 2)
+    return partitions(n)[2:]
 
 
 def _valuation(v: int, p: int) -> int:

@@ -24,11 +24,10 @@ from collections import Counter, namedtuple
 
 from . import bordclass
 from .bordclass import ChernVector
-from .cohomring import PresentedRing
+from .cohomring import PresentedRing, line_bundle_numbers, line_bundle_s_number
 from .exactalg import (
     GradedPoly,
     IntMatrix,
-    _accumulate,
     canonical_partition,
     hermite_form,
     in_row_lattice,
@@ -158,9 +157,9 @@ def _check_rank(rank: int) -> None:
 def presented_ring(spec: TowerSpec) -> PresentedRing:
     """Cohomology presentation of the tower (triangular by construction).
 
-    One ring per spec, shared by `chern_numbers`, `s_number` and
-    `ring_backend_pair`, so its rewrite rules and memoised normal forms are
-    built once; the 16 most recent specs are kept.  A spec above
+    One ring per spec, shared by `chern_numbers`, `s_number` (its line-bundle
+    numbers) and `ring_backend_pair`, so its rewrite rules and memoised normal
+    forms are built once; the 16 most recent specs are kept.  A spec above
     `bordclass.CHERN_MAX_DIM` or of cohomology rank above CHERN_MAX_RANK is
     refused before its ring is built.
     """
@@ -207,69 +206,16 @@ def _sign(spec: TowerSpec) -> int:
     return 1
 
 
-def _reduced_chern_classes(spec: TowerSpec, ring: PresentedRing) -> list[dict]:
-    """c_0, ..., c_n of the tower as coded normal forms in its ring.
-
-    (1 + x) is multiplied in once per signed roster summand, the equal
-    summands grouped, and every product is reduced as it is formed.
-    """
-    n = spec.dim
-    classes = [{0: 1}] + [{} for _ in range(n)]
-    for cls, count in Counter(signed_roster(spec)).items():
-        x = ring.coded(cls)
-        for _ in range(count):
-            for i in range(n, 0, -1):
-                if classes[i - 1]:
-                    _accumulate(classes[i], ring.mul_reduce(classes[i - 1], x), 1)
-    return classes
-
-
 def chern_numbers(spec: TowerSpec) -> ChernVector:
-    """All Chern numbers of the tower under its orientation convention.
-
-    One partition walk over the coded, reduced Chern classes: every prefix
-    product is reduced in the ring as it is formed, so a leaf is already
-    reduced and reads the fundamental coefficient.  A tail of ones takes
-    c_1 once per one, and stops at the first zero product.  The partitions
-    the walk leaves out (a zero prefix product) read 0.
-    """
-    ring = presented_ring(spec)
-    sign = _sign(spec)
-    classes = _reduced_chern_classes(spec, ring)
-
-    def step(terms: dict, part: int, rest: int) -> dict | None:
-        return ring.mul_reduce(terms, classes[part]) or None
-
-    def ones(terms: dict, r: int) -> dict | None:
-        for _ in range(r):  # c_1 = 0 on an SU tower ends this at once
-            terms = ring.mul_reduce(terms, classes[1])
-            if not terms:
-                return None
-        return terms
-
-    def leaf(terms: dict) -> int:
-        return sign * ring.fundamental_code_coefficient(terms)
-
-    leaves = bordclass._walk(spec.dim, {0: 1}, step, ones, leaf)
-    return ChernVector._of_values(
-        spec.dim, [leaves.get(omega, 0) for omega in bordclass._basis(spec.dim)[0]])
+    """All Chern numbers of the tower under its orientation convention: the
+    `line_bundle_numbers` of its signed roster in its ring, signed by `_sign`."""
+    numbers = line_bundle_numbers(presented_ring(spec), signed_roster(spec))
+    return -numbers if _sign(spec) < 0 else numbers
 
 
 def s_number(spec: TowerSpec) -> int:
-    """Milnor s-number; the toric convention matches the closed family formulas.
-
-    Each distinct roster class is raised to the n-th power once, reducing
-    after every multiply, and counted with its multiplicity.
-    """
-    ring = presented_ring(spec)
-    total: dict = {}
-    for cls, count in Counter(signed_roster(spec)).items():
-        x = ring.coded(cls)
-        power = {0: count}
-        for _ in range(spec.dim):
-            power = ring.mul_reduce(power, x)
-        _accumulate(total, power, 1)
-    return _sign(spec) * ring.fundamental_code_coefficient(total)
+    """Milnor s-number; the toric convention matches the closed family formulas."""
+    return _sign(spec) * line_bundle_s_number(presented_ring(spec), signed_roster(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ class TestChern:
         assert code == 0
         assert out.strip().splitlines()[-1] == "s\t0"
 
+    def test_empty_omega_is_the_point(self, capsys):
+        point = run_cli(["chern", "--family", "L", "--n1", "0", "--n2", "0"], capsys)
+        assert point == (0, "key\tvalue\nc_\t1\ns\t0\n", "")
+        assert run_cli(["chern", "--family", "CPprod", "--omega", ""], capsys) == point
+
     def test_spec_json_cp3(self, tmp_path, capsys):
         spec = tmp_path / "cp3.json"
         spec.write_text(json.dumps({"base": [3], "stages": []}))
@@ -370,6 +375,16 @@ class TestVerify:
         code, out, _ = run_cli(["verify"] + argv, capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + rows
+
+    @pytest.mark.parametrize("kmax", [3, 30, 300])
+    def test_nmodp_rows_match_a_primality_test_per_k_and_p(self, kmax):
+        rows = []
+        for k in range(3, kmax + 1):
+            for p in range(3, 2 * k + 2, 2):
+                if numbers.prime_power_base(p) == p:
+                    power, ok = numbers.verify_nmod(k, p)
+                    rows.append(cli._row("nmodp", f"k={k} p={p}", ok, f"power={power}"))
+        assert json.dumps(cli.run_lemma("nmodp", kmax=kmax)) == json.dumps(rows)
 
     @pytest.mark.parametrize("lemma", ["gcddif", "nmod2", "nmodp", "alphagcd"])
     def test_size_above_largest_exits_2(self, lemma, monkeypatch, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bordx import cohomring, tower
+from bordx import bordclass, cohomring, tower
 from bordx.cohomring import (
     NonTriangularError,
     PresentedRing,
@@ -19,6 +19,8 @@ from bordx.cohomring import (
     evaluate_top,
     graded_rank,
     lattice_evaluate,
+    line_bundle_numbers,
+    line_bundle_s_number,
     normal_form,
 )
 from bordx.exactalg import GradedPoly
@@ -29,6 +31,12 @@ from test_tower import _qt_gens_instances
 def cp_ring(n):
     deg = (2,)
     return PresentedRing(deg, [GradedPoly.generator(deg, 0, n + 1)], 2 * n, (n,))
+
+
+def cp_product_ring(a, b):
+    deg = (2, 2)
+    relations = [GradedPoly.generator(deg, 0, a + 1), GradedPoly.generator(deg, 1, b + 1)]
+    return PresentedRing(deg, relations, 2 * (a + b), (a, b))
 
 
 def grassmann_ring():
@@ -68,10 +76,10 @@ class TestNormalForm:
         # (2, 2) used to be truncated to {2: 5}, the code of u^2
         ring = tower.presented_ring(tower.build_family("CPprod", [2]))
         with pytest.raises(ValueError) as refused:
-            ring.coded(GradedPoly((2, 2), {(2, 0): 5}))
-        assert str(refused.value) == ("coded expects an element over "
+            ring._coded(GradedPoly((2, 2), {(2, 0): 5}))
+        assert str(refused.value) == ("_coded expects an element over "
                                       "the generator degrees (2,), got (2, 2)")
-        assert ring.coded(GradedPoly((2,), {(2,): 5})) == {ring.encode((2,)): 5}
+        assert ring._coded(GradedPoly((2,), {(2,): 5})) == {ring.encode((2,)): 5}
 
     def test_ntilde_rule_single_application(self):
         n1, n2 = 2, 3
@@ -311,9 +319,9 @@ class TestCodedMonomials:
         u, v, w = (ring.gen(j) for j in range(3))
         a = (u * w - v * v.scale(2) + w * w).scale(3)
         b = w.pow(3) + u * v * w - v.pow(3)
-        got = ring.mul_reduce(ring.coded(a), ring.coded(b))
-        assert got == ring.coded(ring.reduce(a * b))
-        assert ring.mul_reduce({}, ring.coded(b)) == {}
+        got = ring._mul_reduce(ring._coded(a), ring._coded(b))
+        assert got == ring._coded(ring.reduce(a * b))
+        assert ring._mul_reduce({}, ring._coded(b)) == {}
 
 
 class TestEvaluateTop:
@@ -427,17 +435,62 @@ def test_zero_pairs_to_0_before_anything_is_built(backend):
         lattice_evaluate(ring, y2)
 
 
+class TestLineBundleNumbers:
+    """The Chern numbers of a sum of line bundles, on rings built without tower."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_cp_n_is_n_plus_1_hyperplane_lines(self, n):
+        ring = cp_ring(n)
+        lines = [ring.gen(0)] * (n + 1)
+        assert line_bundle_numbers(ring, lines) == bordclass.cp(n)
+        assert line_bundle_s_number(ring, lines) == bordclass.s_num(bordclass.cp(n))
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (1, 6)])
+    def test_cp_a_times_cp_b(self, a, b):
+        ring = cp_product_ring(a, b)
+        lines = [ring.gen(1)] * (b + 1) + [ring.gen(0)] * (a + 1)
+        expected = bordclass.product(bordclass.cp(a), bordclass.cp(b))
+        assert line_bundle_numbers(ring, lines) == expected
+        assert line_bundle_s_number(ring, lines) == bordclass.s_num(expected)
+
+    def test_a_trivial_line_changes_nothing(self):
+        ring = cp_ring(3)
+        lines = [ring.gen(0)] * 4
+        zero = GradedPoly.zero(ring.degrees)
+        assert line_bundle_numbers(ring, lines + [zero]) == bordclass.cp(3)
+        assert line_bundle_s_number(ring, lines + [zero]) == 4
+
+    @pytest.mark.parametrize("route", [line_bundle_numbers, line_bundle_s_number])
+    def test_a_line_not_of_degree_2_is_refused_before_the_ring_is_built(self, route):
+        # past degree 2 a product could pass the top, where g0^4 has the code of g1
+        ring = cp_product_ring(1, 2)
+        g0 = ring.gen(0)
+        for line in (g0.pow(2), g0 + g0.pow(3), ring.one()):
+            with pytest.raises(ValueError) as refused:
+                route(ring, [g0, line])
+            assert str(refused.value) == \
+                f"{route.__name__} expects a homogeneous element of degree 2"
+        with pytest.raises(ValueError, match="over the generator degrees"):
+            route(ring, [cp_ring(3).gen(0)])
+        assert ring._rules is None
+
+    def test_a_dimension_above_the_largest_is_refused(self):
+        ring = cp_ring(bordclass.CHERN_MAX_DIM + 1)
+        with pytest.raises(ValueError, match="complex dimension at most"):
+            line_bundle_numbers(ring, [ring.gen(0)])
+
+
 def test_a_lattice_marked_ring_checks_its_element_once(monkeypatch):
     ring = _lattice_copy(ntilde_ring(2, 3))
     x = ring.gen(0) * ring.gen(1, 2) * ring.gen(2, 3)
     calls = []
-    check = cohomring._nonzero_top
+    check = cohomring._nonzero_of_degree
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[3])
         return check(*args)
 
-    monkeypatch.setattr(cohomring, "_nonzero_top", counted)
+    monkeypatch.setattr(cohomring, "_nonzero_of_degree", counted)
     assert evaluate_top(ring, x) == lattice_evaluate(ring, x) == 1
     assert calls == ["evaluate_top", "lattice_evaluate"]
 
@@ -557,6 +610,17 @@ class TestStrictRingInput:
         ring = grassmann_ring()
         with pytest.raises(ValueError, match="generator index"):
             ring.gen(j)
+
+    @pytest.mark.parametrize("x", [5, None, {(2,): 1}])
+    @pytest.mark.parametrize("name", ["evaluate_top", "lattice_evaluate", "normal_form",
+                                      "line_bundle_numbers", "line_bundle_s_number"])
+    def test_an_element_that_is_not_a_poly_refused(self, name, x):
+        # each used to raise AttributeError on its missing .degrees
+        ring = cp_ring(2)
+        arg = [ring.gen(0), x] if name.startswith("line_bundle") else x
+        with pytest.raises(ValueError) as refused:
+            getattr(cohomring, name)(ring, arg)
+        assert str(refused.value) == f"{name} expects a GradedPoly, got {type(x).__name__}"
 
     @pytest.mark.parametrize("relation", [3, (3,), {(3,): 1}, None])
     def test_relation_that_is_not_a_poly_refused(self, relation):

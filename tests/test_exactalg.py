@@ -57,9 +57,6 @@ class TestPartitions:
     def test_four(self):
         assert len(partitions(4)) == 5
 
-    def test_max_part(self):
-        assert partitions(4, max_part=2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-
     def test_descending_order(self):
         assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
@@ -87,8 +84,6 @@ class TestPartitions:
 
         for n in range(21):
             assert partitions(n) == recursive(n, n)
-            for cap in range(-1, n + 2):
-                assert partitions(n, max_part=cap) == recursive(n, cap)
 
 
 class TestMultinomial:

@@ -84,6 +84,10 @@ class TestAlphaPhat:
         assert (5,) not in members
         assert (4, 1) not in members
 
+    def test_phat_is_the_partitions_with_parts_at_most_n_minus_2(self):
+        for n in range(3, 25):
+            assert phat(n) == [w for w in partitions(n) if w[0] <= n - 2]
+
 
 class TestGcdLemmas:
     def test_alpha_gcd_small(self):

@@ -8,7 +8,8 @@ class counts as one definition with its methods.  Every function or class
 the pass does not reach must be in KEEP with its reason; a KEEP entry that
 the roots or the other entries reach anyway, or that is no longer defined,
 fails as well, so KEEP lists exactly what is kept for a reader outside the
-program.
+program.  A second pass checks that the coded monomials of the triangular
+backend stay inside `cohomring`.
 """
 
 import ast
@@ -22,9 +23,9 @@ PERFBENCH = ROOT / "perfbench"
 
 KEEP = {
     "bordclass.todd": "ROADMAP item 2: the Todd genus, a route the item builds on",
-    "tower.char_matrix_from_json": "ROADMAP item 6: the characteristic-matrix input",
-    "tower.char_matrix": "ROADMAP item 6: the characteristic matrix of a named family",
-    "tower.su_check": "ROADMAP item 6: the SU criterion on a characteristic matrix",
+    "tower.char_matrix_from_json": "ROADMAP item 5: the characteristic-matrix input",
+    "tower.char_matrix": "ROADMAP item 5: the characteristic matrix of a named family",
+    "tower.su_check": "ROADMAP item 5: the SU criterion on a characteristic matrix",
     "genfactory.y2_class": "paper example: the generator y_2 = 2K of Omega^SU_4",
     "genfactory.s6_class": "paper example: the 6-sphere",
     "genfactory.grassmann_s4": "paper example: s_4 of the twisted Grassmannian",
@@ -192,3 +193,36 @@ def test_a_keep_entry_reached_anyway_or_gone_is_found(package):
     keep = {**KEEP, "tower.presented_ring": "reached from cli.main",
             "tower.no_such_name": "gone"}
     assert census(package, keep) == [[], ["tower.no_such_name"], ["tower.presented_ring"]]
+
+
+# the coded monomials of the triangular backend, which only cohomring reads
+CODED = {"_coded", "_mul_reduce", "_reduce_codes", "_fundamental_coefficient", "_nf_memo"}
+
+
+def coded_readers(package_dir):
+    """The "module.name" of each coded-monomial name a module other than
+    cohomring names: as a name, an attribute, an import or a string."""
+    found = set()
+    for path in package_dir.glob("*.py"):
+        if path.stem != "cohomring":
+            for n in ast.walk(_parse(path)):
+                names = {getattr(n, field, None) for field in ("id", "attr", "name", "asname")}
+                if isinstance(n, ast.Constant):
+                    names.add(n.value)
+                found.update(f"{path.stem}.{name}" for name in CODED.intersection(names))
+    return sorted(found)
+
+
+def test_the_coded_monomials_stay_inside_cohomring():
+    assert coded_readers(SRC) == []
+
+
+def test_a_coded_name_outside_cohomring_is_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "tower.py", "a", encoding="utf-8") as out:
+        out.write("\n\ndef leak(spec):\n    ring = presented_ring(spec)\n"
+                  "    return ring._mul_reduce(ring._coded(ring.one()), {0: 1})\n")
+    with open(tmp_path / "genfactory.py", "a", encoding="utf-8") as out:
+        out.write('\n\nMEMO = "_nf_memo"\n')
+    assert coded_readers(tmp_path) == ["genfactory._nf_memo", "tower._coded", "tower._mul_reduce"]

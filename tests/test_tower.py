@@ -639,7 +639,7 @@ def test_normal_form_same_on_memo_miss_and_hit(monkeypatch, name, n1, n2):
     # the top part against the lattice route, which never reads the memo
     _, lattice = tower.ring_backend_pair(spec)
     top = ring.top_degree
-    assert ring.fundamental_code_coefficient(ring.coded(first.graded_part(top))) == \
+    assert ring._fundamental_coefficient(ring._coded(first.graded_part(top))) == \
         cohomring.lattice_evaluate(lattice, below.graded_part(top))
 
 
