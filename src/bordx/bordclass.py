@@ -184,19 +184,21 @@ def _exp_to_partition(exp) -> Partition:
     return tuple(i + 1 for i in reversed(range(len(exp))) for _ in range(exp[i]))
 
 
-def _walk(n: int, start, step, ones, evaluate) -> dict:
-    """{omega: evaluate(start * prod_{i in omega} piece_i)} over the partitions
-    omega of n whose product is nonzero.
+def _walk(n: int, start, step, ones, evaluate, zero) -> list:
+    """evaluate(start * prod_{i in omega} piece_i) for each partition omega of
+    n, in `_basis(n)` order, and `zero` where that product is zero.
 
-    `step(value, part, rest)` returns value * piece_part for a part of 2 or
-    more, or None when that product is zero; `rest` is what the partition
-    still has to take after `part`.  `ones(value, r)` closes a tail of r ones
-    in one call: it returns value * piece_1^r, or None when that is zero.
-    Partitions are walked depth-first in `_basis(n)` order, so partitions
-    sharing a prefix share its product, a zero prefix leaves its whole
-    subtree out, and only the products on the current path are held.
+    `start` is None when it is zero.  `step(value, part, rest)` returns value
+    * piece_part for a part of 2 or more, or None when that product is zero;
+    `rest` is what the partition still has to take after `part`.
+    `ones(value, r)` closes a tail of r ones in one call: it returns value *
+    piece_1^r, or None when that is zero.  Partitions are walked depth-first
+    in `_basis(n)` order, so partitions sharing a prefix share its product, a
+    zero prefix leaves its whole subtree at `zero`, and only the products on
+    the current path are held.
     """
-    leaves = {}
+    index = _basis(n)[1]
+    leaves = [zero] * len(index)
     prefix: list[int] = []
 
     def walk(value, remaining: int, largest: int) -> None:
@@ -211,9 +213,10 @@ def _walk(n: int, start, step, ones, evaluate) -> dict:
             value = ones(value, remaining)
             if value is None:
                 return
-        leaves[(*prefix, *(1,) * remaining)] = evaluate(value)
+        leaves[index[(*prefix, *(1,) * remaining)]] = evaluate(value)
 
-    walk(start, n, n)
+    if start is not None:
+        walk(start, n, n)
     del walk  # the closure refers to itself: drop the cycle now, not at gc
     return leaves
 
@@ -323,22 +326,6 @@ def _girard_waring_row(n: int) -> tuple[int, ...]:
         // math.prod(map(math.factorial, Counter(lam).values()))
         for lam in _basis(n)[0]
     )
-
-
-def s_polynomial(n: int, chern_classes) -> GradedPoly:
-    """Power sum s_n of the Chern roots in the Chern classes c_1, c_2, ...
-
-    The Girard-Waring row of `s_num` with c_lambda = prod_{i in lambda} c_i;
-    classes past the end of `chern_classes` are zero.
-    """
-    total = chern_classes[0].scale(0)
-    for lam, coeff in zip(_basis(n)[0], _girard_waring_row(n)):
-        if coeff and lam[0] <= len(chern_classes):
-            term = chern_classes[lam[0] - 1].scale(coeff)
-            for i in lam[1:]:
-                term = term * chern_classes[i - 1]
-            total = total + term
-    return total
 
 
 def s_num(a: ChernVector) -> int:
@@ -519,8 +506,7 @@ def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
         return tuple(map(index.__getitem__, terms)), tuple(sign * c for c in terms.values())
 
     start = reduce({rank * radix - a * shift: c for a, c in enumerate(euler) if c}, m)
-    rows = _walk(m, start, step, ones, row) if start else {}
-    return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])
+    return m, tuple(_walk(m, start, step, ones, row, ((), ())))
 
 
 def _apply(matrix: tuple, a: ChernVector) -> ChernVector:

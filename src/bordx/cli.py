@@ -197,10 +197,6 @@ _LEMMA_SUITES = {
 RANKS_MAX_DIM = 4000
 # largest `gens --dim` (real dimension) per source
 GENS_MAX_DIM = {"cy": 30, "quasitoric": 44}
-# largest complex dimension of a `chern` manifold (bordclass owns it)
-CHERN_MAX_DIM = bordclass.CHERN_MAX_DIM
-# largest cohomology rank of a `chern` tower (tower owns it)
-CHERN_MAX_RANK = tower.CHERN_MAX_RANK
 
 LEMMAS = tuple(_LEMMA_SUITES)
 

@@ -2,12 +2,11 @@
 
 A PresentedRing is a graded ring given by generators, homogeneous relations,
 a top degree 2n and a fundamental monomial pairing to +1.  It is built in
-Python from GradedPoly relations (`tower.presented_ring`,
-`genfactory.grassmann_ring`); bordx reads no ring from text.  Two backends
-compute the pairing: a triangular rewriting backend (fast path, needs every
-relation to be monic in a pure generator power) and a lattice backend that
-quotients the free abelian group on top-degree monomials by all relation
-multiples (ground truth).
+Python from GradedPoly relations (`tower.presented_ring`); bordx reads no
+ring from text.  Two backends compute the pairing: a triangular rewriting
+backend (fast path, needs every relation to be monic in a pure generator
+power) and a lattice backend that quotients the free abelian group on
+top-degree monomials by all relation multiples (ground truth).
 
 The triangular backend memoises the normal form of every monomial it
 rewrites, once per ring, so evaluating many products in one ring rewrites
@@ -116,19 +115,7 @@ class PresentedRing:
         self._nf_memo: dict[int, dict] = {}  # code -> coded normal form
         self._lattice_phi = None  # the top-degree functional, built on first use
 
-    # -- helpers -------------------------------------------------------------
-
-    def poly(self, terms) -> GradedPoly:
-        return GradedPoly(self.degrees, terms)
-
-    def gen(self, j: int, power: int = 1) -> GradedPoly:
-        return GradedPoly.generator(self.degrees, j, power)
-
-    def one(self) -> GradedPoly:
-        return GradedPoly.constant(self.degrees, 1)
-
-    def monomials_of_degree(self, degree: int) -> list[tuple[int, ...]]:
-        return [m for m in self._monomial_walk(degree) if m is not None]
+    # -- monomials ------------------------------------------------------------
 
     def _monomial_walk(self, degree: int, units=()):
         """Monomials of `degree` in lexicographic order, and None for each dead end.
@@ -592,8 +579,8 @@ def line_bundle_numbers(ring: PresentedRing, lines) -> ChernVector:
                 return None
         return terms
 
-    leaves = bordclass._walk(n, {0: 1}, step, ones, ring._fundamental_coefficient)
-    return ChernVector._of_values(n, [leaves.get(omega, 0) for omega in bordclass._basis(n)[0]])
+    return ChernVector._of_values(
+        n, bordclass._walk(n, {0: 1}, step, ones, ring._fundamental_coefficient, 0))
 
 
 def line_bundle_s_number(ring: PresentedRing, lines) -> int:
@@ -614,7 +601,7 @@ def graded_rank(ring: PresentedRing, degree: int) -> int:
     """Rank of the graded piece as an abelian group."""
     if strict_int(degree, "the degree") > ring.top_degree:
         raise ValueError("degree exceeds top_degree")
-    if degree < 0:
+    if degree < 0 or degree % 2:  # every generator degree is even
         return 0
     index, rows = ring._lattice_model(degree)
     return len(index) - len(hermite_form(rows))

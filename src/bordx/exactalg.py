@@ -280,15 +280,6 @@ class GradedPoly:
         degs = {self.term_degree(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exp) -> int:
-        return self.terms.get(tuple(exp), 0)
-
-    def graded_part(self, degree: int) -> "GradedPoly":
-        return GradedPoly._trusted(
-            self.degrees,
-            {e: c for e, c in self.terms.items() if self.term_degree(e) == degree},
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other: "GradedPoly") -> None:

@@ -2,7 +2,9 @@
 
 Calabi-Yau hypersurface combinations, quasitoric combinations built from the
 two tower families, the b_i scaffolding behind the structure of the ring W,
-and the low-dimensional special classes with their Hodge-number criteria.
+and the Hodge-number criteria of Calabi-Yau 3- and 4-folds.  The paper's
+low-dimensional examples (y_2 = 2K, the 6-sphere, the twisted Grassmannian)
+are read by no command; `tests/paper_examples_reference.py` holds them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import types
 from collections import namedtuple
 
 from . import bordclass, numbers, tower
-from .bordclass import ChernVector, InconsistencyError, s_polynomial
-from .cohomring import PresentedRing, evaluate_top
-from .exactalg import GradedPoly, canonical_partition, ext_gcd_combo, strict_int
+from .bordclass import ChernVector, InconsistencyError
+from .exactalg import canonical_partition, ext_gcd_combo, strict_int
 
 
 # ---------------------------------------------------------------------------
@@ -222,41 +223,8 @@ def construct_b(i: int) -> ChernVector:
 
 
 # ---------------------------------------------------------------------------
-# low-dimensional special classes
+# Calabi-Yau criteria from Hodge numbers
 # ---------------------------------------------------------------------------
-
-def y2_class() -> GeneratorCertificate:
-    """The generator y_2 = 2K of Omega^SU_4 (s_2 = -48, Todd genus 2)."""
-    cls = bordclass.k_class().scale(2)
-    return _certify(4, [(2, "K")], cls, -48)
-
-
-def s6_class() -> ChernVector:
-    """The 6-sphere with its G_2-invariant almost complex structure."""
-    return ChernVector(3, {(3,): 2})
-
-
-def grassmann_ring() -> PresentedRing:
-    """H*(Gr_2(C^4)) = Z[c1, c2] / (c1^3 - 2 c1 c2, c2^2 - c1^2 c2)."""
-    degrees = (2, 4)
-    c1 = GradedPoly.generator(degrees, 0)
-    c2 = GradedPoly.generator(degrees, 1)
-    relations = [c1.pow(3) - (c1 * c2).scale(2), c2 * c2 - c1 * c1 * c2]
-    return PresentedRing(degrees, relations, 8, (2, 1))
-
-
-def grassmann_s4() -> int:
-    """s_4 of the Grassmannian Gr_2(C^4) with the SU-amended structure 2 conj(g) + 2 g - conj(g) g."""
-    ring = grassmann_ring()
-    c1, c2 = ring.gen(0), ring.gen(1)
-    # rank-2 tautological bundle and its conjugate
-    s4_gamma = s_polynomial(4, [c1, c2])
-    s4_gamma_bar = s_polynomial(4, [-c1, c2])
-    # conj(gamma) tensor gamma: c = 1 - c1^2 + 4 c2
-    s4_gg = s_polynomial(4, [c1.scale(0), c2.scale(4) - c1 * c1])
-    total = s4_gamma_bar.scale(2) + s4_gamma.scale(2) - s4_gg
-    return evaluate_top(ring, total.graded_part(8))
-
 
 def cy3_criterion(h11: int, h21: int) -> dict:
     """Euler characteristic and generator tag of a Batyrev Calabi-Yau 3-fold."""

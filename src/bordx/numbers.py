@@ -205,12 +205,6 @@ class RankTable(namedtuple("RankTable", "rows")):
 
     __slots__ = ()
 
-    def row(self, dimension: int) -> RankRow:
-        for r in self.rows:
-            if r.dimension == dimension:
-                return r
-        raise KeyError(dimension)
-
     def to_json(self) -> list[dict]:
         return [r._asdict() for r in self.rows]
 

@@ -4,7 +4,9 @@ Fraction-free elimination gives the rank and a primitive kernel vector phi;
 the quotient is torsion-free when the Hermite form of the relation rows
 equals the Hermite form of a Z-basis of {x : phi . x = 0}.  The rows are
 those of the full model, one column per monomial and one row per relation
-multiple, built here without reading ``bordx``'s own model.  Nothing in
+multiple, built here without reading ``bordx``'s own model, over the
+monomials ``monomials`` lists by its own recursion rather than by the
+odometer of ``PresentedRing._monomial_walk``.  Nothing in
 bordx uses this module; the Hermite form ``bordx.exactalg.hermite_form``
 and the evaluator in ``bordx.cohomring``, over the standard monomials,
 replace it, and ``reference_hnf`` is the oracle the Hermite form must equal
@@ -201,6 +203,17 @@ def dense_matrix(rows, cols: int) -> IntMatrix:
                                cols=cols)
 
 
+def monomials(degrees, degree) -> list[tuple[int, ...]]:
+    """The exponent vectors of the monomials of `degree` over generators of
+    the given degrees, in lexicographic order: a recursion over the exponent
+    of each generator in turn, independent of bordx's odometer."""
+    if not degrees:
+        return [()] if degree == 0 else []
+    first, *rest = degrees
+    return [(e, *m) for e in range(degree // first + 1)
+            for m in monomials(rest, degree - e * first)]
+
+
 def full_lattice_model(ring, degree):
     """(column by monomial code, relation rows) of a degree with nothing eliminated.
 
@@ -210,7 +223,7 @@ def full_lattice_model(ring, degree):
     those relations account for.
     """
     encode = ring.encode
-    codes = [encode(m) for m in ring.monomials_of_degree(degree)]
+    codes = [encode(m) for m in monomials(ring.degrees, degree)]
     if degree == ring.top_degree:
         mu = encode(ring.fundamental_monomial)
         codes.remove(mu)
@@ -221,7 +234,7 @@ def full_lattice_model(ring, degree):
         shift = degree - rel.degree()
         if shift >= 0:
             terms = [(encode(e), c) for e, c in rel.terms.items()]
-            for m in ring.monomials_of_degree(shift):
+            for m in monomials(ring.degrees, shift):
                 k = encode(m)
                 rows.append({index[e + k]: c for e, c in terms})
     return index, rows

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bordx.bordclass import _basis
 from bordx.exactalg import GradedPoly, Partition
-from series_reference import inverse_one_plus
+from series_reference import graded_part, inverse_one_plus
 
 
 def _exp_to_partition(exp) -> Partition:
@@ -35,7 +35,7 @@ def _walk(n: int, total: GradedPoly, evaluate, start=None, reduce=None) -> dict:
     """
     if start is None:
         start = GradedPoly.constant(total.degrees, 1)
-    pieces = [None] + [total.graded_part(2 * i) for i in range(1, n + 1)]
+    pieces = [None] + [graded_part(total, 2 * i) for i in range(1, n + 1)]
     leaves = {}
     prefix: list[int] = []
 
@@ -116,6 +116,6 @@ def projective_dual(n: int, k: int = 0, fibre=lambda x, c1: 1,
     m = n + k - rank
     cap = 2 * m
     total = chern.mul(zero + fibre(x, c1), cap).mul(inverse_one_plus(nu - 1, cap), cap)
-    rows = _walk(m, reduce(total), row, start=reduce(nu.graded_part(2 * rank)),
+    rows = _walk(m, reduce(total), row, start=reduce(graded_part(nu, 2 * rank)),
                  reduce=reduce)
     return m, tuple(rows.get(omega, ((), ())) for omega in _basis(m)[0])

@@ -535,7 +535,7 @@ class TestMatrixIdentities:
     def test_rank_ker_delta_is_rank_w(self, n):
         rank, kernel = lattice_rank_kernel(IntMatrix.from_rows(delta_dense(n)))
         assert rank == len(partitions(n - 2))
-        assert len(kernel) == rank_table(2 * n).row(2 * n).rank_w
+        assert len(kernel) == rank_table(2 * n).rows[n].rank_w
         # each kernel vector passes both W criteria (they must agree)
         for vec in kernel:
             assert in_W(ChernVector(n, dict(zip(partitions(n), vec))))

@@ -18,6 +18,7 @@ import pytest
 from bordx import bordclass, cohomring, tower
 from bordx.cohomring import PresentedRing, lattice_evaluate
 from bordx.exactalg import GradedPoly, partitions
+from series_reference import graded_part
 
 
 def _eliminate_linear(M):
@@ -107,7 +108,7 @@ def quasitoric_chern_numbers(M):
     total = GradedPoly.constant(degrees, 1)
     for cls in classes:
         total = total.mul(GradedPoly.constant(degrees, 1) + cls, cap)
-    parts = {i: total.graded_part(2 * i) for i in range(1, n + 1)}
+    parts = {i: graded_part(total, 2 * i) for i in range(1, n + 1)}
     numbers = {}
     for omega in partitions(n):
         poly = GradedPoly.constant(degrees, 1)

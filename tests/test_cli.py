@@ -188,36 +188,36 @@ class TestDimensionLimits:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(largest) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("base", [[200], [cli.CHERN_MAX_DIM + 1],
-                                      [cli.CHERN_MAX_DIM, 1], [10**9], [10**12]])
+    @pytest.mark.parametrize("base", [[200], [bordclass.CHERN_MAX_DIM + 1],
+                                      [bordclass.CHERN_MAX_DIM, 1], [10**9], [10**12]])
     def test_spec_above_largest(self, base, no_chern_work, tmp_path, capsys):
         # p(200) is about 4e12: only the limit check may run
         spec = tmp_path / "big.json"
         spec.write_text(json.dumps({"base": base}))
         code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
-        self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
+        self.assert_refused(code, out, err, bordclass.CHERN_MAX_DIM)
 
     def test_spec_stage_counts_toward_dimension(self, no_chern_work, tmp_path, capsys):
         # a stage of f + 1 lines adds f to the dimension
         spec = tmp_path / "stage.json"
-        lines = [[-1]] + [[0]] * cli.CHERN_MAX_DIM
+        lines = [[-1]] + [[0]] * bordclass.CHERN_MAX_DIM
         spec.write_text(json.dumps({"base": [1], "stages": [{"lines": lines}]}))
         code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
-        self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
+        self.assert_refused(code, out, err, bordclass.CHERN_MAX_DIM)
 
     @pytest.mark.parametrize("argv", [
         ["--family", "CPprod", "--omega", "200"],
-        ["--family", "CPprod", "--omega", f"{cli.CHERN_MAX_DIM},1"],
+        ["--family", "CPprod", "--omega", f"{bordclass.CHERN_MAX_DIM},1"],
         ["--family", "CPprod", "--omega", str(10**9)],
         ["--family", "CPprod", "--omega", str(10**12)],
-        ["--family", "L", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 1)],
-        ["--family", "Ltilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 1)],
-        ["--family", "Ntilde", "--n1", "2", "--n2", str(cli.CHERN_MAX_DIM - 2)],
+        ["--family", "L", "--n1", "2", "--n2", str(bordclass.CHERN_MAX_DIM - 1)],
+        ["--family", "Ltilde", "--n1", "2", "--n2", str(bordclass.CHERN_MAX_DIM - 1)],
+        ["--family", "Ntilde", "--n1", "2", "--n2", str(bordclass.CHERN_MAX_DIM - 2)],
         ["--family", "L", "--n1", "10", "--n2", str(10**12)],
     ])
     def test_family_above_largest(self, argv, no_chern_work, no_stage, capsys):
         code, out, err = run_cli(["chern"] + argv, capsys)
-        self.assert_refused(code, out, err, cli.CHERN_MAX_DIM)
+        self.assert_refused(code, out, err, bordclass.CHERN_MAX_DIM)
 
     @pytest.mark.parametrize("family,n1,n2", [
         ("L", 0, 5), ("L", 3, 0), ("L", 2, 3), ("Ltilde", 2, 3), ("Ltilde", 4, 1),
@@ -229,9 +229,9 @@ class TestDimensionLimits:
 
     def test_largest_chern_dimension_runs(self, capsys):
         code, out, _ = run_cli(["chern", "--family", "CPprod", "--omega",
-                                str(cli.CHERN_MAX_DIM)], capsys)
+                                str(bordclass.CHERN_MAX_DIM)], capsys)
         assert code == 0
-        assert out.strip().splitlines()[-1] == f"s\t{cli.CHERN_MAX_DIM + 1}"
+        assert out.strip().splitlines()[-1] == f"s\t{bordclass.CHERN_MAX_DIM + 1}"
 
     @pytest.mark.parametrize("source", ["cy", "quasitoric"])
     def test_gens_above_largest(self, source, monkeypatch, capsys):
@@ -272,7 +272,7 @@ class TestRankLimit:
     def test_omega_above_largest(self, omega, no_ring, no_stage, capsys):
         code, out, err = run_cli(["chern", "--family", "CPprod", "--omega",
                                   ",".join(map(str, omega))], capsys)
-        TestDimensionLimits.assert_refused(code, out, err, cli.CHERN_MAX_RANK)
+        TestDimensionLimits.assert_refused(code, out, err, tower.CHERN_MAX_RANK)
 
     @pytest.mark.parametrize("data", [
         {"base": [1] * 11},
@@ -284,7 +284,7 @@ class TestRankLimit:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(data))
         code, out, err = run_cli(["chern", "--spec", str(spec)], capsys)
-        TestDimensionLimits.assert_refused(code, out, err, cli.CHERN_MAX_RANK)
+        TestDimensionLimits.assert_refused(code, out, err, tower.CHERN_MAX_RANK)
 
     @pytest.mark.parametrize("omega", ["1,1,1,1,1,1,1,1,1,1", "3,3,3,3,3", "8,8,8",
                                        "10,10,4", "24"])
@@ -300,16 +300,16 @@ class TestRankLimit:
             main(["chern", "--family", "CPprod", "--omega", omega])
 
     def test_families_to_the_largest_dimension_are_admitted(self):
-        instances = [("L", n1, n2) for n1 in range(cli.CHERN_MAX_DIM + 1)
-                     for n2 in range(cli.CHERN_MAX_DIM + 1 - n1)]
-        instances += [("Ltilde", n1, n2) for n1 in range(2, cli.CHERN_MAX_DIM, 2)
-                      for n2 in range(1, cli.CHERN_MAX_DIM + 1 - n1, 2)]
-        instances += [("Ntilde", n1, n2) for n1 in range(2, cli.CHERN_MAX_DIM, 2)
-                      for n2 in range(1, cli.CHERN_MAX_DIM - n1, 2)]
+        instances = [("L", n1, n2) for n1 in range(bordclass.CHERN_MAX_DIM + 1)
+                     for n2 in range(bordclass.CHERN_MAX_DIM + 1 - n1)]
+        instances += [("Ltilde", n1, n2) for n1 in range(2, bordclass.CHERN_MAX_DIM, 2)
+                      for n2 in range(1, bordclass.CHERN_MAX_DIM + 1 - n1, 2)]
+        instances += [("Ntilde", n1, n2) for n1 in range(2, bordclass.CHERN_MAX_DIM, 2)
+                      for n2 in range(1, bordclass.CHERN_MAX_DIM - n1, 2)]
         for name, n1, n2 in instances:
             spec = tower.build_family(name, n1, n2)
-            assert spec.dim <= cli.CHERN_MAX_DIM
-            assert spec.cohomology_rank <= cli.CHERN_MAX_RANK, (name, n1, n2)
+            assert spec.dim <= bordclass.CHERN_MAX_DIM
+            assert spec.cohomology_rank <= tower.CHERN_MAX_RANK, (name, n1, n2)
 
     @pytest.mark.parametrize("omega", ["1_0", " 1", "1 ", "+1", "0", "1,,1", "1,", "2;1",
                                        "\u0661"])

@@ -20,7 +20,7 @@ RECORDS = {
     "TowerSpec": (_spec, ("base", "stages", "conjugations", "convention"), True),
     "CharMatrix": (lambda: CharMatrix(IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]]), [2]),
                    ("matrix", "polytope"), True),
-    "RankRow": (lambda: numbers.rank_table(10).row(8),
+    "RankRow": (lambda: numbers.rank_table(10).rows[8 // 2],
                 ("dimension", "rank_omega_u", "rank_w", "rank_omega_su", "tors_rank",
                  "hw_rank"), True),
     "RankTable": (lambda: numbers.rank_table(10), ("rows",), True),
