@@ -19,8 +19,8 @@ product, with one matrix row per leaf.  A monomial x^a c_1^e_1 ... c_n^e_n
 of that walk is one int, its exponents the digits of radix n + k + 1; no
 digit carries, since no exponent of a product of degree at most 2(n + k)
 exceeds n + k, so a monomial product is one addition.  A call is then one
-sparse product.  The operations keep at most `MATRIX_CACHE_SIZE` matrices
-per operation.
+sparse product.  The operations share one cache of at most
+`MATRIX_CACHE_SIZE` matrices, on `_projective_dual`.
 
 One bound holds for the whole library: `check_dim` refuses a complex
 dimension above `CHERN_MAX_DIM` where each partition-indexed object starts
@@ -375,6 +375,14 @@ def todd(a: ChernVector) -> Fraction:
 # the operations d_k, Delta, Psi, chi, pi
 # ---------------------------------------------------------------------------
 
+# The operation matrices share one cache of this many.  Measured traffic:
+# `test_ops_sized_key_set_evicts_nothing` draws 74 distinct matrices (28 d_k,
+# 11 Delta, 26 Psi, 9 pi), and over seeds 1-10 one benchmark pass builds at
+# most 56 on `ops`, 22 on `qt_gens`, 19 on `cy_gens` and none on `sweeps`.
+MATRIX_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
                      sign: int = 1) -> tuple:
     """The matrix of M -> N, N the submanifold dual to a bundle nu in a
@@ -411,7 +419,7 @@ def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
     x^k layer alone, and one dict takes its codes to the indices of
     `_basis(n)`, giving the row {index of tau: coefficient of c_tau[M]}.
     The matrix is (dimension of N, rows in `_basis` order), each row a pair
-    (indices, coefficients).
+    (indices, coefficients).  The cache keys on the arguments as passed.
     """
     if not n:  # c_1 is 0 on a point, so beta adds nothing to the rank
         nu = [(alpha, 0, e) for alpha, _, e in nu]
@@ -517,41 +525,13 @@ def _apply(matrix: tuple, a: ChernVector) -> ChernVector:
         m, [sum(map(operator.mul, coeffs, map(at, idx))) for idx, coeffs in rows])
 
 
-# Each operation matrix is built once per key and kept in a cache of this
-# many keys per operation.  One `ops` benchmark pass uses at most 20 keys of
-# one operation (`_boundary_matrix`; 14 of `_psi_matrix`, 11 of
-# `_delta_matrix`, 9 of `_pi_matrix`), so a pass evicts nothing.
-MATRIX_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _boundary_matrix(n: int, k: int) -> tuple:
-    return _projective_dual(n, nu=((0, 1, k),))
-
-
-@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _delta_matrix(n: int) -> tuple:
-    return _projective_dual(n, nu=((0, 1, 1), (0, -1, 1)))
-
-
-@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _psi_matrix(n: int, k1: int, k2: int) -> tuple:
-    return _projective_dual(n, k1 + k2, fibre=((1, -1, 1), (1, 0, k1), (-1, 0, k2)),
-                            eps=1, sign=-1 if k2 % 2 else 1)
-
-
-@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _pi_matrix(n: int) -> tuple:
-    return _projective_dual(n, 1, fibre=((1, 0, 2),), nu=((1, 1, 1),))
-
-
 def boundary_k(a: ChernVector, k: int) -> ChernVector:
     """d_k: the class of the submanifold dual to (det TM)^k, nu = (1+c_1)^k."""
     if strict_int(k, "k") < 1:
         raise ValueError("k must be positive")
-    if a.dim < k:
+    if a.dim < k:  # `_projective_dual` gives c_1 rank 0 on a point, so it would not refuse
         raise ValueError(f"need dim >= {k}, got {a.dim}")
-    return _apply(_boundary_matrix(a.dim, k), a)
+    return _apply(_projective_dual(a.dim, nu=((0, 1, k),)), a)
 
 
 def boundary(a: ChernVector) -> ChernVector:
@@ -563,7 +543,7 @@ def delta(a: ChernVector) -> ChernVector:
     """Delta: the class dual to -c_1^2, nu = 1 - c_1^2."""
     if a.dim < 2:
         raise ValueError(f"Delta needs dim >= 2, got {a.dim}")
-    return _apply(_delta_matrix(a.dim), a)
+    return _apply(_projective_dual(a.dim, nu=((0, 1, 1), (0, -1, 1))), a)
 
 
 def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
@@ -576,7 +556,8 @@ def psi_k1k2(a: ChernVector, k1: int, k2: int) -> ChernVector:
     """
     if strict_int(k1, "k1") < 0 or strict_int(k2, "k2") < 0 or k1 + k2 < 1:
         raise ValueError("need k1, k2 >= 0 with k1 + k2 >= 1")
-    return _apply(_psi_matrix(a.dim, k1, k2), a)
+    return _apply(_projective_dual(a.dim, k1 + k2, fibre=((1, -1, 1), (1, 0, k1), (-1, 0, k2)),
+                                   eps=1, sign=-1 if k2 % 2 else 1), a)
 
 
 def chi(a: ChernVector) -> ChernVector:
@@ -592,7 +573,7 @@ def psi(a: ChernVector) -> ChernVector:
 def stong_pi(a: ChernVector) -> ChernVector:
     """Stong's projection onto W: the submanifold of CP^1 x M dual to
     (hyperplane bundle) tensor det TM, nu = 1 + x + c_1 with x^2 = 0."""
-    return _apply(_pi_matrix(a.dim), a)
+    return _apply(_projective_dual(a.dim, 1, fibre=((1, 0, 2),), nu=((1, 1, 1),)), a)
 
 
 def rho(a: ChernVector) -> ChernVector:

@@ -334,8 +334,7 @@ def cmd_ranks(args) -> int:
     if not 0 <= args.max_dim <= RANKS_MAX_DIM:
         raise ValueError(f"--max-dim must be between 0 and {RANKS_MAX_DIM}, "
                          f"got {args.max_dim}")
-    table = numbers.rank_table(args.max_dim)
-    rows = table.to_json()
+    rows = [row._asdict() for row in numbers.rank_table(args.max_dim)]
     _render_rows(rows, ["dimension", "rank_omega_u", "rank_w", "rank_omega_su",
                         "tors_rank", "hw_rank"], args.format, args.output)
     return EXIT_OK

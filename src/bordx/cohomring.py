@@ -10,14 +10,17 @@ top-degree monomials by all relation multiples (ground truth).
 
 The triangular backend memoises the normal form of every monomial it
 rewrites, once per ring, so evaluating many products in one ring rewrites
-each monomial only once.  It works on coded monomials, private to this
-module: x^e is the int sum e_j R^j with R = top_degree // min(degrees) + 1.
-At or below the top degree every exponent is below R, so the code is
-one-to-one there and the product of two monomials whose product stays at or
-below the top is one addition of their codes.  A monomial with an exponent
-of R or more lies above the top, and its code would be that of another
-monomial, so it is dropped before it is encoded.  The Chern numbers of a sum
-of line bundles (`line_bundle_numbers`) are read through them too.
+each monomial only once.  A monomial met again on its own rewrite path is a
+cycle, so rewriting terminates; a normal form that would rewrite more than
+`_REWRITE_STEP_LIMIT` monomials is refused (ring too large).  It works on
+coded monomials, private to this module: x^e is the int sum e_j R^j with R =
+top_degree // min(degrees) + 1.  At or below the top degree every exponent
+is below R, so the code is one-to-one there and the product of two monomials
+whose product stays at or below the top is one addition of their codes.  A
+monomial with an exponent of R or more lies above the top, and its code
+would be that of another monomial, so it is dropped before it is encoded.
+The Chern numbers of a sum of line bundles (`line_bundle_numbers`) are read
+through them too.
 
 The lattice backend first eliminates the unit monomial relations, those
 that are one monomial with coefficient +-1 (a face ring's Stanley-Reisner
@@ -347,8 +350,9 @@ class PresentedRing:
                 else:
                     steps += 1
                     if steps > _REWRITE_STEP_LIMIT:
-                        raise NonTriangularError(
-                            "rewriting did not terminate; use the lattice backend"
+                        raise PresentationError(
+                            f"the normal form of one monomial rewrites more than "
+                            f"{_REWRITE_STEP_LIMIT} monomials (ring too large)"
                         )
                     path.add(mono)
                     stack.append((mono, children, iter(children)))

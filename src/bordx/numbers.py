@@ -200,17 +200,8 @@ RankRow = namedtuple(
     "RankRow", "dimension rank_omega_u rank_w rank_omega_su tors_rank hw_rank")
 
 
-class RankTable(namedtuple("RankTable", "rows")):
-    """The RankRow of every even dimension, in increasing order."""
-
-    __slots__ = ()
-
-    def to_json(self) -> list[dict]:
-        return [r._asdict() for r in self.rows]
-
-
-def rank_table(max_dim: int) -> RankTable:
-    """Ranks per even dimension 2n <= max_dim.
+def rank_table(max_dim: int) -> tuple[RankRow, ...]:
+    """The RankRow of every even dimension 2n <= max_dim, in increasing order.
 
     rank Omega^U_{2n} = p(n); rank W_{2n} = p(n) - p(n-2); rank of the free
     part of Omega^SU_{2n} = p(n) - p(n-1), the partitions with no part 1; the
@@ -237,4 +228,4 @@ def rank_table(max_dim: int) -> RankTable:
                 hw_rank=hw[dim],
             )
         )
-    return RankTable(tuple(rows))
+    return tuple(rows)

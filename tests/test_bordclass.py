@@ -36,6 +36,7 @@ from bordx.exactalg import IntMatrix, multinomial, partitions
 from bordx.numbers import rank_table
 from lattice_reference import lattice_rank_kernel
 import monomial_table_reference
+from operation_matrix import operation_matrix
 
 
 class TestCp:
@@ -471,7 +472,7 @@ MATRIX_DIMS = range(13)
 
 
 def dense(matrix, n):
-    """The cached sparse matrix of an operation on Z^p(n) as a list of rows."""
+    """A sparse operation matrix on Z^p(n) as a list of rows."""
     _, rows = matrix
     out = []
     for idx, coeffs in rows:
@@ -497,15 +498,15 @@ def zeros(rows, n):
 
 
 def psi_dense(n):
-    return dense(bc._psi_matrix(n, 1, 1), n)
+    return dense(operation_matrix(psi, n), n)
 
 
 def d_dense(n):
-    return dense(bc._boundary_matrix(n, 1), n)
+    return dense(operation_matrix(boundary, n), n)
 
 
 def delta_dense(n):
-    return dense(bc._delta_matrix(n), n)
+    return dense(operation_matrix(delta, n), n)
 
 
 class TestMatrixIdentities:
@@ -535,7 +536,7 @@ class TestMatrixIdentities:
     def test_rank_ker_delta_is_rank_w(self, n):
         rank, kernel = lattice_rank_kernel(IntMatrix.from_rows(delta_dense(n)))
         assert rank == len(partitions(n - 2))
-        assert len(kernel) == rank_table(2 * n).rows[n].rank_w
+        assert len(kernel) == rank_table(2 * n)[n].rank_w
         # each kernel vector passes both W criteria (they must agree)
         for vec in kernel:
             assert in_W(ChernVector(n, dict(zip(partitions(n), vec))))
@@ -556,18 +557,13 @@ class TestMatrixIdentities:
 # the matrix cache
 # ---------------------------------------------------------------------------
 
-MATRIX_CACHES = (bc._boundary_matrix, bc._delta_matrix, bc._psi_matrix, bc._pi_matrix)
-
-
-def clear_matrix_caches():
-    for cached in MATRIX_CACHES:
-        cached.cache_clear()
+MATRIX_CACHE = bc._projective_dual
 
 
 @pytest.fixture
 def count_walks(monkeypatch):
     """Count the walks run by the operations, starting from an empty cache."""
-    clear_matrix_caches()
+    MATRIX_CACHE.cache_clear()
     walks = []
     real = bc._walk
 
@@ -601,7 +597,7 @@ class TestMatrixCache:
         cached = [op(a) for op in self.OPS]
         again = []
         for op in self.OPS:
-            clear_matrix_caches()
+            MATRIX_CACHE.cache_clear()
             again.append(op(a))
         assert again == cached
         assert len(count_walks) == 2 * len(self.OPS)
@@ -623,19 +619,19 @@ class TestMatrixCache:
         with pytest.raises(ValueError):
             call()
         assert count_walks == []
-        assert all(cached.cache_info().currsize == 0 for cached in MATRIX_CACHES)
+        assert MATRIX_CACHE.cache_info().currsize == 0
 
 
 class TestMatrixCacheBound:
     def test_size_is_pinned(self):
-        assert bc.MATRIX_CACHE_SIZE == 64
-        for cached in MATRIX_CACHES:
-            assert cached.cache_info().maxsize == bc.MATRIX_CACHE_SIZE
+        assert bc.MATRIX_CACHE_SIZE == 128
+        assert MATRIX_CACHE.cache_info().maxsize == bc.MATRIX_CACHE_SIZE
 
     def test_ops_sized_key_set_evicts_nothing(self):
         """Every key of a pass of the `ops` operations, for every (k1, k2) and
-        k it may draw, is built once and stays cached."""
-        clear_matrix_caches()
+        k it may draw, is built once and stays cached: 74 matrices, 28 d_k,
+        11 Delta, 26 Psi and 9 pi (the partner's and one per dimension)."""
+        MATRIX_CACHE.cache_clear()
         partner = stong_pi(cp(2) - cp(1) * cp(1))
 
         def ops_pass():
@@ -651,12 +647,10 @@ class TestMatrixCacheBound:
                 in_W(rho(a)), in_W(twisted_mul(pi_a, partner))
 
         ops_pass()
-        built = [cached.cache_info() for cached in MATRIX_CACHES]
-        for info in built:
-            assert info.misses == info.currsize <= bc.MATRIX_CACHE_SIZE
+        built = MATRIX_CACHE.cache_info()
+        assert built.misses == built.currsize == 74 <= bc.MATRIX_CACHE_SIZE
         ops_pass()
-        assert [cached.cache_info().misses for cached in MATRIX_CACHES] == [
-            info.misses for info in built]
+        assert MATRIX_CACHE.cache_info().misses == built.misses
 
 
 class TestOperationLimit:
@@ -664,7 +658,7 @@ class TestOperationLimit:
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
-        clear_matrix_caches()
+        MATRIX_CACHE.cache_clear()
 
         def fail(*args, **kwargs):
             raise AssertionError("a matrix was built")
@@ -685,7 +679,7 @@ class TestOperationLimit:
     def test_refused_before_any_walk(self, no_walk, call):
         with pytest.raises(ValueError, match=str(bc.CHERN_MAX_DIM)):
             call()
-        assert all(cached.cache_info().currsize == 0 for cached in MATRIX_CACHES)
+        assert MATRIX_CACHE.cache_info().currsize == 0
 
     def test_limit_covers_the_quasitoric_gens_checks(self):
         from bordx.cli import GENS_MAX_DIM

@@ -122,21 +122,27 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form(ring, gen(ring, 0) + GradedPoly.constant(ring.degrees, 1))
 
-    def test_step_limit_safeguard(self, monkeypatch):
-        # x^2 -> xy and y^2 -> xy cycle forever inside the degree cap
-        from bordx import cohomring as cr
+    @staticmethod
+    def chain_ring(size):
+        # x_0^2 = 0 and x_j^2 = x_(j-1)^2: x_(size-1)^2 rewrites once per generator
+        deg = (2,) * size
+        square = [GradedPoly.generator(deg, j).pow(2) for j in range(size)]
+        rels = [square[0]] + [square[j] - square[j - 1] for j in range(1, size)]
+        return PresentedRing(deg, rels, 4, (1, 1) + (0,) * (size - 2)), square[-1]
 
-        monkeypatch.setattr(cr, "_REWRITE_STEP_LIMIT", 500)
-        deg = (2, 2)
-        rel1 = GradedPoly(deg, {(2, 0): 1, (1, 1): -1})
-        rel2 = GradedPoly(deg, {(0, 2): 1, (1, 1): -1})
-        ring = PresentedRing(deg, [rel1, rel2], 8, (2, 2))
-        with pytest.raises(NonTriangularError):
-            normal_form(ring, GradedPoly(deg, {(2, 2): 1}))
+    def test_step_limit_safeguard(self, monkeypatch):
+        # a chain of 600 rewrites, no cycle: within the default limit, past 500
+        ring, top_square = self.chain_ring(600)
+        assert normal_form(ring, top_square).is_zero()
+        ring, top_square = self.chain_ring(600)  # a new ring, with an empty memo
+        monkeypatch.setattr(cohomring, "_REWRITE_STEP_LIMIT", 500)
+        with pytest.raises(PresentationError, match=r"more than 500 monomials \(ring too large\)"):
+            normal_form(ring, top_square)
 
     def test_rewrite_cycle_found_before_the_step_limit(self, monkeypatch):
-        # the same cycle as above is seen on the rewrite path itself, long
-        # before the step limit would stop it
+        # x^2 -> xy and y^2 -> xy cycle forever inside the degree cap; the
+        # cycle is seen on the rewrite path itself, long before the step
+        # limit would stop it
         monkeypatch.setattr(cohomring, "_REWRITE_STEP_LIMIT", 500)
         deg = (2, 2)
         rel1 = GradedPoly(deg, {(2, 0): 1, (1, 1): -1})

@@ -173,31 +173,33 @@ def test_entry_argument_must_be_an_int(call, value):
 
 class TestRankTable:
     def test_row_of_dimension_d_is_row_d_over_2(self):
-        assert [row.dimension for row in rank_table(17).rows] == list(range(0, 17, 2))
+        table = rank_table(17)
+        assert type(table) is tuple and all(type(row) is numbers.RankRow for row in table)
+        assert [row.dimension for row in table] == list(range(0, 17, 2))
 
     def test_omega_u(self):
         table = rank_table(16)
-        assert table.rows[8 // 2].rank_omega_u == 5  # p(4)
+        assert table[8 // 2].rank_omega_u == 5  # p(4)
 
     def test_w4(self):
-        assert rank_table(8).rows[4 // 2].rank_w == 1
+        assert rank_table(8)[4 // 2].rank_w == 1
 
     def test_omega_su8(self):
-        assert rank_table(8).rows[8 // 2].rank_omega_su == 2
+        assert rank_table(8)[8 // 2].rank_omega_su == 2
 
     def test_su_sequence(self):
         table = rank_table(24)
-        got = [table.rows[n].rank_omega_su for n in range(13)]
+        got = [table[n].rank_omega_su for n in range(13)]
         # partitions with parts >= 2: 1,0,1,1,2,2,4,4,7,8,12,14,21
         assert got == [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21]
 
     def test_torsion(self):
         table = rank_table(40)
-        assert table.rows[10 // 2].tors_rank == 1   # 8*1+2, p(1)
-        assert table.rows[18 // 2].tors_rank == 2   # 8*2+2, p(2)
-        assert table.rows[26 // 2].tors_rank == 3
-        assert table.rows[34 // 2].tors_rank == 5
-        assert table.rows[12 // 2].tors_rank == 0
+        assert table[10 // 2].tors_rank == 1   # 8*1+2, p(1)
+        assert table[18 // 2].tors_rank == 2   # 8*2+2, p(2)
+        assert table[26 // 2].tors_rank == 3
+        assert table[34 // 2].tors_rank == 5
+        assert table[12 // 2].tors_rank == 0
 
     def test_hw_matches_partition_count(self):
         # rank H_{8k}(W) = rank H_{8k+4}(W) = p(k), the torsion count of
@@ -210,22 +212,22 @@ class TestRankTable:
             return len(partitions(n))
 
         for k in range(1, 7):
-            assert table.rows[4 * k].hw_rank == p(k), k
-            assert table.rows[4 * k + 2].hw_rank == p(k), k
+            assert table[4 * k].hw_rank == p(k), k
+            assert table[4 * k + 2].hw_rank == p(k), k
 
     def test_hw_profile(self):
         table = rank_table(24)
-        got = [table.rows[d // 2].hw_rank for d in range(0, 25, 4)]
+        got = [table[d // 2].hw_rank for d in range(0, 25, 4)]
         # degrees 0,4,8,...: monomials in deg-4 and deg-16, deg-24 generators
         assert got == [1, 1, 1, 1, 2, 2, 3]
 
     def test_internal_consistency(self):
         table = rank_table(40)
-        for row in table.rows:
+        for row in table:
             assert row.rank_w >= row.rank_omega_su >= 0
             n = row.dimension // 2
             if n >= 2:
-                prev = table.rows[row.dimension // 2 - 2].rank_omega_u
+                prev = table[row.dimension // 2 - 2].rank_omega_u
                 assert row.rank_w == row.rank_omega_u - prev
 
 
@@ -280,9 +282,9 @@ class TestClosedFormsAgainstDefinitions:
 
     def test_rank_table_against_pentagonal_recurrence(self):
         table = rank_table(400)
-        assert [r.dimension for r in table.rows] == list(range(0, 401, 2))
+        assert [r.dimension for r in table] == list(range(0, 401, 2))
         p = [partition_count_recurrence(n) for n in range(201)]
-        for row in table.rows:
+        for row in table:
             dim, n = row.dimension, row.dimension // 2
             assert row.rank_omega_u == p[n], dim
             assert row.rank_w == p[n] - (p[n - 2] if n >= 2 else 0), dim
@@ -293,7 +295,7 @@ class TestClosedFormsAgainstDefinitions:
         table = rank_table(50)
         for n in range(26):
             want = sum(1 for omega in partitions(n) if 1 not in omega)
-            assert table.rows[n].rank_omega_su == want, n
+            assert table[n].rank_omega_su == want, n
 
     def test_hw_rank_counts_monomials(self):
         # monomials w_2^e0 w_8^e1 w_12^e2 ... of degree dim, with deg w_2 = 4
@@ -305,4 +307,4 @@ class TestClosedFormsAgainstDefinitions:
                 1 for exps in itertools.product(*[range(dim // d + 1) for d in degrees])
                 if sum(e * d for e, d in zip(exps, degrees)) == dim
             )
-            assert table.rows[dim // 2].hw_rank == want, dim
+            assert table[dim // 2].hw_rank == want, dim

@@ -5,9 +5,10 @@
 monomials of H*(M)[x]; the reference takes them as functions of the formal
 classes x and c_1 and walks exponent tuples in a free GradedPoly ring.  The
 two must give the same matrix: the same target dimension and, row for row,
-the same multiset of (index, coefficient).  The operations are passed to
-the reference with the bundles the matrix functions of `bordclass` use, and
-the factors those functions pass are checked against the same bundles.
+the same multiset of (index, coefficient).  An operation's matrix is read
+through the operation itself (`operation_matrix`) and compared with the
+reference given the operation's bundle, and the factors each operation
+passes to `_projective_dual` are checked against the same bundle.
 """
 
 import inspect
@@ -16,7 +17,9 @@ from collections import Counter
 import pytest
 
 from bordx import bordclass as bc
+from bordx.bordclass import ChernVector
 from bordx.exactalg import GradedPoly
+from operation_matrix import operation_matrix
 from projective_dual_reference import projective_dual as reference
 
 PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
@@ -45,35 +48,45 @@ def pi_bundle():
     return dict(fibre=lambda x, c1: (1 + x).pow(2), nu=lambda x, c1: 1 + x + c1)
 
 
+def d_op(k):
+    return lambda a: bc.boundary_k(a, k)
+
+
+def psi_op(k1, k2):
+    return lambda a: bc.psi_k1k2(a, k1, k2)
+
+
 @pytest.mark.parametrize("n", range(12))
 def test_every_operation_matches_reference(n):
     for k in range(1, min(n, 3) + 1):
-        assert_same(bc._boundary_matrix(n, k),
+        assert_same(operation_matrix(d_op(k), n),
                     reference(n, nu=lambda x, c1: (1 + c1).pow(k)))
     if n >= 2:
-        assert_same(bc._delta_matrix(n), reference(n, nu=lambda x, c1: 1 - c1 * c1))
-    assert_same(bc._pi_matrix(n), reference(n, 1, **pi_bundle()))
+        assert_same(operation_matrix(bc.delta, n), reference(n, nu=lambda x, c1: 1 - c1 * c1))
+    assert_same(operation_matrix(bc.stong_pi, n), reference(n, 1, **pi_bundle()))
     for k1, k2 in PSI_PARAMS:
-        assert_same(bc._psi_matrix(n, k1, k2), reference(n, k1 + k2, **psi_bundle(k1, k2)))
+        assert_same(operation_matrix(psi_op(k1, k2), n),
+                    reference(n, k1 + k2, **psi_bundle(k1, k2)))
 
 
 @pytest.mark.parametrize("n", range(12, 16))
 def test_delta_and_d_match_reference_at_qt_gens_sizes(n):
-    assert_same(bc._delta_matrix(n), reference(n, nu=lambda x, c1: 1 - c1 * c1))
-    assert_same(bc._boundary_matrix(n, 1), reference(n, nu=lambda x, c1: 1 + c1))
+    assert_same(operation_matrix(bc.delta, n), reference(n, nu=lambda x, c1: 1 - c1 * c1))
+    assert_same(operation_matrix(bc.boundary, n), reference(n, nu=lambda x, c1: 1 + c1))
 
 
 @pytest.mark.parametrize("n, k1, k2", [(0, 2, 0), (0, 1, 1), (0, 0, 2),
                                        (1, 2, 0), (1, 1, 1), (1, 0, 2)])
 def test_smallest_radix(n, k1, k2):
     # radix n + k + 1 is 3 and 4: a carry would show at once
-    assert_same(bc._psi_matrix(n, k1, k2), reference(n, k1 + k2, **psi_bundle(k1, k2)))
+    assert_same(operation_matrix(psi_op(k1, k2), n),
+                reference(n, k1 + k2, **psi_bundle(k1, k2)))
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_pi_where_eps_is_zero(n):
     # x^2 = 0: the reduce step drops every x^(k+j), j > 0
-    matrix = bc._pi_matrix(n)
+    matrix = operation_matrix(bc.stong_pi, n)
     assert_same(matrix, reference(n, 1, **pi_bundle()))
     assert matrix[0] == n
 
@@ -122,30 +135,37 @@ def expand(factors, x, c1):
     return total
 
 
-def wrapper_bundles():
-    """(matrix function, its arguments, the bundle the reference receives)."""
+def operation_bundles():
+    """(operation, the bundle the reference receives), one pytest.param each."""
     for k in (1, 2, 3):
-        yield bc._boundary_matrix, (3, k), dict(nu=lambda x, c1, k=k: (1 + c1).pow(k))
-    yield bc._delta_matrix, (3,), dict(nu=lambda x, c1: 1 - c1 * c1)
-    yield bc._pi_matrix, (3,), dict(k=1, **pi_bundle())
+        yield pytest.param(d_op(k), dict(nu=lambda x, c1, k=k: (1 + c1).pow(k)), id=f"d_{k}")
+    yield pytest.param(bc.delta, dict(nu=lambda x, c1: 1 - c1 * c1), id="Delta")
+    yield pytest.param(bc.stong_pi, dict(k=1, **pi_bundle()), id="pi")
     for k1, k2 in PSI_PARAMS:
-        yield bc._psi_matrix, (3, k1, k2), dict(k=k1 + k2, **psi_bundle(k1, k2))
+        yield pytest.param(psi_op(k1, k2), dict(k=k1 + k2, **psi_bundle(k1, k2)),
+                           id=f"Psi_({k1},{k2})")
 
 
-@pytest.mark.parametrize("matrix, args, bundle", list(wrapper_bundles()))
-def test_wrapper_factors_expand_to_the_reference_bundle(monkeypatch, matrix, args, bundle):
+@pytest.mark.parametrize("op, bundle", list(operation_bundles()))
+def test_operation_factors_expand_to_the_reference_bundle(monkeypatch, op, bundle):
+    n = 3
     signature = inspect.signature(bc._projective_dual)
     passed = []
-    monkeypatch.setattr(bc, "_projective_dual",
-                        lambda *a, **kw: passed.append(signature.bind(*a, **kw)))
-    matrix.__wrapped__(*args)  # past the cache
+
+    def capture(*args, **kwargs):
+        passed.append(signature.bind(*args, **kwargs))
+        return 0, ()
+
+    monkeypatch.setattr(bc, "_projective_dual", capture)
+    op(ChernVector(n))
     (call,) = passed
     call.apply_defaults()
     got = call.arguments
-    want = inspect.signature(reference).bind(args[0], **bundle)
+    want = inspect.signature(reference).bind(n, **bundle)
     want.apply_defaults()
     want = want.arguments
-    assert (got["k"], got["eps"], got["sign"]) == (want["k"], want["eps"], want["sign"])
+    assert [got[name] for name in ("n", "k", "eps", "sign")] == [
+        want[name] for name in ("n", "k", "eps", "sign")]
     degrees = (2, 2)
     x, c1 = GradedPoly.generator(degrees, 0), GradedPoly.generator(degrees, 1)
     for name in ("fibre", "nu"):
@@ -188,7 +208,7 @@ def test_pi_on_a_point_drops_beta():
     matrix = bc._projective_dual(0, 1, fibre=((1, 0, 2),), nu=((1, 1, 1),))
     assert_same(matrix, reference(0, 1, **pi_bundle()))
     assert_same(matrix, bc._projective_dual(0, 1, fibre=((1, 0, 2),), nu=((1, 0, 1),)))
-    assert matrix == bc._pi_matrix(0)
+    assert_same(matrix, operation_matrix(bc.stong_pi, 0))
 
 
 @pytest.mark.parametrize("k1, k2", [(k1, k - k1) for k in (1, 2, 3) for k1 in range(k + 1)])

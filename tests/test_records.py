@@ -20,10 +20,9 @@ RECORDS = {
     "TowerSpec": (_spec, ("base", "stages", "conjugations", "convention"), True),
     "CharMatrix": (lambda: CharMatrix(IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]]), [2]),
                    ("matrix", "polytope"), True),
-    "RankRow": (lambda: numbers.rank_table(10).rows[8 // 2],
+    "RankRow": (lambda: numbers.rank_table(10)[8 // 2],
                 ("dimension", "rank_omega_u", "rank_w", "rank_omega_su", "tors_rank",
                  "hw_rank"), True),
-    "RankTable": (lambda: numbers.rank_table(10), ("rows",), True),
     # its su_checks is a read-only mapping, not hashable, so neither is a certificate
     "GeneratorCertificate": (lambda: genfactory.cy_generator_combo(3),
                              ("dimension", "combination", "chern_class", "s_value",

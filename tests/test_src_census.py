@@ -17,9 +17,11 @@ reach must be in KEEP with its reason, written "module.name" or
 reach anyway, or that is no longer defined, fails as well, so KEEP lists
 exactly what is kept for a reader outside the program.
 
-A second pass lists every read of another module's private name, and a
-third checks that the coded monomials of the triangular backend stay inside
-`cohomring`.
+A member is reached by its name alone, so a member name that two reached
+classes define is reached on both once either is read; each such name is in
+SHARED_MEMBERS with the classes that define it and its reason.  A second
+pass lists every read of another module's private name, and a third checks
+that the coded monomials of the triangular backend stay inside `cohomring`.
 """
 
 import ast
@@ -293,27 +295,32 @@ def test_an_unread_function_is_found(tmp_path):
     assert census(Package(tmp_path), KEEP) == [["tower.unread_helper"], [], []]
 
 
-def test_an_unread_method_is_found(tmp_path):
+def _plant_member(tmp_path, module, anchor, text):
+    """A copy of src with `text` put before the line `anchor` of `module`."""
     _copy_src(tmp_path)
-    source = (SRC / "numbers.py").read_text(encoding="utf-8")
-    anchor = "    def to_json(self) -> list[dict]:\n"
+    path = tmp_path / f"{module}.py"
+    source = path.read_text(encoding="utf-8")
     assert anchor in source
-    (tmp_path / "numbers.py").write_text(source.replace(
-        anchor, "    def unread_row(self, i):\n        return self.rows[i]\n\n" + anchor),
-        encoding="utf-8")
-    assert census(Package(tmp_path), KEEP) == [["numbers.RankTable.unread_row"], [], []]
+    path.write_text(source.replace(anchor, text + anchor), encoding="utf-8")
+
+
+CERTIFICATE_TO_JSON = "    def to_json(self) -> dict:\n"
+
+
+def test_an_unread_method_is_found(tmp_path):
+    _plant_member(tmp_path, "genfactory", CERTIFICATE_TO_JSON,
+                  "    def unread_check(self, name):\n        return self.su_checks[name]\n\n")
+    assert census(Package(tmp_path), KEEP) == [
+        ["genfactory.GeneratorCertificate.unread_check"], [], []]
 
 
 def test_a_method_read_only_by_an_unread_method_is_found(tmp_path):
-    _copy_src(tmp_path)
-    source = (SRC / "numbers.py").read_text(encoding="utf-8")
-    anchor = "    def to_json(self) -> list[dict]:\n"
-    (tmp_path / "numbers.py").write_text(source.replace(
-        anchor, "    def first(self):\n        return self.second()\n\n"
-                "    def second(self):\n        return self.first()\n\n" + anchor),
-        encoding="utf-8")
+    _plant_member(tmp_path, "genfactory", CERTIFICATE_TO_JSON,
+                  "    def first(self):\n        return self.second()\n\n"
+                  "    def second(self):\n        return self.first()\n\n")
     assert census(Package(tmp_path), KEEP) == [
-        ["numbers.RankTable.first", "numbers.RankTable.second"], [], []]
+        ["genfactory.GeneratorCertificate.first", "genfactory.GeneratorCertificate.second"],
+        [], []]
 
 
 def test_an_unread_constant_is_found(tmp_path):
@@ -325,10 +332,59 @@ def test_an_unread_constant_is_found(tmp_path):
 def test_a_keep_entry_reached_anyway_or_gone_is_found(package):
     keep = {**KEEP, "tower.presented_ring": "reached from cli.main",
             "exactalg.GradedPoly.mul": "read by the span table",
-            "tower.no_such_name": "gone", "numbers.RankTable.row": "gone"}
+            "tower.no_such_name": "gone", "genfactory.GeneratorCertificate.row": "gone"}
     assert census(package, keep) == [
-        [], ["numbers.RankTable.row", "tower.no_such_name"],
+        [], ["genfactory.GeneratorCertificate.row", "tower.no_such_name"],
         ["exactalg.GradedPoly.mul", "tower.presented_ring"]]
+
+
+# every member name that two or more reached classes define, as "name:
+# the classes", with its reason: a read of the name reaches it on each, so
+# each must have a reader of its own
+SHARED_MEMBERS = {
+    "is_zero: bordclass.ChernVector exactalg.GradedPoly":
+        "ChernVector's is read by `in_W`, `in_ker_boundary` and the lemma rows of `cli`; "
+        "GradedPoly's by `PresentedRing`, which drops a zero relation",
+    "scale: bordclass.ChernVector exactalg.GradedPoly":
+        "ChernVector's is read by its `__mul__`, `twisted_mul` and `genfactory`; "
+        "GradedPoly's by its `__mul__`, the rewrite rules and `tower`'s line classes",
+}
+
+
+def shared_members(package):
+    """"name: module.Class ..." for each member name that two or more classes
+    reached from the roots and KEEP define, sorted."""
+    roots, attrs = perfbench_roots(package)
+    reached = package.reach(roots | {("cli", "main")} | set(map(_node, KEEP)), attrs)
+    owners = {}
+    for module, cls, name in package.members:
+        if (module, cls) in reached:
+            owners.setdefault(name, []).append(f"{module}.{cls}")
+    return sorted(f"{name}: {' '.join(sorted(classes))}"
+                  for name, classes in owners.items() if len(classes) > 1)
+
+
+def test_every_shared_member_name_is_listed(package):
+    assert shared_members(package) == sorted(SHARED_MEMBERS)
+
+
+@pytest.mark.parametrize("module, anchor, member, shared", [
+    # `_lattice_model` reads `rel.degree()` of a GradedPoly
+    ("bordclass", "    def is_zero(self) -> bool:\n",
+     "    def degree(self) -> int:\n        return 2 * self.dim\n\n",
+     "degree: bordclass.ChernVector exactalg.GradedPoly"),
+    # a third class that defines a name already listed
+    ("genfactory", CERTIFICATE_TO_JSON,
+     "    def is_zero(self):\n        return not self.s_value\n\n",
+     "is_zero: bordclass.ChernVector exactalg.GradedPoly genfactory.GeneratorCertificate"),
+])
+def test_a_new_shared_member_name_is_found(tmp_path, module, anchor, member, shared):
+    # the census alone counts the planted member, which nothing calls, as read
+    _plant_member(tmp_path, module, anchor, member)
+    package = Package(tmp_path)
+    assert census(package, KEEP) == [[], [], []]
+    got = shared_members(package)
+    assert shared in got and got != sorted(SHARED_MEMBERS)
 
 
 # every read in src/bordx of another module's private name, with its reason

@@ -23,6 +23,7 @@ from bordx.bordclass import ChernVector
 from bordx.cli import sample_classes
 from bordx.cohomring import evaluate_top
 from bordx.exactalg import GradedPoly, partitions
+from operation_matrix import operation_matrix
 from paper_examples_reference import s_polynomial
 from projective_dual_reference import projective_dual
 from series_reference import graded_part, inverse_one_plus
@@ -349,7 +350,9 @@ def test_walk_from_a_zero_start_is_zero_everywhere():
 
 @pytest.fixture
 def walk_parts(monkeypatch):
-    """The parts every `step` call takes and the tails every `ones` call closes."""
+    """The parts every `step` call takes and the tails every `ones` call
+    closes, from an empty operation-matrix cache."""
+    bordclass._projective_dual.cache_clear()
     seen = {"step": [], "ones": []}
     real = bordclass._walk
 
@@ -369,10 +372,10 @@ def walk_parts(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: bordclass._boundary_matrix.__wrapped__(7, 2),
-    lambda: bordclass._delta_matrix.__wrapped__(7),
-    lambda: bordclass._psi_matrix.__wrapped__(7, 2, 1),
-    lambda: bordclass._pi_matrix.__wrapped__(7),
+    lambda: bordclass.boundary_k(ChernVector(7), 2),
+    lambda: bordclass.delta(ChernVector(7)),
+    lambda: bordclass.psi_k1k2(ChernVector(7), 2, 1),
+    lambda: bordclass.stong_pi(ChernVector(7)),
     lambda: tower.chern_numbers(tower.build_family("CPprod", [3, 2, 1])),
     lambda: tower.chern_numbers(tower.build_family("Ntilde", 2, 3)),
 ], ids=["d_2", "Delta", "Psi_(2,1)", "pi", "CPprod", "Ntilde"])
@@ -391,7 +394,7 @@ PSI_WIDE_PARAMS = [(k1, k - k1) for k in (3, 4) for k1 in range(k + 1)]
 def test_psi_with_a_wide_fibre_matches_the_step_by_step_walk(n, k1, k2):
     bundle = dict(fibre=lambda x, c1: (1 + x - c1) * (1 + x).pow(k1) * (1 - x).pow(k2),
                   eps=1, sign=-1 if k2 % 2 else 1)
-    m, rows = bordclass._psi_matrix(n, k1, k2)
+    m, rows = operation_matrix(lambda a: bordclass.psi_k1k2(a, k1, k2), n)
     want_m, want_rows = projective_dual(n, k1 + k2, **bundle)
     assert m == want_m
     assert [Counter(zip(*row)) for row in rows] == [Counter(zip(*row)) for row in want_rows]
