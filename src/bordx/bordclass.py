@@ -192,10 +192,13 @@ def _walk(n: int, start, step, ones, evaluate, zero) -> list:
     * piece_part for a part of 2 or more, or None when that product is zero;
     `rest` is what the partition still has to take after `part`.
     `ones(value, r)` closes a tail of r ones in one call: it returns value *
-    piece_1^r, or None when that is zero.  Partitions are walked depth-first
-    in `_basis(n)` order, so partitions sharing a prefix share its product, a
-    zero prefix leaves its whole subtree at `zero`, and only the products on
-    the current path are held.
+    piece_1^r, or None when that is zero.  `ones` is None when piece_1 is
+    zero (c_1 = 0 on an SU manifold, or d_1): every partition with a part 1
+    is then at `zero`, and no step is taken whose rest only a part 1 can
+    close, a rest of 1 or an odd rest below a part 2.  Partitions are walked
+    depth-first in `_basis(n)` order, so partitions sharing a prefix share
+    its product, a zero prefix leaves its whole subtree at `zero`, and only
+    the products on the current path are held.
     """
     index = _basis(n)[1]
     leaves = [zero] * len(index)
@@ -203,15 +206,17 @@ def _walk(n: int, start, step, ones, evaluate, zero) -> list:
 
     def walk(value, remaining: int, largest: int) -> None:
         for part in range(min(largest, remaining), 1, -1):
-            child = step(value, part, remaining - part)
+            rest = remaining - part
+            if ones is None and (rest == 1 or part == 2 and rest % 2):
+                continue
+            child = step(value, part, rest)
             if child is None:
                 continue
             prefix.append(part)
-            walk(child, remaining - part, part)
+            walk(child, rest, part)
             prefix.pop()
         if remaining:  # the prefix and `remaining` ones
-            value = ones(value, remaining)
-            if value is None:
+            if ones is None or (value := ones(value, remaining)) is None:
                 return
         leaves[index[(*prefix, *(1,) * remaining)]] = evaluate(value)
 
@@ -415,9 +420,11 @@ def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
     of r ones is one product by piece_1^r and one reduction.  piece_1 is
     linear in x and c_1, and its powers are built once per matrix and kept
     reduced, so each has at most k + 1 terms; the product stays within
-    degree 2(n + k), so no digit carries there either.  So a leaf holds the
-    x^k layer alone, and one dict takes its codes to the indices of
-    `_basis(n)`, giving the row {index of tau: coefficient of c_tau[M]}.
+    degree 2(n + k), so no digit carries there either.  When piece_1 is
+    zero, as for d_1, the walk is told so and takes no part 1 at all.  So a
+    leaf holds the x^k layer alone, and one dict takes its codes to the
+    indices of `_basis(n)`, giving the row {index of tau: coefficient of
+    c_tau[M]}.
     The matrix is (dimension of N, rows in `_basis` order), each row a pair
     (indices, coefficients).  The cache keys on the arguments as passed.
     """
@@ -501,8 +508,6 @@ def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
     tails = [{0: 1}]  # piece_1^r in normal form, x exponents at most k
 
     def ones(terms: dict, r: int) -> dict | None:
-        if not pieces[1]:  # as for d_1, where c_1 + s_2 = 0
-            return None
         while len(tails) <= r:
             tails.append(reduce(times(tails[-1], pieces[1]), k) or {})
         return reduce(times(terms, tails[r]), 0)
@@ -514,7 +519,9 @@ def _projective_dual(n: int, k: int = 0, fibre=(), nu=(), eps: int = 0,
         return tuple(map(index.__getitem__, terms)), tuple(sign * c for c in terms.values())
 
     start = reduce({rank * radix - a * shift: c for a, c in enumerate(euler) if c}, m)
-    return m, tuple(_walk(m, start, step, ones, row, ((), ())))
+    # piece_1 = c_1 + S_1 is zero for d_1, whose walk then takes no part 1
+    pruned = m and not pieces[1]
+    return m, tuple(_walk(m, start, step, None if pruned else ones, row, ((), ())))
 
 
 def _apply(matrix: tuple, a: ChernVector) -> ChernVector:

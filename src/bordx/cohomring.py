@@ -243,15 +243,19 @@ class PresentedRing:
                 if sum(map(operator.mul, exp, degrees)) <= top}
 
     def _build_rules(self):
-        """Rewrite rules x_j^d -> rhs, one per relation, highest generator first.
+        """Rewrite rules x_j^d -> rhs, one per relation, in the order they are tried.
 
         A rule is (R^j, d, d R^j, coded rhs items): it applies to a code whose
         digit j is at least d, and rewrites it by subtracting d R^j and adding
         each code of the rhs.  A rule whose x_j^d lies above the top never
         applies at or below it, so the rhs terms above the top are dropped.
-        Each rhs is its relation as given: a tower's relations lead with pure
-        powers of distinct generators, a Groebner basis (Buchberger's first
-        criterion), so the order of the rewrites does not change the result.
+        The unit pure powers x_j^d = 0 (empty rhs) come first, so a monomial
+        one of them kills goes to 0 in one rewrite, and every rhs term one of
+        them kills is dropped; the other rules follow, highest generator
+        first.  Each rhs is otherwise its relation as given: a tower's
+        relations lead with pure powers of distinct generators, a Groebner
+        basis (Buchberger's first criterion), so the order of the rewrites
+        does not change the result.
         """
         if self.backend != "triangular":
             raise NonTriangularError("ring is marked for the lattice backend")
@@ -276,9 +280,16 @@ class PresentedRing:
                 )
             rest = rel - GradedPoly.monomial(self.degrees, exp, c)
             rules[j] = (d, self._coded(rest.scale(-c)))  # x_j^d = -c * rest, c = +-1
-        places = self._places
-        return tuple((places[j], d, d * places[j], tuple(rhs.items()))
-                     for j, (d, rhs) in sorted(rules.items(), reverse=True))
+        places, radix = self._places, self.radix
+        units = [(places[j], d) for j, (d, rhs) in rules.items() if not rhs]
+
+        def alive(code: int) -> bool:
+            return all(code // place % radix < d for place, d in units)
+
+        ordered = sorted(rules.items(), key=lambda rule: (bool(rule[1][1]), -rule[0]))
+        return tuple((places[j], d, d * places[j],
+                      tuple((e, c) for e, c in rhs.items() if alive(e)))
+                     for j, (d, rhs) in ordered)
 
     def reduce(self, x: GradedPoly) -> GradedPoly:
         """Triangular normal form of x over the ring's degrees, terms above the top dropped."""
@@ -332,8 +343,8 @@ class PresentedRing:
     def _monomial_nf(self, root, rules, memo) -> dict:
         """Normal form of the coded monomial `root`, and of each monomial below it.
 
-        Depth first: a monomial's rewrite (under the rule of its highest
-        generator with a rule that applies) lists its children, and its
+        Depth first: a monomial's rewrite (under the first rule of
+        `_build_rules` that applies) lists its children, and its
         normal form is stored in `memo` once every child has one.  Rules are
         homogeneous, so children keep the degree of their parent, and their
         codes stay one-to-one.  A child already on the current path is a
@@ -545,58 +556,86 @@ def _lattice_pair(ring: PresentedRing, x: GradedPoly) -> int:
     return total
 
 
-def _coded_lines(ring: PresentedRing, lines, name: str) -> list[tuple[dict, int]]:
-    """(coded class, count) of each distinct line; a line not of degree 2 (or
-    zero) is refused, as its products could pass the top, where codes clash."""
+def _coded_lines(ring: PresentedRing, lines, name: str) -> list[tuple[dict, int, int]]:
+    """(coded x, count of x, count of -x) for the distinct lines up to sign;
+    a line not of degree 2 (or zero) is refused before any is hashed, as its
+    products could pass the top, where codes clash."""
     for x in lines:
         _nonzero_of_degree(ring, x, 2, name)
-    return [(ring._coded(x), count) for x, count in Counter(lines).items()]
+    grouped: dict = {}  # x -> [count of x, count of -x]
+    for x, count in Counter(lines).items():
+        conjugate = grouped.get(-x)
+        if conjugate is None:
+            grouped[x] = [count, 0]
+        else:
+            conjugate[1] += count
+    return [(ring._coded(x), plus, minus) for x, (plus, minus) in grouped.items()]
 
 
 def line_bundle_numbers(ring: PresentedRing, lines) -> ChernVector:
     """All Chern numbers of the sum of line bundles with first Chern classes
     `lines` over the ring's manifold, of complex dimension top_degree / 2.
 
-    c_0, ..., c_n: (1 + x) multiplied in once per line, the equal lines
-    grouped, each product reduced as it is formed.  Then one partition walk
-    over them, reducing every prefix product, so a leaf reads the fundamental
-    coefficient; a tail of ones takes c_1 once per one, and a zero prefix
-    product leaves its partitions out, at 0.
+    c_0, ..., c_n: a line and its conjugate multiply in once, as 1 - x^2, and
+    each unpaired line as 1 + x or 1 - x, each product reduced as it is
+    formed.  Then one partition walk over them, reducing every prefix
+    product, so a leaf reads the fundamental coefficient; a tail of ones
+    takes c_1 once per one, and a zero prefix product leaves its partitions
+    out, at 0.  When c_1 reduces to zero (an SU manifold) the walk takes no
+    part 1 at all.
     """
     coded = _coded_lines(ring, lines, "line_bundle_numbers")
     n = ring.top_degree // 2
     bordclass.check_dim(n)
     classes = [{0: 1}] + [{} for _ in range(n)]
-    for x, count in coded:
-        for _ in range(count):
-            for i in range(n, 0, -1):
-                if classes[i - 1]:
-                    _accumulate(classes[i], ring._mul_reduce(classes[i - 1], x), 1)
+
+    def times(factor: dict, degree: int, sign: int) -> None:
+        """classes *= 1 + sign * factor, the factor of `degree` in units of 2."""
+        for i in range(n, degree - 1, -1):
+            if classes[i - degree]:
+                _accumulate(classes[i], ring._mul_reduce(classes[i - degree], factor), sign)
+
+    for x, plus, minus in coded:
+        pairs = min(plus, minus)
+        if pairs and n > 1:  # x^2 is above the top when n < 2
+            square = ring._mul_reduce(x, x)
+            for _ in range(pairs):
+                times(square, 2, -1)
+        for _ in range(abs(plus - minus)):
+            times(x, 1, 1 if plus > minus else -1)
 
     def step(terms: dict, part: int, rest: int) -> dict | None:
         return ring._mul_reduce(terms, classes[part]) or None
 
     def ones(terms: dict, r: int) -> dict | None:
-        for _ in range(r):  # c_1 = 0 on an SU manifold ends this at once
+        for _ in range(r):
             terms = ring._mul_reduce(terms, classes[1])
             if not terms:
                 return None
         return terms
 
-    return ChernVector._of_values(
-        n, bordclass._walk(n, {0: 1}, step, ones, ring._fundamental_coefficient, 0))
+    su = n and not classes[1]  # c_1 = 0: the walk takes no part 1
+    return ChernVector._of_values(n, bordclass._walk(
+        n, {0: 1}, step, None if su else ones, ring._fundamental_coefficient, 0))
 
 
 def line_bundle_s_number(ring: PresentedRing, lines) -> int:
     """Milnor s-number of the sum of line bundles: the sum of x^n over the
-    `lines`, each distinct x raised once, reducing after every multiply.  In
+    `lines`.  A line x and its conjugates are raised once, as (a + (-1)^n b)
+    x^n for a copies of x and b of -x, skipped when that coefficient is 0;
+    a power stops at its first zero, and each multiply is reduced.  In
     dimension 0 it is 0, as in `bordclass.s_num`, not the count of lines."""
     total: dict = {}
     n = ring.top_degree // 2
-    for x, count in _coded_lines(ring, lines, "line_bundle_s_number"):
+    for x, plus, minus in _coded_lines(ring, lines, "line_bundle_s_number"):
+        count = plus - minus if n % 2 else plus + minus  # (-x)^n = (-1)^n x^n
+        if not count:
+            continue
         power = {0: count}
         for _ in range(n):
             power = ring._mul_reduce(power, x)
+            if not power:
+                break
         _accumulate(total, power, 1)
     return ring._fundamental_coefficient(total) if n else 0
 

@@ -135,11 +135,18 @@ def _block_sizes(spec: TowerSpec) -> list[int]:
     return [n_i + 1 for n_i in spec.base] + [len(s.lines) for s in spec.stages]
 
 
-def _lines(spec: TowerSpec, degrees) -> list[list[GradedPoly]]:
-    """First Chern classes g_i + sum_j w_j g_j of the lines of each block i."""
-    gens = [GradedPoly.generator(degrees, j) for j in range(spec.generator_count)]
-    return [[sum((gens[j].scale(wj) for j, wj in enumerate(w) if wj), g) for w in block]
-            for g, block in zip(gens, _blocks(spec))]
+@functools.lru_cache(maxsize=16)
+def _lines(spec: TowerSpec) -> tuple[tuple[GradedPoly, ...], ...]:
+    """First Chern classes g_i + sum_j w_j g_j of the lines of each block i.
+
+    Built once per spec for `presented_ring` and the rosters; the 16 most
+    recent specs are kept, as by `presented_ring`.
+    """
+    gens = [GradedPoly.generator((2,) * spec.generator_count, j)
+            for j in range(spec.generator_count)]
+    return tuple(tuple(sum((gens[j].scale(wj) for j, wj in enumerate(w) if wj), g)
+                       for w in block)
+                 for g, block in zip(gens, _blocks(spec)))
 
 
 # largest cohomology rank of a tower, which the dimension does not bound
@@ -159,7 +166,8 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
 
     One ring per spec, shared by `chern_numbers`, `s_number` (its line-bundle
     numbers) and `ring_backend_pair`, so its rewrite rules and memoised normal
-    forms are built once; the 16 most recent specs are kept.  A spec above
+    forms are built once; the 16 most recent specs are kept.  Its lines come
+    from `_lines`, cached per spec too, which the rosters read.  A spec above
     `bordclass.CHERN_MAX_DIM` or of cohomology rank above CHERN_MAX_RANK is
     refused before its ring is built.
     """
@@ -169,14 +177,14 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
     # one relation per block, the product of its lines, each distinct line
     # raised once: a base block gives g_i^(n_i + 1)
     relations = [functools.reduce(GradedPoly.mul, [x.pow(k) for x, k in Counter(lines).items()])
-                 for lines in _lines(spec, degrees)]
+                 for lines in _lines(spec)]
     return PresentedRing(degrees, relations, 2 * spec.dim,
                          [size - 1 for size in _block_sizes(spec)])
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:
     """First Chern classes of the stable-tangent line summands, unconjugated."""
-    return [line for lines in _lines(spec, (2,) * spec.generator_count) for line in lines]
+    return [line for lines in _lines(spec) for line in lines]
 
 
 def signed_roster(spec: TowerSpec) -> list[GradedPoly]:
@@ -190,7 +198,7 @@ def total_chern(spec: TowerSpec) -> GradedPoly:
     """Product of (1 + c_1(line)) over the roster, truncated at the top degree.
 
     Equal summands are grouped: one factor (1 + x)^count per distinct signed
-    roster class, as `s_number` groups them.
+    roster class.
     """
     cap = 2 * spec.dim
     degrees = (2,) * spec.generator_count

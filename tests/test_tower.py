@@ -593,6 +593,16 @@ class TestRingCache:
         assert tower.presented_ring.cache_info().hits == 2
         assert tri._nf_memo  # the normal forms of the first two calls are kept
 
+    def test_rosters_are_fresh_lists_over_the_cached_lines(self):
+        spec = tower.build_family("Ntilde", 2, 3)
+        for read in (tower.roster, tower.signed_roster):
+            first = read(spec)
+            assert read(spec) == first and read(spec) is not first
+            want = list(first)
+            first.append(first[0])
+            first[0] = -first[0]
+            assert read(spec) == want
+
     def test_cache_is_bounded(self):
         tower.presented_ring.cache_clear()
         specs = [tower.build_family("CPprod", (n,)) for n in range(1, 21)]

@@ -10,6 +10,7 @@ Exact equality only.
 """
 
 import gc
+import itertools
 import math
 import random
 from collections import Counter
@@ -21,8 +22,9 @@ import pytest
 from bordx import bordclass, numbers, tower
 from bordx.bordclass import ChernVector
 from bordx.cli import sample_classes
-from bordx.cohomring import evaluate_top
+from bordx.cohomring import evaluate_top, lattice_evaluate
 from bordx.exactalg import GradedPoly, partitions
+from bordx.tower import TowerSpec
 from operation_matrix import operation_matrix
 from paper_examples_reference import s_polynomial
 from projective_dual_reference import projective_dual
@@ -31,9 +33,15 @@ from series_reference import graded_part, inverse_one_plus
 SAMPLES = sample_classes()
 PSI_PARAMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
 TOWERS = [
-    ("Ltilde", 2, 1), ("Ltilde", 2, 3), ("Ltilde", 4, 1),
-    ("Ntilde", 2, 1), ("Ntilde", 2, 3), ("L", 2, 3),
+    ("Ltilde", 2, 1), ("Ltilde", 2, 3), ("Ltilde", 4, 1), ("Ltilde", 4, 3),
+    ("Ntilde", 2, 1), ("Ntilde", 2, 3), ("Ntilde", 4, 3), ("L", 2, 3),
 ]
+# hand-built rosters whose conjugate lines do not pair off: on CP^2, -u
+# outnumbers u; on CP^1, u and -u cancel, so s_1 = 0
+UNPAIRED = {
+    "CP2, two of three conjugated": TowerSpec((2,), conjugations={0, 1}),
+    "CP1, one of two conjugated": TowerSpec((1,), conjugations={0}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +234,56 @@ def test_tower_chern_numbers_match_reference(name, n1, n2, convention):
     assert tower.chern_numbers(spec) == ref_tower_chern_numbers(spec)
 
 
+@pytest.mark.parametrize("label", UNPAIRED)
+@pytest.mark.parametrize("convention", ["toric", "bordism"])
+def test_unpaired_conjugate_lines_match_reference(label, convention):
+    spec = UNPAIRED[label].with_convention(convention)
+    assert tower.chern_numbers(spec) == ref_tower_chern_numbers(spec)
+
+
+FAMILY_SPECS = {f"{name}({n1},{n2})": tower.build_family(name, n1, n2)
+                for name, n1, n2 in TOWERS}
+S_NUMBER_SPECS = {**FAMILY_SPECS, **UNPAIRED}
+
+
+@pytest.mark.parametrize("label", S_NUMBER_SPECS)
+@pytest.mark.parametrize("convention", ["toric", "bordism"])
+def test_s_number_is_the_power_sum_on_both_routes(label, convention):
+    # every line raised on its own, with no conjugate pairing
+    spec = S_NUMBER_SPECS[label].with_convention(convention)
+    ring, n = tower.presented_ring(spec), spec.dim
+    power_sum = GradedPoly.zero(ring.degrees)
+    for line in tower.signed_roster(spec):
+        power_sum = power_sum + line.pow(n)
+    sign = -1 if spec.convention == "bordism" and len(spec.conjugations) % 2 else 1
+    assert tower.s_number(spec) == sign * evaluate_top(ring, power_sum) \
+        == sign * lattice_evaluate(ring, power_sum)
+
+
+def test_the_s_number_specs_cover_both_parities_and_a_zero():
+    assert {spec.dim % 2 for spec in S_NUMBER_SPECS.values()} == {0, 1}
+    assert tower.s_number(UNPAIRED["CP1, one of two conjugated"]) == 0
+
+
+def _top_monomials(ring):
+    """Every monomial of the top degree, over generators of degree 2."""
+    n = ring.top_degree // 2
+    return [e for e in itertools.product(range(n + 1), repeat=len(ring.degrees)) if sum(e) == n]
+
+
+RULE_ORDER_SPECS = {**FAMILY_SPECS, "CPprod[3,2,1]": tower.build_family("CPprod", [3, 2, 1])}
+
+
+@pytest.mark.parametrize("label", RULE_ORDER_SPECS)
+def test_the_rule_order_changes_no_pairing(label):
+    # the unit pure powers are tried first: every top-degree monomial pairs
+    # as the lattice route, which reads no rewrite rule, pairs it
+    ring = tower.presented_ring(RULE_ORDER_SPECS[label])
+    for exp in _top_monomials(ring):
+        x = GradedPoly.monomial(ring.degrees, exp)
+        assert evaluate_top(ring, x) == lattice_evaluate(ring, x)
+
+
 def test_zero_subtrees_are_zero():
     # c_1 of an SU tower is formally 0, so the walker skips every subtree
     # below a part 1; those numbers must still read 0
@@ -350,39 +408,57 @@ def test_walk_from_a_zero_start_is_zero_everywhere():
 
 @pytest.fixture
 def walk_parts(monkeypatch):
-    """The parts every `step` call takes and the tails every `ones` call
-    closes, from an empty operation-matrix cache."""
+    """The (part, rest) of every `step` call and the tails every `ones` call
+    closes, from an empty operation-matrix cache; a walk told that piece_1
+    is zero (`ones` None) is passed None."""
     bordclass._projective_dual.cache_clear()
     seen = {"step": [], "ones": []}
     real = bordclass._walk
 
     def recording(n, start, step, ones, evaluate, zero):
         def step_seen(value, part, rest):
-            seen["step"].append(part)
+            seen["step"].append((part, rest))
             return step(value, part, rest)
 
         def ones_seen(value, r):
             seen["ones"].append(r)
             return ones(value, r)
 
-        return real(n, start, step_seen, ones_seen, evaluate, zero)
+        return real(n, start, step_seen, None if ones is None else ones_seen, evaluate, zero)
 
     monkeypatch.setattr(bordclass, "_walk", recording)
     return seen
 
 
-@pytest.mark.parametrize("build", [
-    lambda: bordclass.boundary_k(ChernVector(7), 2),
-    lambda: bordclass.delta(ChernVector(7)),
-    lambda: bordclass.psi_k1k2(ChernVector(7), 2, 1),
-    lambda: bordclass.stong_pi(ChernVector(7)),
-    lambda: tower.chern_numbers(tower.build_family("CPprod", [3, 2, 1])),
-    lambda: tower.chern_numbers(tower.build_family("Ntilde", 2, 3)),
-], ids=["d_2", "Delta", "Psi_(2,1)", "pi", "CPprod", "Ntilde"])
-def test_no_step_takes_a_part_of_one(walk_parts, build):
+@pytest.mark.parametrize("build,piece_1_zero", [
+    (lambda: bordclass.boundary_k(ChernVector(7), 2), False),
+    (lambda: bordclass.delta(ChernVector(7)), False),
+    (lambda: bordclass.psi_k1k2(ChernVector(7), 2, 1), False),
+    (lambda: bordclass.stong_pi(ChernVector(7)), False),
+    (lambda: tower.chern_numbers(tower.build_family("CPprod", [3, 2, 1])), False),
+    (lambda: tower.chern_numbers(tower.build_family("Ntilde", 2, 3)), True),
+    (lambda: bordclass.boundary_k(ChernVector(7), 1), True),
+], ids=["d_2", "Delta", "Psi_(2,1)", "pi", "CPprod", "Ntilde", "d_1"])
+def test_no_step_takes_a_part_of_one(walk_parts, build, piece_1_zero):
     build()
-    assert walk_parts["step"] and min(walk_parts["step"]) >= 2
-    assert walk_parts["ones"] and min(walk_parts["ones"]) >= 1
+    assert walk_parts["step"] and min(part for part, _ in walk_parts["step"]) >= 2
+    if piece_1_zero:
+        # c_1 = 0 (an SU tower) or piece_1 = 0 (d_1): no tail of ones is
+        # closed, and no step leaves a rest that only a part 1 can close
+        assert walk_parts["ones"] == []
+        assert not [(part, rest) for part, rest in walk_parts["step"]
+                    if rest == 1 or part == 2 and rest % 2]
+    else:
+        assert walk_parts["ones"] and min(walk_parts["ones"]) >= 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_d_1_walks_no_part_of_one_and_matches_the_reference(walk_parts, n):
+    m, rows = operation_matrix(bordclass.boundary, n)
+    want_m, want_rows = projective_dual(n, nu=lambda x, c1: 1 + c1)
+    assert m == want_m
+    assert [Counter(zip(*row)) for row in rows] == [Counter(zip(*row)) for row in want_rows]
+    assert walk_parts["ones"] == []
 
 
 # k1 + k2 = 3 and 4: piece_1^r reaches the largest exponents the radix holds
