@@ -294,7 +294,7 @@ class PresentedRing:
     def reduce(self, x: GradedPoly) -> GradedPoly:
         """Triangular normal form of x over the ring's degrees, terms above the top dropped."""
         _check_degrees(self, x, "reduce")
-        out = self._reduce_codes(self._coded(x))
+        out = self._mul_reduce(self._coded(x), {0: 1})
         return GradedPoly._trusted(self.degrees, {self.decode(k): c for k, c in out.items()})
 
     def _mul_reduce(self, a: dict, b: dict) -> dict:
@@ -303,15 +303,25 @@ class PresentedRing:
         a and b are {code: coefficient} over monomials at or below the top,
         and every product of a term of a with one of b must stay at or below
         the top (a and b homogeneous of total degree at most the top), so
-        each product is one addition of codes.
+        each product is one addition of codes.  The one way into the memo:
+        each product term goes through it straight into the result, with no
+        product formed first; the normal form of a alone is a * {0: 1}.
         """
-        product: dict[int, int] = {}
-        get = product.get
+        rules = self._rules
+        if rules is None:
+            rules = self._rules = self._build_rules()
+        memo = self._nf_memo
+        out: dict[int, int] = {}
+        get = out.get
         for kb, cb in b.items():
             for ka, ca in a.items():
-                key = ka + kb
-                product[key] = get(key, 0) + ca * cb
-        return self._reduce_codes(product)
+                nf = memo.get(ka + kb)
+                if nf is None:
+                    nf = self._monomial_nf(ka + kb, rules, memo)
+                c = ca * cb
+                for e, k in nf.items():
+                    out[e] = get(e, 0) + c * k
+        return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
     def _fundamental_coefficient(self, reduced: dict) -> int:
         """Coefficient of the fundamental monomial in a coded, reduced top-degree
@@ -322,39 +332,46 @@ class PresentedRing:
             )
         return reduced.get(self._mu, 0)
 
-    def _reduce_codes(self, terms: dict) -> dict:
-        """The one way into the memo: sum c * NF(m) over coded terms c*m at or below the top."""
-        rules = self._rules
-        if rules is None:
-            rules = self._rules = self._build_rules()
-        memo = self._nf_memo
-        out: dict[int, int] = {}
-        get = out.get
-        for code, c in terms.items():
-            if not c:
-                continue
-            nf = memo.get(code)
-            if nf is None:
-                nf = self._monomial_nf(code, rules, memo)
-            for e, k in nf.items():
-                out[e] = get(e, 0) + c * k
-        return {e: c for e, c in out.items() if c} if 0 in out.values() else out
-
     def _monomial_nf(self, root, rules, memo) -> dict:
-        """Normal form of the coded monomial `root`, and of each monomial below it.
+        """Normal form of the coded monomial `root`, not in `memo`, and of each
+        monomial below it.
 
-        Depth first: a monomial's rewrite (under the first rule of
-        `_build_rules` that applies) lists its children, and its
-        normal form is stored in `memo` once every child has one.  Rules are
-        homogeneous, so children keep the degree of their parent, and their
-        codes stay one-to-one.  A child already on the current path is a
-        rewrite cycle; one merely waiting in an ancestor's list is not.
+        A monomial's rewrite (under the first rule of `_build_rules` that
+        applies) lists its children, and its normal form is stored in `memo`
+        once every child has one.  When every child of the root's rewrite
+        already has one, the root is settled at once; otherwise depth first.
+        Rules are homogeneous, so children keep the degree of their parent,
+        and their codes stay one-to-one.  A child already on the current
+        path is a rewrite cycle (a child equal to the root is never in the
+        memo, so it takes this path); one merely waiting in an ancestor's
+        list is not.
         """
-        path: set = set()
-        stack: list[tuple] = []  # (monomial, children, iterator over children)
-        mono, steps = root, 0
-        while True:
-            if mono is not None:
+        children = self._rewrite(root, rules)
+        if children is None:
+            nf = memo[root] = {root: 1}
+            return nf
+        if all(child in memo for child, _ in children):
+            nf = {}
+            for child, c in children:
+                _accumulate(nf, memo[child], c)
+            memo[root] = nf
+            return nf
+        path = {root}
+        stack = [(root, children, iter(children))]  # (monomial, children, iterator over them)
+        steps = 1
+        while stack:
+            parent, children, waiting = stack[-1]
+            mono = next((child for child, _ in waiting if child not in memo), None)
+            if mono is None:
+                nf = {}
+                for child, c in children:
+                    _accumulate(nf, memo[child], c)
+                memo[parent] = nf
+                path.discard(parent)
+                stack.pop()
+            elif mono in path:
+                raise NonTriangularError("rewriting cycles; use the lattice backend")
+            else:
                 children = self._rewrite(mono, rules)
                 if children is None:
                     memo[mono] = {mono: 1}
@@ -367,19 +384,7 @@ class PresentedRing:
                         )
                     path.add(mono)
                     stack.append((mono, children, iter(children)))
-            if not stack:
-                return memo[root]
-            parent, children, waiting = stack[-1]
-            mono = next((child for child, _ in waiting if child not in memo), None)
-            if mono is None:
-                nf: dict[int, int] = {}
-                for child, c in children:
-                    _accumulate(nf, memo[child], c)
-                memo[parent] = nf
-                path.discard(parent)
-                stack.pop()
-            elif mono in path:
-                raise NonTriangularError("rewriting cycles; use the lattice backend")
+        return memo[root]
 
     def _rewrite(self, code: int, rules):
         """(child, coefficient) pairs of one rewrite of a code, or None if none applies."""
@@ -535,7 +540,7 @@ def evaluate_top(ring: PresentedRing, x: GradedPoly) -> int:
         return 0
     if ring.backend == "lattice":
         return _lattice_pair(ring, x)
-    return ring._fundamental_coefficient(ring._reduce_codes(ring._coded(x)))
+    return ring._fundamental_coefficient(ring._mul_reduce(ring._coded(x), {0: 1}))
 
 
 def lattice_evaluate(ring: PresentedRing, x: GradedPoly) -> int:
@@ -622,8 +627,10 @@ def line_bundle_numbers(ring: PresentedRing, lines) -> ChernVector:
 def line_bundle_s_number(ring: PresentedRing, lines) -> int:
     """Milnor s-number of the sum of line bundles: the sum of x^n over the
     `lines`.  A line x and its conjugates are raised once, as (a + (-1)^n b)
-    x^n for a copies of x and b of -x, skipped when that coefficient is 0;
-    a power stops at its first zero, and each multiply is reduced.  In
+    x^n for a copies of x and b of -x, skipped when that coefficient is 0.
+    x^n is formed by square-and-multiply over the bits of n (Knuth, *TAOCP*
+    vol. 2, 4.6.3), each product reduced, so at most 2 floor(log2 n) + 1
+    products per line; it stops at the first zero power or square.  In
     dimension 0 it is 0, as in `bordclass.s_num`, not the count of lines."""
     total: dict = {}
     n = ring.top_degree // 2
@@ -631,12 +638,15 @@ def line_bundle_s_number(ring: PresentedRing, lines) -> int:
         count = plus - minus if n % 2 else plus + minus  # (-x)^n = (-1)^n x^n
         if not count:
             continue
-        power = {0: count}
-        for _ in range(n):
-            power = ring._mul_reduce(power, x)
-            if not power:
-                break
-        _accumulate(total, power, 1)
+        power, square, k = {0: count}, x, n  # power * square^k = count * x^n
+        while k and power and square:
+            if k & 1:
+                power = ring._mul_reduce(power, square)
+            k >>= 1
+            if k:  # squared only while a bit is owed, so no product passes the top
+                square = ring._mul_reduce(square, square)
+        if not k:  # else a zero square left a bit owed: the power is 0
+            _accumulate(total, power, 1)
     return ring._fundamental_coefficient(total) if n else 0
 
 

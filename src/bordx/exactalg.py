@@ -355,12 +355,13 @@ class GradedPoly:
         """The k-th power, without the terms of degree above `cap` as in `mul`.
 
         By the binomial theorem over the base's term h of largest degree:
-        P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h, T^j by repeated
-        `mul` under the same cap (Fateman, "On the computation of powers of
-        sparse polynomials", 1974).  The power of a monomial is one term and
-        that of a binomial k + 1 terms; neither calls `mul`.  No term lies
-        above k deg(h), so the cap is applied once, as a final filter, and
-        only when it is below that.
+        P^k = sum_j C(k, j) h^(k-j) T^j with T = P - h.  For a monomial or a
+        binomial, T is 0 or one term c t, and the power is its k + 1 terms
+        C(k, j) lead^(k-j) c^j at (k-j) h + j t, all distinct, in one pass.
+        Otherwise T^j is formed by repeated `mul` under the same cap
+        (Fateman, "On the computation of powers of sparse polynomials",
+        1974).  No term lies above k deg(h), so the cap is applied once, as
+        a final filter, and only when it is below that.
         """
         if strict_int(k, "a power") < 0:
             raise ValueError("negative power")
@@ -383,27 +384,30 @@ class GradedPoly:
             return GradedPoly._trusted(degrees, {})
         if cap is not None and k * top <= cap:
             cap = None
-        out = {tuple(e * k for e in head): lead ** k}
-        get = out.get
-        if len(tail) <= 1:  # a monomial or a binomial: T^j has at most one term
-            powers = ({tuple(x * j for x in e): c ** j for e, c in tail.items()}
-                      for j in range(1, k + 1))
+        if not tail:
+            out = {tuple(e * k for e in head): lead ** k}
+        elif len(tail) == 1:
+            ((t, c),) = tail.items()
+            out = {tuple(a * (k - j) + b * j for a, b in zip(head, t)):
+                   math.comb(k, j) * lead ** (k - j) * c ** j for j in range(k + 1)}
         else:  # a term above the cap feeds only terms above it
+            out = {tuple(e * k for e in head): lead ** k}
+            get = out.get
             tail = GradedPoly._trusted(degrees, tail)
-            powers = (p.terms for p in itertools.accumulate(
-                itertools.repeat(tail, k - 1), lambda p, t: p.mul(t, cap), initial=tail))
-        for j, power in enumerate(powers, 1):  # power = T^j
-            if not power:
-                break
-            scale = math.comb(k, j) * lead ** (k - j)
-            shift = tuple(e * (k - j) for e in head)
-            for e, c in power.items():
-                key = tuple(map(add, e, shift))
-                c = get(key, 0) + scale * c
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
+            powers = itertools.accumulate(
+                itertools.repeat(tail, k - 1), lambda p, t: p.mul(t, cap), initial=tail)
+            for j, power in enumerate(powers, 1):  # power = T^j
+                if not power.terms:
+                    break
+                scale = math.comb(k, j) * lead ** (k - j)
+                shift = tuple(e * (k - j) for e in head)
+                for e, c in power.terms.items():
+                    key = tuple(map(add, e, shift))
+                    c = get(key, 0) + scale * c
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
         if cap is not None:
             out = {e: c for e, c in out.items() if sum(map(mul, e, degrees)) <= cap}
         return GradedPoly._trusted(degrees, out)

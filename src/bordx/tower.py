@@ -136,12 +136,17 @@ def _block_sizes(spec: TowerSpec) -> list[int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _lines(spec: TowerSpec) -> tuple[tuple[GradedPoly, ...], ...]:
-    """First Chern classes g_i + sum_j w_j g_j of the lines of each block i.
+def _lines(base, stages) -> tuple[tuple[GradedPoly, ...], ...]:
+    """First Chern classes g_i + sum_j w_j g_j of the lines of each block i
+    of the tower on `base` and `stages`.
 
-    Built once per spec for `presented_ring` and the rosters; the 16 most
-    recent specs are kept, as by `presented_ring`.
+    Built once per (base, stages), all they depend on, for `presented_ring`
+    and the rosters, whatever the conjugations and convention; the 16 most
+    recent are kept, as by `presented_ring`.  A dimension above
+    `bordclass.CHERN_MAX_DIM` is refused before a line is built.
     """
+    spec = TowerSpec(base, stages)
+    bordclass.check_dim(spec.dim)
     gens = [GradedPoly.generator((2,) * spec.generator_count, j)
             for j in range(spec.generator_count)]
     return tuple(tuple(sum((gens[j].scale(wj) for j, wj in enumerate(w) if wj), g)
@@ -160,31 +165,38 @@ def _check_rank(rank: int) -> None:
                          f"got {rank}")
 
 
-@functools.lru_cache(maxsize=16)
 def presented_ring(spec: TowerSpec) -> PresentedRing:
     """Cohomology presentation of the tower (triangular by construction).
 
-    One ring per spec, shared by `chern_numbers`, `s_number` (its line-bundle
-    numbers) and `ring_backend_pair`, so its rewrite rules and memoised normal
-    forms are built once; the 16 most recent specs are kept.  Its lines come
-    from `_lines`, cached per spec too, which the rosters read.  A spec above
-    `bordclass.CHERN_MAX_DIM` or of cohomology rank above CHERN_MAX_RANK is
-    refused before its ring is built.
+    One ring per base and stages, all it reads, shared by `chern_numbers`,
+    `s_number` (its line-bundle numbers) and `ring_backend_pair` in either
+    convention and under any conjugations, so its rewrite rules and
+    memoised normal forms are built once; the 16 most recent are kept.  Its
+    lines come from `_lines`, cached the same way, which the rosters read.
+    A spec above `bordclass.CHERN_MAX_DIM` or of cohomology rank above
+    CHERN_MAX_RANK is refused before its ring is built.
     """
+    return _presented_ring(spec.base, spec.stages)
+
+
+@functools.lru_cache(maxsize=16)
+def _presented_ring(base, stages) -> PresentedRing:
+    """`presented_ring` of the tower on `base` and `stages`."""
+    spec = TowerSpec(base, stages)
     bordclass.check_dim(spec.dim)
     _check_rank(spec.cohomology_rank)
     degrees = (2,) * spec.generator_count
     # one relation per block, the product of its lines, each distinct line
     # raised once: a base block gives g_i^(n_i + 1)
     relations = [functools.reduce(GradedPoly.mul, [x.pow(k) for x, k in Counter(lines).items()])
-                 for lines in _lines(spec)]
+                 for lines in _lines(base, stages)]
     return PresentedRing(degrees, relations, 2 * spec.dim,
                          [size - 1 for size in _block_sizes(spec)])
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:
     """First Chern classes of the stable-tangent line summands, unconjugated."""
-    return [line for lines in _lines(spec) for line in lines]
+    return [line for lines in _lines(spec.base, spec.stages) for line in lines]
 
 
 def signed_roster(spec: TowerSpec) -> list[GradedPoly]:

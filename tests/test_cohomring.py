@@ -151,6 +151,25 @@ class TestNormalForm:
         with pytest.raises(NonTriangularError, match="cycles"):
             normal_form(ring, GradedPoly(deg, {(2, 2): 1}))
 
+    def test_a_warm_memo_still_finds_the_cycle(self):
+        # x^2 -> xy and y^2 -> xy; the degree-4 normal forms are memoised
+        # first, so a product settles every monomial it can at once, and x^4
+        # still meets the cycle through the depth-first path, on every route
+        # that multiplies in the ring
+        deg = (2, 2)
+        rel1 = GradedPoly(deg, {(2, 0): 1, (1, 1): -1})
+        rel2 = GradedPoly(deg, {(0, 2): 1, (1, 1): -1})
+        ring = PresentedRing(deg, [rel1, rel2], 8, (2, 2))
+        x = gen(ring, 0)
+        assert normal_form(ring, x.pow(2)) == GradedPoly(deg, {(1, 1): 1})
+        assert ring._nf_memo
+        for route in (lambda: ring._mul_reduce(ring._coded(x.pow(2)), ring._coded(x.pow(2))),
+                      lambda: line_bundle_s_number(ring, [x]),
+                      lambda: line_bundle_numbers(ring, [x, x]),
+                      lambda: evaluate_top(ring, x.pow(4))):
+            with pytest.raises(NonTriangularError, match="cycles"):
+                route()
+
     def test_lattice_hint_rejected(self):
         ring = cp_ring(2)
         ring2 = PresentedRing(ring.degrees, ring.relations, ring.top_degree,
@@ -286,7 +305,8 @@ class TestCodedMonomials:
 
     @pytest.mark.parametrize("name,n1,n2", [("Ltilde", 2, 3), ("Ntilde", 2, 3)])
     def test_tower_ring_drops_an_exponent_at_the_radix(self, name, n1, n2):
-        ring = tower.presented_ring.__wrapped__(tower.build_family(name, n1, n2))
+        spec = tower.build_family(name, n1, n2)
+        ring = tower._presented_ring.__wrapped__(spec.base, spec.stages)  # uncached
         R = ring.radix
         assert R == ring.top_degree // 2 + 1
         u, v = gen(ring, 0), gen(ring, 1)
@@ -824,7 +844,7 @@ class TestLatticeIndependence:
         def refuse(*args, **kwargs):
             raise AssertionError("the lattice route used the triangular backend")
 
-        for name in ("_build_rules", "_reduce_codes", "_monomial_nf"):
+        for name in ("_build_rules", "_mul_reduce", "_monomial_nf"):
             monkeypatch.setattr(PresentedRing, name, refuse)
 
     @pytest.mark.parametrize("name,n1,n2", _qt_gens_instances(30))

@@ -217,7 +217,7 @@ def test_presented_ring_is_the_rank_comparison():
     source = (SRC / "tower.py").read_text(encoding="utf-8")
     defs = {node.name: node for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.FunctionDef)}
-    assert "_check_rank" in _names(defs["presented_ring"])
+    assert "_check_rank" in _names(defs["_presented_ring"])  # the ring cached per base and stages
     assert any(isinstance(node, ast.Compare) and "CHERN_MAX_RANK" in _names(node)
                for node in ast.walk(defs["_check_rank"]))
 

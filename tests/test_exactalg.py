@@ -299,10 +299,10 @@ class TestKernelAgainstReference:
         ({(0, 0, 0): 2}, lambda k: 0),  # constants and zero
         ({(0, 0, 0): -1}, lambda k: 0),
         ({}, lambda k: 0),
-        ({(1, 0, 0): 1, (0, 1, 0): -1}, lambda k: k),  # binomials
-        ({(0, 0, 0): 1, (0, 0, 1): 2}, lambda k: k),
-        ({(2, 0, 0): 1, (0, 1, 0): 1}, lambda k: k),  # both terms of one degree
-        ({(1, 1, 0): -2, (0, 0, 0): 3}, lambda k: k),
+        ({(1, 0, 0): 1, (0, 1, 0): -1}, lambda k: 0),  # binomials, in closed form
+        ({(0, 0, 0): 1, (0, 0, 1): 2}, lambda k: 0),
+        ({(2, 0, 0): 1, (0, 1, 0): 1}, lambda k: 0),  # both terms of one degree
+        ({(1, 1, 0): -2, (0, 0, 0): 3}, lambda k: 0),
     ]
 
     def _bases(self, rng):

@@ -454,7 +454,7 @@ def test_a_new_private_read_is_found(tmp_path):
 
 
 # the coded monomials of the triangular backend, which only cohomring reads
-CODED = {"_coded", "_mul_reduce", "_reduce_codes", "_fundamental_coefficient", "_nf_memo"}
+CODED = {"_coded", "_mul_reduce", "_monomial_nf", "_fundamental_coefficient", "_nf_memo"}
 
 
 def coded_readers(package_dir):

@@ -16,6 +16,8 @@ from bordx.exactalg import GradedPoly, IntMatrix
 
 from series_reference import graded_part
 from test_charmatrix_consistency import CASES as CHARMATRIX_CASES
+from test_walker import TOWERS, UNPAIRED
+import tower_reference as reference
 
 
 def gens(ring):
@@ -571,7 +573,7 @@ def test_json_round_trip_on_drawn_tower_char_matrices(spec):
 
 
 class TestRingCache:
-    """One presented ring per tower spec, in a bounded cache."""
+    """One presented ring per base and stages, in a bounded cache."""
 
     def test_three_calls_share_one_ring(self, monkeypatch):
         built = []
@@ -582,16 +584,37 @@ class TestRingCache:
             built.append(ring)
             return ring
 
-        tower.presented_ring.cache_clear()
+        tower._presented_ring.cache_clear()
         monkeypatch.setattr(tower, "PresentedRing", counting)
         spec = tower.build_family("Ntilde", 2, 3, convention="bordism")
         tower.chern_numbers(spec)
         tower.s_number(spec)
         tri, lat = tower.ring_backend_pair(spec)
         assert built == [tri, lat]  # the triangular ring once, then its lattice twin
-        assert tower.presented_ring.cache_info().misses == 1
-        assert tower.presented_ring.cache_info().hits == 2
+        assert tower._presented_ring.cache_info().misses == 1
+        assert tower._presented_ring.cache_info().hits == 2
         assert tri._nf_memo  # the normal forms of the first two calls are kept
+
+    def test_both_conventions_share_one_ring_and_one_set_of_lines(self):
+        spec = tower.build_family("Ntilde", 2, 3, convention="bordism")
+        toric = spec.with_convention("toric")
+        bare = tower.TowerSpec(spec.base, spec.stages)  # no conjugation
+        specs = (spec, toric, bare)
+        alone = {}
+        for s in specs:
+            tower._presented_ring.cache_clear()
+            tower._lines.cache_clear()
+            alone[s] = (tower.chern_numbers(s), tower.s_number(s))
+        assert alone[bare][0] != alone[spec][0]
+        tower._presented_ring.cache_clear()
+        tower._lines.cache_clear()
+        ring = tower.presented_ring(spec)
+        assert tower.presented_ring(toric) is ring and tower.presented_ring(bare) is ring
+        assert tower._presented_ring.cache_info().misses == 1
+        assert tower.roster(toric) == tower.roster(bare) == tower.roster(spec)
+        assert tower._lines.cache_info().misses == 1
+        # the shared ring and lines give each spec the numbers it has alone
+        assert all((tower.chern_numbers(s), tower.s_number(s)) == alone[s] for s in specs)
 
     def test_rosters_are_fresh_lists_over_the_cached_lines(self):
         spec = tower.build_family("Ntilde", 2, 3)
@@ -603,12 +626,19 @@ class TestRingCache:
             first[0] = -first[0]
             assert read(spec) == want
 
+    @pytest.mark.parametrize("read", [tower.roster, tower.signed_roster])
+    def test_a_roster_above_the_largest_dimension_is_refused_and_not_kept(self, read):
+        before = tower._lines.cache_info().currsize
+        with pytest.raises(ValueError, match="dimension"):
+            read(tower.TowerSpec((3000,)))
+        assert tower._lines.cache_info().currsize == before
+
     def test_cache_is_bounded(self):
-        tower.presented_ring.cache_clear()
+        tower._presented_ring.cache_clear()
         specs = [tower.build_family("CPprod", (n,)) for n in range(1, 21)]
         for spec in specs:
             tower.presented_ring(spec)
-        info = tower.presented_ring.cache_info()
+        info = tower._presented_ring.cache_info()
         assert info.maxsize == 16 and info.currsize == 16
         assert tower.presented_ring(specs[-1]) is tower.presented_ring(specs[-1])
 
@@ -616,6 +646,11 @@ class TestRingCache:
 # ---------------------------------------------------------------------------
 # the memo-first normal form and the grouped total Chern class
 # ---------------------------------------------------------------------------
+
+def _fresh_ring(spec):
+    """The ring of `presented_ring`, built anew past its cache."""
+    return tower._presented_ring.__wrapped__(spec.base, spec.stages)
+
 
 def _above_top(ring):
     """Monomials two and four degrees above the top, and one far above it."""
@@ -628,7 +663,7 @@ def _above_top(ring):
 @pytest.mark.parametrize("name,n1,n2", REFERENCE_FAMILIES)
 def test_normal_form_same_on_memo_miss_and_hit(monkeypatch, name, n1, n2):
     spec = _family(name, n1, n2, "toric")
-    ring = tower.presented_ring.__wrapped__(spec)  # a fresh ring, empty memo
+    ring = _fresh_ring(spec)  # empty memo
     below = tower.total_chern(spec)
     mixed = below + GradedPoly(ring.degrees, _above_top(ring))
     entered = []
@@ -646,7 +681,7 @@ def test_normal_form_same_on_memo_miss_and_hit(monkeypatch, name, n1, n2):
     second = ring.reduce(mixed)
     assert not entered  # every monomial at or below the top was a memo hit
     assert first == second
-    assert first == tower.presented_ring.__wrapped__(spec).reduce(below)
+    assert first == _fresh_ring(spec).reduce(below)
     assert (first.degree() or 0) <= ring.top_degree
     # the top part against the lattice route, which never reads the memo
     _, lattice = tower.ring_backend_pair(spec)
@@ -664,6 +699,51 @@ def test_normal_form_memo_stays_at_or_below_the_top(name, n1, n2):
     assert ring._nf_memo
     assert all(sum(map(operator.mul, m, ring.degrees)) <= ring.top_degree
                for m in map(ring.decode, ring._nf_memo))
+
+
+# ---------------------------------------------------------------------------
+# the s-number by squaring
+# ---------------------------------------------------------------------------
+
+# every family tower the tests build: the walker's, the reference families
+# and the quasitoric exports up to real dimension 30
+S_NUMBER_SPECS = {
+    **{f"{name}({n1},{n2})": _family(name, n1, n2, "toric") for name, n1, n2 in
+       dict.fromkeys([*TOWERS, *REFERENCE_FAMILIES, *_qt_gens_instances(30)])},
+    **UNPAIRED,
+}
+
+
+@pytest.mark.parametrize("label", S_NUMBER_SPECS)
+@pytest.mark.parametrize("convention", ["toric", "bordism"])
+def test_s_number_by_squaring_matches_one_multiply_per_degree(label, convention):
+    spec = S_NUMBER_SPECS[label].with_convention(convention)
+    lines = tower.signed_roster(spec)
+    want = reference.line_bundle_s_number(_fresh_ring(spec), lines)
+    assert cohomring.line_bundle_s_number(_fresh_ring(spec), lines) == want
+    assert tower.s_number(spec) == tower._sign(spec) * want
+
+
+def test_the_s_number_families_reach_dimension_15_and_both_parities():
+    dims = {spec.dim for spec in S_NUMBER_SPECS.values()}
+    assert max(dims) == 15 and {d % 2 for d in dims} == {0, 1}
+
+
+@pytest.mark.parametrize("label", S_NUMBER_SPECS)
+def test_s_number_takes_at_most_two_products_per_bit_of_n(monkeypatch, label):
+    spec = S_NUMBER_SPECS[label]
+    ring, lines, n = _fresh_ring(spec), tower.signed_roster(spec), spec.dim
+    calls = []
+    real = cohomring.PresentedRing._mul_reduce
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(cohomring.PresentedRing, "_mul_reduce", counting)
+    cohomring.line_bundle_s_number(ring, lines)
+    distinct = len({frozenset((x, -x)) for x in lines})  # lines up to sign
+    assert len(calls) <= distinct * (2 * (n.bit_length() - 1) + 1)
 
 
 def ref_total_chern(spec):

@@ -8,6 +8,8 @@ gives its lines through `_stage_lines`.  `tower` now reads both from
 0.  Nothing in bordx uses this module; the tests compare `tower` with it.
 `presented_ring` is the old function without its cache, and `dim`,
 `roster_size` and `cohomology_rank` are the old `TowerSpec` members.
+`line_bundle_s_number` is the old s-number loop, one reduced multiply by x
+per degree, where `cohomring` now squares.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import math
 
 from bordx import bordclass
-from bordx.cohomring import PresentedRing
-from bordx.exactalg import GradedPoly, IntMatrix
+from bordx.cohomring import PresentedRing, _coded_lines
+from bordx.exactalg import GradedPoly, IntMatrix, _accumulate
 from bordx.tower import CHERN_MAX_RANK, CharMatrix, TowerSpec
 
 
@@ -68,6 +70,24 @@ def presented_ring(spec: TowerSpec) -> PresentedRing:
         relations.append(rel)
     fundamental = list(spec.base) + [len(stage.lines) - 1 for stage in spec.stages]
     return PresentedRing(degrees, relations, 2 * dim(spec), fundamental)
+
+
+def line_bundle_s_number(ring: PresentedRing, lines) -> int:
+    """The sum of x^n over the `lines`, each x and its conjugates raised
+    once with coefficient a + (-1)^n b, by n multiplies each reduced."""
+    total: dict = {}
+    n = ring.top_degree // 2
+    for x, plus, minus in _coded_lines(ring, lines, "line_bundle_s_number"):
+        count = plus - minus if n % 2 else plus + minus
+        if not count:
+            continue
+        power = {0: count}
+        for _ in range(n):
+            power = ring._mul_reduce(power, x)
+            if not power:
+                break
+        _accumulate(total, power, 1)
+    return ring._fundamental_coefficient(total) if n else 0
 
 
 def roster(spec: TowerSpec) -> list[GradedPoly]:
